@@ -9,43 +9,7 @@ evaluation metrics and a relation-ablation harness.
 from . import decoders, diffnum, evalkit, hetgraph, layer, training
 from .decoders import DecoderParams, ensemble_score, score
 from .hetgraph import HeteroGraph, NodeLabels, SplitSpec, augment, load_triples
-from .layer import (
-    AttentionTrace,
-    BrgcnLayerParams,
-    layer_forward,
-    node_attention,
-    relation_attention,
-    stack_forward,
-    variant_forward,
-)
+from .layer import AttentionTrace, BrgcnLayerParams, layer_forward, stack_forward
 from .training import TrainConfig, train_link_predictor, train_node_classifier
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "decoders",
-    "diffnum",
-    "evalkit",
-    "hetgraph",
-    "layer",
-    "training",
-    "DecoderParams",
-    "ensemble_score",
-    "score",
-    "HeteroGraph",
-    "NodeLabels",
-    "SplitSpec",
-    "augment",
-    "load_triples",
-    "AttentionTrace",
-    "BrgcnLayerParams",
-    "layer_forward",
-    "node_attention",
-    "relation_attention",
-    "stack_forward",
-    "variant_forward",
-    "TrainConfig",
-    "train_link_predictor",
-    "train_node_classifier",
-    "__version__",
-]

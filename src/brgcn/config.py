@@ -13,13 +13,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from .decoders import KINDS as DECODERS
+from .evalkit import STRATEGIES as STRATEGY_NAMES
+from .layer import VARIANTS
 from .training import TrainConfig
 
 TASKS = ("node_classification", "link_prediction")
-VARIANTS = ("full", "node_only", "relation_only", "rgcn_baseline")
-DECODERS = ("distmult", "transe", "hole", "complex")
 FORMATS = ("tsv", "ntriples")
-STRATEGY_NAMES = ("random", "top_attention", "bottom_attention")
 
 # Per-dataset hyperparameter presets (bi-level model rows); link-prediction
 # and ablation experiments reuse the "am" values.

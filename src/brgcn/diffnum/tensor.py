@@ -478,6 +478,79 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     return record_op("segment_sum", out, (a,), backward)
 
 
+def _check_index(idx: np.ndarray, size: int, op: str) -> None:
+    if idx.ndim != 1:
+        raise DimensionError(f"{op}: index arrays must be vectors, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise DimensionError(f"{op}: index out of range for axis of size {size}")
+
+
+def pair_dot(a, b, rows, cols) -> Tensor:
+    """Row-wise dot products ``out[p] = a[rows[p]] . b[cols[p]]``.
+
+    A sampled dense-dense product: only the listed (row, col) entries of
+    a @ b.T are computed.  The gathered (pairs, d) rows are recomputed in
+    backward instead of being kept alive on the tape.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError(f"pair_dot: need matrices of equal width, got {a.shape}, {b.shape}")
+    if rows.shape != cols.shape:
+        raise DimensionError(f"pair_dot: rows {rows.shape} and cols {cols.shape} differ")
+    _check_index(rows, a.shape[0], "pair_dot")
+    _check_index(cols, b.shape[0], "pair_dot")
+    ad, bd = a.data, b.data
+    out = np.einsum("pd,pd->p", ad[rows], bd[cols])
+
+    def backward(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = np.zeros_like(ad)
+            np.add.at(ga, rows, g[:, None] * bd[cols])
+        if b.requires_grad:
+            gb = np.zeros_like(bd)
+            np.add.at(gb, cols, g[:, None] * ad[rows])
+        return ga, gb
+
+    return record_op("pair_dot", out, (a, b), backward)
+
+
+def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:
+    """Weighted gather-scatter ``out[dst[e]] += w[e] * x[src[e]]``.
+
+    A sparse-dense product: the (num_segments, len(x)) matrix with entries
+    w at (dst, src), times x.  Rows of ``out`` no entry reaches are zero.
+    The gathered (entries, d) rows are recomputed in backward instead of
+    being kept alive on the tape.
+    """
+    w, x = _as_tensor(w), _as_tensor(x)
+    src = np.asarray(src, dtype=np.intp)
+    if w.ndim != 1 or x.ndim != 2:
+        raise DimensionError(f"gather_sum: need a weight vector and a matrix, got {w.shape}, {x.shape}")
+    if src.shape != w.shape:
+        raise DimensionError(f"gather_sum: src shape {src.shape} != weights {w.shape}")
+    _check_index(src, x.shape[0], "gather_sum")
+    seg = np.asarray(dst, dtype=np.intp)
+    _check_segments(seg, w.shape[0], num_segments, "gather_sum")
+    wd, xd = w.data, x.data
+    out = np.zeros((num_segments, xd.shape[1]))
+    np.add.at(out, seg, wd[:, None] * xd[src])
+
+    def backward(g):
+        gw = gx = None
+        if w.requires_grad:
+            # summed like mul's broadcast gradient, so results match mul + segment_sum bit for bit
+            gw = (g[seg] * xd[src]).sum(axis=1)
+        if x.requires_grad:
+            gx = np.zeros_like(xd)
+            np.add.at(gx, src, wd[:, None] * g[seg])
+        return gw, gx
+
+    return record_op("gather_sum", out, (w, x), backward)
+
+
 def segment_softmax(a, segments, num_segments: int) -> Tensor:
     """Independent stable softmax over each segment of a vector.
 

@@ -442,7 +442,8 @@ class NodeLabels:
                 raise GraphError(f"label {self.labels[i]} out of range for node {i}")
 
     def restrict(self, ids: Iterable[int]) -> "NodeLabels":
-        ids = tuple(i for i in self.labeled_ids if i in set(ids))
+        keep = set(ids)
+        ids = tuple(i for i in self.labeled_ids if i in keep)
         return NodeLabels(ids, {i: self.labels[i] for i in ids}, self.num_classes, self.class_names)
 
 

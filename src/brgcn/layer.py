@@ -16,6 +16,13 @@ summaries through query/key/value projections
 The self term W_self h_i is shared across relations and, per the layer
 algebra, appears inside every delta_i^r, so it is counted |R_i| times in
 the output.  Nodes with no outgoing edges produce the zero vector.
+
+Both stages run vectorized over index arrays, in the edge-softmax / scatter
+formulation of GAT (Velickovic et al. 2018) and PyG (Fey & Lenssen 2019):
+the node stage is one segment softmax per relation over its edges, the
+relation stage one segment softmax over all pairs of (node, relation)
+groups at the same node.  The tape therefore holds a number of records that
+depends on the relations and layers, not on the number of nodes.
 """
 
 from __future__ import annotations
@@ -34,10 +41,6 @@ class ConfigurationError(Exception):
     """A layer or model was assembled with inconsistent dimensions/options."""
 
 
-class PreconditionError(Exception):
-    """An operation was invoked outside its domain (e.g. empty neighborhood)."""
-
-
 VARIANTS = ("full", "node_only", "relation_only", "rgcn_baseline")
 
 
@@ -53,10 +56,6 @@ class BrgcnLayerParams:
     instead one shared stack of basis matrices plus per-(role, relation)
     coefficient vectors reconstructs W_role_r = sum_b coeff[b] * basis[b].
     The attention vectors and w_self are never decomposed.
-
-    ``input_projection`` optionally adds square per-relation matrices applied
-    to neighbor features inside the z aggregation; off by default, where the
-    aggregation uses raw neighbor features.
     """
 
     ROLES = ("query", "key", "value")
@@ -95,7 +94,6 @@ class BrgcnLayerParams:
         self.w_value: list[Tensor] = []
         self.basis: Tensor | None = None
         self.coeff: dict[str, list[Tensor]] = {}
-        self.input_proj: list[Tensor] | None = None
 
     @classmethod
     def create(
@@ -108,7 +106,6 @@ class BrgcnLayerParams:
         num_bases: int = 0,
         leaky_slope: float = 0.2,
         dropout: float = 0.0,
-        input_projection: bool = False,
         prefix: str = "layer",
     ) -> "BrgcnLayerParams":
         """Glorot-uniform initialization of all parameter groups."""
@@ -148,11 +145,6 @@ class BrgcnLayerParams:
                 ]
                 for role in cls.ROLES
             }
-        if input_projection:
-            p.input_proj = [
-                glorot(d_in, d_in, (d_in, d_in), f"{prefix}.input_proj.{r}")
-                for r in range(num_relations)
-            ]
         return p
 
     def params(self) -> list[Tensor]:
@@ -166,8 +158,6 @@ class BrgcnLayerParams:
             for role in self.ROLES:
                 out.extend(self.coeff[role])
         out.append(self.w_self)
-        if self.input_proj is not None:
-            out.extend(self.input_proj)
         return out
 
     def projection(self, role: str, r: int) -> Tensor:
@@ -197,128 +187,44 @@ class AttentionTrace:
     rel_order: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-class _LayerMats:
-    """Per-forward materialization of everything reused across nodes."""
+class _GraphIndex:
+    """Index arrays of one graph for the vectorized layer, built with numpy sorts.
 
-    __slots__ = ("a_head", "a_tail", "w_query", "w_key", "w_value", "w_self", "input_proj")
+    Edges are sorted by (relation, head, tail), so within each (node,
+    relation) group they follow ``graph.neighbors`` order; ``edge_group``
+    maps each edge to its group.  Groups are relation-major, nodes ascending
+    within a relation; relation r owns edges ``edge_start[r]:edge_start[r+1]``
+    and groups ``group_start[r]:group_start[r+1]``.  ``pair_rows`` and
+    ``pair_cols`` list every ordered pair (g, g') of groups at the same node,
+    node by node and relations ascending in both positions, so node i's pairs
+    are its row-major |R_i| x |R_i| block.
+    """
 
-    def __init__(self, params: BrgcnLayerParams):
-        d = params.d_in
-        head_idx = np.arange(d)
-        tail_idx = np.arange(d, 2 * d)
-        self.a_head = [dn.take(a, head_idx) for a in params.a]
-        self.a_tail = [dn.take(a, tail_idx) for a in params.a]
-        self.w_query = [params.projection("query", r) for r in range(params.num_relations)]
-        self.w_key = [params.projection("key", r) for r in range(params.num_relations)]
-        self.w_value = [params.projection("value", r) for r in range(params.num_relations)]
-        self.w_self = params.w_self
-        self.input_proj = params.input_proj
+    def __init__(self, graph: HeteroGraph):
+        n = graph.num_nodes
+        t = np.asarray(graph.triples, dtype=np.intp).reshape(-1, 3)
+        self.heads, rels, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
+        _, first, self.edge_group, self.group_size = np.unique(
+            rels * n + self.heads, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.group_node, self.group_rel = self.heads[first], rels[first]
+        bounds = np.arange(graph.num_relations + 1)
+        self.edge_start = np.searchsorted(rels, bounds)
+        self.group_start = np.searchsorted(self.group_rel, bounds)
 
-
-class _RelationEdges:
-    """Edge arrays of one relation, grouped by head node in id order."""
-
-    __slots__ = ("heads", "tails", "segments", "group_nodes", "group_of", "offsets")
-
-    def __init__(self, graph: HeteroGraph, r: int):
-        heads: list[int] = []
-        tails: list[int] = []
-        segments: list[int] = []
-        group_nodes: list[int] = []
-        offsets = [0]
-        for i in range(graph.num_nodes):
-            nbrs = graph.neighbor_index.get((i, r))
-            if not nbrs:
-                continue
-            gidx = len(group_nodes)
-            group_nodes.append(i)
-            heads.extend([i] * len(nbrs))
-            tails.extend(nbrs)
-            segments.extend([gidx] * len(nbrs))
-            offsets.append(offsets[-1] + len(nbrs))
-        self.heads = np.asarray(heads, dtype=np.intp)
-        self.tails = np.asarray(tails, dtype=np.intp)
-        self.segments = np.asarray(segments, dtype=np.intp)
-        self.group_nodes = group_nodes
-        self.group_of = {node: g for g, node in enumerate(group_nodes)}
-        self.offsets = offsets
+        self.by_node = np.argsort(self.group_node, kind="stable")  # relations stay ascending
+        self.node_count = np.bincount(self.group_node, minlength=n)
+        self.node_first = np.cumsum(self.node_count) - self.node_count  # into by_node
+        sq = self.node_count**2
+        local = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        m = np.repeat(self.node_count, sq)
+        base = np.repeat(self.node_first, sq)
+        self.pair_rows = self.by_node[base + local // m]
+        self.pair_cols = self.by_node[base + local % m]
 
     @property
     def num_groups(self) -> int:
-        return len(self.group_nodes)
-
-
-def node_attention(
-    params: BrgcnLayerParams,
-    h: Tensor,
-    graph: HeteroGraph,
-    i: int,
-    r: int,
-    *,
-    mats: _LayerMats | None = None,
-    uniform: bool = False,
-    gamma_mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Attention weights and relation-specific embedding for node ``i`` under ``r``.
-
-    Requires a non-empty neighborhood; callers iterate relations of
-    ``graph.relations_of(i)`` only.  With ``uniform=True`` the learned
-    weights are replaced by the constant 1/|N_i^r| (the relation-only
-    variant).  ``gamma_mask`` applies training-time dropout to the weights
-    after the softmax (inverted scaling baked into the mask).
-    """
-    nbrs = graph.neighbors(i, r)
-    if not nbrs:
-        raise PreconditionError(f"node {i} has no neighbors under relation {r}")
-    if mats is None:
-        mats = _LayerMats(params)
-    h_nbr = dn.take(h, np.asarray(nbrs))
-    if uniform:
-        gamma = Tensor(np.full(len(nbrs), 1.0 / len(nbrs)))
-    else:
-        h_i = dn.take(h, np.asarray([i]))
-        base = dn.matmul(h_i, mats.a_head[r])  # (1,)
-        logits = dn.add(dn.matmul(h_nbr, mats.a_tail[r]), base)
-        gamma = dn.softmax(dn.leaky_relu(logits, params.leaky_slope))
-    weights = gamma if gamma_mask is None else dn.mul(gamma, Tensor(gamma_mask))
-    if mats.input_proj is not None:
-        h_nbr = dn.matmul(h_nbr, dn.transpose(mats.input_proj[r]))
-    z = dn.matmul(weights, h_nbr)
-    return gamma, z
-
-
-def relation_attention(
-    params: BrgcnLayerParams,
-    z_by_rel: dict[int, Tensor],
-    h_i: Tensor,
-    *,
-    mats: _LayerMats | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Fuse relation-specific embeddings into the next-layer feature of one node.
-
-    Returns the |R_i| x |R_i| attention matrix (rows are distributions over
-    the incident relations, ordered by ascending relation id) and the fused
-    output vector.
-    """
-    if not z_by_rel:
-        raise PreconditionError("relation_attention requires at least one relation")
-    if mats is None:
-        mats = _LayerMats(params)
-    if h_i.shape != (params.d_in,):
-        raise ConfigurationError(f"h_i must have shape ({params.d_in},), got {h_i.shape}")
-    rels = sorted(z_by_rel)
-    queries = [dn.matmul(mats.w_query[r], z_by_rel[r]) for r in rels]
-    keys = dn.stack([dn.matmul(mats.w_key[r], z_by_rel[r]) for r in rels])
-    values = dn.stack([dn.matmul(mats.w_value[r], z_by_rel[r]) for r in rels])
-    self_term = dn.matmul(mats.w_self, h_i)
-    psi_rows = []
-    out = None
-    for q in queries:
-        row = dn.softmax(dn.matmul(keys, q))
-        psi_rows.append(row)
-        delta = dn.relu(dn.add(dn.matmul(row, values), self_term))
-        out = delta if out is None else dn.add(out, delta)
-    return dn.stack(psi_rows), out
+        return self.group_node.size
 
 
 def layer_forward(
@@ -332,6 +238,13 @@ def layer_forward(
     collect_trace: bool = True,
 ) -> tuple[Tensor, AttentionTrace]:
     """Apply one layer to every node; see the module docstring for the math.
+
+    ``mode`` selects the variant.  ``full`` is the bi-level layer;
+    ``node_only`` drops relation attention (unweighted sum of the z
+    summaries plus ReLU(W_self h_i) added once); ``relation_only`` replaces
+    neighbor attention by uniform weights; ``rgcn_baseline`` is the
+    mean-aggregation relational convolution ReLU(sum_r W_r mean_j h_j +
+    W_self h_i) with W_r taken from the value projections.
 
     The result depends only on the graph's edge set, not on triple storage
     order or node iteration order.  During training, dropout (when
@@ -364,130 +277,86 @@ def layer_forward(
         fmask = (rng.random(h.shape) < keep) / keep
         h = dn.mul(h, Tensor(fmask))
 
-    mats = _LayerMats(params)
+    n = graph.num_nodes
+    idx = _GraphIndex(graph)
     trace = AttentionTrace()
+    if not idx.num_groups:
+        return Tensor(np.zeros((n, params.d_out))), trace
     uniform_gamma = mode in ("relation_only", "rgcn_baseline")
+    head_idx = np.arange(params.d_in)
+    tail_idx = np.arange(params.d_in, 2 * params.d_in)
 
-    # Node-level attention, batched over all edges of each relation.  The
-    # per-relation summaries are stacked into one (sum of groups, dim)
-    # matrix per role; row_index[i] gathers node i's rows across its
-    # incident relations.  Definitions match node_attention row for row.
-    edges: dict[int, _RelationEdges] = {}
-    z_parts: list[Tensor] = []
-    offsets: dict[int, int] = {}
-    total_groups = 0
-    for r in range(graph.num_relations):
-        block = _RelationEdges(graph, r)
-        if not block.num_groups:
-            continue
-        edges[r] = block
-        offsets[r] = total_groups
-        total_groups += block.num_groups
+    # Node-level attention: one segment softmax over each relation's edges,
+    # then z[r] (one row per group of r) as a weighted gather-sum of tails.
+    rel_list = np.flatnonzero(np.diff(idx.group_start)).tolist()  # relations with edges
+    z: dict[int, Tensor] = {}
+    gammas: list[Tensor] = []
+    for r in rel_list:
+        edges = slice(idx.edge_start[r], idx.edge_start[r + 1])
+        g0, num_groups = idx.group_start[r], idx.group_start[r + 1] - idx.group_start[r]
+        tails, seg = idx.tails[edges], idx.edge_group[edges] - g0
         if uniform_gamma:
-            degrees = np.diff(block.offsets)
-            gamma = Tensor(1.0 / np.repeat(degrees, degrees))
+            gamma = Tensor(1.0 / idx.group_size[idx.edge_group[edges]])
         else:
-            s_head = dn.matmul(h, mats.a_head[r])
-            s_tail = dn.matmul(h, mats.a_tail[r])
-            logits = dn.add(dn.take(s_head, block.heads), dn.take(s_tail, block.tails))
-            gamma = dn.segment_softmax(
-                dn.leaky_relu(logits, params.leaky_slope), block.segments, block.num_groups
-            )
-        if collect_trace and mode != "rgcn_baseline":
-            for g, node in enumerate(block.group_nodes):
-                trace.gamma[(node, r)] = gamma.data[block.offsets[g] : block.offsets[g + 1]].copy()
+            s_head = dn.matmul(h, dn.take(params.a[r], head_idx))
+            s_tail = dn.matmul(h, dn.take(params.a[r], tail_idx))
+            logits = dn.add(dn.take(s_head, idx.heads[edges]), dn.take(s_tail, tails))
+            gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), seg, num_groups)
+        gammas.append(gamma)
         weights = gamma
         if use_dropout and not uniform_gamma:
-            gmask = (rng.random(len(block.tails)) < keep) / keep
+            gmask = (rng.random(len(tails)) < keep) / keep
             weights = dn.mul(gamma, Tensor(gmask))
-        h_agg = h if mats.input_proj is None else dn.matmul(h, dn.transpose(mats.input_proj[r]))
-        weighted = dn.mul(dn.reshape(weights, (-1, 1)), dn.take(h_agg, block.tails))
-        z_parts.append(dn.segment_sum(weighted, block.segments, block.num_groups))
+        z[r] = dn.gather_sum(weights, h, tails, seg, num_groups)
 
-    row_index: dict[int, np.ndarray] = {}
-    for i in range(graph.num_nodes):
-        rels = graph.relations_of(i)
-        if rels:
-            row_index[i] = np.asarray([offsets[r] + edges[r].group_of[i] for r in rels])
+    def project(role: str) -> Tensor:
+        # Projected per relation, so no (groups, d_in) concatenation is made.
+        parts = [dn.matmul(z[r], dn.transpose(params.projection(role, r))) for r in rel_list]
+        return dn.concat(parts) if len(parts) > 1 else parts[0]
 
-    zero_row = Tensor(np.zeros(params.d_out))
-    rows: list[Tensor] = []
-    self_rows = dn.matmul(h, dn.transpose(mats.w_self))  # (N, d_out)
-    if edges:
-        rel_list = sorted(edges)
-        if mode in ("full", "relation_only"):
-            q_all = _per_relation_project(z_parts, rel_list, mats.w_query)
-            k_all = _per_relation_project(z_parts, rel_list, mats.w_key)
-            v_all = _per_relation_project(z_parts, rel_list, mats.w_value)
-        elif mode == "rgcn_baseline":
-            msg_all = _per_relation_project(z_parts, rel_list, mats.w_value)
-        else:
-            z_all = dn.concat(z_parts) if len(z_parts) > 1 else z_parts[0]
-
-    for i in range(graph.num_nodes):
-        rels = graph.relations_of(i)
-        if not rels:
-            rows.append(zero_row)
-            continue
-        idx = row_index[i]
-        self_row = dn.take(self_rows, np.asarray([i]))
-
+    self_rows = dn.matmul(h, dn.transpose(params.w_self))  # (N, d_out)
+    psi = None
+    if mode in ("full", "relation_only"):
+        # Relation-level attention: one segment softmax over same-node group pairs.
+        rows, cols = idx.pair_rows, idx.pair_cols
+        psi = dn.segment_softmax(
+            dn.pair_dot(project("query"), project("key"), rows, cols), rows, idx.num_groups
+        )
+        fused = dn.gather_sum(psi, project("value"), cols, rows, idx.num_groups)
+        delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
+        out = dn.segment_sum(delta, idx.group_node, n)
+    else:
+        # Nodes without outgoing edges must stay zero despite the self term.
+        has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
         if mode == "rgcn_baseline":
-            total = dn.add(
-                dn.tsum(dn.take(msg_all, idx), axis=0), dn.reshape(self_row, (params.d_out,))
-            )
-            rows.append(dn.relu(total))
-            continue
-        if mode == "node_only":
-            zsum = dn.tsum(dn.take(z_all, idx), axis=0)
-            rows.append(dn.add(zsum, dn.reshape(dn.relu(self_row), (params.d_out,))))
-            continue
+            msgs = dn.segment_sum(project("value"), idx.group_node, n)
+            out = dn.mul(dn.relu(dn.add(msgs, self_rows)), has_rel)
+        else:
+            z_all = dn.concat([z[r] for r in rel_list]) if len(rel_list) > 1 else z[rel_list[0]]
+            zsum = dn.segment_sum(z_all, idx.group_node, n)
+            out = dn.mul(dn.add(zsum, dn.relu(self_rows)), has_rel)
 
-        qs = dn.take(q_all, idx)
-        ks = dn.take(k_all, idx)
-        vs = dn.take(v_all, idx)
-        psi = dn.softmax_rows(dn.matmul(qs, dn.transpose(ks)))
-        delta = dn.relu(dn.add(dn.matmul(psi, vs), self_row))
-        rows.append(dn.tsum(delta, axis=0))
-        if collect_trace:
-            trace.psi[i] = psi.data.copy()
-            trace.rel_order[i] = tuple(rels)
-
-    return dn.stack(rows), trace
+    if collect_trace:
+        _fill_trace(trace, idx, None if mode == "rgcn_baseline" else gammas, psi)
+    return out, trace
 
 
-def _per_relation_project(
-    z_parts: list[Tensor], rel_list: list[int], mats: list[Tensor]
-) -> Tensor:
-    """Project each relation's summary block and stack the results vertically."""
-    parts = [
-        dn.matmul(z, dn.transpose(mats[r])) for z, r in zip(z_parts, rel_list)
-    ]
-    return dn.concat(parts) if len(parts) > 1 else parts[0]
-
-
-def variant_forward(
-    mode: str,
-    params: BrgcnLayerParams,
-    h: Tensor,
-    graph: HeteroGraph,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    collect_trace: bool = True,
-) -> tuple[Tensor, AttentionTrace]:
-    """Layer forward under one of the model variants.
-
-    ``full`` is the bi-level layer; ``node_only`` drops relation attention
-    (unweighted sum of the z summaries plus ReLU(W_self h_i) added once);
-    ``relation_only`` replaces neighbor attention by uniform weights;
-    ``rgcn_baseline`` is the mean-aggregation relational convolution
-    ReLU(sum_r W_r mean_j h_j + W_self h_i) with W_r taken from the value
-    projections.
-    """
-    return layer_forward(
-        params, h, graph, mode=mode, training=training, rng=rng, collect_trace=collect_trace
-    )
+def _fill_trace(
+    trace: AttentionTrace, idx: _GraphIndex, gammas: list[Tensor] | None, psi: Tensor | None
+) -> None:
+    """Copy attention weights out of the flat edge and pair arrays, per group and node."""
+    if gammas is not None:
+        flat = np.concatenate([g.data for g in gammas])
+        parts = np.split(flat, np.cumsum(idx.group_size)[:-1])
+        for key, gamma in zip(zip(idx.group_node.tolist(), idx.group_rel.tolist()), parts):
+            trace.gamma[key] = gamma
+    if psi is not None:
+        flat = psi.data.copy()
+        first_pair = np.cumsum(idx.node_count**2) - idx.node_count**2
+        for i in np.flatnonzero(idx.node_count).tolist():
+            m, p0, g0 = int(idx.node_count[i]), int(first_pair[i]), int(idx.node_first[i])
+            trace.psi[i] = flat[p0 : p0 + m * m].reshape(m, m)
+            trace.rel_order[i] = tuple(idx.group_rel[idx.by_node[g0 : g0 + m]].tolist())
 
 
 def stack_forward(

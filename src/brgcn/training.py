@@ -275,7 +275,24 @@ def _culprit(params: Sequence[Tensor]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class NodeClassificationModel:
+class _Model:
+    """Checkpoint I/O over the subclass's ``params()``, keyed by parameter name."""
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {p.name: p.data for p in self.params()}
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        for p in self.params():
+            if p.name not in arrays:
+                raise ConfigurationError(f"checkpoint missing parameter {p.name!r}")
+            if arrays[p.name].shape != p.data.shape:
+                raise ConfigurationError(
+                    f"checkpoint shape {arrays[p.name].shape} != expected {p.data.shape} for {p.name!r}"
+                )
+            p.data = np.array(arrays[p.name], dtype=np.float64)
+
+
+class NodeClassificationModel(_Model):
     """Stacked layers with a per-node softmax head."""
 
     def __init__(self, layers: list[BrgcnLayerParams], variant: str = "full"):
@@ -340,21 +357,8 @@ class NodeClassificationModel:
         probs, _ = self.forward(graph, x0=x0)
         return probs.data.argmax(axis=1)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.params()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.params():
-            if p.name not in arrays:
-                raise ConfigurationError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ConfigurationError(
-                    f"checkpoint shape {arrays[p.name].shape} != expected {p.data.shape} for {p.name!r}"
-                )
-            p.data = np.array(arrays[p.name], dtype=np.float64)
-
-
-class LinkPredictionModel:
+class LinkPredictionModel(_Model):
     """Encoder embeddings plus a triple-scoring decoder.
 
     In auto-encoder mode the entity embeddings are the encoder outputs on
@@ -438,19 +442,6 @@ class LinkPredictionModel:
             return dec.score(kind, Tensor(emb[h]), Tensor(rel[r]), Tensor(emb[t])).item()
 
         return fn
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.params()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.params():
-            if p.name not in arrays:
-                raise ConfigurationError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ConfigurationError(
-                    f"checkpoint shape {arrays[p.name].shape} != expected {p.data.shape} for {p.name!r}"
-                )
-            p.data = np.array(arrays[p.name], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

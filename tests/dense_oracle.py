@@ -2,7 +2,7 @@
 
 Used as a test oracle: everything is computed with full N x N adjacency
 masks and plain numpy, a deliberately different route from the package's
-sparse per-node gather implementation.
+vectorized gather-scatter implementation.
 """
 
 from __future__ import annotations

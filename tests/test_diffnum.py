@@ -66,6 +66,30 @@ class TestForwardValues:
         out = dn.segment_sum(x, np.array([0, 0, 1, 1]), 2)
         np.testing.assert_array_equal(out.data, [[2.0, 4.0], [10.0, 12.0]])
 
+    def test_pair_dot_samples_the_product(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        rows, cols = np.array([2, 0, 2, 1]), np.array([4, 4, 0, 1])
+        out = dn.pair_dot(Tensor(a), Tensor(b), rows, cols)
+        np.testing.assert_allclose(out.data, (a @ b.T)[rows, cols], atol=1e-14)
+
+    def test_gather_sum_is_a_sparse_product(self):
+        rng = np.random.default_rng(3)
+        w, x = rng.normal(size=5), rng.normal(size=(4, 2))
+        src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 2])
+        dense = np.zeros((4, 4))
+        np.add.at(dense, (dst, src), w)
+        out = dn.gather_sum(Tensor(w), Tensor(x), src, dst, 4)
+        np.testing.assert_allclose(out.data, dense @ x, atol=1e-14)
+        np.testing.assert_array_equal(out.data[[1, 3]], 0.0)
+
+    def test_fused_ops_reject_bad_indices(self):
+        m = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            dn.pair_dot(m, m, np.array([0, 2]), np.array([0, 1]))
+        with pytest.raises(DimensionError):
+            dn.gather_sum(Tensor([1.0]), m, np.array([0]), np.array([3]), 3)
+
     def test_matmul_shape_mismatch(self):
         with pytest.raises(DimensionError):
             dn.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
@@ -132,6 +156,11 @@ def _op_cases(rng):
     seg = np.array([0, 0, 1, 1])
     lo_vec = dn.param(_rand(rng, 5))
     pos = dn.param(np.abs(_rand(rng, 4)) + 0.05)
+    k = dn.param(_rand(rng, 2, 4))
+    w = dn.param(_rand(rng, 5))
+    # repeated indices: gradients must accumulate, not overwrite
+    rows, cols = np.array([0, 2, 2, 1, 0]), np.array([1, 0, 1, 1, 1])
+    src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 1])
     return [
         ("add", lambda: dn.tsum(dn.add(a, b)), [a, b]),
         ("add_broadcast", lambda: dn.tsum(dn.add(m, b)), [m, b]),
@@ -170,6 +199,16 @@ def _op_cases(rng):
             "segment_sum",
             lambda: dn.tsum(dn.mul(dn.segment_sum(m, np.array([0, 1, 0]), 2), 1.3)),
             [m],
+        ),
+        (
+            "pair_dot",
+            lambda: dn.tsum(dn.mul(dn.pair_dot(m, k, rows, cols), w)),
+            [m, k, w],
+        ),
+        (
+            "gather_sum",
+            lambda: dn.tsum(dn.mul(dn.gather_sum(w, n, src, dst, 3), dn.gather_sum(w, n, src, dst, 3))),
+            [w, n],
         ),
         ("l2_norm", lambda: dn.l2_norm(a), [a]),
         ("clip_min", lambda: dn.tsum(dn.clip_min(lo_vec, 0.0)), [lo_vec]),

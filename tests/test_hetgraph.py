@@ -220,6 +220,12 @@ class TestLabelsAndSplits:
         assert sub.labeled_ids == (1, 2)
         assert sub.num_classes == 2
 
+    def test_restrict_accepts_a_generator(self):
+        labels = NodeLabels((0, 1, 2, 3), {0: 0, 1: 1, 2: 0, 3: 1}, 2)
+        sub = labels.restrict(i for i in (3, 1, 2))
+        assert sub.labeled_ids == (1, 2, 3)
+        assert sub.labels == {1: 1, 2: 0, 3: 1}
+
     def test_split_validation(self):
         SplitSpec((0, 1), (2,), (3,)).validate(range(4))
         with pytest.raises(GraphError):

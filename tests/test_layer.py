@@ -1,5 +1,11 @@
-"""Layer semantics: attention values, variants, invariants, gradients."""
+"""Layer semantics: attention values, variants, invariants, gradients.
 
+Node-level and relation-level attention are observed through
+``layer_forward``: the weights through its trace, the relation summaries
+z_i^r through the node_only variant (see ``_gamma_and_z``).
+"""
+
+import copy
 import math
 
 import numpy as np
@@ -7,18 +13,11 @@ import pytest
 
 from brgcn import diffnum as dn
 from brgcn.diffnum import Tensor, grad_check
-from brgcn.hetgraph import HeteroGraph, augment
-from brgcn.layer import (
-    BrgcnLayerParams,
-    ConfigurationError,
-    PreconditionError,
-    layer_forward,
-    node_attention,
-    relation_attention,
-    stack_forward,
-    variant_forward,
-)
+from brgcn.hetgraph import HeteroGraph, augment, restrict_relations
+from brgcn.layer import BrgcnLayerParams, ConfigurationError, layer_forward, stack_forward
+from brgcn.training import NodeClassificationModel, TrainConfig, nc_loss
 from dense_oracle import dense_layer_forward, random_instance
+from synth import planted_graph
 
 
 def _params_from_instance(inst, slope=0.2):
@@ -51,30 +50,42 @@ def _identity_params(d, num_relations, w_self=None):
     return p
 
 
+def _gamma_and_z(p, h, g, i, r):
+    """gamma_i^r and z_i^r as ``layer_forward`` computes them.
+
+    On the subgraph of relation r alone and with W_self = 0, the node_only
+    output of node i is z_i^r + ReLU(0) = z_i^r.
+    """
+    q = copy.copy(p)
+    q.w_self = dn.param(np.zeros_like(p.w_self.data))
+    out, trace = layer_forward(q, h, restrict_relations(g, [r]), mode="node_only")
+    return trace.gamma[(i, r)], out.data[i]
+
+
 class TestNodeAttention:
     def test_singleton_neighborhood(self):
         g = HeteroGraph.from_triples([(0, 0, 1)], num_nodes=2)
         rng = np.random.default_rng(0)
         p = BrgcnLayerParams.create(rng, 3, 3, 1)
         h = Tensor(rng.normal(size=(2, 3)))
-        gamma, z = node_attention(p, h, g, 0, 0)
-        np.testing.assert_allclose(gamma.data, [1.0])
-        np.testing.assert_allclose(z.data, h.data[1], atol=1e-15)
+        gamma, z = _gamma_and_z(p, h, g, 0, 0)
+        np.testing.assert_allclose(gamma, [1.0])
+        np.testing.assert_allclose(z, h.data[1], atol=1e-15)
 
     def test_identical_neighbors_split_evenly(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2)], num_nodes=3)
         p = BrgcnLayerParams.create(np.random.default_rng(1), 2, 2, 1)
         h = np.array([[0.3, -1.0], [0.7, 0.2], [0.7, 0.2]])
-        gamma, z = node_attention(p, Tensor(h), g, 0, 0)
-        np.testing.assert_allclose(gamma.data, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(z.data, h[1], atol=1e-15)
+        gamma, z = _gamma_and_z(p, Tensor(h), g, 0, 0)
+        np.testing.assert_allclose(gamma, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(z, h[1], atol=1e-15)
 
     def test_zero_attention_vector_gives_uniform(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2), (0, 0, 3)], num_nodes=4)
         p = _identity_params(2, 1)
         h = Tensor(np.random.default_rng(2).normal(size=(4, 2)))
-        gamma, _ = node_attention(p, h, g, 0, 0)
-        np.testing.assert_allclose(gamma.data, [1 / 3] * 3, atol=1e-15)
+        _, trace = layer_forward(p, h, g)
+        np.testing.assert_allclose(trace.gamma[(0, 0)], [1 / 3] * 3, atol=1e-15)
 
     def test_hand_evaluated_two_neighbor_case(self):
         # h_i=(1,0), h_1=(1,0), h_2=(0,1), a=(0,0,1,0), slope 0.2:
@@ -86,16 +97,16 @@ class TestNodeAttention:
         p.w_query = p.w_key = p.w_value = [dn.param(np.eye(2))]
         p.w_self = dn.param(np.zeros((2, 2)))
         h = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        gamma, z = node_attention(p, h, g, 0, 0)
+        gamma, z = _gamma_and_z(p, h, g, 0, 0)
         e = math.e
-        np.testing.assert_allclose(gamma.data, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
-        np.testing.assert_allclose(z.data, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
+        np.testing.assert_allclose(gamma, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
+        np.testing.assert_allclose(z, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
 
-    def test_empty_neighborhood_is_precondition_error(self):
+    def test_empty_neighborhood_has_no_weights(self):
         g = HeteroGraph.from_triples([(0, 0, 1)], num_nodes=2)
         p = BrgcnLayerParams.create(np.random.default_rng(0), 2, 2, 1)
-        with pytest.raises(PreconditionError):
-            node_attention(p, Tensor(np.zeros((2, 2))), g, 1, 0)
+        _, trace = layer_forward(p, Tensor(np.zeros((2, 2))), g)
+        assert (1, 0) not in trace.gamma
 
     def test_attention_is_asymmetric(self):
         # e(i->j) concatenates [h_i || h_j]; with distinct halves of a and
@@ -110,45 +121,50 @@ class TestNodeAttention:
         p.a = [dn.param(a)]
         p.w_query = p.w_key = p.w_value = [dn.param(np.eye(2))]
         p.w_self = dn.param(np.zeros((2, 2)))
-        gamma_i, _ = node_attention(p, Tensor(h), g, 0, 0)
-        gamma_j, _ = node_attention(p, Tensor(h), g, 1, 0)
-        assert abs(gamma_i.data[0] - gamma_j.data[0]) > 1e-6
+        _, trace = layer_forward(p, Tensor(h), g)
+        assert abs(trace.gamma[(0, 0)][0] - trace.gamma[(1, 0)][0]) > 1e-6
 
 
 class TestRelationAttention:
+    """Node 0 has one neighbor per relation, so z_0^r is that neighbor's row."""
+
     def test_single_relation(self):
         rng = np.random.default_rng(3)
         p = BrgcnLayerParams.create(rng, 3, 3, 2)
-        z = Tensor(rng.normal(size=3))
-        h_i = Tensor(rng.normal(size=3))
-        psi, out = relation_attention(p, {1: z}, h_i)
-        np.testing.assert_allclose(psi.data, [[1.0]])
-        expected = np.maximum(
-            p.w_value[1].data @ z.data + p.w_self.data @ h_i.data, 0.0
-        )
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+        z = rng.normal(size=3)
+        h_i = rng.normal(size=3)
+        g = HeteroGraph.from_triples([(0, 1, 1)], num_nodes=2, relation_names=["r0", "r1"])
+        out, trace = layer_forward(p, Tensor(np.vstack([h_i, z])), g)
+        np.testing.assert_allclose(trace.psi[0], [[1.0]])
+        expected = np.maximum(p.w_value[1].data @ z + p.w_self.data @ h_i, 0.0)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-15)
 
     def test_identical_summaries_and_projections_split_evenly(self):
         p = _identity_params(2, 2)
-        z = Tensor(np.array([0.4, -0.7]))
-        psi, _ = relation_attention(p, {0: z, 1: z}, Tensor(np.zeros(2)))
-        np.testing.assert_allclose(psi.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        g = HeteroGraph.from_triples([(0, 0, 1), (0, 1, 1)], num_nodes=2)
+        h = np.array([[0.0, 0.0], [0.4, -0.7]])
+        _, trace = layer_forward(p, Tensor(h), g)
+        np.testing.assert_allclose(trace.psi[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_hand_evaluated_identity_case(self):
         # W1=W2=W3=I, W_self=0, z0=(1,0), z1=(0,1): q,k,v equal the z
         # vectors, psi rows are softmax(1,0) and softmax(0,1), and the two
         # fused ReLU terms sum to exactly (1, 1).
         p = _identity_params(2, 2)
-        z0, z1 = Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))
-        psi, out = relation_attention(p, {0: z0, 1: z1}, Tensor(np.zeros(2)))
+        g = HeteroGraph.from_triples([(0, 0, 1), (0, 1, 2)], num_nodes=3)
+        h = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        out, trace = layer_forward(p, Tensor(h), g)
         s = math.e / (1 + math.e)
-        np.testing.assert_allclose(psi.data, [[s, 1 - s], [1 - s, s]], atol=1e-15)
-        np.testing.assert_allclose(out.data, [1.0, 1.0], atol=1e-12)
+        assert trace.rel_order[0] == (0, 1)
+        np.testing.assert_allclose(trace.psi[0], [[s, 1 - s], [1 - s, s]], atol=1e-15)
+        np.testing.assert_allclose(out.data[0], [1.0, 1.0], atol=1e-12)
 
-    def test_empty_input_rejected(self):
+    def test_node_without_relations_has_no_weights(self):
         p = _identity_params(2, 1)
-        with pytest.raises(PreconditionError):
-            relation_attention(p, {}, Tensor(np.zeros(2)))
+        g = HeteroGraph.from_triples([(0, 0, 1)], num_nodes=2)
+        out, trace = layer_forward(p, Tensor(np.ones((2, 2))), g)
+        assert 1 not in trace.psi and 1 not in trace.rel_order
+        np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
 
 
 class TestLayerForward:
@@ -195,28 +211,9 @@ class TestLayerForward:
             np.testing.assert_allclose(out.data, oracle, atol=1e-10)
             for key, gam in gammas.items():
                 np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
-
-    def test_batched_path_matches_per_node_ops(self):
-        # layer_forward's vectorized internals must agree with the public
-        # per-node node_attention / relation_attention composition.
-        rng = np.random.default_rng(11)
-        inst = random_instance(rng, max_nodes=8, max_rels=3)
-        g = _graph_from_instance(inst)
-        p = _params_from_instance(inst)
-        h = Tensor(inst["h"])
-        out, trace = layer_forward(p, h, g)
-        for i in range(g.num_nodes):
-            rels = g.relations_of(i)
-            if not rels:
-                continue
-            z = {}
-            for r in rels:
-                gamma, z[r] = node_attention(p, h, g, i, r)
-                np.testing.assert_allclose(trace.gamma[(i, r)], gamma.data, atol=1e-12)
-            h_i = Tensor(h.data[i])
-            psi, row = relation_attention(p, z, h_i)
-            np.testing.assert_allclose(trace.psi[i], psi.data, atol=1e-12)
-            np.testing.assert_allclose(out.data[i], row.data, atol=1e-12)
+            assert trace.psi.keys() == psis.keys()
+            for i, psi in psis.items():
+                np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
 
     def test_normalization_invariants(self):
         rng = np.random.default_rng(12)
@@ -312,9 +309,9 @@ class TestStackForward:
         h = Tensor(np.eye(4))
         for i in range(4):
             for r in g.relations_of(i):
-                _, z = node_attention(p, h, g, i, r)
-                assert z.data.min() >= 0.0
-                assert z.data.sum() == pytest.approx(1.0, abs=1e-12)
+                _, z = _gamma_and_z(p, h, g, i, r)
+                assert z.min() >= 0.0
+                assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_chain_mismatch(self):
         rng = np.random.default_rng(33)
@@ -333,7 +330,7 @@ class TestVariants:
         p = _params_from_instance(inst)
         h = Tensor(inst["h"])
         a, _ = layer_forward(p, h, g)
-        b, _ = variant_forward("full", p, h, g)
+        b, _ = layer_forward(p, h, g, mode="full")
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_relation_only_equals_full_on_singleton_neighborhoods(self):
@@ -343,15 +340,15 @@ class TestVariants:
         rng = np.random.default_rng(41)
         p = BrgcnLayerParams.create(rng, 3, 3, 2)
         h = Tensor(rng.normal(size=(3, 3)))
-        full, _ = variant_forward("full", p, h, g)
-        rel_only, _ = variant_forward("relation_only", p, h, g)
+        full, _ = layer_forward(p, h, g, mode="full")
+        rel_only, _ = layer_forward(p, h, g, mode="relation_only")
         np.testing.assert_allclose(full.data, rel_only.data, atol=1e-12)
 
     def test_relation_only_uses_uniform_weights(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2), (0, 0, 3)], num_nodes=4)
         rng = np.random.default_rng(42)
         p = BrgcnLayerParams.create(rng, 2, 2, 1)
-        _, trace = variant_forward("relation_only", p, Tensor(rng.normal(size=(4, 2))), g)
+        _, trace = layer_forward(p, Tensor(rng.normal(size=(4, 2))), g, mode="relation_only")
         np.testing.assert_allclose(trace.gamma[(0, 0)], [1 / 3] * 3, atol=1e-15)
 
     def test_rgcn_baseline_matches_dense_hand_computation(self):
@@ -359,7 +356,7 @@ class TestVariants:
         inst = random_instance(rng, max_nodes=6, max_rels=3)
         g = _graph_from_instance(inst)
         p = _params_from_instance(inst)
-        out, _ = variant_forward("rgcn_baseline", p, Tensor(inst["h"]), g)
+        out, _ = layer_forward(p, Tensor(inst["h"]), g, mode="rgcn_baseline")
         expected = np.zeros((inst["n"], inst["d_out"]))
         for i in range(inst["n"]):
             rels = g.relations_of(i)
@@ -379,20 +376,23 @@ class TestVariants:
         g = _graph_from_instance(inst)
         p = _params_from_instance(inst)
         h = Tensor(inst["h"])
-        out, _ = variant_forward("node_only", p, h, g)
+        out, _ = layer_forward(p, h, g, mode="node_only")
+        _, gammas, _ = dense_layer_forward(
+            inst["h"], inst["triples"], inst["n"], inst["num_rels"], inst["a_vecs"],
+            inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], 0.2,
+        )
         for i in range(g.num_nodes):
             rels = g.relations_of(i)
             if not rels:
                 continue
             zsum = np.zeros(3)
             for r in rels:
-                _, z = node_attention(p, h, g, i, r)
-                zsum += z.data
+                zsum += gammas[(i, r)] @ inst["h"][list(g.neighbors(i, r))]
             expected = zsum + np.maximum(inst["w_self"] @ inst["h"][i], 0.0)
             np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
         rect = BrgcnLayerParams.create(rng, 3, 4, 2)
         with pytest.raises(ConfigurationError):
-            variant_forward("node_only", rect, h, g)
+            layer_forward(rect, h, g, mode="node_only")
 
 
 class TestDropout:
@@ -467,20 +467,6 @@ class TestBasisDecomposition:
             BrgcnLayerParams(2, 2, 2, num_bases=-1)
 
 
-class TestInputProjection:
-    def test_off_by_default_and_on_changes_aggregation(self):
-        rng = np.random.default_rng(70)
-        g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2)], num_nodes=3)
-        p = BrgcnLayerParams.create(rng, 2, 2, 1, input_projection=True)
-        h = Tensor(rng.normal(size=(3, 2)))
-        gamma, z = node_attention(p, h, g, 0, 0)
-        projected = gamma.data @ (h.data[[1, 2]] @ p.input_proj[0].data.T)
-        np.testing.assert_allclose(z.data, projected, atol=1e-14)
-        p_plain = BrgcnLayerParams.create(np.random.default_rng(70), 2, 2, 1)
-        gamma2, z2 = node_attention(p_plain, h, g, 0, 0)
-        np.testing.assert_allclose(z2.data, gamma2.data @ h.data[[1, 2]], atol=1e-14)
-
-
 class TestDifferentiability:
     def test_layer_output_gradients(self):
         rng = np.random.default_rng(80)
@@ -495,6 +481,27 @@ class TestDifferentiability:
 
         report = grad_check(f, p.params(), eps=1e-5, tol=1e-4)
         assert report.passed, str(report)
+
+
+class TestTapeLength:
+    def test_nc_step_records_do_not_grow_with_nodes(self):
+        # One NC forward+backward, dropout on, on planted graphs of 50 and
+        # 400 nodes with the same relations: the tape records one op per
+        # layer stage and relation, never one per node.
+        cfg = TrainConfig(hidden_units=8, dropout=0.4)
+        lengths = []
+        for num_labeled in (40, 390):
+            graph, labels = planted_graph(num_labeled=num_labeled)
+            g = augment(graph, add_self_loop=True)
+            rng = np.random.default_rng(0)
+            model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
+            with dn.Tape() as tape:
+                probs, _ = model.forward(g, training=True, rng=rng)
+                tape.backward(nc_loss(probs, labels))
+            assert all(p.grad is not None for p in model.params() if ".a." in p.name)
+            lengths.append((g.num_nodes, len(tape)))
+        assert [n for n, _ in lengths] == [50, 400]
+        assert lengths[0][1] == lengths[1][1]
 
 
 class TestLayerParamsConfig:
