@@ -30,6 +30,7 @@ from .training import (
     LinkPredictionModel,
     NodeClassificationModel,
     TrainingAbort,
+    run_graph,
     train_link_predictor,
     train_node_classifier,
 )
@@ -191,7 +192,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
     out = _prepare_output(cfg)
     if cfg.task == "node_classification":
         graph, labels, split = _load_nc_data(cfg)
-        g = hg.augment(graph, cfg.add_inverse, cfg.add_self_loop)
+        g = run_graph(graph, cfg)
         model = _build_nc_model(cfg, g, labels.num_classes)
         pred = model.predict(g)
         results = {"task": cfg.task}
@@ -202,10 +203,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
         graph, split = _load_lp_data(cfg)
         if not split.test:
             raise UsageError("link-prediction eval needs a non-empty test split")
-        train_triples = tuple(graph.triples[k] for k in split.train)
-        g_enc = hg.augment(
-            hg.with_triples(graph, train_triples), cfg.add_inverse, cfg.add_self_loop
-        )
+        g_enc = run_graph(graph, cfg, split.train)
         model = _build_lp_model(
             cfg, g_enc, graph.num_relations, cfg.checkpoint, cfg.standalone_decoder
         )
@@ -232,15 +230,14 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
     out = _prepare_output(cfg)
     if cfg.task == "node_classification":
         graph, labels, _ = _load_nc_data(cfg)
-        g = hg.augment(graph, cfg.add_inverse, cfg.add_self_loop)
+        g = run_graph(graph, cfg)
         model = _build_nc_model(cfg, g, labels.num_classes)
         _, traces = model.forward(g, collect_trace=True)
     else:
         graph, split = _load_lp_data(cfg)
         if cfg.standalone_decoder:
             raise UsageError("a standalone decoder has no attention to export")
-        train_triples = tuple(graph.triples[k] for k in split.train)
-        g = hg.augment(hg.with_triples(graph, train_triples), cfg.add_inverse, cfg.add_self_loop)
+        g = run_graph(graph, cfg, split.train)
         model = _build_lp_model(cfg, g, graph.num_relations, cfg.checkpoint, standalone=False)
         _, traces = stack_forward(model.encoder, None, g, collect_trace=True)
     payload = {

@@ -9,16 +9,15 @@ config back to text; re-validating a snapshot is a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from .decoders import KINDS as DECODERS
 from .evalkit import STRATEGIES as STRATEGY_NAMES
 from .layer import VARIANTS
-from .training import TrainConfig
+from .training import Hyperparameters, TrainConfig, check, one_of, problems
 
-TASKS = ("node_classification", "link_prediction")
 FORMATS = ("tsv", "ntriples")
 
 # Per-dataset hyperparameter presets (bi-level model rows); link-prediction
@@ -31,101 +30,78 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
+def _seed_problems(seeds: tuple[int, ...]) -> list[str]:
+    if not seeds:
+        return ["must list at least one seed"]
+    return ["must be non-negative"] if any(s < 0 for s in seeds) else []
+
+
+EXISTING_FILE = check(lambda v: () if v is None or Path(v).exists() else (f"file not found: {v}",))
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    task: str = "node_classification"
-    preset: str = "none"
+class ExperimentConfig(Hyperparameters):
+    """A resolved config file: the shared hyperparameters plus the keys only a file sets."""
+
+    preset: str = field(default="none", metadata=one_of(("none", *PRESETS)))
     output_dir: str = "runs"
-    seeds: tuple[int, ...] = (0,)
-    triples_path: str | None = None
-    triples_format: str = "tsv"
-    labels_path: str | None = None
-    train_nodes_path: str | None = None
-    valid_nodes_path: str | None = None
-    test_nodes_path: str | None = None
-    train_triples_path: str | None = None
-    valid_triples_path: str | None = None
-    test_triples_path: str | None = None
-    variant: str = "full"
-    decoder: str = "distmult"
+    seeds: tuple[int, ...] = field(default=(0,), metadata=check(_seed_problems))
+    triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    triples_format: str = field(default="tsv", metadata=one_of(FORMATS))
+    labels_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    train_nodes_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    valid_nodes_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    test_nodes_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    train_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    valid_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    test_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
+    variant: str = field(default="full", metadata=one_of(VARIANTS))
+    decoder: str = field(default="distmult", metadata=one_of(DECODERS))
     standalone_decoder: bool = False
-    num_layers: int = 2
-    encoder_layers: int = 1
-    hidden_units: int = 16
-    num_bases: int = 0
-    add_inverse: bool = False
-    add_self_loop: bool = False
-    lr: float = 0.05
-    l2_penalty: float = 0.0
-    epochs: int = 85
-    dropout: float = 0.4
-    leaky_slope: float = 0.2
-    omega: int = 1
-    beta: float = 0.4
-    early_stop_patience: int = 0
-    checkpoint: str | None = None
-    ensemble_checkpoint: str | None = None
-    ablation_strategies: tuple[str, ...] = STRATEGY_NAMES
-    ablation_fractions: tuple[float, ...] = tuple(k / 10 for k in range(1, 11))
+    checkpoint: str | None = field(default=None, metadata=EXISTING_FILE)
+    ensemble_checkpoint: str | None = field(default=None, metadata=EXISTING_FILE)
+    ablation_strategies: tuple[str, ...] = field(
+        default=STRATEGY_NAMES,
+        metadata=check(lambda v: [f"unknown strategy {s!r}" for s in v if s not in STRATEGY_NAMES]),
+    )
+    ablation_fractions: tuple[float, ...] = field(
+        default=tuple(k / 10 for k in range(1, 11)),
+        metadata=check(lambda v: [f"fraction {f} outside (0, 1]" for f in v if not 0.0 < f <= 1.0]),
+    )
 
     def to_train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            task=self.task,
-            lr=self.lr,
-            l2_penalty=self.l2_penalty,
-            epochs=self.epochs,
-            hidden_units=self.hidden_units,
-            num_bases=self.num_bases,
-            dropout=self.dropout,
-            leaky_slope=self.leaky_slope,
-            omega=self.omega,
-            beta=self.beta,
-            seed=seed,
-            num_layers=self.num_layers,
-            encoder_layers=self.encoder_layers,
-            add_inverse=self.add_inverse,
-            add_self_loop=self.add_self_loop,
-            early_stop_patience=self.early_stop_patience,
-        )
+        return TrainConfig(seed=seed, **{f.name: getattr(self, f.name) for f in fields(Hyperparameters)})
 
 
-_PATH_KEYS = (
-    "triples_path",
-    "labels_path",
-    "train_nodes_path",
-    "valid_nodes_path",
-    "test_nodes_path",
-    "train_triples_path",
-    "valid_triples_path",
-    "test_triples_path",
-    "checkpoint",
-    "ensemble_checkpoint",
-)
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw.lower() == "true"
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+# One parser per field annotation; a field of any other type fails at import.
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.split(",")),
+    "tuple[float, ...]": lambda raw: tuple(float(x) for x in raw.split(",")),
+    "tuple[str, ...]": lambda raw: tuple(x.strip() for x in raw.split(",")),
+}
+_PARSER = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, errors: list[str]):
     raw = raw.strip()
+    parse = _PARSER[key]
     try:
-        if key == "seeds":
-            return tuple(int(x) for x in raw.split(","))
-        if key == "ablation_fractions":
-            return tuple(float(x) for x in raw.split(","))
-        if key == "ablation_strategies":
-            return tuple(x.strip() for x in raw.split(","))
-        if key in ("standalone_decoder", "add_inverse", "add_self_loop"):
-            if raw.lower() not in ("true", "false"):
-                errors.append(f"{key}: expected true or false, got {raw!r}")
-                return None
-            return raw.lower() == "true"
-        if key in ("num_layers", "encoder_layers", "hidden_units", "num_bases", "epochs", "omega", "early_stop_patience"):
-            return int(raw)
-        if key in ("lr", "l2_penalty", "dropout", "leaky_slope", "beta"):
-            return float(raw)
-        return raw
-    except ValueError:
-        errors.append(f"{key}: cannot parse value {raw!r}")
+        return parse(raw)
+    except ValueError as err:
+        # _parse_bool's message names the accepted values; int() and float()'s
+        # messages do not read as config errors.
+        errors.append(f"{key}: {err}" if parse is _parse_bool else f"{key}: cannot parse value {raw!r}")
         return None
 
 
@@ -141,7 +117,7 @@ def parse_config_text(text: str, errors: list[str]) -> dict[str, Any]:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _PARSER:
             errors.append(f"unknown key: {key}")
             continue
         if key in out:
@@ -151,55 +127,6 @@ def parse_config_text(text: str, errors: list[str]) -> dict[str, Any]:
         if parsed is not None:
             out[key] = parsed
     return out
-
-
-def _check_ranges(cfg: ExperimentConfig, errors: list[str]) -> None:
-    if cfg.task not in TASKS:
-        errors.append(f"task: expected one of {TASKS}, got {cfg.task!r}")
-    if cfg.preset not in ("none", *PRESETS):
-        errors.append(f"preset: expected one of {('none', *PRESETS)}, got {cfg.preset!r}")
-    if cfg.triples_format not in FORMATS:
-        errors.append(f"triples_format: expected one of {FORMATS}, got {cfg.triples_format!r}")
-    if cfg.variant not in VARIANTS:
-        errors.append(f"variant: expected one of {VARIANTS}, got {cfg.variant!r}")
-    if cfg.decoder not in DECODERS:
-        errors.append(f"decoder: expected one of {DECODERS}, got {cfg.decoder!r}")
-    if cfg.lr <= 0:
-        errors.append(f"lr: must be positive, got {cfg.lr}")
-    if cfg.l2_penalty < 0:
-        errors.append(f"l2_penalty: must be non-negative, got {cfg.l2_penalty}")
-    if not 0.0 <= cfg.dropout < 1.0:
-        errors.append(f"dropout: must lie in [0, 1), got {cfg.dropout}")
-    if cfg.epochs <= 0:
-        errors.append(f"epochs: must be positive, got {cfg.epochs}")
-    if cfg.hidden_units <= 0:
-        errors.append(f"hidden_units: must be positive, got {cfg.hidden_units}")
-    if cfg.num_bases < 0:
-        errors.append(f"num_bases: must be non-negative, got {cfg.num_bases}")
-    if cfg.num_layers <= 0:
-        errors.append(f"num_layers: must be positive, got {cfg.num_layers}")
-    if cfg.encoder_layers <= 0:
-        errors.append(f"encoder_layers: must be positive, got {cfg.encoder_layers}")
-    if cfg.omega < 1:
-        errors.append(f"omega: must be at least 1, got {cfg.omega}")
-    if not 0.0 <= cfg.beta <= 1.0:
-        errors.append(f"beta: must lie in [0, 1], got {cfg.beta}")
-    if cfg.early_stop_patience < 0:
-        errors.append(f"early_stop_patience: must be non-negative, got {cfg.early_stop_patience}")
-    if not cfg.seeds:
-        errors.append("seeds: must list at least one seed")
-    elif any(s < 0 for s in cfg.seeds):
-        errors.append("seeds: must be non-negative")
-    for s in cfg.ablation_strategies:
-        if s not in STRATEGY_NAMES:
-            errors.append(f"ablation_strategies: unknown strategy {s!r}")
-    for f in cfg.ablation_fractions:
-        if not 0.0 < f <= 1.0:
-            errors.append(f"ablation_fractions: fraction {f} outside (0, 1]")
-    for key in _PATH_KEYS:
-        value = getattr(cfg, key)
-        if value is not None and not Path(value).exists():
-            errors.append(f"{key}: file not found: {value}")
 
 
 def validate_config(
@@ -216,7 +143,7 @@ def validate_config(
         return None, [f"config file not found: {path}"]
     raw = parse_config_text(path.read_text(encoding="utf-8"), errors)
     for key, value in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
+        if key not in _PARSER:
             errors.append(f"unknown key: {key}")
             continue
         parsed = _parse_value(key, value, errors)
@@ -225,18 +152,10 @@ def validate_config(
     if errors:
         return None, errors
 
-    resolved: dict[str, Any] = {}
-    preset = raw.get("preset", "none")
-    if preset != "none":
-        if preset not in PRESETS:
-            return None, [f"preset: expected one of {('none', *PRESETS)}, got {preset!r}"]
-        resolved.update(PRESETS[preset])
-    resolved.update(raw)
-    cfg = ExperimentConfig(**resolved)
-    _check_ranges(cfg, errors)
-    if errors:
-        return None, errors
-    return cfg, []
+    # An unknown preset adds no values; its own check reports it with the rest.
+    cfg = ExperimentConfig(**{**PRESETS.get(raw.get("preset", "none"), {}), **raw})
+    errors = list(problems(cfg))
+    return (None, errors) if errors else (cfg, [])
 
 
 def snapshot(cfg: ExperimentConfig) -> str:

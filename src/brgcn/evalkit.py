@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import hetgraph as hg
 from .layer import AttentionTrace
-from .training import TrainConfig, train_node_classifier
+
+if TYPE_CHECKING:  # training imports this module for accuracy
+    from .training import TrainConfig
 
 HITS_LEVELS = (1, 3, 10)
 
@@ -208,6 +210,8 @@ def ablate(
     accuracy.  Relations added by augmentation (inverses, self loops) are
     rebuilt inside each retrain and never ranked.
     """
+    from .training import train_node_classifier
+
     seeds = list(seeds) if seeds is not None else [cfg.seed]
     report = AblationReport()
     base_relations = range(graph.num_relations)

@@ -48,9 +48,9 @@ class BrgcnLayerParams:
     """All learnable state of one layer.
 
     Per relation: the attention vector ``a[r]`` (length 2*d_in) and the
-    query/key/value projections ``w_query/w_key/w_value`` (d_att x d_in).
-    Shared: the self-connection matrix ``w_self`` (d_out x d_in).  The value
-    dimension must match the self-connection output, so d_att == d_out.
+    query/key/value projections ``w_query/w_key/w_value`` (d_out x d_in).
+    Shared: the self-connection matrix ``w_self`` (d_out x d_in).  The fused
+    values are added to W_self h_i, so they too have d_out entries.
 
     With ``num_bases > 0`` the projection matrices are not stored directly;
     instead one shared stack of basis matrices plus per-(role, relation)
@@ -69,20 +69,13 @@ class BrgcnLayerParams:
         num_bases: int = 0,
         leaky_slope: float = 0.2,
         dropout: float = 0.0,
-        d_att: int | None = None,
     ):
-        if d_att is not None and d_att != d_out:
-            raise ConfigurationError(
-                f"value dimension d_att={d_att} must equal d_out={d_out}: "
-                "the fused values are added to W_self h_i"
-            )
         if not 0.0 <= dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {dropout}")
         if num_bases < 0:
             raise ConfigurationError(f"num_bases must be non-negative, got {num_bases}")
         self.d_in = d_in
         self.d_out = d_out
-        self.d_att = d_out
         self.num_relations = num_relations
         self.num_bases = num_bases
         self.leaky_slope = leaky_slope
@@ -161,7 +154,7 @@ class BrgcnLayerParams:
         return out
 
     def projection(self, role: str, r: int) -> Tensor:
-        """The (d_att, d_in) projection for one role and relation.
+        """The (d_out, d_in) projection for one role and relation.
 
         Under basis decomposition this materializes the matrix through tape
         ops so gradients reach the basis stack and the coefficients.

@@ -8,13 +8,14 @@ generator, so fixed-seed runs are bit-reproducible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import decoders as dec
 from . import diffnum as dn
+from . import evalkit
 from . import hetgraph as hg
 from .diffnum import Tape, Tensor
 from .layer import AttentionTrace, BrgcnLayerParams, ConfigurationError, stack_forward
@@ -32,45 +33,72 @@ class SamplingExhaustedError(Exception):
     """No valid negative triple could be drawn."""
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of one training run."""
+TASKS = ("node_classification", "link_prediction")
 
-    task: str = "node_classification"
-    lr: float = 0.05
-    l2_penalty: float = 0.0
-    epochs: int = 85
-    hidden_units: int = 16
-    num_bases: int = 0
-    dropout: float = 0.4
+
+def check(problems_of: Callable[[Any], Iterable[str]]) -> dict:
+    """Field metadata carrying a range check: ``problems_of(value)`` says what is wrong."""
+    return {"check": problems_of}
+
+
+def rule(test: Callable[[Any], bool], text: str) -> dict:
+    """A check that reports ``"<text>, got <value>"`` when ``test(value)`` fails."""
+    return check(lambda v: () if test(v) else (f"{text}, got {v}",))
+
+
+def one_of(choices: tuple) -> dict:
+    """A check that the value is one of ``choices``."""
+    return check(lambda v: () if v in choices else (f"expected one of {choices}, got {v!r}",))
+
+
+POSITIVE = rule(lambda v: v > 0, "must be positive")
+NON_NEGATIVE = rule(lambda v: v >= 0, "must be non-negative")
+
+
+def problems(cfg) -> Iterator[str]:
+    """Every ``"key: message"`` the checks in the metadata of ``cfg``'s fields report."""
+    for f in fields(cfg):
+        if "check" in f.metadata:
+            for message in f.metadata["check"](getattr(cfg, f.name)):
+                yield f"{f.name}: {message}"
+
+
+@dataclass(frozen=True)
+class Hyperparameters:
+    """The settings a training run and an experiment config file share.
+
+    Each field is declared once, here, with its range check in its metadata;
+    :func:`problems` runs the checks for both subclasses.
+    """
+
+    task: str = field(default="node_classification", metadata=one_of(TASKS))
+    lr: float = field(default=0.05, metadata=POSITIVE)
+    l2_penalty: float = field(default=0.0, metadata=NON_NEGATIVE)
+    epochs: int = field(default=85, metadata=POSITIVE)
+    hidden_units: int = field(default=16, metadata=POSITIVE)
+    num_bases: int = field(default=0, metadata=NON_NEGATIVE)
+    dropout: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"))
     leaky_slope: float = 0.2
-    omega: int = 1
-    beta: float = 0.4
-    seed: int = 0
-    num_layers: int = 2
-    encoder_layers: int = 1
+    omega: int = field(default=1, metadata=rule(lambda v: v >= 1, "must be at least 1"))
+    beta: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
+    num_layers: int = field(default=2, metadata=POSITIVE)
+    encoder_layers: int = field(default=1, metadata=POSITIVE)
     add_inverse: bool = False
     add_self_loop: bool = False
-    early_stop_patience: int = 0  # epochs without validation improvement; 0 = off
+    # epochs without validation improvement; 0 = off
+    early_stop_patience: int = field(default=0, metadata=NON_NEGATIVE)
+
+
+@dataclass(frozen=True)
+class TrainConfig(Hyperparameters):
+    """Hyperparameters of one training run."""
+
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
     def validate(self) -> None:
-        problems = []
-        if self.task not in ("node_classification", "link_prediction"):
-            problems.append(f"unknown task {self.task!r}")
-        if self.lr <= 0:
-            problems.append(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.dropout < 1.0:
-            problems.append(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs <= 0:
-            problems.append(f"epochs must be positive, got {self.epochs}")
-        if self.task == "link_prediction" and self.omega < 1:
-            problems.append(f"omega must be >= 1 for link prediction, got {self.omega}")
-        if not 0.0 <= self.beta <= 1.0:
-            problems.append(f"beta must lie in [0, 1], got {self.beta}")
-        if self.early_stop_patience < 0:
-            problems.append(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+        found = list(problems(self))
+        if found:
+            raise ConfigurationError("; ".join(found))
 
 
 @dataclass(frozen=True)
@@ -191,13 +219,15 @@ def negative_sample(
 # ---------------------------------------------------------------------------
 
 
-class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Sequence[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction: moment decays ADAM_BETA1 and ADAM_BETA2, epsilon ADAM_EPS."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -209,11 +239,11 @@ class Adam:
         self.t += 1
         for k, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1**self.t)
-            v_hat = self.v[k] / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -292,6 +322,25 @@ class _Model:
             p.data = np.array(arrays[p.name], dtype=np.float64)
 
 
+def _layer_stack(
+    rng: np.random.Generator, dims: Sequence[int], graph: hg.HeteroGraph, cfg: Hyperparameters
+) -> list[BrgcnLayerParams]:
+    """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``."""
+    return [
+        BrgcnLayerParams.create(
+            rng,
+            dims[k],
+            dims[k + 1],
+            graph.num_relations,
+            num_bases=cfg.num_bases,
+            leaky_slope=cfg.leaky_slope,
+            dropout=cfg.dropout,
+            prefix=f"layer{k}",
+        )
+        for k in range(len(dims) - 1)
+    ]
+
+
 class NodeClassificationModel(_Model):
     """Stacked layers with a per-node softmax head."""
 
@@ -312,20 +361,7 @@ class NodeClassificationModel(_Model):
     ) -> "NodeClassificationModel":
         d0 = input_dim if input_dim is not None else graph.num_nodes
         dims = [d0] + [cfg.hidden_units] * (cfg.num_layers - 1) + [num_classes]
-        layers = [
-            BrgcnLayerParams.create(
-                rng,
-                dims[k],
-                dims[k + 1],
-                graph.num_relations,
-                num_bases=cfg.num_bases,
-                leaky_slope=cfg.leaky_slope,
-                dropout=cfg.dropout,
-                prefix=f"layer{k}",
-            )
-            for k in range(len(dims) - 1)
-        ]
-        return cls(layers, variant)
+        return cls(_layer_stack(rng, dims, graph, cfg), variant)
 
     def params(self) -> list[Tensor]:
         out = []
@@ -395,20 +431,7 @@ class LinkPredictionModel(_Model):
                 rng, decoder_kind, num_score_relations, dim, num_entities=graph.num_nodes
             )
             return cls(None, decoder)
-        dims = [graph.num_nodes] + [width] * cfg.encoder_layers
-        encoder = [
-            BrgcnLayerParams.create(
-                rng,
-                dims[k],
-                dims[k + 1],
-                graph.num_relations,
-                num_bases=cfg.num_bases,
-                leaky_slope=cfg.leaky_slope,
-                dropout=cfg.dropout,
-                prefix=f"layer{k}",
-            )
-            for k in range(cfg.encoder_layers)
-        ]
+        encoder = _layer_stack(rng, [graph.num_nodes] + [width] * cfg.encoder_layers, graph, cfg)
         decoder = dec.DecoderParams.create(rng, decoder_kind, num_score_relations, dim)
         return cls(encoder, decoder)
 
@@ -449,6 +472,20 @@ class LinkPredictionModel(_Model):
 # ---------------------------------------------------------------------------
 
 
+def run_graph(
+    graph: hg.HeteroGraph, cfg: Hyperparameters, train_ids: Sequence[int] | None = None
+) -> hg.HeteroGraph:
+    """The graph a model of ``cfg`` trains and runs on, augmented per its flags.
+
+    For link prediction pass ``train_ids``, the indexes of the training
+    triples: messages then pass over those edges only, so valid and test
+    triples never leak into the encoder input.
+    """
+    if train_ids is not None:
+        graph = hg.with_triples(graph, [graph.triples[k] for k in train_ids])
+    return hg.augment(graph, cfg.add_inverse, cfg.add_self_loop)
+
+
 @dataclass
 class NCRun:
     model: NodeClassificationModel
@@ -479,7 +516,7 @@ def train_node_classifier(
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    g = hg.augment(graph, cfg.add_inverse, cfg.add_self_loop)
+    g = run_graph(graph, cfg)
     model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg, variant=variant)
     train_labels = labels.restrict(split.train)
     metrics_rows: list[tuple[int, float, float, str]] = []
@@ -491,11 +528,11 @@ def train_node_classifier(
 
     def on_epoch(epoch: int, loss_value: float) -> bool:
         pred = model.predict(g)
-        train_acc = _accuracy_ids(pred, labels, split.train)
+        train_acc = evalkit.accuracy(pred, labels, split.train)
         val = ""
         stop = False
         if split.valid:
-            val_acc = _accuracy_ids(pred, labels, split.valid)
+            val_acc = evalkit.accuracy(pred, labels, split.valid)
             val = f"{val_acc:.17g}"
             if val_acc > best_val[0]:
                 best_val[0], best_val[1] = val_acc, 0
@@ -513,19 +550,11 @@ def train_node_classifier(
         graph=g,
         loss_curve=result.loss_curve,
         metrics_rows=metrics_rows,
-        train_accuracy=_accuracy_ids(pred, labels, split.train),
-        valid_accuracy=_accuracy_ids(pred, labels, split.valid) if split.valid else None,
-        test_accuracy=_accuracy_ids(pred, labels, split.test) if split.test else None,
+        train_accuracy=evalkit.accuracy(pred, labels, split.train),
+        valid_accuracy=evalkit.accuracy(pred, labels, split.valid) if split.valid else None,
+        test_accuracy=evalkit.accuracy(pred, labels, split.test) if split.test else None,
         traces=traces,
     )
-
-
-def _accuracy_ids(pred: np.ndarray, labels: hg.NodeLabels, ids) -> float:
-    ids = list(ids)
-    if not ids:
-        return float("nan")
-    hits = sum(1 for i in ids if pred[i] == labels.labels[i])
-    return 100.0 * hits / len(ids)
 
 
 @dataclass
@@ -558,8 +587,7 @@ def train_link_predictor(
     train_triples = tuple(graph.triples[k] for k in split.train)
     if not train_triples:
         raise ConfigurationError("link prediction requires a non-empty training split")
-    g_train = hg.with_triples(graph, train_triples)
-    g_enc = hg.augment(g_train, cfg.add_inverse, cfg.add_self_loop)
+    g_enc = run_graph(graph, cfg, split.train)
     model = LinkPredictionModel.build(
         rng, g_enc, graph.num_relations, cfg, decoder_kind, standalone=standalone
     )
@@ -572,7 +600,7 @@ def train_link_predictor(
         triples = list(train_triples)
         y = [1] * len(train_triples)
         for pos in train_triples:
-            negs = negative_sample(pos, g_train, rng, omega=cfg.omega, known=known)
+            negs = negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
             triples.extend(negs)
             y.extend([0] * len(negs))
         batch = TripleBatch(tuple(triples), tuple(y))

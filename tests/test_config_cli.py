@@ -7,6 +7,8 @@ import pytest
 
 from brgcn.cli import main
 from brgcn.config import ExperimentConfig, snapshot, validate_config
+from brgcn.layer import ConfigurationError
+from brgcn.training import TrainConfig
 from synth import memorization_kg
 
 
@@ -46,6 +48,26 @@ class TestValidateConfig:
         )
         assert cfg is None
         assert len(errors) == 3
+
+    def test_bad_preset_does_not_hide_other_errors(self, tmp_path):
+        cfg, errors = validate_config(_cfg_file(tmp_path, "preset = bogus\nlr = -1\n"))
+        assert cfg is None
+        assert errors == [
+            "lr: must be positive, got -1.0",
+            "preset: expected one of ('none', 'aifb', 'mutag', 'bgs', 'am'), got 'bogus'",
+        ]
+
+    def test_train_config_runs_the_same_checks(self, tmp_path):
+        _, errors = validate_config(_cfg_file(tmp_path, "num_layers = 0\nl2_penalty = -1\n"))
+        assert len(errors) == 2
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(num_layers=0, l2_penalty=-1.0).validate()
+        assert str(err.value) == "; ".join(errors)
+
+    def test_to_train_config_copies_the_shared_settings(self):
+        assert ExperimentConfig().to_train_config(7) == TrainConfig(seed=7)
+        cfg = ExperimentConfig(lr=0.3, num_layers=3, add_inverse=True, seeds=(4,))
+        assert cfg.to_train_config(4) == TrainConfig(lr=0.3, num_layers=3, add_inverse=True, seed=4)
 
     def test_aifb_preset(self, tmp_path):
         cfg, errors = validate_config(_cfg_file(tmp_path, "preset = aifb\n"))

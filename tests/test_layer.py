@@ -505,10 +505,6 @@ class TestTapeLength:
 
 
 class TestLayerParamsConfig:
-    def test_d_att_must_equal_d_out(self):
-        with pytest.raises(ConfigurationError):
-            BrgcnLayerParams(4, 3, 2, d_att=4)
-
     def test_dropout_range(self):
         with pytest.raises(ConfigurationError):
             BrgcnLayerParams(2, 2, 1, dropout=1.0)

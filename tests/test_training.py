@@ -218,12 +218,18 @@ class TestOptimize:
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(lr=-1.0).validate()
-        with pytest.raises(ConfigurationError):
-            TrainConfig(dropout=1.0).validate()
-        with pytest.raises(ConfigurationError):
-            TrainConfig(task="link_prediction", omega=0).validate()
+        for bad in (
+            dict(lr=-1.0),
+            dict(dropout=1.0),
+            dict(task="link_prediction", omega=0),
+            dict(num_layers=0),
+            dict(num_layers=-3),
+            dict(hidden_units=0),
+            dict(encoder_layers=0),
+            dict(l2_penalty=-1),
+        ):
+            with pytest.raises(ConfigurationError):
+                TrainConfig(**bad).validate()
 
 
 class TestTaskGradients:
