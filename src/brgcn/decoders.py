@@ -49,11 +49,6 @@ class DecoderParams:
                 f"entity embedding width {entity_emb.shape[1]} != relation width {width}"
             )
 
-    @property
-    def width(self) -> int:
-        """Stored vector length: dim for real decoders, 2*dim for complex."""
-        return self.rel_emb.shape[1]
-
     @classmethod
     def create(
         cls,
@@ -83,62 +78,60 @@ class DecoderParams:
         return out
 
 
-def score(kind: str, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
-    """Raw confidence score of one triple from its embedding vectors.
+def score_batch(kind: str, H: Tensor, R: Tensor, T: Tensor) -> Tensor:
+    """Raw confidence scores of n triples from gathered (n, width) row blocks; returns (n,).
 
     distmult: sum_k h_k r_k t_k
     transe:   -|| h + r - t ||_2
     hole:     r . (h * t) with (h * t)_k = sum_m h_m t_{(m+k) mod d}
-    complex:  Re(sum_k r_k h_k conj(t_k)) on interleaved [real || imag] halves
+    complex:  Re(sum_k r_k h_k conj(t_k)) on stored [real || imag] halves
+
+    HolE is ComplEx over the discrete Fourier transforms of its arguments,
+    divided by d (Hayashi & Shimbo 2017, arXiv:1702.05563).  The transforms
+    are matmuls with cosine and sine matrices, so memory stays O(n d).
     """
     if kind not in KINDS:
         raise ConfigurationError(f"unknown decoder kind {kind!r}; expected one of {KINDS}")
+    if not (H.shape == R.shape == T.shape) or H.ndim != 2:
+        raise DimensionError(f"score_batch needs equal (n, width) blocks: {H.shape}, {R.shape}, {T.shape}")
+    n, width = H.shape
+    if kind == "distmult":
+        return dn.tsum(dn.mul(dn.mul(H, R), T), axis=1)
+    if kind == "transe":
+        return dn.neg(dn.l2_norm(dn.sub(dn.add(H, R), T), axis=1))
+    if kind == "hole":
+        angle = 2.0 * np.pi * (np.outer(np.arange(width), np.arange(width)) % width) / width
+        dft = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+        spectra = (dn.matmul(X, dft) for X in (H, R, T))
+        return dn.mul(score_batch("complex", *spectra), 1.0 / width)
+    if width % 2:
+        raise DimensionError("complex score expects even-width rows (real||imag)")
+    # Row 2i of the (2n, d) view is triple i's real half, row 2i+1 its imaginary half.
+    re, im = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    (h_re, h_im), (r_re, r_im), (t_re, t_im) = (
+        (dn.take(halves, re), dn.take(halves, im))
+        for halves in (dn.reshape(X, (2 * n, width // 2)) for X in (H, R, T))
+    )
+    real = dn.add(dn.mul(h_re, t_re), dn.mul(h_im, t_im))  # Re(h conj t)
+    imag = dn.sub(dn.mul(h_im, t_re), dn.mul(h_re, t_im))  # Im(h conj t)
+    return dn.tsum(dn.sub(dn.mul(r_re, real), dn.mul(r_im, imag)), axis=1)
+
+
+def score(kind: str, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
+    """Raw confidence score of one triple from its embedding vectors (see :func:`score_batch`)."""
     if not (h.shape == r.shape == t.shape) or h.ndim != 1:
         raise DimensionError(
             f"score expects three equal-length vectors, got {h.shape}, {r.shape}, {t.shape}"
         )
-    if kind == "distmult":
-        return dn.tsum(dn.mul(dn.mul(h, r), t))
-    if kind == "transe":
-        return dn.neg(dn.l2_norm(dn.sub(dn.add(h, r), t)))
-    if kind == "hole":
-        d = h.shape[0]
-        corr = [dn.dot(h, dn.take(t, (np.arange(d) + k) % d)) for k in range(d)]
-        return dn.dot(r, dn.stack(corr))
-    # complex: split the stored [real || imag] halves
-    d2 = h.shape[0]
-    if d2 % 2:
-        raise DimensionError("complex score expects even-length vectors (real||imag)")
-    d = d2 // 2
-    re_idx, im_idx = np.arange(d), np.arange(d, 2 * d)
-    h_re, h_im = dn.take(h, re_idx), dn.take(h, im_idx)
-    r_re, r_im = dn.take(r, re_idx), dn.take(r, im_idx)
-    t_re, t_im = dn.take(t, re_idx), dn.take(t, im_idx)
-    pos = dn.add(
-        dn.tsum(dn.mul(dn.mul(r_re, h_re), t_re)),
-        dn.add(
-            dn.tsum(dn.mul(dn.mul(r_re, h_im), t_im)),
-            dn.tsum(dn.mul(dn.mul(r_im, h_re), t_im)),
-        ),
-    )
-    return dn.sub(pos, dn.tsum(dn.mul(dn.mul(r_im, h_im), t_re)))
+    rows = (dn.reshape(v, (1, h.shape[0])) for v in (h, r, t))
+    return dn.reshape(score_batch(kind, *rows), ())
 
 
-def score_triples(
-    decoder: DecoderParams, entity_emb: Tensor, triples
-) -> Tensor:
+def score_triples(decoder: DecoderParams, entity_emb: Tensor, triples) -> Tensor:
     """Score a batch of (h, r, t) id triples against entity embeddings; returns (n,)."""
-    if entity_emb.shape[1] != decoder.width:
-        raise DimensionError(
-            f"entity embedding width {entity_emb.shape[1]} != decoder width {decoder.width}"
-        )
-    scores = []
-    for h, r, t in triples:
-        hv = dn.reshape(dn.take(entity_emb, np.asarray([h])), (decoder.width,))
-        tv = dn.reshape(dn.take(entity_emb, np.asarray([t])), (decoder.width,))
-        rv = dn.reshape(dn.take(decoder.rel_emb, np.asarray([r])), (decoder.width,))
-        scores.append(score(decoder.kind, hv, rv, tv))
-    return dn.stack(scores)
+    h, r, t = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
+    H, R, T = dn.take(entity_emb, h), dn.take(decoder.rel_emb, r), dn.take(entity_emb, t)
+    return score_batch(decoder.kind, H, R, T)
 
 
 def ensemble_score(alpha_encoder: float, alpha_embedding: float, beta: float) -> float:

@@ -580,15 +580,15 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     return record_op("segment_softmax", out, (a,), backward)
 
 
-def l2_norm(a) -> Tensor:
+def l2_norm(a, axis: int | None = None) -> Tensor:
+    """Euclidean norm over all entries, or along ``axis``; zero gradient where a norm is 0."""
     a = _as_tensor(a)
-    out = np.sqrt(np.sum(a.data * a.data))
     ad = a.data
+    out = np.sqrt(np.sum(ad * ad, axis=axis))
 
     def backward(g):
-        if out == 0.0:
-            return (np.zeros_like(ad),)
-        return (g * ad / out,)
+        norm, g = (out, g) if axis is None else (np.expand_dims(out, axis), np.expand_dims(g, axis))
+        return (np.where(norm == 0.0, 0.0, g * ad / np.where(norm == 0.0, 1.0, norm)),)
 
     return record_op("l2_norm", np.asarray(out), (a,), backward)
 

@@ -55,58 +55,66 @@ class RankResult:
 
 
 def rank_triples(
-    score_fn: Callable[[int, int, int], float],
+    score_fn: Callable[..., np.ndarray],
     triples: Sequence[tuple[int, int, int]],
     num_entities: int,
     known_positives: Iterable[tuple[int, int, int]],
 ) -> tuple[list[RankResult], dict[str, float]]:
     """Rank each test triple against all entity corruptions of its head and tail.
 
-    Ties break pessimistically: the true triple ranks after every candidate
-    with an equal score.  The filtered rank drops candidates that are known
+    ``score_fn(h, r, t)`` must broadcast over numpy id arrays and return
+    float scores; it is called twice per test triple, once with every entity
+    as the tail and once with every entity as the head.  Ties break
+    pessimistically: the true triple ranks after every candidate with an
+    equal score.  The filtered rank drops candidates that are known
     positives (anything in ``known_positives`` other than the target, which
     should normally be the union of train, valid and test triples).  The
     summary reports MRR and Hits@{1,3,10} in both settings, averaged over
     head and tail directions.
     """
-    known = set(known_positives)
-    results = []
-    for h, r, t in triples:
-        tail_scores = [score_fn(h, r, c) for c in range(num_entities)]
-        head_scores = [score_fn(c, r, t) for c in range(num_entities)]
-        target_t, target_h = tail_scores[t], head_scores[h]
-        raw_t = 1 + sum(1 for c in range(num_entities) if c != t and tail_scores[c] >= target_t)
-        raw_h = 1 + sum(1 for c in range(num_entities) if c != h and head_scores[c] >= target_h)
-        filt_t = 1 + sum(
-            1
-            for c in range(num_entities)
-            if c != t and (h, r, c) not in known and tail_scores[c] >= target_t
-        )
-        filt_h = 1 + sum(
-            1
-            for c in range(num_entities)
-            if c != h and (c, r, t) not in known and head_scores[c] >= target_h
-        )
+    test = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    n, num_rel = num_entities, int(test[:, 1].max(initial=-1)) + 1
+    if not _in_range(test, n, num_rel).all():
+        raise EvalError(f"test triples need entity ids in [0, {n}) and non-negative relation ids")
+    # Known positives as sorted int64 keys (a*R + r)*N + b, once with (a, b) =
+    # (head, tail) and once with (tail, head), so the candidates filtered for
+    # one query are one slice.  Out-of-range triples never match a candidate;
+    # they are dropped so that no key aliases into another query's slice.
+    known = np.asarray(list(known_positives), dtype=np.int64).reshape(-1, 3)
+    a, rel, b = known[_in_range(known, n, num_rel)].T
+    by_head, by_tail = np.unique((a * num_rel + rel) * n + b), np.unique((b * num_rel + rel) * n + a)
+
+    def rank(scores, target: int, keys: np.ndarray, query: int) -> tuple[int, int]:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (n,):
+            raise EvalError(f"score_fn returned shape {scores.shape} for {n} candidates")
+        ahead = scores >= scores[target]
+        ahead[target] = False
+        lo, hi = np.searchsorted(keys, (query * n, query * n + n))
+        raw = 1 + int(np.count_nonzero(ahead))
+        return raw, raw - int(np.count_nonzero(ahead[keys[lo:hi] - query * n]))
+
+    results, entities = [], np.arange(n)
+    for h, r, t in test.tolist():
+        raw_t, filt_t = rank(score_fn(h, r, entities), t, by_head, h * num_rel + r)
+        raw_h, filt_h = rank(score_fn(entities, r, t), h, by_tail, t * num_rel + r)
         results.append(RankResult((h, r, t), raw_h, raw_t, filt_h, filt_t))
 
-    raw_ranks = [x for res in results for x in (res.raw_rank_head, res.raw_rank_tail)]
-    filt_ranks = [x for res in results for x in (res.filt_rank_head, res.filt_rank_tail)]
-    summary = {
-        "mrr_raw": _mrr(raw_ranks),
-        "mrr_filtered": _mrr(filt_ranks),
-    }
-    for n in HITS_LEVELS:
-        summary[f"hits@{n}_raw"] = _hits(raw_ranks, n)
-        summary[f"hits@{n}_filtered"] = _hits(filt_ranks, n)
+    summary = {}
+    for setting, ranks in (
+        ("raw", [x for res in results for x in (res.raw_rank_head, res.raw_rank_tail)]),
+        ("filtered", [x for res in results for x in (res.filt_rank_head, res.filt_rank_tail)]),
+    ):
+        summary[f"mrr_{setting}"] = sum(1.0 / x for x in ranks) / len(ranks) if ranks else math.nan
+        for k in HITS_LEVELS:
+            summary[f"hits@{k}_{setting}"] = sum(x <= k for x in ranks) / len(ranks) if ranks else math.nan
     return results, summary
 
 
-def _mrr(ranks: Sequence[int]) -> float:
-    return sum(1.0 / r for r in ranks) / len(ranks) if ranks else math.nan
-
-
-def _hits(ranks: Sequence[int], n: int) -> float:
-    return sum(1 for r in ranks if r <= n) / len(ranks) if ranks else math.nan
+def _in_range(triples: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
+    """Mask of the (h, r, t) rows with h, t in [0, num_entities) and r in [0, num_relations)."""
+    lo, hi = np.zeros(3, dtype=np.int64), np.array([num_entities, num_relations, num_entities])
+    return ((triples >= lo) & (triples < hi)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

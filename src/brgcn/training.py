@@ -455,14 +455,16 @@ class LinkPredictionModel(_Model):
         h, _ = stack_forward(self.encoder, None, graph, training=training, rng=rng, collect_trace=False)
         return h
 
-    def score_fn(self, graph: hg.HeteroGraph) -> Callable[[int, int, int], float]:
-        """A deterministic eval-mode scorer over entity ids."""
+    def score_fn(self, graph: hg.HeteroGraph) -> Callable[..., np.ndarray]:
+        """A deterministic eval-mode scorer ``fn(h, r, t)`` that broadcasts over id arrays."""
         emb = self.embeddings(graph).data
         rel = self.decoder.rel_emb.data
         kind = self.decoder.kind
 
-        def fn(h: int, r: int, t: int) -> float:
-            return dec.score(kind, Tensor(emb[h]), Tensor(rel[r]), Tensor(emb[t])).item()
+        def fn(h, r, t) -> np.ndarray:
+            ids = np.broadcast_arrays(h, r, t)
+            rows = (Tensor(table[x.ravel()]) for table, x in zip((emb, rel, emb), ids))
+            return dec.score_batch(kind, *rows).data.reshape(ids[0].shape)
 
         return fn
 
@@ -597,17 +599,13 @@ def train_link_predictor(
 
     def loss_fn(epoch: int) -> Tensor:
         emb = model.embeddings(g_enc, training=True, rng=rng)
-        triples = list(train_triples)
-        y = [1] * len(train_triples)
+        negatives = []
         for pos in train_triples:
-            negs = negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
-            triples.extend(negs)
-            y.extend([0] * len(negs))
-        batch = TripleBatch(tuple(triples), tuple(y))
+            negatives += negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
+        y = (1,) * len(train_triples) + (0,) * len(negatives)
+        batch = TripleBatch(train_triples + tuple(negatives), y)
         scores = dec.score_triples(model.decoder, emb, batch.triples)
-        correct = sum(
-            1 for s, lab in zip(scores.data, y) if (s > 0) == bool(lab)
-        )
+        correct = int(np.count_nonzero((scores.data > 0) == np.asarray(y, dtype=bool)))
         last_batch_acc[0] = 100.0 * correct / len(y)
         return lp_loss(batch, scores, e_prime_size=len(train_triples), omega=cfg.omega)
 

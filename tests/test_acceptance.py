@@ -253,7 +253,9 @@ def test_criterion_06_ranking_metrics():
     def score_fn(h, r, t):
         return float((3 * h + 5 * r + 7 * t) % 6)
 
-    results, summary = rank_triples(score_fn, graph.triples, 4, graph.triple_set)
+    results, summary = rank_triples(
+        np.vectorize(score_fn, otypes=[float]), graph.triples, 4, graph.triple_set
+    )
     exact = all(
         (res.raw_rank_head, res.raw_rank_tail)
         == brute_force_ranks(score_fn, res.triple, 4, graph.triple_set, False)

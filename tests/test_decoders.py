@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brgcn import diffnum as dn
-from brgcn.decoders import DecoderParams, ensemble_score, score, score_triples
+from brgcn.decoders import DecoderParams, ensemble_score, score, score_batch, score_triples
 from brgcn.diffnum import DimensionError, Tensor, grad_check
 from brgcn.layer import ConfigurationError
 
@@ -67,6 +67,39 @@ class TestScoreValues:
             score("complex", _t(1, 2, 3), _t(1, 2, 3), _t(1, 2, 3))
 
 
+WIDTHS = {"distmult": 5, "transe": 5, "hole": 6, "complex": 8}
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_rows_match_single_scores(self, kind, n):
+        rng = np.random.default_rng(10)
+        H, R, T = rng.normal(size=(3, n, WIDTHS[kind]))
+        batch = score_batch(kind, Tensor(H), Tensor(R), Tensor(T))
+        assert batch.shape == (n,)
+        for i in range(n):
+            single = score(kind, Tensor(H[i]), Tensor(R[i]), Tensor(T[i])).item()
+            assert batch.data[i] == pytest.approx(single, abs=1e-12)
+
+    def test_hole_matches_fft_correlation(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 5, 8, 16):
+            H, R, T = rng.normal(size=(3, 9, d))
+            got = score_batch("hole", Tensor(H), Tensor(R), Tensor(T)).data
+            expected = [R[i] @ fft_circular_correlation(H[i], T[i]) for i in range(9)]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_shape_checks(self):
+        block = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            score_batch("distmult", block, block, Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            score_batch("complex", block, block, block)
+        with pytest.raises(ConfigurationError):
+            score_batch("rotate", block, block, block)
+
+
 class TestIdentities:
     def test_distmult_symmetry(self):
         rng = np.random.default_rng(3)
@@ -101,6 +134,27 @@ class TestGradients:
         r = dn.param(rng.uniform(-2, 2, width), name="r")
         t = dn.param(rng.uniform(-2, 2, width), name="t")
         report = grad_check(lambda: score(kind, h, r, t), [h, r, t], eps=1e-5, tol=1e-6)
+        assert report.passed, f"{kind}: {report}"
+
+
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    def test_score_triples_grad_check(self, kind):
+        # Repeated entity and relation ids must accumulate their gradients;
+        # the last triple is a TransE zero residual (h + r = t), whose norm
+        # has a zero gradient.
+        rng = np.random.default_rng(12)
+        width = WIDTHS[kind]
+        dec = DecoderParams.create(rng, kind, 2, width // 2 if kind == "complex" else width)
+        emb = dn.param(rng.uniform(-1, 1, size=(4, width)), name="entity")
+        emb.data[3] = emb.data[0] + dec.rel_emb.data[1]
+        triples = [(0, 0, 1), (1, 0, 0), (2, 1, 2), (0, 1, 1), (0, 1, 3)]
+        weights = np.array([1.0, -0.7, 0.4, 1.3, -0.2])
+        report = grad_check(
+            lambda: dn.tsum(dn.mul(score_triples(dec, emb, triples), weights)),
+            [emb, dec.rel_emb],
+            eps=1e-5,
+            tol=1e-6,
+        )
         assert report.passed, f"{kind}: {report}"
 
 

@@ -143,6 +143,15 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
 
+    def test_row_norms_and_zero_row_gradient(self):
+        m = dn.param([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        with Tape() as tape:
+            norms = dn.l2_norm(m, axis=1)
+            tape.backward(dn.tsum(dn.mul(norms, np.array([1.0, 5.0, -2.0]))))
+        np.testing.assert_array_equal(norms.data, [5.0, 0.0, 1.0])
+        np.testing.assert_array_equal(m.grad, [[0.6, 0.8], [0.0, 0.0], [-2.0, 0.0]])
+
+
 def _rand(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
 
@@ -211,6 +220,11 @@ def _op_cases(rng):
             [w, n],
         ),
         ("l2_norm", lambda: dn.l2_norm(a), [a]),
+        (
+            "l2_norm_axis",
+            lambda: dn.tsum(dn.mul(dn.l2_norm(m, axis=1), np.array([1.0, -0.5, 2.0]))),
+            [m],
+        ),
         ("clip_min", lambda: dn.tsum(dn.clip_min(lo_vec, 0.0)), [lo_vec]),
     ]
 

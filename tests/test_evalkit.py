@@ -37,6 +37,11 @@ class TestAccuracy:
             accuracy(np.array([0, 1]), self._labels(), [])
 
 
+def _vectorized(score_fn):
+    """A scalar test scorer lifted to the id arrays rank_triples passes."""
+    return np.vectorize(score_fn, otypes=[float])
+
+
 def brute_force_ranks(score_fn, triple, num_entities, known, filtered):
     """Sorting-based oracle with pessimistic ties; independent of rank_triples."""
     h, r, t = triple
@@ -75,7 +80,7 @@ class TestRanking:
 
     def test_matches_exhaustive_enumeration(self):
         graph, score_fn = self._toy()
-        results, _ = rank_triples(score_fn, graph.triples, 4, graph.triple_set)
+        results, _ = rank_triples(_vectorized(score_fn), graph.triples, 4, graph.triple_set)
         for res in results:
             raw_h, raw_t = brute_force_ranks(score_fn, res.triple, 4, graph.triple_set, False)
             fil_h, fil_t = brute_force_ranks(score_fn, res.triple, 4, graph.triple_set, True)
@@ -84,7 +89,7 @@ class TestRanking:
 
     def test_filtered_never_worse_than_raw(self):
         graph, score_fn = self._toy()
-        results, summary = rank_triples(score_fn, graph.triples, 4, graph.triple_set)
+        results, summary = rank_triples(_vectorized(score_fn), graph.triples, 4, graph.triple_set)
         for res in results:
             assert res.filt_rank_head <= res.raw_rank_head
             assert res.filt_rank_tail <= res.raw_rank_tail
@@ -92,7 +97,7 @@ class TestRanking:
 
     def test_hits_ordering(self):
         graph, score_fn = self._toy()
-        _, summary = rank_triples(score_fn, graph.triples, 4, graph.triple_set)
+        _, summary = rank_triples(_vectorized(score_fn), graph.triples, 4, graph.triple_set)
         for setting in ("raw", "filtered"):
             assert (
                 summary[f"hits@1_{setting}"]
@@ -108,7 +113,7 @@ class TestRanking:
             return 1.0 if (h, r, t) in truth else 0.0
 
         # rank only triples that are unambiguous under the indicator
-        _, summary = rank_triples(indicator, [(2, 1, 3)], 4, truth)
+        _, summary = rank_triples(_vectorized(indicator), [(2, 1, 3)], 4, truth)
         assert summary["mrr_filtered"] == 1.0
         assert summary["hits@1_filtered"] == 1.0
 
@@ -117,11 +122,54 @@ class TestRanking:
         def score_fn(h, r, t):
             return {(0, 0, 1): 5.0, (1, 0, 1): 9.0, (2, 0, 1): 8.0}.get((h, r, t), 0.0)
 
-        results, summary = rank_triples(score_fn, [(0, 0, 1)], 3, {(0, 0, 1)})
+        results, summary = rank_triples(_vectorized(score_fn), [(0, 0, 1)], 3, {(0, 0, 1)})
         res = results[0]
         assert res.raw_rank_tail == 1
         assert res.raw_rank_head == 3
         assert summary["mrr_raw"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
+
+    def test_randomized_against_oracle(self):
+        # An integer-valued scorer with many ties over 30 entities and 3
+        # relations; the known set mixes the test relation with the others.
+        rng = np.random.default_rng(13)
+        n = 30
+        table = rng.integers(0, 4, size=(n, 3, n)).astype(float)
+
+        def score_fn(h, r, t):
+            return table[h, r, t]
+
+        known = {tuple(int(x) for x in row) for row in rng.integers(0, [n, 3, n], size=(400, 3))}
+        tests = sorted(known)[::7] + [(5, 2, 5), (0, 0, 29)]
+        results, _ = rank_triples(score_fn, tests, n, known | set(tests))
+        for res in results:
+            for filtered in (False, True):
+                want = brute_force_ranks(score_fn, res.triple, n, known | set(tests), filtered)
+                got = (
+                    (res.filt_rank_head, res.filt_rank_tail)
+                    if filtered
+                    else (res.raw_rank_head, res.raw_rank_tail)
+                )
+                assert got == want, (res.triple, filtered)
+
+    @pytest.mark.parametrize("triple", [(-1, 0, 1), (0, 0, -1), (4, 0, 1), (0, 0, 4), (0, -1, 1)])
+    def test_out_of_range_test_ids_rejected(self, triple):
+        graph, score_fn = self._toy()
+        with pytest.raises(EvalError):
+            rank_triples(_vectorized(score_fn), [triple], 4, graph.triple_set)
+
+    def test_out_of_range_known_positives_are_ignored(self):
+        graph, score_fn = self._toy()
+        want, _ = rank_triples(_vectorized(score_fn), graph.triples, 4, graph.triple_set)
+        # Each stray id, read as a key (a*R + r)*N + b, would land in the
+        # range of some other (a, r) query if it were not dropped.
+        stray = {(0, 0, 5), (0, 0, -1), (0, 1, 4), (-1, 1, 2), (4, 0, 1), (0, -1, 1), (1, 2, 0)}
+        got, _ = rank_triples(_vectorized(score_fn), graph.triples, 4, graph.triple_set | stray)
+        assert got == want
+
+    def test_scalar_scorer_rejected(self):
+        graph, _ = self._toy()
+        with pytest.raises(EvalError):
+            rank_triples(lambda h, r, t: 1.0, graph.triples, 4, graph.triple_set)
 
 
 class TestRelationAttentionScore:

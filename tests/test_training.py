@@ -271,6 +271,36 @@ class TestTaskGradients:
         assert report.passed, str(report)
 
 
+class TestLpTapeLength:
+    @pytest.mark.parametrize("kind", ["distmult", "hole"])
+    def test_lp_step_records_do_not_grow_with_triples(self, kind):
+        # One LP forward+backward, dropout on, over 40 and 400 training
+        # triples on the same 20 entities: the decoder scores the whole
+        # batch with a fixed number of ops, never one per triple.
+        from brgcn.decoders import score_triples
+        from brgcn.training import LinkPredictionModel
+
+        cfg = TrainConfig(task="link_prediction", hidden_units=6, dropout=0.4)
+        lengths = []
+        for num_triples in (40, 400):
+            graph = memorization_kg(num_entities=20, num_triples=num_triples, seed=4)
+            g = hg.augment(graph, add_self_loop=True)
+            rng = np.random.default_rng(0)
+            model = LinkPredictionModel.build(rng, g, graph.num_relations, cfg, kind)
+            positives = list(graph.triples)
+            negatives = [n for p in positives for n in negative_sample(p, g, rng, known=set(positives))]
+            y = (1,) * len(positives) + (0,) * len(negatives)
+            batch = TripleBatch(tuple(positives + negatives), y)
+            with Tape() as tape:
+                emb = model.embeddings(g, training=True, rng=rng)
+                scores = score_triples(model.decoder, emb, batch.triples)
+                tape.backward(lp_loss(batch, scores, e_prime_size=len(positives), omega=1))
+            assert all(p.grad is not None for p in model.params())
+            lengths.append((graph.num_triples, len(tape)))
+        assert [n for n, _ in lengths] == [40, 400]
+        assert lengths[0][1] == lengths[1][1]
+
+
 class TestPipelines:
     def test_node_classifier_metrics_and_determinism(self):
         graph, labels = planted_graph(num_labeled=10, num_distractors=3, seed=5)
@@ -304,6 +334,8 @@ class TestPipelines:
         run = train_link_predictor(graph, split, cfg, "distmult")
         assert len(run.loss_curve) == 10
         assert run.loss_curve[-1] < run.loss_curve[0]
+        # metrics.csv writes the batch accuracy with repr, so it must be a plain float
+        assert all(type(row[2]) is float for row in run.metrics_rows)
 
     def test_standalone_decoder_mode(self):
         graph = memorization_kg(num_entities=6, num_triples=10, seed=7)
@@ -312,3 +344,9 @@ class TestPipelines:
         run = train_link_predictor(graph, split, cfg, "distmult", standalone=True)
         assert run.model.encoder is None
         assert run.model.decoder.entity_emb is not None
+        # the scorer broadcasts over id arrays and agrees with its one-triple call
+        fn = run.model.score_fn(run.graph)
+        h, r, t = graph.triples[0]
+        tails = fn(h, r, np.arange(graph.num_nodes))
+        assert tails.shape == (graph.num_nodes,)
+        assert tails[t] == pytest.approx(float(fn(h, r, t)), abs=1e-12)
