@@ -215,8 +215,8 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
             fn_emb = emb_model.score_fn(g_enc)
             enc_fn = fn
             fn = lambda h, r, t: ensemble_score(enc_fn(h, r, t), fn_emb(h, r, t), cfg.beta)
-        test_triples = [graph.triples[k] for k in split.test]
-        _, summary = evalkit.rank_triples(fn, test_triples, graph.num_nodes, graph.triple_set)
+        test_triples = graph.triples[list(split.test)]
+        _, summary = evalkit.rank_triples(fn, test_triples, graph.num_nodes, graph.triples)
         results = {"task": cfg.task, **summary}
     _write_json(out / "results.json", results)
     for key in sorted(results):

@@ -28,14 +28,17 @@ def accuracy(predictions: np.ndarray, labels: hg.NodeLabels, split: Sequence[int
     preds = np.asarray(predictions)
     if preds.ndim == 2:
         preds = preds.argmax(axis=1)
-    split = list(split)
-    if not split:
+    ids = np.fromiter(split, dtype=np.int64)
+    if not ids.size:
         raise EvalError("accuracy over an empty split is undefined")
-    for i in split:
-        if i not in labels.labels:
-            raise EvalError(f"node {i} in split has no label")
-    hits = sum(1 for i in split if preds[i] == labels.labels[i])
-    return 100.0 * hits / len(split)
+    nodes = np.fromiter(labels.labels, dtype=np.int64, count=len(labels.labels))
+    unlabeled = ids[~np.isin(ids, nodes)]
+    if unlabeled.size:
+        raise EvalError(f"node {unlabeled[0]} in split has no label")
+    classes = np.fromiter(labels.labels.values(), dtype=np.int64, count=nodes.size)
+    order = np.argsort(nodes)
+    hits = preds[ids] == classes[order[np.searchsorted(nodes, ids, sorter=order)]]
+    return 100.0 * int(np.count_nonzero(hits)) / ids.size
 
 
 # ---------------------------------------------------------------------------
@@ -72,32 +75,36 @@ def rank_triples(
     summary reports MRR and Hits@{1,3,10} in both settings, averaged over
     head and tail directions.
     """
-    test = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    test = hg.triple_array(triples)
     n, num_rel = num_entities, int(test[:, 1].max(initial=-1)) + 1
     if not _in_range(test, n, num_rel).all():
         raise EvalError(f"test triples need entity ids in [0, {n}) and non-negative relation ids")
-    # Known positives as sorted int64 keys (a*R + r)*N + b, once with (a, b) =
-    # (head, tail) and once with (tail, head), so the candidates filtered for
-    # one query are one slice.  Out-of-range triples never match a candidate;
-    # they are dropped so that no key aliases into another query's slice.
-    known = np.asarray(list(known_positives), dtype=np.int64).reshape(-1, 3)
-    a, rel, b = known[_in_range(known, n, num_rel)].T
-    by_head, by_tail = np.unique((a * num_rel + rel) * n + b), np.unique((b * num_rel + rel) * n + a)
+    # Known positives as sorted triple keys, once keyed (head, r, tail) and
+    # once (tail, r, head).  The known candidates b of a query (a, r) are
+    # then the keys in [key(a, r, 0), key(a, r, 0) + N), one slice.
+    # Out-of-range triples never match a candidate; they are dropped so that
+    # no key aliases into another query's slice.
+    known = hg.triple_array(known_positives)
+    known = known[_in_range(known, n, num_rel)]
+    by_head = np.unique(hg.triple_keys(known, num_rel, n))
+    by_tail = np.unique(hg.triple_keys(known[:, ::-1], num_rel, n))
+    tail_queries = hg.triple_keys(test * (1, 1, 0), num_rel, n).tolist()  # key(h, r, 0)
+    head_queries = hg.triple_keys(test[:, ::-1] * (1, 1, 0), num_rel, n).tolist()  # key(t, r, 0)
 
-    def rank(scores, target: int, keys: np.ndarray, query: int) -> tuple[int, int]:
+    def rank(scores, target: int, keys: np.ndarray, first: int) -> tuple[int, int]:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (n,):
             raise EvalError(f"score_fn returned shape {scores.shape} for {n} candidates")
         ahead = scores >= scores[target]
         ahead[target] = False
-        lo, hi = np.searchsorted(keys, (query * n, query * n + n))
+        lo, hi = np.searchsorted(keys, (first, first + n))
         raw = 1 + int(np.count_nonzero(ahead))
-        return raw, raw - int(np.count_nonzero(ahead[keys[lo:hi] - query * n]))
+        return raw, raw - int(np.count_nonzero(ahead[keys[lo:hi] - first]))
 
     results, entities = [], np.arange(n)
-    for h, r, t in test.tolist():
-        raw_t, filt_t = rank(score_fn(h, r, entities), t, by_head, h * num_rel + r)
-        raw_h, filt_h = rank(score_fn(entities, r, t), h, by_tail, t * num_rel + r)
+    for (h, r, t), tail_query, head_query in zip(test.tolist(), tail_queries, head_queries):
+        raw_t, filt_t = rank(score_fn(h, r, entities), t, by_head, tail_query)
+        raw_h, filt_h = rank(score_fn(entities, r, t), h, by_tail, head_query)
         results.append(RankResult((h, r, t), raw_h, raw_t, filt_h, filt_t))
 
     summary = {}

@@ -1,18 +1,27 @@
-"""Directed multi-relational graphs with relation-restricted neighbor indices.
+"""Directed multi-relational graphs stored as one integer triple array.
 
 Graphs are immutable after construction.  Node and relation identifiers are
 dense integers assigned in first-seen file order; the loader keeps the
 original string names for label/split resolution and reporting.  Neighbor
 lists hold out-neighbors only; incoming information is modeled by inverse
 relations added through :func:`augment`.
+
+A graph holds its edges once, as an (E, 3) int64 array of (head, relation,
+tail) rows in first-seen order: the edge-list layout of R-GCN (Schlichtkrull
+et al. 2018) and PyG (Fey & Lenssen 2019).  The sorted :class:`GraphIndex`
+that the layer and the neighbor queries read is derived from it on first use
+and kept.  Membership tests compare the int64 keys of :func:`triple_keys`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -40,59 +49,81 @@ class BoundsError(GraphError):
     pass
 
 
+def triple_keys(triples, num_relations: int, num_nodes: int) -> np.ndarray:
+    """The int64 key ``(a*R + r)*N + b`` of every (a, r, b) row.
+
+    Keys of in-range triples are distinct, and they sort like the rows sort
+    by (a, r, b).  Keying (b, r, a) instead groups triples by their tail.
+    """
+    a, r, b = triple_array(triples).T
+    return (a * num_relations + r) * num_nodes + b
+
+
+def triple_array(triples) -> np.ndarray:
+    """``triples``, an array or any iterable of id triples, as an (E, 3) int64 array."""
+    if not isinstance(triples, np.ndarray):
+        triples = list(triples)
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+
+
+class GraphIndex:
+    """Sorted index arrays of one graph, built with numpy sorts.
+
+    Edges are sorted by (relation, head, tail), so within each (node,
+    relation) group they follow ``graph.neighbors`` order; ``edge_group``
+    maps each edge to its group.  Groups are relation-major, nodes ascending
+    within a relation; relation r owns edges ``edge_start[r]:edge_start[r+1]``
+    and groups ``group_start[r]:group_start[r+1]``.  Node i's groups are
+    ``by_node[node_first[i]:node_first[i] + node_count[i]]``, relations
+    ascending.  ``pair_rows`` and ``pair_cols`` list every ordered pair (g,
+    g') of groups at the same node, node by node and relations ascending in
+    both positions, so node i's pairs are its row-major |R_i| x |R_i| block.
+    """
+
+    def __init__(self, graph: HeteroGraph):
+        n = graph.num_nodes
+        t = graph.triples
+        self.heads, rels, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
+        _, first, self.edge_group, self.group_size = np.unique(
+            rels * n + self.heads, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.group_node, self.group_rel = self.heads[first], rels[first]
+        bounds = np.arange(graph.num_relations + 1)
+        self.edge_start = np.searchsorted(rels, bounds)
+        self.group_start = np.searchsorted(self.group_rel, bounds)
+
+        self.by_node = np.argsort(self.group_node, kind="stable")  # relations stay ascending
+        self.node_count = np.bincount(self.group_node, minlength=n)
+        self.node_first = np.cumsum(self.node_count) - self.node_count  # into by_node
+        sq = self.node_count**2
+        local = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        m = np.repeat(self.node_count, sq)
+        base = np.repeat(self.node_first, sq)
+        self.pair_rows = self.by_node[base + local // m]
+        self.pair_cols = self.by_node[base + local % m]
+
+    @property
+    def num_groups(self) -> int:
+        return self.group_node.size
+
+
+@dataclass(eq=False, repr=False)
 class HeteroGraph:
     """An immutable directed labeled multigraph stored as (head, rel, tail) triples.
 
-    ``neighbor_index[(i, r)]`` lists the sorted out-neighbors of node ``i``
-    under relation ``r``; ``relation_index[i]`` lists the sorted relations
-    with at least one outgoing edge at ``i``.  Both are derived from
-    ``triples`` at construction and are bit-identical under rebuilds.
+    ``triples`` is a read-only (E, 3) int64 array without repeated rows, in
+    first-seen order; build graphs with :meth:`from_triples`.  ``index``
+    (the sorted :class:`GraphIndex`) and ``triple_set`` are derived from it
+    on first use and kept.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "node_names",
-        "relation_names",
-        "triples",
-        "neighbor_index",
-        "relation_index",
-        "inverse_pairs",
-        "self_relation",
-        "duplicates_removed",
-        "_triple_set",
-        "_node_ids",
-        "_relation_ids",
-    )
-
-    def __init__(
-        self,
-        num_nodes: int,
-        node_names: Sequence[str],
-        relation_names: Sequence[str],
-        triples: Sequence[Triple],
-        *,
-        inverse_pairs: dict[int, int] | None = None,
-        self_relation: int | None = None,
-        duplicates_removed: int = 0,
-    ):
-        self.num_nodes = num_nodes
-        self.node_names = tuple(node_names)
-        self.relation_names = tuple(relation_names)
-        self.triples = tuple(triples)
-        self.inverse_pairs = dict(inverse_pairs or {})
-        self.self_relation = self_relation
-        self.duplicates_removed = duplicates_removed
-        nbr: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in self.triples:
-            nbr.setdefault((h, r), []).append(t)
-        self.neighbor_index = {key: tuple(sorted(v)) for key, v in nbr.items()}
-        rels: dict[int, set[int]] = {}
-        for h, r, _ in self.triples:
-            rels.setdefault(h, set()).add(r)
-        self.relation_index = {i: tuple(sorted(v)) for i, v in rels.items()}
-        self._triple_set = frozenset(self.triples)
-        self._node_ids = {name: i for i, name in enumerate(self.node_names)}
-        self._relation_ids = {name: r for r, name in enumerate(self.relation_names)}
+    num_nodes: int
+    node_names: tuple[str, ...]
+    relation_names: tuple[str, ...]
+    triples: np.ndarray
+    inverse_pairs: dict[int, int]
+    self_relation: int | None
+    duplicates_removed: int
 
     @classmethod
     def from_triples(
@@ -105,25 +136,17 @@ class HeteroGraph:
         inverse_pairs: dict[int, int] | None = None,
         self_relation: int | None = None,
     ) -> "HeteroGraph":
-        """Build a graph from integer triples, deduplicating repeats.
+        """Build a graph from integer triples (an array or an iterable), deduplicating repeats.
 
         Duplicate triples are dropped (first occurrence kept) and counted in
         ``duplicates_removed``.  Ids must be dense: every referenced node id
         must be below ``num_nodes`` and relation id below the relation count.
         """
-        triples = list(triples)
-        seen: set[Triple] = set()
-        unique: list[Triple] = []
-        for t in triples:
-            if t not in seen:
-                seen.add(t)
-                unique.append(t)
-        dupes = len(triples) - len(unique)
-
-        max_node = max((max(h, t) for h, _, t in unique), default=-1)
-        max_rel = max((r for _, r, _ in unique), default=-1)
+        rows = triple_array(triples)
+        max_node = max(rows[:, 0].max(initial=-1), rows[:, 2].max(initial=-1))
+        max_rel = rows[:, 1].max(initial=-1)
         if num_nodes is None:
-            num_nodes = max_node + 1
+            num_nodes = int(max_node) + 1
         if node_names is None:
             node_names = [f"n{i}" for i in range(num_nodes)]
         if relation_names is None:
@@ -136,17 +159,15 @@ class HeteroGraph:
             )
         if len(node_names) != num_nodes:
             raise GraphError("node_names length must equal num_nodes")
-        for h, r, t in unique:
-            if h < 0 or t < 0 or r < 0:
-                raise BoundsError(f"negative id in triple {(h, r, t)}")
+        negative = (rows < 0).any(axis=1)
+        if negative.any():
+            raise BoundsError(f"negative id in triple {tuple(rows[negative][0].tolist())}")
+        _, first = np.unique(triple_keys(rows, len(relation_names), num_nodes), return_index=True)
+        unique = rows[np.sort(first)]
+        unique.flags.writeable = False
         return cls(
-            num_nodes,
-            node_names,
-            relation_names,
-            unique,
-            inverse_pairs=inverse_pairs,
-            self_relation=self_relation,
-            duplicates_removed=dupes,
+            num_nodes, tuple(node_names), tuple(relation_names), unique,
+            dict(inverse_pairs or {}), self_relation, len(rows) - len(first),
         )
 
     @property
@@ -157,9 +178,15 @@ class HeteroGraph:
     def num_triples(self) -> int:
         return len(self.triples)
 
-    @property
+    @cached_property
+    def index(self) -> GraphIndex:
+        """The sorted index arrays, built on first use; the graph never changes."""
+        return GraphIndex(self)
+
+    @cached_property
     def triple_set(self) -> frozenset[Triple]:
-        return self._triple_set
+        """The triples as a frozenset of int tuples, built on first use."""
+        return frozenset(map(tuple, self.triples.tolist()))
 
     def check_node(self, i: int) -> None:
         if not 0 <= i < self.num_nodes:
@@ -173,12 +200,17 @@ class HeteroGraph:
         """Sorted tails of all triples (i, r, *); empty when none exist."""
         self.check_node(i)
         self.check_relation(r)
-        return self.neighbor_index.get((i, r), ())
+        idx = self.index
+        lo, hi = idx.edge_start[r], idx.edge_start[r + 1]
+        a, b = lo + np.searchsorted(idx.heads[lo:hi], (i, i + 1))
+        return tuple(idx.tails[a:b].tolist())
 
     def relations_of(self, i: int) -> tuple[int, ...]:
         """Sorted relation ids with at least one outgoing edge at node ``i``."""
         self.check_node(i)
-        return self.relation_index.get(i, ())
+        idx = self.index
+        groups = idx.by_node[idx.node_first[i] : idx.node_first[i] + idx.node_count[i]]
+        return tuple(idx.group_rel[groups].tolist())
 
     def inverse_relation(self, r: int) -> int:
         self.check_relation(r)
@@ -187,6 +219,14 @@ class HeteroGraph:
                 f"relation {self.relation_names[r]!r} has no inverse; run augment(add_inverse=True)"
             )
         return self.inverse_pairs[r]
+
+    @cached_property
+    def _node_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.node_names)}
+
+    @cached_property
+    def _relation_ids(self) -> dict[str, int]:
+        return {name: r for r, name in enumerate(self.relation_names)}
 
     def node_id(self, name: str) -> int:
         try:
@@ -207,11 +247,8 @@ class HeteroGraph:
             self.num_nodes == other.num_nodes
             and self.node_names == other.node_names
             and self.relation_names == other.relation_names
-            and self.triples == other.triples
+            and np.array_equal(self.triples, other.triples)
         )
-
-    def __hash__(self):
-        return hash((self.num_nodes, self.relation_names, self.triples))
 
     def __repr__(self) -> str:
         return (
@@ -297,17 +334,6 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     node_ids: dict[str, int] = {}
     rel_ids: dict[str, int] = {}
     triples: list[Triple] = []
-
-    def nid(name: str) -> int:
-        if name not in node_ids:
-            node_ids[name] = len(node_ids)
-        return node_ids[name]
-
-    def rid(name: str) -> int:
-        if name not in rel_ids:
-            rel_ids[name] = len(rel_ids)
-        return rel_ids[name]
-
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -317,7 +343,9 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
                 h, r, t = _parse_tsv_line(line, lineno)
             else:
                 h, r, t = _parse_ntriples_line(line, lineno)
-            triples.append((nid(h), rid(r), nid(t)))
+            head = node_ids.setdefault(h, len(node_ids))
+            rel = rel_ids.setdefault(r, len(rel_ids))
+            triples.append((head, rel, node_ids.setdefault(t, len(node_ids))))
 
     if not triples:
         raise EmptyGraphError(f"no triples found in {path}")
@@ -350,38 +378,40 @@ def augment(
     ``add_inverse`` creates one new relation per base relation holding the
     reversed triples.  ``add_self_loop`` adds a distinguished relation named
     ``SELF`` with triple (i, SELF, i) for every node.  Relations created by a
-    previous augmentation are recognized and never augmented again.
+    previous augmentation are recognized and never augmented again.  Rows
+    come in the order: the graph's own triples, the inverses of each base
+    relation in turn, then the self loops.
     """
     rel_names = list(graph.relation_names)
-    triples = list(graph.triples)
+    parts = [graph.triples]
     inverse_pairs = dict(graph.inverse_pairs)
     self_rel = graph.self_relation
 
     if add_inverse:
-        base = [
-            r
-            for r in range(graph.num_relations)
-            if r not in inverse_pairs and r != self_rel
-        ]
-        for r in base:
+        inverse_of = np.full(graph.num_relations, -1)
+        for r in range(graph.num_relations):
+            if r in inverse_pairs or r == self_rel:
+                continue
             inv_name = graph.relation_names[r] + INVERSE_SUFFIX
             if inv_name in rel_names:
                 raise GraphError(f"relation name collision creating inverse {inv_name!r}")
-            inv_id = len(rel_names)
+            inv_id = inverse_of[r] = len(rel_names)
             rel_names.append(inv_name)
-            inverse_pairs[r] = inv_id
-            inverse_pairs[inv_id] = r
-            triples.extend((t, inv_id, h) for h, rr, t in graph.triples if rr == r)
+            inverse_pairs[r], inverse_pairs[inv_id] = inv_id, r
+        base = graph.triples[inverse_of[graph.triples[:, 1]] >= 0]
+        h, r, t = base[np.argsort(base[:, 1], kind="stable")].T
+        parts.append(np.stack((t, inverse_of[r], h), axis=1))
 
     if add_self_loop and self_rel is None:
         if SELF_RELATION_NAME in rel_names:
             raise GraphError(f"relation name collision creating {SELF_RELATION_NAME!r}")
         self_rel = len(rel_names)
         rel_names.append(SELF_RELATION_NAME)
-        triples.extend((i, self_rel, i) for i in range(graph.num_nodes))
+        nodes = np.arange(graph.num_nodes)
+        parts.append(np.stack((nodes, np.full_like(nodes, self_rel), nodes), axis=1))
 
     return HeteroGraph.from_triples(
-        triples,
+        np.concatenate(parts),
         num_nodes=graph.num_nodes,
         node_names=graph.node_names,
         relation_names=rel_names,
@@ -396,23 +426,16 @@ def restrict_relations(graph: HeteroGraph, keep: Iterable[int]) -> HeteroGraph:
     The node and relation tables are preserved so ids stay stable across the
     restriction; dropped relations simply have no edges afterwards.
     """
-    keep_set = set(keep)
-    for r in keep_set:
+    keep = sorted(set(keep))
+    for r in keep:
         graph.check_relation(r)
-    return HeteroGraph.from_triples(
-        [t for t in graph.triples if t[1] in keep_set],
-        num_nodes=graph.num_nodes,
-        node_names=graph.node_names,
-        relation_names=graph.relation_names,
-        inverse_pairs=graph.inverse_pairs,
-        self_relation=graph.self_relation,
-    )
+    return with_triples(graph, graph.triples[np.isin(graph.triples[:, 1], keep)])
 
 
 def with_triples(graph: HeteroGraph, triples: Iterable[Triple]) -> HeteroGraph:
     """A graph over the same node/relation tables but a different edge set."""
     return HeteroGraph.from_triples(
-        list(triples),
+        triples,
         num_nodes=graph.num_nodes,
         node_names=graph.node_names,
         relation_names=graph.relation_names,
@@ -528,16 +551,21 @@ def load_triple_split(path, graph: HeteroGraph) -> tuple[int, ...]:
     path = Path(path)
     if not path.exists():
         raise GraphError(f"split file not found: {path}")
-    index = {t: k for k, t in enumerate(graph.triples)}
-    out = []
+    rows, lines = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             h, r, t = _parse_tsv_line(line, lineno)
-            triple = (graph.node_id(h), graph.relation_id(r), graph.node_id(t))
-            if triple not in index:
-                raise ParseError(f"triple {line!r} not present in the graph", lineno)
-            out.append(index[triple])
-    return tuple(out)
+            rows.append((graph.node_id(h), graph.relation_id(r), graph.node_id(t)))
+            lines.append((lineno, line))
+    shape = graph.num_relations, graph.num_nodes
+    known, keys = triple_keys(graph.triples, *shape), triple_keys(rows, *shape)
+    order = np.argsort(known)
+    at = np.searchsorted(known, keys, sorter=order)
+    missing = np.flatnonzero(np.append(known[order], -1)[at] != keys)  # -1 is no key
+    if missing.size:
+        lineno, line = lines[missing[0]]
+        raise ParseError(f"triple {line!r} not present in the graph", lineno)
+    return tuple(order[at].tolist())

@@ -17,7 +17,8 @@ The self term W_self h_i is shared across relations and, per the layer
 algebra, appears inside every delta_i^r, so it is counted |R_i| times in
 the output.  Nodes with no outgoing edges produce the zero vector.
 
-Both stages run vectorized over index arrays, in the edge-softmax / scatter
+Both stages run vectorized over the graph's sorted index arrays
+(``graph.index``, built once per graph), in the edge-softmax / scatter
 formulation of GAT (Velickovic et al. 2018) and PyG (Fey & Lenssen 2019):
 the node stage is one segment softmax per relation over its edges, the
 relation stage one segment softmax over all pairs of (node, relation)
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import diffnum as dn
 from .diffnum import Tensor
-from .hetgraph import HeteroGraph
+from .hetgraph import GraphIndex, HeteroGraph
 
 
 class ConfigurationError(Exception):
@@ -180,46 +181,6 @@ class AttentionTrace:
     rel_order: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-class _GraphIndex:
-    """Index arrays of one graph for the vectorized layer, built with numpy sorts.
-
-    Edges are sorted by (relation, head, tail), so within each (node,
-    relation) group they follow ``graph.neighbors`` order; ``edge_group``
-    maps each edge to its group.  Groups are relation-major, nodes ascending
-    within a relation; relation r owns edges ``edge_start[r]:edge_start[r+1]``
-    and groups ``group_start[r]:group_start[r+1]``.  ``pair_rows`` and
-    ``pair_cols`` list every ordered pair (g, g') of groups at the same node,
-    node by node and relations ascending in both positions, so node i's pairs
-    are its row-major |R_i| x |R_i| block.
-    """
-
-    def __init__(self, graph: HeteroGraph):
-        n = graph.num_nodes
-        t = np.asarray(graph.triples, dtype=np.intp).reshape(-1, 3)
-        self.heads, rels, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
-        _, first, self.edge_group, self.group_size = np.unique(
-            rels * n + self.heads, return_index=True, return_inverse=True, return_counts=True
-        )
-        self.group_node, self.group_rel = self.heads[first], rels[first]
-        bounds = np.arange(graph.num_relations + 1)
-        self.edge_start = np.searchsorted(rels, bounds)
-        self.group_start = np.searchsorted(self.group_rel, bounds)
-
-        self.by_node = np.argsort(self.group_node, kind="stable")  # relations stay ascending
-        self.node_count = np.bincount(self.group_node, minlength=n)
-        self.node_first = np.cumsum(self.node_count) - self.node_count  # into by_node
-        sq = self.node_count**2
-        local = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
-        m = np.repeat(self.node_count, sq)
-        base = np.repeat(self.node_first, sq)
-        self.pair_rows = self.by_node[base + local // m]
-        self.pair_cols = self.by_node[base + local % m]
-
-    @property
-    def num_groups(self) -> int:
-        return self.group_node.size
-
-
 def layer_forward(
     params: BrgcnLayerParams,
     h: Tensor,
@@ -271,7 +232,7 @@ def layer_forward(
         h = dn.mul(h, Tensor(fmask))
 
     n = graph.num_nodes
-    idx = _GraphIndex(graph)
+    idx = graph.index
     trace = AttentionTrace()
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), trace
@@ -335,7 +296,7 @@ def layer_forward(
 
 
 def _fill_trace(
-    trace: AttentionTrace, idx: _GraphIndex, gammas: list[Tensor] | None, psi: Tensor | None
+    trace: AttentionTrace, idx: GraphIndex, gammas: list[Tensor] | None, psi: Tensor | None
 ) -> None:
     """Copy attention weights out of the flat edge and pair arrays, per group and node."""
     if gammas is not None:

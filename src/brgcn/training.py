@@ -484,7 +484,7 @@ def run_graph(
     triples never leak into the encoder input.
     """
     if train_ids is not None:
-        graph = hg.with_triples(graph, [graph.triples[k] for k in train_ids])
+        graph = hg.with_triples(graph, graph.triples[list(train_ids)])
     return hg.augment(graph, cfg.add_inverse, cfg.add_self_loop)
 
 
@@ -586,7 +586,7 @@ def train_link_predictor(
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    train_triples = tuple(graph.triples[k] for k in split.train)
+    train_triples = tuple(map(tuple, graph.triples[list(split.train)].tolist()))
     if not train_triples:
         raise ConfigurationError("link prediction requires a non-empty training split")
     g_enc = run_graph(graph, cfg, split.train)

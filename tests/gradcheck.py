@@ -1,4 +1,4 @@
-"""Central-finite-difference oracle for verifying analytic gradients."""
+"""Central-finite-difference oracle for verifying analytic gradients of ``brgcn.diffnum``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import DiffnumError, Tape, Tensor, zero_grad
+from brgcn.diffnum import DiffnumError, Tape, Tensor, zero_grad
 
 
 class DeterminismError(DiffnumError):

@@ -16,7 +16,7 @@ from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
 from brgcn.cli import main
 from brgcn.decoders import score
-from brgcn.diffnum import Tensor, grad_check
+from brgcn.diffnum import Tensor
 from brgcn.evalkit import ablate, rank_triples
 from brgcn.layer import BrgcnLayerParams, layer_forward
 from brgcn.training import (
@@ -30,6 +30,7 @@ from brgcn.training import (
     train_link_predictor,
 )
 from dense_oracle import dense_layer_forward, random_instance
+from gradcheck import grad_check
 from synth import memorization_kg, planted_graph, planted_split
 from test_decoders import fft_circular_correlation
 from test_evalkit import brute_force_ranks

@@ -5,8 +5,9 @@ import pytest
 
 from brgcn import diffnum as dn
 from brgcn.decoders import DecoderParams, ensemble_score, score, score_batch, score_triples
-from brgcn.diffnum import DimensionError, Tensor, grad_check
+from brgcn.diffnum import DimensionError, Tensor
 from brgcn.layer import ConfigurationError
+from gradcheck import grad_check
 
 
 def _t(*values):

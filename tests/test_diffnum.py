@@ -7,16 +7,15 @@ import pytest
 
 from brgcn import diffnum as dn
 from brgcn.diffnum import (
-    DeterminismError,
     DimensionError,
     NumericError,
     Tape,
     Tensor,
-    grad_check,
     load_checkpoint,
     record_op,
     save_checkpoint,
 )
+from gradcheck import DeterminismError, grad_check
 
 
 class TestForwardValues:

@@ -36,6 +36,24 @@ class TestAccuracy:
         with pytest.raises(EvalError):
             accuracy(np.array([0, 1]), self._labels(), [])
 
+    def test_unlabeled_split_node_rejected(self):
+        with pytest.raises(EvalError, match="node 7 in split has no label"):
+            accuracy(np.zeros(8, dtype=int), self._labels(), [1, 7, 2])
+
+    def test_probabilities_and_their_argmax_agree(self):
+        # 2-D input is argmaxed (a tie goes to the lower class); the labels
+        # live in a dict in arbitrary order and the split repeats a node.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+            probs = rng.integers(0, 3, size=(n, k)).astype(float)
+            ids = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+            labels = hg.NodeLabels(tuple(ids), {i: int(rng.integers(k)) for i in ids[::-1]}, k)
+            split = ids + ids[:1]
+            want = 100.0 * sum(probs[i].argmax() == labels.labels[i] for i in split) / len(split)
+            assert accuracy(probs, labels, split) == want
+            assert accuracy(probs.argmax(axis=1), labels, split) == want
+
 
 def _vectorized(score_fn):
     """A scalar test scorer lifted to the id arrays rank_triples passes."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from brgcn import hetgraph
 from brgcn.hetgraph import (
     BoundsError,
     EmptyGraphError,
@@ -18,6 +19,7 @@ from brgcn.hetgraph import (
     load_triples,
     restrict_relations,
 )
+from brgcn.training import TrainConfig, train_node_classifier
 
 
 def _write(tmp_path, name, text):
@@ -139,6 +141,14 @@ class TestAugment:
             assert aug.num_triples == 2 * g.num_triples
             assert aug.num_triples <= 2 * g.num_triples
 
+    def test_row_order_originals_then_inverses_by_relation_then_self_loops(self):
+        triples = [(2, 1, 0), (0, 0, 1), (1, 1, 2), (2, 0, 2)]
+        g = HeteroGraph.from_triples(triples, relation_names=["a", "b"])
+        aug = augment(g, add_inverse=True, add_self_loop=True)
+        inverses = [(1, 2, 0), (2, 2, 2), (0, 3, 2), (2, 3, 1)]  # a^inv = 2, b^inv = 3
+        assert aug.triples.tolist() == [list(t) for t in triples + inverses] + [[i, 4, i] for i in range(3)]
+        assert aug.inverse_pairs == {0: 2, 2: 0, 1: 3, 3: 1}
+
     def test_inverse_requires_augmentation(self):
         g = HeteroGraph.from_triples([(0, 0, 1)])
         with pytest.raises(GraphError):
@@ -146,22 +156,44 @@ class TestAugment:
 
 
 class TestIndexInvariants:
-    def test_rebuild_reproduces_indices(self):
+    def test_queries_match_brute_force_and_rebuild_is_equal(self):
+        # Random graphs with repeated triples in shuffled storage order: every
+        # neighbor and relation query equals the answer read off the triple
+        # list, and rebuilding from ``g.triples`` gives an equal graph.
         rng = np.random.default_rng(3)
         for _ in range(30):
-            n = int(rng.integers(2, 10))
-            triples = sorted(
-                {
-                    (int(rng.integers(n)), int(rng.integers(4)), int(rng.integers(n)))
-                    for _ in range(rng.integers(1, 20))
-                }
-            )
-            g = HeteroGraph.from_triples(triples, num_nodes=n, relation_names=list("abcd"))
+            n, num_rel = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            triples = rng.integers(0, [n, num_rel, n], size=(int(rng.integers(0, 25)), 3))
+            triples = np.concatenate([triples, triples[: len(triples) // 2]])
+            triples = triples[rng.permutation(len(triples))].tolist()
+            g = HeteroGraph.from_triples(triples, num_nodes=n, relation_names=list("abcd")[:num_rel])
+            unique = list(dict.fromkeys(map(tuple, triples)))
+            assert g.triples.tolist() == [list(t) for t in unique]
+            assert g.duplicates_removed == len(triples) - len(unique)
+            for i in range(n):
+                for r in range(num_rel):
+                    assert g.neighbors(i, r) == tuple(sorted(b for a, s, b in unique if (a, s) == (i, r)))
+                assert g.relations_of(i) == tuple(sorted({s for a, s, _ in unique if a == i}))
             rebuilt = HeteroGraph.from_triples(
                 g.triples, num_nodes=g.num_nodes, relation_names=g.relation_names
             )
-            assert rebuilt.neighbor_index == g.neighbor_index
-            assert rebuilt.relation_index == g.relation_index
+            assert rebuilt == g
+            assert rebuilt.duplicates_removed == 0
+
+    def test_triples_are_read_only(self):
+        g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2)])
+        assert g.triples.dtype == np.int64 and g.triples.shape == (2, 3)
+        with pytest.raises(ValueError):
+            g.triples[0, 0] = 2
+
+    def test_array_input_keeps_first_occurrence_order(self):
+        rows = np.array([(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 0, 0), (0, 1, 2)])
+        g = HeteroGraph.from_triples(rows)
+        assert g.triples.tolist() == [[2, 0, 1], [0, 1, 2], [1, 0, 0]]
+        assert g.duplicates_removed == 2
+        assert rows.flags.writeable  # the caller's array is left alone
+        assert [tuple(t) for t in g.triples] == [(2, 0, 1), (0, 1, 2), (1, 0, 0)]
+        assert g.triple_set == {(2, 0, 1), (0, 1, 2), (1, 0, 0)}
 
     def test_relation_index_matches_nonempty_neighborhoods(self):
         rng = np.random.default_rng(4)
@@ -247,3 +279,31 @@ class TestLabelsAndSplits:
         assert tidx == (1,)
         with pytest.raises(ParseError):
             load_triple_split(_write(tmp_path, "bad.tsv", "c\tr\ta\n"), g)
+
+    def test_triple_split_names_the_line_of_a_missing_triple(self, tmp_path):
+        g = load_triples(_write(tmp_path, "g.tsv", "a\tr\tb\nb\tr\tc\na\ts\tc\n"))
+        path = _write(tmp_path, "t.tsv", "a\ts\tc\n# comment\nb\tr\ta\na\tr\tb\n")
+        with pytest.raises(ParseError) as err:
+            load_triple_split(path, g)
+        assert err.value.line == 3
+        assert "'b\\tr\\ta' not present" in str(err.value)
+        assert load_triple_split(_write(tmp_path, "ok.tsv", "a\ts\tc\na\tr\tb\n"), g) == (2, 0)
+
+
+class TestIndexBuiltOnce:
+    def test_one_training_run_indexes_each_graph_once(self, monkeypatch):
+        # Graphs are immutable, so the sorted index is built once per graph,
+        # although this run makes 14 layer calls on its training graph.
+        built = []
+
+        class CountingIndex(hetgraph.GraphIndex):
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(hetgraph, "GraphIndex", CountingIndex)
+        g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2), (2, 1, 0), (3, 1, 2)])
+        labels = NodeLabels((0, 1, 2, 3), {0: 0, 1: 1, 2: 0, 3: 1}, 2)
+        cfg = TrainConfig(epochs=3, num_layers=2, add_self_loop=True, seed=0)
+        run = train_node_classifier(g, labels, SplitSpec((0, 1), (2,), (3,)), cfg)
+        assert len(built) == 1 and built[0] is run.graph

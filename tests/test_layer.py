@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from brgcn import diffnum as dn
-from brgcn.diffnum import Tensor, grad_check
+from brgcn.diffnum import Tensor
 from brgcn.hetgraph import HeteroGraph, augment, restrict_relations
 from brgcn.layer import BrgcnLayerParams, ConfigurationError, layer_forward, stack_forward
 from brgcn.training import NodeClassificationModel, TrainConfig, nc_loss
 from dense_oracle import dense_layer_forward, random_instance
+from gradcheck import grad_check
 from synth import planted_graph
 
 
