@@ -130,10 +130,6 @@ class Tape:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def record_op(
     op: str,
     out_data: np.ndarray,

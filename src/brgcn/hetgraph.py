@@ -70,10 +70,10 @@ class GraphIndex:
     """Sorted index arrays of one graph, built with numpy sorts.
 
     Edges are sorted by (relation, head, tail), so within each (node,
-    relation) group they follow ``graph.neighbors`` order; ``edge_group``
-    maps each edge to its group.  Groups are relation-major, nodes ascending
-    within a relation; relation r owns edges ``edge_start[r]:edge_start[r+1]``
-    and groups ``group_start[r]:group_start[r+1]``.  Node i's groups are
+    relation) group they follow ``graph.neighbors`` order; ``edge_rel`` and
+    ``edge_group`` give each edge's relation and group.  Groups are
+    relation-major, nodes ascending within a relation; relation r owns edges
+    ``edge_start[r]:edge_start[r+1]``.  Node i's groups are
     ``by_node[node_first[i]:node_first[i] + node_count[i]]``, relations
     ascending.  ``pair_rows`` and ``pair_cols`` list every ordered pair (g,
     g') of groups at the same node, node by node and relations ascending in
@@ -83,14 +83,15 @@ class GraphIndex:
     def __init__(self, graph: HeteroGraph):
         n = graph.num_nodes
         t = graph.triples
-        self.heads, rels, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
+        self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
         _, first, self.edge_group, self.group_size = np.unique(
-            rels * n + self.heads, return_index=True, return_inverse=True, return_counts=True
+            self.edge_rel * n + self.heads,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
         )
-        self.group_node, self.group_rel = self.heads[first], rels[first]
-        bounds = np.arange(graph.num_relations + 1)
-        self.edge_start = np.searchsorted(rels, bounds)
-        self.group_start = np.searchsorted(self.group_rel, bounds)
+        self.group_node, self.group_rel = self.heads[first], self.edge_rel[first]
+        self.edge_start = np.searchsorted(self.edge_rel, np.arange(graph.num_relations + 1))
 
         self.by_node = np.argsort(self.group_node, kind="stable")  # relations stay ascending
         self.node_count = np.bincount(self.group_node, minlength=n)

@@ -17,13 +17,19 @@ The self term W_self h_i is shared across relations and, per the layer
 algebra, appears inside every delta_i^r, so it is counted |R_i| times in
 the output.  Nodes with no outgoing edges produce the zero vector.
 
-Both stages run vectorized over the graph's sorted index arrays
-(``graph.index``, built once per graph), in the edge-softmax / scatter
-formulation of GAT (Velickovic et al. 2018) and PyG (Fey & Lenssen 2019):
-the node stage is one segment softmax per relation over its edges, the
-relation stage one segment softmax over all pairs of (node, relation)
-groups at the same node.  The tape therefore holds a number of records that
-depends on the relations and layers, not on the number of nodes.
+Both stages run in one pass over the graph's sorted index arrays
+(``graph.index``, built once per graph), for all relations at once, in the
+edge-softmax / scatter formulation of GAT (Velickovic et al. 2018): one
+segment softmax over every edge gives gamma, and since sum_j gamma_ij W_r h_j
+= W_r z_i^r, each role is projected first, as R-GCN's per-relation messages
+are (Schlichtkrull et al. 2018), then gathered once.  The relation stage is
+one segment softmax over all pairs of (node, relation) groups at the same
+node.  The tape's length depends on the number of layers only.
+
+Cost model: every role projects all N*R (node, relation) slots and gathers
+d_out-wide rows per edge.  That is cheap when d_in is large (one-hot input)
+and most slots are occupied, and dearer for a dense layer on a graph whose
+nodes carry few of many relations.
 """
 
 from __future__ import annotations
@@ -154,16 +160,18 @@ class BrgcnLayerParams:
         out.append(self.w_self)
         return out
 
-    def projection(self, role: str, r: int) -> Tensor:
-        """The (d_out, d_in) projection for one role and relation.
+    def projections(self, role: str) -> Tensor:
+        """Every relation's (d_out, d_in) projection for one role, stacked as (R*d_out, d_in).
 
-        Under basis decomposition this materializes the matrix through tape
-        ops so gradients reach the basis stack and the coefficients.
+        Rows ``r*d_out:(r+1)*d_out`` hold W_role_r.  Under basis decomposition
+        the stack is built through tape ops so gradients reach the basis stack
+        and the coefficients.
         """
         if self.num_bases == 0:
-            return getattr(self, f"w_{role}")[r]
-        coeff = dn.reshape(self.coeff[role][r], (self.num_bases, 1, 1))
-        return dn.tsum(dn.mul(self.basis, coeff), axis=0)
+            return dn.concat(getattr(self, f"w_{role}"))
+        coeff = dn.reshape(dn.stack(self.coeff[role]), (self.num_relations, self.num_bases, 1, 1))
+        mats = dn.tsum(dn.mul(self.basis, coeff), axis=1)  # (R, d_out, d_in)
+        return dn.reshape(mats, (self.num_relations * self.d_out, self.d_in))
 
 
 @dataclass
@@ -231,79 +239,70 @@ def layer_forward(
         fmask = (rng.random(h.shape) < keep) / keep
         h = dn.mul(h, Tensor(fmask))
 
-    n = graph.num_nodes
+    n, num_rel = graph.num_nodes, params.num_relations
     idx = graph.index
     trace = AttentionTrace()
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), trace
-    uniform_gamma = mode in ("relation_only", "rgcn_baseline")
-    head_idx = np.arange(params.d_in)
-    tail_idx = np.arange(params.d_in, 2 * params.d_in)
+    groups = idx.num_groups
+    # Row of each edge's tail in an (N*R, .) array of (node, relation) slots.
+    tail_slot = idx.tails * num_rel + idx.edge_rel
 
-    # Node-level attention: one segment softmax over each relation's edges,
-    # then z[r] (one row per group of r) as a weighted gather-sum of tails.
-    rel_list = np.flatnonzero(np.diff(idx.group_start)).tolist()  # relations with edges
-    z: dict[int, Tensor] = {}
-    gammas: list[Tensor] = []
-    for r in rel_list:
-        edges = slice(idx.edge_start[r], idx.edge_start[r + 1])
-        g0, num_groups = idx.group_start[r], idx.group_start[r + 1] - idx.group_start[r]
-        tails, seg = idx.tails[edges], idx.edge_group[edges] - g0
-        if uniform_gamma:
-            gamma = Tensor(1.0 / idx.group_size[idx.edge_group[edges]])
-        else:
-            s_head = dn.matmul(h, dn.take(params.a[r], head_idx))
-            s_tail = dn.matmul(h, dn.take(params.a[r], tail_idx))
-            logits = dn.add(dn.take(s_head, idx.heads[edges]), dn.take(s_tail, tails))
-            gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), seg, num_groups)
-        gammas.append(gamma)
-        weights = gamma
-        if use_dropout and not uniform_gamma:
-            gmask = (rng.random(len(tails)) < keep) / keep
-            weights = dn.mul(gamma, Tensor(gmask))
-        z[r] = dn.gather_sum(weights, h, tails, seg, num_groups)
+    # Node-level attention: one segment softmax over the edges of every group.
+    if mode in ("relation_only", "rgcn_baseline"):
+        gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
+    else:
+        a = dn.stack(params.a, axis=1)  # (2 d_in, R)
+        s_head = dn.matmul(h, dn.take(a, np.arange(params.d_in)))  # (N, R)
+        s_tail = dn.matmul(h, dn.take(a, np.arange(params.d_in, 2 * params.d_in)))
+        logits = dn.add(
+            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
+            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
+        )
+        gamma = weights = dn.segment_softmax(
+            dn.leaky_relu(logits, params.leaky_slope), idx.edge_group, groups
+        )
+        if use_dropout:
+            weights = dn.mul(gamma, Tensor((rng.random(gamma.shape[0]) < keep) / keep))
 
-    def project(role: str) -> Tensor:
-        # Projected per relation, so no (groups, d_in) concatenation is made.
-        parts = [dn.matmul(z[r], dn.transpose(params.projection(role, r))) for r in rel_list]
-        return dn.concat(parts) if len(parts) > 1 else parts[0]
+    def messages(role: str, dst: np.ndarray, num_dst: int) -> Tensor:
+        # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
+        slots = dn.matmul(h, dn.transpose(params.projections(role)))  # (N, R*d_out)
+        rows = dn.reshape(slots, (n * num_rel, params.d_out))
+        return dn.gather_sum(weights, rows, tail_slot, dst, num_dst)
 
     self_rows = dn.matmul(h, dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if mode in ("full", "relation_only"):
         # Relation-level attention: one segment softmax over same-node group pairs.
+        q, k, v = (messages(role, idx.edge_group, groups) for role in params.ROLES)
         rows, cols = idx.pair_rows, idx.pair_cols
-        psi = dn.segment_softmax(
-            dn.pair_dot(project("query"), project("key"), rows, cols), rows, idx.num_groups
-        )
-        fused = dn.gather_sum(psi, project("value"), cols, rows, idx.num_groups)
+        psi = dn.segment_softmax(dn.pair_dot(q, k, rows, cols), rows, groups)
+        fused = dn.gather_sum(psi, v, cols, rows, groups)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
         out = dn.segment_sum(delta, idx.group_node, n)
     else:
         # Nodes without outgoing edges must stay zero despite the self term.
         has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
         if mode == "rgcn_baseline":
-            msgs = dn.segment_sum(project("value"), idx.group_node, n)
-            out = dn.mul(dn.relu(dn.add(msgs, self_rows)), has_rel)
+            out = dn.mul(dn.relu(dn.add(messages("value", idx.heads, n), self_rows)), has_rel)
         else:
-            z_all = dn.concat([z[r] for r in rel_list]) if len(rel_list) > 1 else z[rel_list[0]]
-            zsum = dn.segment_sum(z_all, idx.group_node, n)
+            zsum = dn.gather_sum(weights, h, idx.tails, idx.heads, n)
             out = dn.mul(dn.add(zsum, dn.relu(self_rows)), has_rel)
 
     if collect_trace:
-        _fill_trace(trace, idx, None if mode == "rgcn_baseline" else gammas, psi)
+        _fill_trace(trace, idx, None if mode == "rgcn_baseline" else gamma, psi)
     return out, trace
 
 
 def _fill_trace(
-    trace: AttentionTrace, idx: GraphIndex, gammas: list[Tensor] | None, psi: Tensor | None
+    trace: AttentionTrace, idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None
 ) -> None:
     """Copy attention weights out of the flat edge and pair arrays, per group and node."""
-    if gammas is not None:
-        flat = np.concatenate([g.data for g in gammas])
-        parts = np.split(flat, np.cumsum(idx.group_size)[:-1])
-        for key, gamma in zip(zip(idx.group_node.tolist(), idx.group_rel.tolist()), parts):
-            trace.gamma[key] = gamma
+    if gamma is not None:
+        parts = np.split(gamma.data.copy(), np.cumsum(idx.group_size)[:-1])
+        for key, part in zip(zip(idx.group_node.tolist(), idx.group_rel.tolist()), parts):
+            trace.gamma[key] = part
     if psi is not None:
         flat = psi.data.copy()
         first_pair = np.cumsum(idx.node_count**2) - idx.node_count**2

@@ -114,11 +114,6 @@ class TripleBatch:
         if any(v not in (0, 1) for v in self.y):
             raise ConfigurationError("y entries must be 0 or 1")
 
-    def validate_positives(self, known: set[tuple[int, int, int]]) -> None:
-        for t, v in zip(self.triples, self.y):
-            if v == 1 and t not in known:
-                raise ConfigurationError(f"positive triple {t} not in the training edge set")
-
 
 # ---------------------------------------------------------------------------
 # losses
@@ -312,13 +307,22 @@ class _Model:
         return {p.name: p.data for p in self.params()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.params():
+        """Load a checkpoint whose keys are exactly this model's parameter names.
+
+        Every key and shape is checked before any parameter changes.
+        """
+        params = self.params()
+        unexpected = sorted(set(arrays) - {p.name for p in params})
+        if unexpected:
+            raise ConfigurationError(f"checkpoint has parameters the model lacks: {unexpected}")
+        for p in params:
             if p.name not in arrays:
                 raise ConfigurationError(f"checkpoint missing parameter {p.name!r}")
             if arrays[p.name].shape != p.data.shape:
                 raise ConfigurationError(
                     f"checkpoint shape {arrays[p.name].shape} != expected {p.data.shape} for {p.name!r}"
                 )
+        for p in params:
             p.data = np.array(arrays[p.name], dtype=np.float64)
 
 
@@ -357,10 +361,8 @@ class NodeClassificationModel(_Model):
         cfg: TrainConfig,
         *,
         variant: str = "full",
-        input_dim: int | None = None,
     ) -> "NodeClassificationModel":
-        d0 = input_dim if input_dim is not None else graph.num_nodes
-        dims = [d0] + [cfg.hidden_units] * (cfg.num_layers - 1) + [num_classes]
+        dims = [graph.num_nodes] + [cfg.hidden_units] * (cfg.num_layers - 1) + [num_classes]
         return cls(_layer_stack(rng, dims, graph, cfg), variant)
 
     def params(self) -> list[Tensor]:
@@ -373,14 +375,13 @@ class NodeClassificationModel(_Model):
         self,
         graph: hg.HeteroGraph,
         *,
-        x0: Tensor | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         collect_trace: bool = False,
     ) -> tuple[Tensor, list[AttentionTrace]]:
         h, traces = stack_forward(
             self.layers,
-            x0,
+            None,
             graph,
             mode=self.variant,
             training=training,
@@ -389,8 +390,8 @@ class NodeClassificationModel(_Model):
         )
         return dn.softmax_rows(h), traces
 
-    def predict(self, graph: hg.HeteroGraph, *, x0: Tensor | None = None) -> np.ndarray:
-        probs, _ = self.forward(graph, x0=x0)
+    def predict(self, graph: hg.HeteroGraph) -> np.ndarray:
+        probs, _ = self.forward(graph)
         return probs.data.argmax(axis=1)
 
 

@@ -29,8 +29,13 @@ def dense_layer_forward(
     w_value,
     w_self,  # (d_out, d_in)
     slope: float,
+    mode: str = "full",
 ):
-    """Forward pass via dense masks; returns (h_next, gamma, psi) records."""
+    """Forward pass via dense masks; returns (h_next, gamma, psi) records.
+
+    ``mode`` names the layer variant, as in ``layer_forward``.
+    """
+    uniform = mode in ("relation_only", "rgcn_baseline")
     n, d_in = h.shape
     d_out = w_self.shape[0]
     gammas: dict[tuple[int, int], np.ndarray] = {}
@@ -46,9 +51,12 @@ def dense_layer_forward(
             mask = adj[r][i] > 0
             if not mask.any():
                 continue
-            logits = e[i, mask]
-            ex = np.exp(logits - logits.max())
-            gamma = ex / ex.sum()
+            if uniform:
+                gamma = np.full(mask.sum(), 1.0 / mask.sum())
+            else:
+                logits = e[i, mask]
+                ex = np.exp(logits - logits.max())
+                gamma = ex / ex.sum()
             gammas[(i, r)] = gamma
             z[(i, r)] = gamma @ h[mask]
 
@@ -56,6 +64,12 @@ def dense_layer_forward(
     for i in range(n):
         rels = sorted(r for r in range(num_relations) if (i, r) in z)
         if not rels:
+            continue
+        if mode == "node_only":
+            h_next[i] = sum(z[(i, r)] for r in rels) + np.maximum(w_self @ h[i], 0.0)
+            continue
+        if mode == "rgcn_baseline":
+            h_next[i] = np.maximum(sum(w_value[r] @ z[(i, r)] for r in rels) + w_self @ h[i], 0.0)
             continue
         q = {r: w_query[r] @ z[(i, r)] for r in rels}
         k = {r: w_key[r] @ z[(i, r)] for r in rels}

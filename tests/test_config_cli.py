@@ -185,6 +185,22 @@ class TestCliNodeClassification:
                 for row in mat:
                     assert abs(sum(row) - 1.0) <= 1e-9
 
+    def test_eval_refuses_checkpoint_with_extra_relations(self, toy_config, tmp_path, capsys):
+        # Trained with inverse relations, evaluated without them: every
+        # weight has the right shape, but the inverse relations' weights
+        # have no place in the smaller model, so the load must fail.
+        args = ["--config", str(toy_config), "--set", "epochs=2"]
+        assert main(["train-nc", *args, "--set", "add_inverse=true"]) == 0
+        ckpt = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        capsys.readouterr()
+        code = main(
+            ["eval", *args, "--set", f"checkpoint={ckpt}", "--set", f"output_dir={tmp_path / 'ev'}"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint has parameters the model lacks" in err
+        assert "layer0.a.4" in err and "layer1.w_value.4" in err
+
     def test_eval_without_checkpoint_is_config_error(self, toy_config):
         assert main(["eval", "--config", str(toy_config)]) == 2
 

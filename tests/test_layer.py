@@ -14,7 +14,13 @@ import pytest
 from brgcn import diffnum as dn
 from brgcn.diffnum import Tensor
 from brgcn.hetgraph import HeteroGraph, augment, restrict_relations
-from brgcn.layer import BrgcnLayerParams, ConfigurationError, layer_forward, stack_forward
+from brgcn.layer import (
+    VARIANTS,
+    BrgcnLayerParams,
+    ConfigurationError,
+    layer_forward,
+    stack_forward,
+)
 from brgcn.training import NodeClassificationModel, TrainConfig, nc_loss
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
@@ -437,14 +443,17 @@ class TestBasisDecomposition:
         plain = BrgcnLayerParams(inst["d_in"], inst["d_out"], inst["num_rels"])
         plain.a = basis_params.a
         plain.w_self = basis_params.w_self
+        d_out = inst["d_out"]
         for role in ("query", "key", "value"):
+            stacked = basis_params.projections(role).data
+            assert stacked.shape == (inst["num_rels"] * d_out, inst["d_in"])
             mats = []
             for r in range(inst["num_rels"]):
-                w = basis_params.projection(role, r)
+                w = stacked[r * d_out : (r + 1) * d_out]
                 coeff = basis_params.coeff[role][r].data
                 manual = np.sum(coeff[:, None, None] * basis_params.basis.data, axis=0)
-                np.testing.assert_array_equal(w.data, manual)
-                mats.append(dn.param(w.data.copy()))
+                np.testing.assert_array_equal(w, manual)
+                mats.append(dn.param(w.copy()))
             setattr(plain, f"w_{role}", mats)
         h = Tensor(inst["h"])
         out_basis, _ = layer_forward(basis_params, h, g)
@@ -468,6 +477,57 @@ class TestBasisDecomposition:
             BrgcnLayerParams(2, 2, 2, num_bases=-1)
 
 
+def _oracle_weights(p):
+    """Per-relation (a, W_query, W_key, W_value) arrays of ``p``, bases multiplied out."""
+    if p.num_bases:
+        mats = {
+            role: [np.tensordot(c.data, p.basis.data, axes=1) for c in p.coeff[role]]
+            for role in p.ROLES
+        }
+    else:
+        mats = {role: [w.data for w in getattr(p, f"w_{role}")] for role in p.ROLES}
+    return [a.data for a in p.a], mats["query"], mats["key"], mats["value"]
+
+
+class TestRelationSlots:
+    """Relation ids that have no edges: inside the graph, or beyond it in a wider layer."""
+
+    CASES = {
+        # (relations with edges, graph relation count, layer relation count)
+        "edgeless_middle_relation": ((0, 2), 3, 3),
+        "layer_wider_than_graph": ((0, 1), 2, 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_matches_dense_oracle(self, case, num_bases, mode):
+        used, graph_rels, layer_rels = self.CASES[case]
+        rng = np.random.default_rng(73)
+        n, d = 9, 3
+        triples = [(int(rng.integers(n)), int(rng.choice(used)), int(rng.integers(n))) for _ in range(24)]
+        g = HeteroGraph.from_triples(
+            triples, num_nodes=n, relation_names=[f"r{k}" for k in range(graph_rels)]
+        )
+        assert sorted(set(g.index.group_rel.tolist())) == list(used)
+        p = BrgcnLayerParams.create(rng, d, d, layer_rels, num_bases=num_bases)
+        h = rng.normal(size=(n, d))
+        out, trace = layer_forward(p, Tensor(h), g, mode=mode)
+        a, wq, wk, wv = _oracle_weights(p)
+        oracle, gammas, psis = dense_layer_forward(
+            h, g.triples.tolist(), n, layer_rels, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
+        )
+        np.testing.assert_allclose(out.data, oracle, atol=1e-10)
+        if mode != "rgcn_baseline":
+            assert trace.gamma.keys() == gammas.keys()
+            for key, gam in gammas.items():
+                np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
+        if mode in ("full", "relation_only"):
+            assert trace.psi.keys() == psis.keys()
+            for i, psi in psis.items():
+                np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
+
+
 class TestDifferentiability:
     def test_layer_output_gradients(self):
         rng = np.random.default_rng(80)
@@ -488,7 +548,7 @@ class TestTapeLength:
     def test_nc_step_records_do_not_grow_with_nodes(self):
         # One NC forward+backward, dropout on, on planted graphs of 50 and
         # 400 nodes with the same relations: the tape records one op per
-        # layer stage and relation, never one per node.
+        # layer stage, never one per node.
         cfg = TrainConfig(hidden_units=8, dropout=0.4)
         lengths = []
         for num_labeled in (40, 390):
@@ -502,6 +562,27 @@ class TestTapeLength:
             assert all(p.grad is not None for p in model.params() if ".a." in p.name)
             lengths.append((g.num_nodes, len(tape)))
         assert [n for n, _ in lengths] == [50, 400]
+        assert lengths[0][1] == lengths[1][1]
+
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_nc_step_records_do_not_grow_with_relations(self, num_bases):
+        # The planted graph's 3 relations, then each split in three by the
+        # tail id: one NC forward+backward records the same ops at 9.
+        graph, labels = planted_graph()
+        t = graph.triples
+        split = np.column_stack([t[:, 0], t[:, 1] + 3 * (t[:, 2] % 3), t[:, 2]])
+        cfg = TrainConfig(hidden_units=8, dropout=0.4, num_bases=num_bases)
+        lengths = []
+        for g in (graph, HeteroGraph.from_triples(split, num_nodes=graph.num_nodes)):
+            rng = np.random.default_rng(0)
+            model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
+            with dn.Tape() as tape:
+                probs, _ = model.forward(g, training=True, rng=rng)
+                tape.backward(nc_loss(probs, labels))
+            assert np.unique(g.index.group_rel).size == g.num_relations
+            lengths.append((g.num_relations, len(tape)))
+        assert [r for r, _ in lengths] == [3, 9]
         assert lengths[0][1] == lengths[1][1]
 
 

@@ -12,6 +12,7 @@ from brgcn.diffnum import Tape, Tensor
 from brgcn.layer import ConfigurationError
 from brgcn.training import (
     Adam,
+    NodeClassificationModel,
     SamplingExhaustedError,
     TrainConfig,
     TrainingAbort,
@@ -118,9 +119,6 @@ class TestLpLoss:
             TripleBatch(((0, 0, 1),), (1, 0))
         with pytest.raises(ConfigurationError):
             TripleBatch(((0, 0, 1),), (2,))
-        batch = TripleBatch(((0, 0, 1),), (1,))
-        with pytest.raises(ConfigurationError):
-            batch.validate_positives({(5, 5, 5)})
 
 
 class TestNegativeSampling:
@@ -300,6 +298,26 @@ class TestLpTapeLength:
             lengths.append((graph.num_triples, len(tape)))
         assert [n for n, _ in lengths] == [40, 400]
         assert lengths[0][1] == lengths[1][1]
+
+
+class TestCheckpointArrays:
+    @pytest.mark.parametrize("fault", ["missing", "unexpected", "shape"])
+    def test_refused_checkpoint_changes_no_parameter(self, fault):
+        graph, labels = planted_graph()
+        rng = np.random.default_rng(0)
+        model = NodeClassificationModel.build(rng, graph, labels.num_classes, TrainConfig())
+        before = [p.data.copy() for p in model.params()]
+        arrays = {k: v + 1.0 for k, v in model.state_arrays().items()}
+        last = model.params()[-1].name
+        if fault == "missing":
+            del arrays[last]
+        elif fault == "unexpected":
+            arrays["layer9.w_self"] = np.zeros(1)
+        else:
+            arrays[last] = np.zeros(1)
+        with pytest.raises(ConfigurationError):
+            model.load_arrays(arrays)
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, model.params()))
 
 
 class TestPipelines:
