@@ -8,6 +8,7 @@ in reverse order, accumulating gradients additively at fan-out points.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,6 +158,17 @@ def record_op(
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``out[index[k]] += values[k]`` for values of shape ``index.shape + tail``, into n zero rows.
+
+    One bincount; it adds in index order, so the sums are bit-equal to ``np.add.at``."""
+    tail = values.shape[index.ndim :]
+    d = math.prod(tail)
+    bins = (index.reshape(-1, 1) * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=n * d)  # int64 if bins is empty
+    return sums.astype(np.float64, copy=False).reshape((n,) + tail)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -338,9 +350,7 @@ def take(a, indices) -> Tensor:
     shape = a.data.shape
 
     def backward(g):
-        z = np.zeros(shape, dtype=np.float64)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_scatter_add(idx, g, shape[0]),)
 
     return record_op("take", out, (a,), backward)
 
@@ -465,8 +475,7 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     if a.ndim not in (1, 2):
         raise DimensionError(f"segment_sum: expected vector or matrix, got shape {a.shape}")
     _check_segments(seg, a.data.shape[0], num_segments, "segment_sum")
-    out = np.zeros((num_segments,) + a.data.shape[1:])
-    np.add.at(out, seg, a.data)
+    out = _scatter_add(seg, a.data, num_segments)
 
     def backward(g):
         return (g[seg],)
@@ -501,13 +510,8 @@ def pair_dot(a, b, rows, cols) -> Tensor:
     out = np.einsum("pd,pd->p", ad[rows], bd[cols])
 
     def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = np.zeros_like(ad)
-            np.add.at(ga, rows, g[:, None] * bd[cols])
-        if b.requires_grad:
-            gb = np.zeros_like(bd)
-            np.add.at(gb, cols, g[:, None] * ad[rows])
+        ga = _scatter_add(rows, g[:, None] * bd[cols], ad.shape[0]) if a.requires_grad else None
+        gb = _scatter_add(cols, g[:, None] * ad[rows], bd.shape[0]) if b.requires_grad else None
         return ga, gb
 
     return record_op("pair_dot", out, (a, b), backward)
@@ -531,8 +535,7 @@ def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:
     seg = np.asarray(dst, dtype=np.intp)
     _check_segments(seg, w.shape[0], num_segments, "gather_sum")
     wd, xd = w.data, x.data
-    out = np.zeros((num_segments, xd.shape[1]))
-    np.add.at(out, seg, wd[:, None] * xd[src])
+    out = _scatter_add(seg, wd[:, None] * xd[src], num_segments)
 
     def backward(g):
         gw = gx = None
@@ -540,8 +543,7 @@ def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:
             # summed like mul's broadcast gradient, so results match mul + segment_sum bit for bit
             gw = (g[seg] * xd[src]).sum(axis=1)
         if x.requires_grad:
-            gx = np.zeros_like(xd)
-            np.add.at(gx, src, wd[:, None] * g[seg])
+            gx = _scatter_add(src, wd[:, None] * g[seg], xd.shape[0])
         return gw, gx
 
     return record_op("gather_sum", out, (w, x), backward)
@@ -563,15 +565,10 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     if not np.isfinite(mx).all():
         raise DimensionError("segment_softmax: every segment needs at least one entry")
     e = np.exp(a.data - mx[seg])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, seg, e)
-    out = e / denom[seg]
+    out = e / _scatter_add(seg, e, num_segments)[seg]
 
     def backward(g):
-        t = g * out
-        dots = np.zeros(num_segments)
-        np.add.at(dots, seg, t)
-        return (out * (g - dots[seg]),)
+        return (out * (g - _scatter_add(seg, g * out, num_segments)[seg]),)
 
     return record_op("segment_softmax", out, (a,), backward)
 

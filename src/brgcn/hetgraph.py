@@ -77,7 +77,8 @@ class GraphIndex:
     ``by_node[node_first[i]:node_first[i] + node_count[i]]``, relations
     ascending.  ``pair_rows`` and ``pair_cols`` list every ordered pair (g,
     g') of groups at the same node, node by node and relations ascending in
-    both positions, so node i's pairs are its row-major |R_i| x |R_i| block.
+    both positions, so node i's pairs are its row-major |R_i| x |R_i| block,
+    starting at ``pair_first[i]``.
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -97,7 +98,8 @@ class GraphIndex:
         self.node_count = np.bincount(self.group_node, minlength=n)
         self.node_first = np.cumsum(self.node_count) - self.node_count  # into by_node
         sq = self.node_count**2
-        local = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        self.pair_first = np.cumsum(sq) - sq
+        local = np.arange(sq.sum()) - np.repeat(self.pair_first, sq)
         m = np.repeat(self.node_count, sq)
         base = np.repeat(self.node_first, sq)
         self.pair_rows = self.by_node[base + local // m]
@@ -106,6 +108,17 @@ class GraphIndex:
     @property
     def num_groups(self) -> int:
         return self.group_node.size
+
+    def edges_of(self, i: int, r: int) -> slice:
+        """The sorted edges of node i under relation r, an empty slice when none exist."""
+        lo, hi = self.edge_start[r], self.edge_start[r + 1]
+        a, b = lo + np.searchsorted(self.heads[lo:hi], (i, i + 1))
+        return slice(a, b)
+
+    def relations_of(self, i: int) -> tuple[int, ...]:
+        """Node i's relation ids, ascending."""
+        groups = self.by_node[self.node_first[i] : self.node_first[i] + self.node_count[i]]
+        return tuple(self.group_rel[groups].tolist())
 
 
 @dataclass(eq=False, repr=False)
@@ -201,17 +214,12 @@ class HeteroGraph:
         """Sorted tails of all triples (i, r, *); empty when none exist."""
         self.check_node(i)
         self.check_relation(r)
-        idx = self.index
-        lo, hi = idx.edge_start[r], idx.edge_start[r + 1]
-        a, b = lo + np.searchsorted(idx.heads[lo:hi], (i, i + 1))
-        return tuple(idx.tails[a:b].tolist())
+        return tuple(self.index.tails[self.index.edges_of(i, r)].tolist())
 
     def relations_of(self, i: int) -> tuple[int, ...]:
         """Sorted relation ids with at least one outgoing edge at node ``i``."""
         self.check_node(i)
-        idx = self.index
-        groups = idx.by_node[idx.node_first[i] : idx.node_first[i] + idx.node_count[i]]
-        return tuple(idx.group_rel[groups].tolist())
+        return self.index.relations_of(i)
 
     def inverse_relation(self, r: int) -> int:
         self.check_relation(r)

@@ -27,15 +27,18 @@ one segment softmax over all pairs of (node, relation) groups at the same
 node.  The tape's length depends on the number of layers only.
 
 Cost model: every role projects all N*R (node, relation) slots and gathers
-d_out-wide rows per edge.  That is cheap when d_in is large (one-hot input)
-and most slots are occupied, and dearer for a dense layer on a graph whose
-nodes carry few of many relations.
+d_out-wide rows per edge.  With identity (one-hot) input the projection is a
+lookup of the weights' rows and no N x N array is built, so a step is linear
+in edges plus slots.  A dense layer on a graph whose nodes carry few of many
+relations pays for its empty slots.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,6 +97,12 @@ class BrgcnLayerParams:
         self.w_value: list[Tensor] = []
         self.basis: Tensor | None = None
         self.coeff: dict[str, list[Tensor]] = {}
+
+    @staticmethod
+    def num_floats(d_in: int, d_out: int, num_relations: int, num_bases: int = 0) -> int:
+        """How many parameter entries :meth:`create` allocates for these sizes."""
+        roles = 3 * num_relations * (num_bases if num_bases else d_out * d_in)
+        return num_relations * 2 * d_in + (1 + num_bases) * d_out * d_in + roles
 
     @classmethod
     def create(
@@ -181,17 +190,40 @@ class AttentionTrace:
     ``gamma[(i, r)]`` holds the neighbor weights of node i under relation r,
     ordered like ``graph.neighbors(i, r)``.  ``psi[i]`` is the
     |R_i| x |R_i| relation-attention matrix whose row/column order is
-    ``rel_order[i]``.  Values are detached copies.
+    ``rel_order[i]``.  A forward pass fills them with read-only mappings over
+    ``graph.index`` and detached flat copies of gamma and psi.
     """
 
-    gamma: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    psi: dict[int, np.ndarray] = field(default_factory=dict)
-    rel_order: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    gamma: Mapping[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    psi: Mapping[int, np.ndarray] = field(default_factory=dict)
+    rel_order: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+
+
+class _FlatView(Mapping):
+    """Read-only ``{k: value_of(k) for k in keys_of()}``; ``value_of`` is None off the keys."""
+
+    def __init__(self, keys_of: Callable[[], list], value_of: Callable):
+        self._keys_of, self._value_of = keys_of, value_of
+
+    def __getitem__(self, key):
+        try:
+            value = self._value_of(key)
+        except (TypeError, ValueError):  # not a key of this shape
+            value = None
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        return iter(self._keys_of())
+
+    def __len__(self) -> int:
+        return len(self._keys_of())
 
 
 def layer_forward(
     params: BrgcnLayerParams,
-    h: Tensor,
+    h: Tensor | None,
     graph: HeteroGraph,
     *,
     mode: str = "full",
@@ -212,16 +244,18 @@ def layer_forward(
     order or node iteration order.  During training, dropout (when
     configured) is applied to the input features and to the post-softmax
     neighbor weights with inverted scaling; evaluation passes are
-    deterministic.
+    deterministic.  ``h=None`` is the identity (one-hot features) without
+    building it: h @ W is a lookup of W's rows, each scaled by its diagonal
+    feature-dropout mask entry.
     """
     if mode not in VARIANTS:
         raise ConfigurationError(f"unknown variant {mode!r}; expected one of {VARIANTS}")
-    if h.ndim != 2 or h.shape[0] != graph.num_nodes:
-        raise dn.DimensionError(
-            f"feature matrix has shape {h.shape}, expected ({graph.num_nodes}, d_in)"
-        )
-    if h.shape[1] != params.d_in:
-        raise ConfigurationError(f"layer expects d_in={params.d_in}, features have {h.shape[1]}")
+    n, num_rel = graph.num_nodes, params.num_relations
+    if h is not None and (h.ndim != 2 or h.shape[0] != n):
+        raise dn.DimensionError(f"feature matrix has shape {h.shape}, expected ({n}, d_in)")
+    d_in = n if h is None else h.shape[1]
+    if d_in != params.d_in:
+        raise ConfigurationError(f"layer expects d_in={params.d_in}, features have {d_in}")
     if graph.num_relations > params.num_relations:
         raise ConfigurationError(
             f"layer sized for {params.num_relations} relations, graph has {graph.num_relations}"
@@ -235,15 +269,19 @@ def layer_forward(
     if use_dropout and rng is None:
         raise ConfigurationError("training with dropout requires an rng")
     keep = 1.0 - params.dropout
-    if use_dropout:
-        fmask = (rng.random(h.shape) < keep) / keep
-        h = dn.mul(h, Tensor(fmask))
+    if h is None:
+        scale = Tensor(_diagonal_dropout(rng, n, keep)[:, None]) if use_dropout else None
+    elif use_dropout:
+        h = dn.mul(h, Tensor((rng.random(h.shape) < keep) / keep))
 
-    n, num_rel = graph.num_nodes, params.num_relations
+    def project(w: Tensor) -> Tensor:  # h @ w
+        if h is not None:
+            return dn.matmul(h, w)
+        return w if scale is None else dn.mul(w, scale)
+
     idx = graph.index
-    trace = AttentionTrace()
     if not idx.num_groups:
-        return Tensor(np.zeros((n, params.d_out))), trace
+        return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
     groups = idx.num_groups
     # Row of each edge's tail in an (N*R, .) array of (node, relation) slots.
     tail_slot = idx.tails * num_rel + idx.edge_rel
@@ -253,8 +291,8 @@ def layer_forward(
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
     else:
         a = dn.stack(params.a, axis=1)  # (2 d_in, R)
-        s_head = dn.matmul(h, dn.take(a, np.arange(params.d_in)))  # (N, R)
-        s_tail = dn.matmul(h, dn.take(a, np.arange(params.d_in, 2 * params.d_in)))
+        s_head = project(dn.take(a, np.arange(d_in)))  # (N, R)
+        s_tail = project(dn.take(a, np.arange(d_in, 2 * d_in)))
         logits = dn.add(
             dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
             dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
@@ -267,11 +305,11 @@ def layer_forward(
 
     def messages(role: str, dst: np.ndarray, num_dst: int) -> Tensor:
         # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
-        slots = dn.matmul(h, dn.transpose(params.projections(role)))  # (N, R*d_out)
+        slots = project(dn.transpose(params.projections(role)))  # (N, R*d_out)
         rows = dn.reshape(slots, (n * num_rel, params.d_out))
         return dn.gather_sum(weights, rows, tail_slot, dst, num_dst)
 
-    self_rows = dn.matmul(h, dn.transpose(params.w_self))  # (N, d_out)
+    self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if mode in ("full", "relation_only"):
         # Relation-level attention: one segment softmax over same-node group pairs.
@@ -287,29 +325,61 @@ def layer_forward(
         if mode == "rgcn_baseline":
             out = dn.mul(dn.relu(dn.add(messages("value", idx.heads, n), self_rows)), has_rel)
         else:
-            zsum = dn.gather_sum(weights, h, idx.tails, idx.heads, n)
+            x = h if h is not None else project(Tensor(np.eye(n)))
+            zsum = dn.gather_sum(weights, x, idx.tails, idx.heads, n)
             out = dn.mul(dn.add(zsum, dn.relu(self_rows)), has_rel)
 
-    if collect_trace:
-        _fill_trace(trace, idx, None if mode == "rgcn_baseline" else gamma, psi)
-    return out, trace
+    if not collect_trace:
+        return out, AttentionTrace()
+    return out, _trace(idx, None if mode == "rgcn_baseline" else gamma, psi)
 
 
-def _fill_trace(
-    trace: AttentionTrace, idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None
-) -> None:
-    """Copy attention weights out of the flat edge and pair arrays, per group and node."""
+def _diagonal_dropout(rng: np.random.Generator, n: int, keep: float) -> np.ndarray:
+    """The diagonal of ``(rng.random((n, n)) < keep) / keep``; ``bit_generator.advance``
+    skips the rest of that draw, so ``rng`` ends where the full draw leaves it."""
+    bitgen = rng.bit_generator
+    if not hasattr(bitgen, "advance"):
+        raise ConfigurationError(f"one-hot dropout needs advance(), {type(bitgen).__name__} lacks it")
+    before = bitgen.state
+    diag = np.empty(n)
+    for i in range(n):
+        if i:
+            bitgen.advance(n)
+        diag[i] = rng.random()
+    # advance() drops the cached 32-bit half-draw that drawing doubles keeps.
+    bitgen.state = {**bitgen.state, **{k: before[k] for k in ("has_uint32", "uinteger") if k in before}}
+    return (diag < keep) / keep
+
+
+def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> AttentionTrace:
+    """Mappings over detached copies of the flat edge (gamma) and pair (psi) arrays."""
+    trace = AttentionTrace()
     if gamma is not None:
-        parts = np.split(gamma.data.copy(), np.cumsum(idx.group_size)[:-1])
-        for key, part in zip(zip(idx.group_node.tolist(), idx.group_rel.tolist()), parts):
-            trace.gamma[key] = part
+        flat_gamma = gamma.data.copy()
+
+        def gamma_of(key):
+            i, r = map(operator.index, key)
+            if 0 <= r < idx.edge_start.size - 1 and 0 <= i < idx.node_count.size:
+                edges = idx.edges_of(i, r)
+                return flat_gamma[edges] if edges.start < edges.stop else None
+
+        trace.gamma = _FlatView(
+            lambda: list(zip(idx.group_node.tolist(), idx.group_rel.tolist())), gamma_of
+        )
     if psi is not None:
-        flat = psi.data.copy()
-        first_pair = np.cumsum(idx.node_count**2) - idx.node_count**2
-        for i in np.flatnonzero(idx.node_count).tolist():
-            m, p0, g0 = int(idx.node_count[i]), int(first_pair[i]), int(idx.node_first[i])
-            trace.psi[i] = flat[p0 : p0 + m * m].reshape(m, m)
-            trace.rel_order[i] = tuple(idx.group_rel[idx.by_node[g0 : g0 + m]].tolist())
+        flat_psi = psi.data.copy()
+
+        def per_node(value_of: Callable[[int, int], object]) -> _FlatView:
+            def of(key):  # value_of(i, |R_i|) for a node i with edges
+                i = operator.index(key)
+                m = int(idx.node_count[i]) if 0 <= i < idx.node_count.size else 0
+                return value_of(i, m) if m else None
+
+            return _FlatView(lambda: np.flatnonzero(idx.node_count).tolist(), of)
+
+        trace.psi = per_node(lambda i, m: flat_psi[idx.pair_first[i] :][: m * m].reshape(m, m))
+        trace.rel_order = per_node(lambda i, m: idx.relations_of(i))
+    return trace
 
 
 def stack_forward(
@@ -325,7 +395,8 @@ def stack_forward(
     """Sequential composition of layers; defaults to one-hot input features.
 
     When ``x0`` is None the input is the identity matrix, giving every node
-    a unique one-hot feature vector.
+    a unique one-hot feature vector; it is never materialized (see
+    :func:`layer_forward`).
     """
     if not layers:
         raise ConfigurationError("stack_forward requires at least one layer")
@@ -334,7 +405,7 @@ def stack_forward(
             raise ConfigurationError(
                 f"layer dim chain mismatch: d_out={a.d_out} feeds d_in={b.d_in}"
             )
-    h = x0 if x0 is not None else Tensor(np.eye(graph.num_nodes))
+    h = x0
     traces = []
     for lay in layers:
         h, tr = layer_forward(

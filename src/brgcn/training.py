@@ -8,6 +8,7 @@ generator, so fixed-seed runs are bit-reproducible.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -326,10 +327,23 @@ class _Model:
             p.data = np.array(arrays[p.name], dtype=np.float64)
 
 
+def _check_memory(num_floats: int) -> None:
+    """Refuse parameters whose four float64 copies (with gradients and Adam moments) exceed RAM."""
+    need = 4 * 8 * num_floats
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else need
+    if need > have:
+        raise ConfigurationError(
+            f"parameters, gradients and Adam moments need about {need / 1e9:.1f} GB, more than "
+            f"this machine's {have / 1e9:.1f} GB of memory; set num_bases or lower hidden_units"
+        )
+
+
 def _layer_stack(
     rng: np.random.Generator, dims: Sequence[int], graph: hg.HeteroGraph, cfg: Hyperparameters
 ) -> list[BrgcnLayerParams]:
     """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``."""
+    r, b = graph.num_relations, cfg.num_bases
+    _check_memory(sum(BrgcnLayerParams.num_floats(i, o, r, b) for i, o in zip(dims, dims[1:])))
     return [
         BrgcnLayerParams.create(
             rng,

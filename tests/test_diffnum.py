@@ -15,7 +15,44 @@ from brgcn.diffnum import (
     record_op,
     save_checkpoint,
 )
+from brgcn.diffnum.tensor import _scatter_add
 from gradcheck import DeterminismError, grad_check
+
+
+class TestScatterAdd:
+    """``_scatter_add`` against ``np.add.at``, compared bit for bit."""
+
+    @staticmethod
+    def _check(index, values, n):
+        expected = np.zeros((n,) + values.shape[index.ndim :])
+        np.add.at(expected, index, values)
+        out = _scatter_add(index, values, n)
+        assert out.shape == expected.shape and out.dtype == np.float64
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("tail", [(), (4,), (3, 2)])
+    def test_repeated_indices_and_untouched_rows(self, tail):
+        rng = np.random.default_rng(len(tail))
+        index = np.array([3, 0, 3, 3, 7, 0, 3])  # rows 1, 2, 4, 5, 6 and 8 untouched
+        shape = index.shape + tail
+        # magnitudes 1e-12..1e12, so any other summation order changes the bits
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+        self._check(index, values, 9)
+
+    @pytest.mark.parametrize("tail", [(), (16,), (2, 3)])
+    def test_many_collisions(self, tail):
+        rng = np.random.default_rng(5)
+        index = rng.integers(0, 40, 3000)
+        shape = index.shape + tail
+        self._check(index, rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape), 50)
+
+    @pytest.mark.parametrize("tail", [(), (5,), (2, 3)])
+    def test_empty_index(self, tail):
+        self._check(np.zeros(0, dtype=np.intp), np.zeros((0,) + tail), 4)
+
+    def test_two_dimensional_index(self):
+        rng = np.random.default_rng(6)
+        self._check(rng.integers(0, 6, (4, 5)), rng.normal(size=(4, 5, 3)), 6)
 
 
 class TestForwardValues:

@@ -7,13 +7,14 @@ z_i^r through the node_only variant (see ``_gamma_and_z``).
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brgcn import diffnum as dn
 from brgcn.diffnum import Tensor
-from brgcn.hetgraph import HeteroGraph, augment, restrict_relations
+from brgcn.hetgraph import HeteroGraph, NodeLabels, augment, restrict_relations
 from brgcn.layer import (
     VARIANTS,
     BrgcnLayerParams,
@@ -21,7 +22,7 @@ from brgcn.layer import (
     layer_forward,
     stack_forward,
 )
-from brgcn.training import NodeClassificationModel, TrainConfig, nc_loss
+from brgcn.training import LinkPredictionModel, NodeClassificationModel, TrainConfig, nc_loss
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
 from synth import planted_graph
@@ -526,6 +527,143 @@ class TestRelationSlots:
             assert trace.psi.keys() == psis.keys()
             for i, psi in psis.items():
                 np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
+
+
+class TestIdentityInput:
+    """``h=None`` against an explicit ``np.eye`` input: the same bits, gradients and RNG stream."""
+
+    @staticmethod
+    def _step(identity, mode, num_bases, dropout):
+        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+        n = g.num_nodes
+        d_out = n if mode == "node_only" else 5
+        p = BrgcnLayerParams.create(
+            np.random.default_rng(3), n, d_out, g.num_relations, num_bases=num_bases, dropout=dropout
+        )
+        rng = np.random.default_rng(11)
+        rng.integers(0, 5)  # leaves the cached half of a 64-bit draw in the generator
+        h = None if identity else Tensor(np.eye(n))
+        with dn.Tape() as tape:
+            out, _ = layer_forward(p, h, g, mode=mode, training=dropout > 0, rng=rng)
+            tape.backward(dn.tsum(dn.mul(out, out)))
+        grads = [t.grad for t in p.params()]
+        return out.data, grads, rng.bit_generator.state, rng.integers(0, 5, 4), rng.random(4)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_bit_equal_to_explicit_identity(self, mode, num_bases, dropout):
+        out, grads, state, ints, draws = self._step(True, mode, num_bases, dropout)
+        ref_out, ref_grads, ref_state, ref_ints, ref_draws = self._step(False, mode, num_bases, dropout)
+        assert np.array_equal(out, ref_out)
+        assert [g is None for g in grads] == [g is None for g in ref_grads]
+        for g, ref in zip(grads, ref_grads):
+            assert g is None or np.array_equal(g, ref)
+        assert state == ref_state
+        assert np.array_equal(ints, ref_ints) and np.array_equal(draws, ref_draws)
+
+    def test_dropout_needs_a_generator_that_can_advance(self):
+        g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2)], num_nodes=3)
+        p = BrgcnLayerParams.create(np.random.default_rng(0), 3, 2, 1, dropout=0.5)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ConfigurationError, match="advance"):
+            layer_forward(p, None, g, training=True, rng=rng)
+        layer_forward(p, Tensor(np.eye(3)), g, training=True, rng=rng)  # dense input draws in full
+
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_one_hot_step_allocates_no_n_by_n_array(self, task):
+        # A one-hot forward+backward with dropout (2 NC layers, the default
+        # 1 encoder layer for LP) at N=3000, where one N x N float64 array is
+        # 72 MB.  The tape holds every intermediate, so the peak is its size.
+        n = 3000
+        rng = np.random.default_rng(5)
+        triples = np.column_stack(
+            [rng.integers(0, n, 2 * n), rng.integers(0, 3, 2 * n), rng.integers(0, n, 2 * n)]
+        )
+        g = augment(HeteroGraph.from_triples(triples, num_nodes=n), add_self_loop=True)
+        labels = NodeLabels(tuple(range(n)), {i: i % 2 for i in range(n)}, 2)
+        cfg = TrainConfig(hidden_units=16, dropout=0.4)
+        if task == "nc":
+            model = NodeClassificationModel.build(rng, g, 2, cfg)
+            loss = lambda: nc_loss(model.forward(g, training=True, rng=rng)[0], labels)  # noqa: E731
+        else:
+            model = LinkPredictionModel.build(rng, g, g.num_relations, cfg, "distmult")
+            loss = lambda: dn.tsum(model.embeddings(g, training=True, rng=rng))  # noqa: E731
+        g.index  # built once per graph, outside the step
+        tracemalloc.start()
+        try:
+            with dn.Tape() as tape:
+                tape.backward(loss())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in model.params() if p.name.startswith("layer0.w_"))
+        assert peak < n * n * 8
+
+
+class TestFlatTrace:
+    """The trace mappings against brute-force dicts built per (node, relation)."""
+
+    @staticmethod
+    def _graph_and_params():
+        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+        p = BrgcnLayerParams.create(np.random.default_rng(8), g.num_nodes, 4, g.num_relations)
+        return g, p
+
+    @pytest.mark.parametrize("mode", ["full", "relation_only"])
+    def test_keys_order_and_values_match_brute_force(self, mode):
+        g, p = self._graph_and_params()
+        n, num_rel = g.num_nodes, g.num_relations
+        _, trace = layer_forward(p, None, g, mode=mode)
+        a, wq, wk, wv = _oracle_weights(p)
+        _, gammas, psis = dense_layer_forward(
+            np.eye(n), g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
+        )
+        groups = [(i, r) for r in range(num_rel) for i in range(n) if g.neighbors(i, r)]
+        assert list(trace.gamma) == list(gammas) == groups
+        assert len(trace.gamma) == len(groups)
+        for (i, r), gamma in trace.gamma.items():
+            assert gamma.shape == (len(g.neighbors(i, r)),)
+            np.testing.assert_allclose(gamma, gammas[(i, r)], atol=1e-12)
+        nodes = [i for i in range(n) if g.relations_of(i)]
+        assert list(trace.psi) == list(trace.rel_order) == list(psis) == nodes
+        assert len(trace.psi) == len(trace.rel_order) == len(nodes)
+        for i, psi in trace.psi.items():
+            assert trace.rel_order[i] == tuple(r for r in range(num_rel) if g.neighbors(i, r))
+            np.testing.assert_allclose(psi, psis[i], atol=1e-12)
+
+    def test_absent_keys_raise_key_error(self):
+        g, p = self._graph_and_params()
+        n, num_rel = g.num_nodes, g.num_relations
+        _, trace = layer_forward(p, None, g)
+        missing = next((i, r) for r in range(num_rel) for i in range(n) if not g.neighbors(i, r))
+        for key in (missing, (0, num_rel), (0, -1), (-1, 0), (n, 0), (2**70, 0), (0,), "ab", None):
+            with pytest.raises(KeyError):
+                trace.gamma[key]
+            assert key not in trace.gamma
+        for key in (-1, n, 2**70, (0, 0), "a", None):
+            for mapping in (trace.psi, trace.rel_order):
+                with pytest.raises(KeyError):
+                    mapping[key]
+                assert key not in mapping
+        assert (0, 0) not in layer_forward(p, None, g, collect_trace=False)[1].gamma
+
+    def test_kept_traces_hold_no_per_group_objects(self):
+        g, p = self._graph_and_params()
+        idx = g.index
+        layer_forward(p, None, g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [layer_forward(p, None, g)[1] for _ in range(20)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 20 and idx.num_groups > 100
+        # One gamma and one psi copy plus a few fixed objects per trace; per-group
+        # arrays and dict entries would add about 280 bytes per group.
+        flat = 8 * (idx.heads.size + idx.pair_rows.size)
+        assert held < 20 * (flat + 8192)
 
 
 class TestDifferentiability:

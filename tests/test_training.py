@@ -2,6 +2,8 @@
 
 import logging
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
 from brgcn.diffnum import Tape, Tensor
-from brgcn.layer import ConfigurationError
+from brgcn.layer import BrgcnLayerParams, ConfigurationError
 from brgcn.training import (
     Adam,
     NodeClassificationModel,
@@ -318,6 +320,36 @@ class TestCheckpointArrays:
         with pytest.raises(ConfigurationError):
             model.load_arrays(arrays)
         assert all(np.array_equal(b, p.data) for b, p in zip(before, model.params()))
+
+
+class TestMemoryEstimate:
+    def test_paper_scale_model_without_bases_is_refused_before_allocating(self):
+        # BGS's sizes: 333,845 nodes and 207 relations (with inverses and self
+        # loops); a few triples suffice.  Layer 0's q/k/v alone are 26 GB.
+        n, num_rel = 333_845, 207
+        graph = hg.HeteroGraph.from_triples(
+            [(0, 0, 1), (1, 100, 2), (2, 206, 0)],
+            num_nodes=n,
+            relation_names=[f"r{k}" for k in range(num_rel)],
+        )
+        cfg = TrainConfig()  # 2 layers, 16 hidden units, no bases
+        floats = BrgcnLayerParams.num_floats(n, 16, num_rel) + BrgcnLayerParams.num_floats(16, 3, num_rel)
+        need = 4 * 8 * floats  # parameters, gradients and two Adam moments
+        if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            pytest.skip("this machine's memory would hold the model")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"about {need / 1e9:.1f} GB"):
+                NodeClassificationModel.build(np.random.default_rng(0), graph, 3, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 * n  # below one attention vector, the smallest layer-0 parameter
+
+    @pytest.mark.parametrize("num_bases", [0, 1, 3])
+    def test_num_floats_counts_what_create_allocates(self, num_bases):
+        p = BrgcnLayerParams.create(np.random.default_rng(0), 7, 5, 4, num_bases=num_bases)
+        assert sum(t.data.size for t in p.params()) == BrgcnLayerParams.num_floats(7, 5, 4, num_bases)
 
 
 class TestPipelines:
