@@ -1,13 +1,18 @@
 """Triple-scoring decoders for link prediction.
 
-Each scorer maps (head, relation, tail) embedding vectors to a raw
-plausibility score; higher means more plausible.  Scores are differentiable
-through the numeric substrate so decoders can be trained jointly with an
-encoder (auto-encoder mode) or over free entity embeddings (standalone mode).
+Each decoder maps (head, relation, tail) embedding vectors to a raw
+plausibility score; higher means more plausible.  Squashing is left to the
+loss, which applies the logistic sigmoid.
 
-Squashing is left to the loss: the logistic sigmoid is applied there, so all
-scorers return raw values here (this also keeps the circular-correlation
-scorer from being squashed twice).
+Every decoder is defined once, in its 1-N form (ConvE, Dettmers et al. 2018,
+arXiv:1707.01476): a query row built from (a, r) meets a feature row of b,
+
+    distmult, complex, hole   score(a, r, b) = query(F(a), F(r)) . F(b)
+    transe                    score(a, r, b) = -|| query(a, r) - b ||_2
+
+with F = :func:`features`, and head corruptions are tail queries with the
+:func:`inverse` relation.  These functions take taped Tensors (training,
+:func:`score_batch`) and numpy arrays (ranking, :class:`Scorer`) alike.
 """
 
 from __future__ import annotations
@@ -78,6 +83,80 @@ class DecoderParams:
         return out
 
 
+def features(kind: str, X):
+    """Rows of entities or relations in the space where the score is bilinear.
+
+    HolE maps each row to its Fourier spectrum, [Re || Im] of the conjugate
+    DFT: HolE is ComplEx over spectra, divided by d (Hayashi & Shimbo 2017,
+    arXiv:1702.05563).  The transform is a matmul with cosine and sine
+    matrices, so memory stays O(n d).  Every other kind uses the rows as
+    they are.
+    """
+    if kind != "hole":
+        return X
+    width = X.shape[-1]
+    angle = 2.0 * np.pi * (np.outer(np.arange(width), np.arange(width)) % width) / width
+    return X @ np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+
+
+def query(kind: str, A, R):
+    """Query rows of (a, r) pairs from their :func:`features` rows.
+
+    distmult: a * r
+    transe:   a + r
+    complex:  the complex product r a on [real || imag] halves
+    hole:     the complex product of the spectra, divided by d
+    """
+    if kind == "distmult":
+        return A * R
+    if kind == "transe":
+        return A + R
+    (a_re, a_im), (r_re, r_im) = _halves(A), _halves(R)
+    q = _join(r_re * a_re - r_im * a_im, r_re * a_im + r_im * a_re)
+    return q * (1.0 / a_re.shape[-1]) if kind == "hole" else q
+
+
+def inverse(kind: str, R):
+    """Relation :func:`features` rows r' with score(a, r, b) = score(b, r', a).
+
+    distmult is symmetric (r' = r), transe negates (-r), and complex and
+    hole conjugate (Re of a sum is Re of its conjugate).
+    """
+    if kind == "distmult":
+        return R
+    if kind == "transe":
+        return -R
+    re, im = _halves(R)
+    return _join(re, -im)
+
+
+def match(kind: str, Q, B):
+    """Scores of query rows against candidate :func:`features` rows, row by row."""
+    if kind == "transe":
+        D = Q - B
+        norm = dn.l2_norm(D, axis=1) if isinstance(D, Tensor) else np.sqrt(np.sum(D * D, axis=-1))
+        return -norm
+    P = Q * B
+    return dn.tsum(P, axis=1) if isinstance(P, Tensor) else np.sum(P, axis=-1)
+
+
+def _halves(X):
+    """The [real || imag] halves of (n, 2m) rows."""
+    m = X.shape[-1] // 2
+    if not isinstance(X, Tensor):
+        return X[..., :m], X[..., m:]
+    # Row 2i of the (2n, m) view is row i's real half, row 2i+1 its imaginary half.
+    n = X.shape[0]
+    halves = dn.reshape(X, (2 * n, m))
+    return dn.take(halves, np.arange(0, 2 * n, 2)), dn.take(halves, np.arange(1, 2 * n, 2))
+
+
+def _join(re, im):
+    if isinstance(re, Tensor):
+        return dn.concat([re, im], axis=1)
+    return np.concatenate([re, im], axis=-1)
+
+
 def score_batch(kind: str, H: Tensor, R: Tensor, T: Tensor) -> Tensor:
     """Raw confidence scores of n triples from gathered (n, width) row blocks; returns (n,).
 
@@ -86,35 +165,16 @@ def score_batch(kind: str, H: Tensor, R: Tensor, T: Tensor) -> Tensor:
     hole:     r . (h * t) with (h * t)_k = sum_m h_m t_{(m+k) mod d}
     complex:  Re(sum_k r_k h_k conj(t_k)) on stored [real || imag] halves
 
-    HolE is ComplEx over the discrete Fourier transforms of its arguments,
-    divided by d (Hayashi & Shimbo 2017, arXiv:1702.05563).  The transforms
-    are matmuls with cosine and sine matrices, so memory stays O(n d).
+    Each is computed through its 1-N form (:func:`query`, :func:`match`).
     """
     if kind not in KINDS:
         raise ConfigurationError(f"unknown decoder kind {kind!r}; expected one of {KINDS}")
     if not (H.shape == R.shape == T.shape) or H.ndim != 2:
         raise DimensionError(f"score_batch needs equal (n, width) blocks: {H.shape}, {R.shape}, {T.shape}")
-    n, width = H.shape
-    if kind == "distmult":
-        return dn.tsum(dn.mul(dn.mul(H, R), T), axis=1)
-    if kind == "transe":
-        return dn.neg(dn.l2_norm(dn.sub(dn.add(H, R), T), axis=1))
-    if kind == "hole":
-        angle = 2.0 * np.pi * (np.outer(np.arange(width), np.arange(width)) % width) / width
-        dft = np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
-        spectra = (dn.matmul(X, dft) for X in (H, R, T))
-        return dn.mul(score_batch("complex", *spectra), 1.0 / width)
-    if width % 2:
+    if kind == "complex" and H.shape[1] % 2:
         raise DimensionError("complex score expects even-width rows (real||imag)")
-    # Row 2i of the (2n, d) view is triple i's real half, row 2i+1 its imaginary half.
-    re, im = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
-    (h_re, h_im), (r_re, r_im), (t_re, t_im) = (
-        (dn.take(halves, re), dn.take(halves, im))
-        for halves in (dn.reshape(X, (2 * n, width // 2)) for X in (H, R, T))
-    )
-    real = dn.add(dn.mul(h_re, t_re), dn.mul(h_im, t_im))  # Re(h conj t)
-    imag = dn.sub(dn.mul(h_im, t_re), dn.mul(h_re, t_im))  # Im(h conj t)
-    return dn.tsum(dn.sub(dn.mul(r_re, real), dn.mul(r_im, imag)), axis=1)
+    H, R, T = (features(kind, X) for X in (H, R, T))
+    return match(kind, query(kind, H, R), T)
 
 
 def score(kind: str, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
@@ -132,6 +192,57 @@ def score_triples(decoder: DecoderParams, entity_emb: Tensor, triples) -> Tensor
     h, r, t = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
     H, R, T = dn.take(entity_emb, h), dn.take(decoder.rel_emb, r), dn.take(entity_emb, t)
     return score_batch(decoder.kind, H, R, T)
+
+
+class Scorer:
+    """A deterministic scorer ``scorer(h, r, t)``: ids broadcast, scores take their shape.
+
+    Entity and relation :func:`features` are computed once, here.  A block of
+    B queries against one row of M candidates, ``scorer(h[:, None], r[:, None],
+    ids)`` for tails or ``scorer(ids, r[:, None], t[:, None])`` for heads, is
+    one (B, w) @ (w, M) product (TransE: a row norm per query).  Other
+    broadcasts are scored row by row.  Plain numpy: nothing is taped, and
+    non-finite values are not trapped.
+    """
+
+    def __init__(self, kind: str, entity: np.ndarray, relation: np.ndarray):
+        if kind not in KINDS:
+            raise ConfigurationError(f"unknown decoder kind {kind!r}; expected one of {KINDS}")
+        self.kind = kind
+        self.entity = features(kind, np.asarray(entity, dtype=np.float64))
+        self.relation = features(kind, np.asarray(relation, dtype=np.float64))
+        self.inverse = inverse(kind, self.relation)
+        self._all = np.arange(len(self.entity))
+
+    def __call__(self, h, r, t) -> np.ndarray:
+        ids = [np.asarray(x) for x in (h, r, t)]
+        shape = np.broadcast(*ids).shape
+        if len(shape) <= 2:
+            # As 2-D views; an axis that broadcasts has size 1.
+            h2, r2, t2 = (x.reshape((1,) * (2 - x.ndim) + x.shape) for x in ids)
+            if r2.shape[1] == 1 and h2.shape[1] == 1 and t2.shape[0] == 1:
+                return self._block(h2[:, 0], self.relation[r2[:, 0]], t2[0]).reshape(shape)
+            if r2.shape[1] == 1 and t2.shape[1] == 1 and h2.shape[0] == 1:
+                return self._block(t2[:, 0], self.inverse[r2[:, 0]], h2[0]).reshape(shape)
+        h, r, t = (x.ravel() for x in np.broadcast_arrays(*ids))
+        q = query(self.kind, self.entity[h], self.relation[r])
+        return match(self.kind, q, self.entity[t]).reshape(shape)
+
+    def _block(self, a: np.ndarray, rel: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(B, M) scores of the queries (a, rel) against the candidates b.
+
+        ``a`` and the relation feature rows ``rel`` hold B entries, or one
+        that serves every query.
+        """
+        q = query(self.kind, self.entity[a], rel)
+        every = len(b) == len(self.entity) and (b == self._all).all()
+        cand = self.entity if every else self.entity[b]
+        if self.kind != "transe":
+            return q @ cand.T
+        out = np.empty((len(q), len(cand)))
+        for i, row in enumerate(q):
+            out[i] = match(self.kind, row, cand)
+        return out
 
 
 def ensemble_score(alpha_encoder: float, alpha_embedding: float, beta: float) -> float:

@@ -16,6 +16,8 @@ if TYPE_CHECKING:  # training imports this module for accuracy
 
 HITS_LEVELS = (1, 3, 10)
 
+SCORE_BLOCK_BYTES = 32 * 2**20  # cap on one ranking block's (B, N) float64 score matrix
+
 STRATEGIES = ("random", "top_attention", "bottom_attention")
 
 
@@ -66,10 +68,13 @@ def rank_triples(
     """Rank each test triple against all entity corruptions of its head and tail.
 
     ``score_fn(h, r, t)`` must broadcast over numpy id arrays and return
-    float scores; it is called twice per test triple, once with every entity
-    as the tail and once with every entity as the head.  Ties break
-    pessimistically: the true triple ranks after every candidate with an
-    equal score.  The filtered rank drops candidates that are known
+    finite float scores.  The test triples are ranked in blocks of B, with
+    one call per direction per block: ``score_fn(h[:, None], r[:, None],
+    ids)`` scores every entity as the tail of each block triple and
+    ``score_fn(ids, r[:, None], t[:, None])`` every entity as its head, each
+    a (B, num_entities) array; B keeps that array within SCORE_BLOCK_BYTES.
+    Ties break pessimistically: the true triple ranks after every candidate
+    with an equal score.  The filtered rank drops candidates that are known
     positives (anything in ``known_positives`` other than the target, which
     should normally be the union of train, valid and test triples).  The
     summary reports MRR and Hits@{1,3,10} in both settings, averaged over
@@ -86,26 +91,45 @@ def rank_triples(
     # no key aliases into another query's slice.
     known = hg.triple_array(known_positives)
     known = known[_in_range(known, n, num_rel)]
-    by_head = np.unique(hg.triple_keys(known, num_rel, n))
-    by_tail = np.unique(hg.triple_keys(known[:, ::-1], num_rel, n))
-    tail_queries = hg.triple_keys(test * (1, 1, 0), num_rel, n).tolist()  # key(h, r, 0)
-    head_queries = hg.triple_keys(test[:, ::-1] * (1, 1, 0), num_rel, n).tolist()  # key(t, r, 0)
+    by_head = _sorted_set(hg.triple_keys(known, num_rel, n))
+    by_tail = _sorted_set(hg.triple_keys(known[:, ::-1], num_rel, n))
+    tail_first = hg.triple_keys(test * (1, 1, 0), num_rel, n)  # key(h, r, 0)
+    head_first = hg.triple_keys(test[:, ::-1] * (1, 1, 0), num_rel, n)  # key(t, r, 0)
 
-    def rank(scores, target: int, keys: np.ndarray, first: int) -> tuple[int, int]:
+    def rank(scores, block: slice, side: int, keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """(B, 2) raw and filtered ranks of the column-``side`` ids of ``test[block]``."""
+        target = test[block, side]
+        b, rows = len(target), np.arange(len(target))
         scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (n,):
-            raise EvalError(f"score_fn returned shape {scores.shape} for {n} candidates")
-        ahead = scores >= scores[target]
-        ahead[target] = False
-        lo, hi = np.searchsorted(keys, (first, first + n))
-        raw = 1 + int(np.count_nonzero(ahead))
-        return raw, raw - int(np.count_nonzero(ahead[keys[lo:hi] - first]))
+        if scores.shape != (b, n):
+            raise EvalError(f"score_fn returned shape {scores.shape} for {b} queries x {n} candidates")
+        finite = np.isfinite(scores)
+        if not finite.all():
+            bad = test[block][np.flatnonzero(~finite.all(axis=1))[0]]
+            raise EvalError(f"score_fn returned a non-finite score for test triple {tuple(bad.tolist())}")
+        ahead = scores >= scores[rows, target][:, None]
+        ahead[rows, target] = False
+        raw = 1 + np.count_nonzero(ahead, axis=1)
+        # Row i's known candidates are keys[lo[i]:hi[i]] - first[i]; gather
+        # every row's slice at once, with the row that owns each key.
+        lo, hi = np.searchsorted(keys, first), np.searchsorted(keys, first + n)
+        count = hi - lo
+        owner = np.repeat(rows, count)
+        at = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        known_ahead = owner[ahead[owner, keys[at] - first[owner]]]
+        return np.stack([raw, raw - np.bincount(known_ahead, minlength=b)], axis=1)
 
-    results, entities = [], np.arange(n)
-    for (h, r, t), tail_query, head_query in zip(test.tolist(), tail_queries, head_queries):
-        raw_t, filt_t = rank(score_fn(h, r, entities), t, by_head, tail_query)
-        raw_h, filt_h = rank(score_fn(entities, r, t), h, by_tail, head_query)
-        results.append(RankResult((h, r, t), raw_h, raw_t, filt_h, filt_t))
+    # Columns in RankResult order: raw head, raw tail, filtered head, filtered tail.
+    table = np.empty((len(test), 4), dtype=np.int64)
+    entities, step = np.arange(n), max(1, SCORE_BLOCK_BYTES // (8 * max(n, 1)))
+    for start in range(0, len(test), step):
+        block = slice(start, start + step)
+        h, r, t = test[block].T
+        tails = score_fn(h[:, None], r[:, None], entities)
+        table[block, 1::2] = rank(tails, block, 2, by_head, tail_first[block])
+        heads = score_fn(entities, r[:, None], t[:, None])
+        table[block, 0::2] = rank(heads, block, 0, by_tail, head_first[block])
+    results = [RankResult(tuple(x), *row) for x, row in zip(test.tolist(), table.tolist())]
 
     summary = {}
     for setting, ranks in (
@@ -116,6 +140,14 @@ def rank_triples(
         for k in HITS_LEVELS:
             summary[f"hits@{k}_{setting}"] = sum(x <= k for x in ranks) / len(ranks) if ranks else math.nan
     return results, summary
+
+
+def _sorted_set(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending: a sort and one neighbour compare."""
+    keys = np.sort(keys)
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
 
 
 def _in_range(triples: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:

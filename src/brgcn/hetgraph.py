@@ -16,8 +16,10 @@ and kept.  Membership tests compare the int64 keys of :func:`triple_keys`.
 from __future__ import annotations
 
 import logging
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,6 +63,12 @@ def triple_keys(triples, num_relations: int, num_nodes: int) -> np.ndarray:
 
 def triple_array(triples) -> np.ndarray:
     """``triples``, an array or any iterable of id triples, as an (E, 3) int64 array."""
+    if isinstance(triples, AbstractSet):
+        # A set's tuples are read once, as one run of ids, with no list of them.
+        if triples and set(map(len, triples)) != {3}:
+            raise GraphError("triples must be (head, relation, tail) tuples of three ids")
+        ids = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
+        return ids.reshape(-1, 3)
     if not isinstance(triples, np.ndarray):
         triples = list(triples)
     return np.asarray(triples, dtype=np.int64).reshape(-1, 3)

@@ -471,17 +471,12 @@ class LinkPredictionModel(_Model):
         return h
 
     def score_fn(self, graph: hg.HeteroGraph) -> Callable[..., np.ndarray]:
-        """A deterministic eval-mode scorer ``fn(h, r, t)`` that broadcasts over id arrays."""
-        emb = self.embeddings(graph).data
-        rel = self.decoder.rel_emb.data
-        kind = self.decoder.kind
+        """A deterministic eval-mode scorer ``fn(h, r, t)`` that broadcasts over id arrays.
 
-        def fn(h, r, t) -> np.ndarray:
-            ids = np.broadcast_arrays(h, r, t)
-            rows = (Tensor(table[x.ravel()]) for table, x in zip((emb, rel, emb), ids))
-            return dec.score_batch(kind, *rows).data.reshape(ids[0].shape)
-
-        return fn
+        The entity and relation features are computed once, here; see
+        :class:`decoders.Scorer` for the calls it answers with one matmul.
+        """
+        return dec.Scorer(self.decoder.kind, self.embeddings(graph).data, self.decoder.rel_emb.data)
 
 
 # ---------------------------------------------------------------------------

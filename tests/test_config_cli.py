@@ -277,7 +277,8 @@ def _write_lp_dataset(tmp_path):
 
 
 class TestCliLinkPrediction:
-    def test_train_eval_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("decoder", ["distmult", "transe", "hole", "complex"])
+    def test_train_eval_roundtrip(self, tmp_path, decoder):
         triples, train, test = _write_lp_dataset(tmp_path)
         cfg = _cfg_file(
             tmp_path,
@@ -285,7 +286,7 @@ class TestCliLinkPrediction:
 triples_path = {triples}
 train_triples_path = {train}
 test_triples_path = {test}
-decoder = distmult
+decoder = {decoder}
 hidden_units = 8
 epochs = 30
 dropout = 0.0
@@ -351,3 +352,44 @@ lr = 0.05
         assert code == 0
         results = json.loads((tmp_path / "ens" / "results.json").read_text())
         assert "mrr_filtered" in results
+
+    def test_ensemble_eval_with_standalone_hole(self, tmp_path):
+        # The encoder model and the standalone embedding model both score with HolE.
+        triples, train, test = _write_lp_dataset(tmp_path)
+        base = f"""task = link_prediction
+triples_path = {triples}
+train_triples_path = {train}
+test_triples_path = {test}
+decoder = hole
+hidden_units = 8
+epochs = 15
+dropout = 0.0
+lr = 0.05
+"""
+        enc_cfg = _cfg_file(tmp_path, base + f"output_dir = {tmp_path / 'enc'}\n", "enc.cfg")
+        emb_cfg = _cfg_file(
+            tmp_path, base + f"standalone_decoder = true\noutput_dir = {tmp_path / 'emb'}\n", "emb.cfg"
+        )
+        assert main(["train-lp", "--config", str(enc_cfg)]) == 0
+        assert main(["train-lp", "--config", str(emb_cfg)]) == 0
+        code = main(
+            [
+                "eval",
+                "--config",
+                str(enc_cfg),
+                "--set",
+                f"checkpoint={tmp_path / 'enc' / 'seed_0' / 'checkpoint.npz'}",
+                "--set",
+                f"ensemble_checkpoint={tmp_path / 'emb' / 'seed_0' / 'checkpoint.npz'}",
+                "--set",
+                "beta=0.4",
+                "--set",
+                f"output_dir={tmp_path / 'ens'}",
+            ]
+        )
+        assert code == 0
+        results = json.loads((tmp_path / "ens" / "results.json").read_text())
+        assert results["mrr_filtered"] >= results["mrr_raw"]
+        for setting in ("raw", "filtered"):
+            hits = [results[f"hits@{k}_{setting}"] for k in (1, 3, 10)]
+            assert 0.0 <= hits[0] <= hits[1] <= hits[2] <= 1.0

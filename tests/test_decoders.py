@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from brgcn import diffnum as dn
-from brgcn.decoders import DecoderParams, ensemble_score, score, score_batch, score_triples
+from brgcn.decoders import (
+    DecoderParams,
+    Scorer,
+    ensemble_score,
+    score,
+    score_batch,
+    score_triples,
+)
 from brgcn.diffnum import DimensionError, Tensor
 from brgcn.layer import ConfigurationError
 from gradcheck import grad_check
@@ -99,6 +106,57 @@ class TestScoreBatch:
             score_batch("complex", block, block, block)
         with pytest.raises(ConfigurationError):
             score_batch("rotate", block, block, block)
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    """Every entry within ``rel`` of the largest reference magnitude."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+class TestScorer:
+    """The 1-N scorer against per-triple :func:`score`, one randomized oracle."""
+
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    def test_matches_per_triple_scores(self, kind):
+        rng = np.random.default_rng(20)
+        n, num_rel = 9, 3
+        E, R = rng.normal(size=(n, WIDTHS[kind])), rng.normal(size=(num_rel, WIDTHS[kind]))
+        scorer = Scorer(kind, E, R)
+        reference = np.vectorize(
+            lambda h, r, t: score(kind, Tensor(E[h]), Tensor(R[r]), Tensor(E[t])).item(),
+            otypes=[float],
+        )
+        ids = np.arange(n)
+        for b in (1, 3):
+            h, r, t = rng.integers(0, [n, num_rel, n], size=(b, 3)).T
+            # query blocks in both directions, as rank_triples calls them
+            tails = scorer(h[:, None], r[:, None], ids)
+            heads = scorer(ids, r[:, None], t[:, None])
+            assert_close_to_scale(tails, reference(h[:, None], r[:, None], ids))
+            assert_close_to_scale(heads, reference(ids, r[:, None], t[:, None]))
+            # candidates in another order, all of them or a subset
+            for cand in (rng.permutation(n), rng.permutation(n)[:4]):
+                want = reference(h[:, None], r[:, None], cand)
+                assert_close_to_scale(scorer(h[:, None], r[:, None], cand), want)
+        # every other broadcast: one triple, aligned vectors, a candidate
+        # column, one relation for all queries, and a 3-D grid
+        h, r, t = rng.integers(0, [n, num_rel, n], size=(6, 3)).T
+        for args in (
+            (h[0], r[0], t[0]),
+            (h, r, t),
+            (ids[:, None], r[0], t[0]),
+            (h[:, None], r[0], ids),
+            (h.reshape(2, 3, 1), r.reshape(2, 3, 1), ids),
+        ):
+            got = scorer(*args)
+            assert got.shape == np.broadcast(*args).shape
+            assert_close_to_scale(got, reference(*args))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigurationError):
+            Scorer("rotate", np.zeros((2, 2)), np.zeros((1, 2)))
 
 
 class TestIdentities:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from brgcn import evalkit
 from brgcn import hetgraph as hg
+from brgcn.decoders import score
+from brgcn.diffnum import Tape, Tensor
 from brgcn.evalkit import (
     AblationSplit,
     EvalError,
@@ -14,8 +17,8 @@ from brgcn.evalkit import (
     relation_attention_score,
 )
 from brgcn.layer import AttentionTrace
-from brgcn.training import TrainConfig
-from synth import planted_graph
+from brgcn.training import LinkPredictionModel, TrainConfig
+from synth import memorization_kg, planted_graph
 
 
 class TestAccuracy:
@@ -188,6 +191,90 @@ class TestRanking:
         graph, _ = self._toy()
         with pytest.raises(EvalError):
             rank_triples(lambda h, r, t: 1.0, graph.triples, 4, graph.triple_set)
+
+    @pytest.mark.parametrize("bad", [(0, 0, 1), (0, 0, 3), (2, 0, 1)], ids=["nan-target", "inf-tail", "inf-head"])
+    def test_non_finite_scores_rejected(self, bad):
+        # A NaN target would rank 1 (every ``>= nan`` is false); an infinite
+        # candidate has no meaningful place either.
+        table = np.zeros((4, 2, 4))
+        table[bad] = np.nan if bad == (0, 0, 1) else np.inf
+
+        def score_fn(h, r, t):
+            return table[h, r, t]
+
+        with pytest.raises(EvalError, match="non-finite"):
+            rank_triples(score_fn, [(0, 0, 1)], 4, [(0, 0, 1)])
+
+    def test_repeated_known_positives_count_once(self):
+        # Each known positive listed twice must still drop its candidate once.
+        rng = np.random.default_rng(14)
+        n = 12
+        table = rng.integers(0, 4, size=(n, 2, n)).astype(float)
+
+        def score_fn(h, r, t):
+            return table[h, r, t]
+
+        known = [tuple(int(x) for x in row) for row in rng.integers(0, [n, 2, n], size=(60, 3))]
+        results, _ = rank_triples(score_fn, known[:12], n, known * 2)
+        for res in results:
+            want = brute_force_ranks(score_fn, res.triple, n, set(known), True)
+            assert (res.filt_rank_head, res.filt_rank_tail) == want, res.triple
+        assert any(res.filt_rank_tail < res.raw_rank_tail for res in results)
+
+
+class TestModelScorerRanking:
+    """rank_triples over ``LinkPredictionModel.score_fn``, the 1-N path."""
+
+    @staticmethod
+    def _model(kind: str, width: int, seed: int):
+        graph = memorization_kg(num_entities=12, num_triples=30, seed=seed)
+        cfg = TrainConfig(task="link_prediction", hidden_units=width)
+        rng = np.random.default_rng(seed)
+        model = LinkPredictionModel.build(rng, graph, graph.num_relations, cfg, kind, standalone=True)
+        return graph, model, rng
+
+    # HolE's Fourier transform is exact only at d = 1 (cos 0 and sin 0), so
+    # only there do integer embeddings give it exact ties.
+    @pytest.mark.parametrize("kind,width", [("distmult", 3), ("transe", 3), ("complex", 4), ("hole", 1)])
+    def test_integer_embeddings_rank_like_brute_force(self, kind, width, monkeypatch):
+        # Entries in {-1, 0, 1} make many scores exactly equal, and every
+        # route to a score is exact on them, so the ranks must equal the
+        # brute-force pessimistic ranks.  A 3-row block budget splits the
+        # 10 test triples into blocks of 3, 3, 3 and 1.
+        graph, model, rng = self._model(kind, width, seed=5)
+        for table in (model.decoder.entity_emb.data, model.decoder.rel_emb.data):
+            table[:] = rng.integers(-1, 2, size=table.shape)
+        E, R = model.decoder.entity_emb.data, model.decoder.rel_emb.data
+
+        def exact(h, r, t):
+            return score(kind, Tensor(E[h]), Tensor(R[r]), Tensor(E[t])).item()
+
+        n = graph.num_nodes
+        monkeypatch.setattr(evalkit, "SCORE_BLOCK_BYTES", 3 * 8 * n)
+        known = graph.triple_set
+        tests = [tuple(x) for x in graph.triples[::3].tolist()]
+        results, _ = rank_triples(model.score_fn(graph), tests, n, known)
+        assert [res.triple for res in results] == tests
+        ties = 0
+        for res in results:
+            for filtered in (False, True):
+                want = brute_force_ranks(exact, res.triple, n, known, filtered)
+                got = (
+                    (res.filt_rank_head, res.filt_rank_tail)
+                    if filtered
+                    else (res.raw_rank_head, res.raw_rank_tail)
+                )
+                assert got == want, (res.triple, filtered)
+            h, r, t = res.triple
+            ties += sum(exact(h, r, c) == exact(h, r, t) for c in range(n) if c != t)
+        assert ties  # tails tied with the target exist to break
+
+    @pytest.mark.parametrize("kind", ["distmult", "transe", "hole", "complex"])
+    def test_ranking_records_nothing_on_an_active_tape(self, kind):
+        graph, model, _ = self._model(kind, 4, seed=6)
+        with Tape() as tape:
+            rank_triples(model.score_fn(graph), graph.triples, graph.num_nodes, graph.triples)
+        assert len(tape) == 0
 
 
 class TestRelationAttentionScore:

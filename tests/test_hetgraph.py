@@ -180,6 +180,23 @@ class TestIndexInvariants:
             assert rebuilt == g
             assert rebuilt.duplicates_removed == 0
 
+    def test_triple_array_from_any_iterable(self):
+        rows = [(2, 0, 1), (0, 1, 2), (1, 0, 0)]
+        want = np.array(rows, dtype=np.int64)
+        for given in (rows, tuple(rows), iter(rows), (np.array(x) for x in rows), want):
+            got = hetgraph.triple_array(given)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        for as_set in (set(rows), frozenset(rows)):
+            got = hetgraph.triple_array(as_set)
+            assert got.dtype == np.int64 and sorted(map(tuple, got.tolist())) == sorted(rows)
+        assert hetgraph.triple_array(set()).shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [{(0, 1)}, {(0, 1, 2, 3)}, {(0, 1), (2, 3, 4, 5)}])
+    def test_triple_array_rejects_set_tuples_of_other_lengths(self, rows):
+        # The ids of a set are read as one run, so row lengths are checked first.
+        with pytest.raises(GraphError):
+            hetgraph.triple_array(rows)
+
     def test_triples_are_read_only(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2)])
         assert g.triples.dtype == np.int64 and g.triples.shape == (2, 3)
