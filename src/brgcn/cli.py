@@ -2,8 +2,10 @@
 
 Subcommands: ``train-nc``, ``train-lp``, ``eval``, ``ablate``,
 ``export-attention``.  Each takes ``--config FILE`` plus repeatable
-``--set key=value`` overrides.  Exit codes: 0 success, 2 configuration or
-input problems, 3 numeric failure during training.
+``--set key=value`` overrides.  The config's ``task`` chooses the pipeline;
+``train-nc`` and ``ablate`` refuse any task but ``node_classification``,
+``train-lp`` any but ``link_prediction``.  Exit codes: 0 success, 2
+configuration or input problems, 3 numeric failure during training.
 
 Artifacts land under ``output_dir``: a ``config.resolved`` snapshot at the
 root, and per seed a ``metrics.csv`` (``epoch,loss,train_acc,val_metric``)
@@ -74,34 +76,25 @@ def _resolve_split(parts: dict[str, tuple[int, ...] | None], universe) -> hg.Spl
     return split
 
 
-def _load_nc_data(cfg: ExperimentConfig):
-    _require(cfg, "triples_path", "labels_path")
-    graph = hg.load_triples(cfg.triples_path, cfg.triples_format)
-    labels = hg.load_labels(cfg.labels_path, graph)
-    labels.validate(graph)
-    parts = {
-        "train": hg.load_node_split(cfg.train_nodes_path, graph) if cfg.train_nodes_path else None,
-        "valid": hg.load_node_split(cfg.valid_nodes_path, graph) if cfg.valid_nodes_path else None,
-        "test": hg.load_node_split(cfg.test_nodes_path, graph) if cfg.test_nodes_path else None,
-    }
-    return graph, labels, _resolve_split(parts, labels.labeled_ids)
+def _load_data(cfg: ExperimentConfig):
+    """The graph, labels (None for link prediction) and split of ``cfg.task``.
 
-
-def _load_lp_data(cfg: ExperimentConfig):
-    _require(cfg, "triples_path")
+    Splits are read from the task's ``*_nodes_path`` or ``*_triples_path`` keys.
+    """
+    nc = cfg.task == "node_classification"
+    _require(cfg, "triples_path", *(("labels_path",) if nc else ()))
     graph = hg.load_triples(cfg.triples_path, cfg.triples_format)
-    parts = {
-        "train": hg.load_triple_split(cfg.train_triples_path, graph)
-        if cfg.train_triples_path
-        else None,
-        "valid": hg.load_triple_split(cfg.valid_triples_path, graph)
-        if cfg.valid_triples_path
-        else None,
-        "test": hg.load_triple_split(cfg.test_triples_path, graph)
-        if cfg.test_triples_path
-        else None,
-    }
-    return graph, _resolve_split(parts, range(graph.num_triples))
+    labels, kind, load = None, "triples", hg.load_triple_split
+    if nc:
+        labels = hg.load_labels(cfg.labels_path, graph)
+        labels.validate(graph)
+        kind, load = "nodes", hg.load_node_split
+    parts = {}
+    for part in ("train", "valid", "test"):
+        path = getattr(cfg, f"{part}_{kind}_path")
+        parts[part] = load(path, graph) if path else None
+    universe = labels.labeled_ids if nc else range(graph.num_triples)
+    return graph, labels, _resolve_split(parts, universe)
 
 
 def _prepare_output(cfg: ExperimentConfig) -> Path:
@@ -111,11 +104,8 @@ def _prepare_output(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_metrics(path: Path, rows) -> None:
-    lines = ["epoch,loss,train_acc,val_metric"]
-    for epoch, loss, train_acc, val in rows:
-        lines.append(f"{epoch},{loss!r},{train_acc!r},{val}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, lines) -> None:
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -127,97 +117,70 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_train_nc(cfg: ExperimentConfig) -> int:
-    graph, labels, split = _load_nc_data(cfg)
+def _cmd_train(cfg: ExperimentConfig) -> int:
+    graph, labels, split = _load_data(cfg)
     out = _prepare_output(cfg)
     for seed in cfg.seeds:
-        run = train_node_classifier(
-            graph, labels, split, cfg.to_train_config(seed), variant=cfg.variant
-        )
+        train_cfg = cfg.to_train_config(seed)
+        if labels is None:
+            run = train_link_predictor(
+                graph, split, train_cfg, cfg.decoder, standalone=cfg.standalone_decoder
+            )
+            accuracy = ""
+        else:
+            run = train_node_classifier(graph, labels, split, train_cfg, variant=cfg.variant)
+            accuracy = f", train acc {run.train_accuracy:.2f}%"
+            if run.test_accuracy is not None:
+                accuracy += f", test acc {run.test_accuracy:.2f}%"
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
-        _write_metrics(seed_dir / "metrics.csv", run.metrics_rows)
+        rows = [f"{epoch},{loss!r},{acc!r},{val}" for epoch, loss, acc, val in run.metrics_rows]
+        _write_csv(seed_dir / "metrics.csv", "epoch,loss,train_acc,val_metric", rows)
         save_checkpoint(seed_dir / "checkpoint.npz", run.model.state_arrays())
-        msg = f"seed {seed}: final loss {run.loss_curve[-1]:.6f}, train acc {run.train_accuracy:.2f}%"
-        if run.test_accuracy is not None:
-            msg += f", test acc {run.test_accuracy:.2f}%"
-        print(msg)
+        print(f"seed {seed}: final loss {run.loss_curve[-1]:.6f}{accuracy}")
     return 0
 
 
-def _cmd_train_lp(cfg: ExperimentConfig) -> int:
-    graph, split = _load_lp_data(cfg)
-    out = _prepare_output(cfg)
-    for seed in cfg.seeds:
-        run = train_link_predictor(
-            graph,
-            split,
-            cfg.to_train_config(seed),
-            cfg.decoder,
-            standalone=cfg.standalone_decoder,
+def _restore(cfg: ExperimentConfig, graph, labels, split, checkpoint, standalone):
+    """The run graph of ``cfg.task`` and the model loaded from ``checkpoint`` onto it."""
+    rng = np.random.default_rng(cfg.seeds[0])
+    train_cfg = cfg.to_train_config(cfg.seeds[0])
+    g = run_graph(graph, cfg, split.train if labels is None else None)
+    if labels is None:
+        model = LinkPredictionModel.build(
+            rng, g, graph.num_relations, train_cfg, cfg.decoder, standalone=standalone
         )
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        _write_metrics(seed_dir / "metrics.csv", run.metrics_rows)
-        save_checkpoint(seed_dir / "checkpoint.npz", run.model.state_arrays())
-        print(f"seed {seed}: final loss {run.loss_curve[-1]:.6f}")
-    return 0
-
-
-def _build_nc_model(cfg: ExperimentConfig, graph_aug, num_classes):
-    rng = np.random.default_rng(cfg.seeds[0])
-    model = NodeClassificationModel.build(
-        rng, graph_aug, num_classes, cfg.to_train_config(cfg.seeds[0]), variant=cfg.variant
-    )
-    model.load_arrays(load_checkpoint(cfg.checkpoint))
-    return model
-
-
-def _build_lp_model(cfg: ExperimentConfig, graph_aug, num_score_relations, checkpoint, standalone):
-    rng = np.random.default_rng(cfg.seeds[0])
-    model = LinkPredictionModel.build(
-        rng,
-        graph_aug,
-        num_score_relations,
-        cfg.to_train_config(cfg.seeds[0]),
-        cfg.decoder,
-        standalone=standalone,
-    )
+    else:
+        model = NodeClassificationModel.build(
+            rng, g, labels.num_classes, train_cfg, variant=cfg.variant
+        )
     model.load_arrays(load_checkpoint(checkpoint))
-    return model
+    return g, model
 
 
 def _cmd_eval(cfg: ExperimentConfig) -> int:
     _require(cfg, "checkpoint")
     out = _prepare_output(cfg)
-    if cfg.task == "node_classification":
-        graph, labels, split = _load_nc_data(cfg)
-        g = run_graph(graph, cfg)
-        model = _build_nc_model(cfg, g, labels.num_classes)
-        pred = model.predict(g)
-        results = {"task": cfg.task}
-        for name, ids in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-            if ids:
-                results[f"accuracy_{name}"] = evalkit.accuracy(pred, labels, ids)
-    else:
-        graph, split = _load_lp_data(cfg)
-        if not split.test:
-            raise UsageError("link-prediction eval needs a non-empty test split")
-        g_enc = run_graph(graph, cfg, split.train)
-        model = _build_lp_model(
-            cfg, g_enc, graph.num_relations, cfg.checkpoint, cfg.standalone_decoder
-        )
-        fn = model.score_fn(g_enc)
+    graph, labels, split = _load_data(cfg)
+    if labels is None and not split.test:
+        raise UsageError("link-prediction eval needs a non-empty test split")
+    g, model = _restore(cfg, graph, labels, split, cfg.checkpoint, cfg.standalone_decoder)
+    results = {"task": cfg.task}
+    if labels is None:
+        fn = model.score_fn(g)
         if cfg.ensemble_checkpoint is not None:
-            emb_model = _build_lp_model(
-                cfg, g_enc, graph.num_relations, cfg.ensemble_checkpoint, standalone=True
-            )
-            fn_emb = emb_model.score_fn(g_enc)
+            _, emb_model = _restore(cfg, graph, labels, split, cfg.ensemble_checkpoint, True)
+            fn_emb = emb_model.score_fn(g)
             enc_fn = fn
             fn = lambda h, r, t: ensemble_score(enc_fn(h, r, t), fn_emb(h, r, t), cfg.beta)
         test_triples = graph.triples[list(split.test)]
         _, summary = evalkit.rank_triples(fn, test_triples, graph.num_nodes, graph.triples)
-        results = {"task": cfg.task, **summary}
+        results.update(summary)
+    else:
+        pred = model.predict(g)
+        for name, ids in (("train", split.train), ("valid", split.valid), ("test", split.test)):
+            if ids:
+                results[f"accuracy_{name}"] = evalkit.accuracy(pred, labels, ids)
     _write_json(out / "results.json", results)
     for key in sorted(results):
         if key != "task":
@@ -228,18 +191,14 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
 def _cmd_export_attention(cfg: ExperimentConfig) -> int:
     _require(cfg, "checkpoint")
     out = _prepare_output(cfg)
-    if cfg.task == "node_classification":
-        graph, labels, _ = _load_nc_data(cfg)
-        g = run_graph(graph, cfg)
-        model = _build_nc_model(cfg, g, labels.num_classes)
-        _, traces = model.forward(g, collect_trace=True)
-    else:
-        graph, split = _load_lp_data(cfg)
-        if cfg.standalone_decoder:
-            raise UsageError("a standalone decoder has no attention to export")
-        g = run_graph(graph, cfg, split.train)
-        model = _build_lp_model(cfg, g, graph.num_relations, cfg.checkpoint, standalone=False)
+    graph, labels, split = _load_data(cfg)
+    if labels is None and cfg.standalone_decoder:
+        raise UsageError("a standalone decoder has no attention to export")
+    g, model = _restore(cfg, graph, labels, split, cfg.checkpoint, standalone=False)
+    if labels is None:
         _, traces = stack_forward(model.encoder, None, g, collect_trace=True)
+    else:
+        _, traces = model.forward(g, collect_trace=True)
     payload = {
         "relations": {str(r): name for r, name in enumerate(g.relation_names)},
         "layers": [
@@ -257,7 +216,7 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_ablate(cfg: ExperimentConfig) -> int:
-    graph, labels, split = _load_nc_data(cfg)
+    graph, labels, split = _load_data(cfg)
     out = _prepare_output(cfg)
     report = evalkit.ablate(
         graph,
@@ -269,10 +228,8 @@ def _cmd_ablate(cfg: ExperimentConfig) -> int:
         seeds=cfg.seeds,
         variant=cfg.variant,
     )
-    lines = ["strategy,fraction,seed,accuracy"]
-    for strategy, fraction, seed, acc in report.rows:
-        lines.append(f"{strategy},{fraction!r},{seed},{acc!r}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [f"{name},{fraction!r},{seed},{acc!r}" for name, fraction, seed, acc in report.rows]
+    _write_csv(out / "ablation.csv", "strategy,fraction,seed,accuracy", rows)
     _write_json(
         out / "relation_scores.json",
         {
@@ -287,12 +244,13 @@ def _cmd_ablate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# Each subcommand's function and the task it serves; None serves the config's task.
 _COMMANDS = {
-    "train-nc": _cmd_train_nc,
-    "train-lp": _cmd_train_lp,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "export-attention": _cmd_export_attention,
+    "train-nc": (_cmd_train, "node_classification"),
+    "train-lp": (_cmd_train, "link_prediction"),
+    "eval": (_cmd_eval, None),
+    "ablate": (_cmd_ablate, "node_classification"),
+    "export-attention": (_cmd_export_attention, None),
 }
 
 
@@ -326,8 +284,11 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
 
+    command, task = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg)
+        if task not in (None, cfg.task):
+            raise UsageError(f"{args.command} needs task = {task}, got task = {cfg.task}")
+        return command(cfg)
     except (UsageError, hg.GraphError, ConfigurationError, CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,6 +279,23 @@ class HeteroGraph:
 # ---------------------------------------------------------------------------
 
 
+def _lines(path, what: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and text of each content line of ``path``.
+
+    Raises ``GraphError("<what> file not found: ...")`` for a missing file.
+    Line endings are stripped; blank lines and ``#`` comment lines (indented
+    or not) are skipped but still counted.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise GraphError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
+
+
 def _parse_tsv_line(line: str, lineno: int) -> tuple[str, str, str]:
     parts = line.split("\t")
     if len(parts) != 3:
@@ -346,23 +363,15 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     if format not in ("tsv", "ntriples"):
         raise GraphError(f"unknown triple format {format!r}")
     path = Path(path)
-    if not path.exists():
-        raise GraphError(f"triple file not found: {path}")
+    parse = _parse_tsv_line if format == "tsv" else _parse_ntriples_line
     node_ids: dict[str, int] = {}
     rel_ids: dict[str, int] = {}
     triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if format == "tsv":
-                h, r, t = _parse_tsv_line(line, lineno)
-            else:
-                h, r, t = _parse_ntriples_line(line, lineno)
-            head = node_ids.setdefault(h, len(node_ids))
-            rel = rel_ids.setdefault(r, len(rel_ids))
-            triples.append((head, rel, node_ids.setdefault(t, len(node_ids))))
+    for lineno, line in _lines(path, "triple"):
+        h, r, t = parse(line, lineno)
+        head = node_ids.setdefault(h, len(node_ids))
+        rel = rel_ids.setdefault(r, len(rel_ids))
+        triples.append((head, rel, node_ids.setdefault(t, len(node_ids))))
 
     if not triples:
         raise EmptyGraphError(f"no triples found in {path}")
@@ -490,27 +499,21 @@ class NodeLabels:
 def load_labels(path, graph: HeteroGraph) -> NodeLabels:
     """Read ``node<TAB>label`` rows; class ids are assigned in first-seen order."""
     path = Path(path)
-    if not path.exists():
-        raise GraphError(f"label file not found: {path}")
     class_ids: dict[str, int] = {}
     labels: dict[int, int] = {}
     order: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", lineno)
-            node = graph.node_id(parts[0].strip())
-            cname = parts[1].strip()
-            if cname not in class_ids:
-                class_ids[cname] = len(class_ids)
-            if node in labels:
-                raise ParseError(f"duplicate label for node {parts[0].strip()!r}", lineno)
-            labels[node] = class_ids[cname]
-            order.append(node)
+    for lineno, line in _lines(path, "label"):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", lineno)
+        node = graph.node_id(parts[0].strip())
+        cname = parts[1].strip()
+        if cname not in class_ids:
+            class_ids[cname] = len(class_ids)
+        if node in labels:
+            raise ParseError(f"duplicate label for node {parts[0].strip()!r}", lineno)
+        labels[node] = class_ids[cname]
+        order.append(node)
     if not labels:
         raise EmptyGraphError(f"no labels found in {path}")
     return NodeLabels(tuple(order), labels, len(class_ids), tuple(class_ids))
@@ -550,33 +553,16 @@ class SplitSpec:
 
 def load_node_split(path, graph: HeteroGraph) -> tuple[int, ...]:
     """Read one node name per line into a tuple of node ids."""
-    path = Path(path)
-    if not path.exists():
-        raise GraphError(f"split file not found: {path}")
-    ids = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ids.append(graph.node_id(line))
-    return tuple(ids)
+    return tuple(graph.node_id(line.strip()) for _, line in _lines(path, "split"))
 
 
 def load_triple_split(path, graph: HeteroGraph) -> tuple[int, ...]:
     """Read one ``head<TAB>relation<TAB>tail`` per line into triple indices."""
-    path = Path(path)
-    if not path.exists():
-        raise GraphError(f"split file not found: {path}")
     rows, lines = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            h, r, t = _parse_tsv_line(line, lineno)
-            rows.append((graph.node_id(h), graph.relation_id(r), graph.node_id(t)))
-            lines.append((lineno, line))
+    for lineno, line in _lines(path, "split"):
+        h, r, t = _parse_tsv_line(line, lineno)
+        rows.append((graph.node_id(h), graph.relation_id(r), graph.node_id(t)))
+        lines.append((lineno, line))
     shape = graph.num_relations, graph.num_nodes
     known, keys = triple_keys(graph.triples, *shape), triple_keys(rows, *shape)
     order = np.argsort(known)

@@ -575,7 +575,6 @@ class LPRun:
     graph: hg.HeteroGraph  # augmented message-passing graph (training edges only)
     loss_curve: list[float]
     metrics_rows: list[tuple[int, float, float, str]]
-    train_triples: tuple[tuple[int, int, int], ...]
 
 
 def train_link_predictor(
@@ -628,5 +627,4 @@ def train_link_predictor(
         graph=g_enc,
         loss_curve=result.loss_curve,
         metrics_rows=metrics_rows,
-        train_triples=train_triples,
     )

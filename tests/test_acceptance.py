@@ -298,7 +298,8 @@ def test_criterion_07_link_prediction_memorization():
     )
     run = train_link_predictor(graph, split, cfg, "distmult")
     fn = run.model.score_fn(run.graph)
-    _, summary = rank_triples(fn, list(run.train_triples), graph.num_nodes, graph.triple_set)
+    train_triples = graph.triples[list(split.train)]
+    _, summary = rank_triples(fn, train_triples, graph.num_nodes, graph.triple_set)
     hits10 = summary["hits@10_filtered"]
     _report(
         7,

@@ -393,3 +393,46 @@ lr = 0.05
         for setting in ("raw", "filtered"):
             hits = [results[f"hits@{k}_{setting}"] for k in (1, 3, 10)]
             assert 0.0 <= hits[0] <= hits[1] <= hits[2] <= 1.0
+
+
+class TestCliTaskDecision:
+    """The config's ``task`` chooses the pipeline; a training subcommand refuses another task."""
+
+    def _lp_cfg(self, tmp_path, task_line):
+        triples, train, test = _write_lp_dataset(tmp_path)
+        return _cfg_file(
+            tmp_path,
+            f"""{task_line}
+triples_path = {triples}
+train_triples_path = {train}
+test_triples_path = {test}
+hidden_units = 8
+epochs = 3
+output_dir = {tmp_path / 'lp'}
+""",
+        )
+
+    def test_train_lp_refuses_config_without_task(self, tmp_path, capsys):
+        cfg = self._lp_cfg(tmp_path, "")
+        assert main(["train-lp", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "task" in err and "link_prediction" in err and "node_classification" in err
+        assert not (tmp_path / "lp").exists()
+
+    @pytest.mark.parametrize("command", ["train-nc", "ablate"])
+    def test_nc_commands_refuse_link_prediction(self, toy_config, tmp_path, capsys, command):
+        code = main([command, "--config", str(toy_config), "--set", "task=link_prediction"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{command} needs task = node_classification" in err and "link_prediction" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_resolved_lp_config_evaluates(self, tmp_path):
+        cfg = self._lp_cfg(tmp_path, "task = link_prediction")
+        assert main(["train-lp", "--config", str(cfg)]) == 0
+        resolved = tmp_path / "lp" / "config.resolved"
+        ckpt = tmp_path / "lp" / "seed_0" / "checkpoint.npz"
+        out = tmp_path / "lp_eval"
+        args = ["--set", f"checkpoint={ckpt}", "--set", f"output_dir={out}"]
+        assert main(["eval", "--config", str(resolved), *args]) == 0
+        assert "mrr_filtered" in json.loads((out / "results.json").read_text())

@@ -307,6 +307,59 @@ class TestLabelsAndSplits:
         assert load_triple_split(_write(tmp_path, "ok.tsv", "a\ts\tc\na\tr\tb\n"), g) == (2, 0)
 
 
+# Each loader, its clean lines, its missing-file text, and a line it rejects
+# with a ParseError (None: a node split raises none).
+LOADERS = {
+    "triples": (
+        lambda path, g: load_triples(path),
+        ["a\tr\tb", "b\tr\tc", "a\ts\tc", "a\tr\tb"],
+        "triple file not found",
+        "a\tr",
+    ),
+    "labels": (load_labels, ["a\tred", "b\tblue", "c\tred"], "label file not found", "c"),
+    "node_split": (load_node_split, ["b", "c", "a"], "split file not found", None),
+    "triple_split": (load_triple_split, ["a\ts\tc", "b\tr\tc"], "split file not found", "b\tr"),
+}
+
+
+def _noisy(lines):
+    """``lines`` among indented comments and blank lines, with CRLF endings."""
+    out = ["# header", ""]
+    for line in lines:
+        out += ["   # indented comment", line, "\t", ""]
+    return "\r\n".join(out) + "\r\n"
+
+
+class TestSharedLineReader:
+    @pytest.fixture
+    def graph(self, tmp_path):
+        return load_triples(_write(tmp_path, "g.tsv", "a\tr\tb\nb\tr\tc\na\ts\tc\n"))
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_noisy_file_loads_like_clean_file_and_missing_file_text(self, tmp_path, graph, kind):
+        load, lines, missing_text, _ = LOADERS[kind]
+        clean = load(_write(tmp_path, "clean", "\n".join(lines) + "\n"), graph)
+        noisy_path = tmp_path / "noisy"
+        noisy_path.write_bytes(_noisy(lines).encode("utf-8"))
+        noisy = load(noisy_path, graph)
+        assert noisy == clean
+        if kind == "triples":
+            assert noisy.duplicates_removed == clean.duplicates_removed == 1
+        with pytest.raises(GraphError) as err:
+            load(tmp_path / "absent", graph)
+        assert str(err.value) == f"{missing_text}: {tmp_path / 'absent'}"
+
+    @pytest.mark.parametrize("kind", [k for k, entry in LOADERS.items() if entry[3] is not None])
+    def test_parse_error_names_the_line_counting_comments(self, tmp_path, graph, kind):
+        load, lines, _, bad = LOADERS[kind]
+        text = _noisy([*lines, bad])
+        path = tmp_path / "bad"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            load(path, graph)
+        assert err.value.line == text.split("\r\n").index(bad) + 1 == 4 * len(lines) + 4
+
+
 class TestIndexBuiltOnce:
     def test_one_training_run_indexes_each_graph_once(self, monkeypatch):
         # Graphs are immutable, so the sorted index is built once per graph,
