@@ -166,7 +166,7 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     One bincount; it adds in index order, so the sums are bit-equal to ``np.add.at``."""
     tail = values.shape[index.ndim :]
     d = math.prod(tail)
-    bins = (index.reshape(-1, 1) * d + np.arange(d)).ravel()
+    bins = index.ravel() if d == 1 else (index.reshape(-1, 1) * d + np.arange(d)).ravel()
     sums = np.bincount(bins, weights=values.ravel(), minlength=n * d)  # int64 if bins is empty
     return sums.astype(np.float64, copy=False).reshape((n,) + tail)
 
@@ -490,31 +490,115 @@ def _check_index(idx: np.ndarray, size: int, op: str) -> None:
         raise DimensionError(f"{op}: index out of range for axis of size {size}")
 
 
-def pair_dot(a, b, rows, cols) -> Tensor:
-    """Row-wise dot products ``out[p] = a[rows[p]] . b[cols[p]]``.
+class BlockLayout:
+    """Rows split into contiguous square blocks, checked once; the layout of :func:`block_dot`.
 
-    A sampled dense-dense product: only the listed (row, col) entries of
-    a @ b.T are computed.  The gathered (pairs, d) rows are recomputed in
-    backward instead of being kept alive on the tape.
+    ``first[s]`` is the first row of row s's block.  Blocks run in
+    non-increasing size order, so the rows of blocks larger than j are a
+    prefix, of length ``counts[j]``.  The ordered row pairs (s, j), row s
+    with the j-th row of its block, are listed position-major: pair (s, j)
+    is entry ``start[j] + s`` of a ``start[-1]``-long vector, and pair
+    (first[t] + j, t) is entry ``col_start[t] + j``.
+    """
+
+    __slots__ = ("first", "counts", "start", "col_start")
+
+    def __init__(self, first):
+        first = np.asarray(first, dtype=np.intp)
+        if first.ndim != 1:
+            raise DimensionError(f"BlockLayout: first must be a vector, got shape {first.shape}")
+        rows = first.size
+        pos = np.arange(rows) - first
+        starts = np.flatnonzero(pos == 0)
+        size = np.diff(starts, append=rows)
+        bad = rows > 0 and first[0] != 0 or (first != np.repeat(starts, size)).any()
+        if bad or (size[1:] > size[:-1]).any():
+            raise DimensionError("BlockLayout: first must list contiguous blocks of non-increasing size")
+        self.first = first
+        self.counts = np.searchsorted(-np.repeat(size, size), -np.arange(size[0] if rows else 0))
+        self.start = np.concatenate(([0], np.cumsum(self.counts)))
+        self.col_start = self.start[pos] + first
+
+
+def _layout(layout, rows: int, op: str) -> BlockLayout:
+    if not isinstance(layout, BlockLayout) or layout.first.size != rows:
+        raise DimensionError(f"{op}: need a BlockLayout over {rows} rows")
+    return layout
+
+
+def block_dot(a, b, layout: BlockLayout) -> Tensor:
+    """Dot products of every ordered row pair of each block.
+
+    ``out[start[j] + s] = a[s] . b[first[s] + j]`` over the blocks of
+    ``layout``.  Step j of the loop handles the prefix of rows whose block
+    is larger than j, so transients are at most (rows, d) and the loop runs
+    as many times as the largest block has rows.  Each sum adds the same
+    products in the same order as a scatter over the flat (row, column)
+    pair list.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"pair_dot: need matrices of equal width, got {a.shape}, {b.shape}")
-    if rows.shape != cols.shape:
-        raise DimensionError(f"pair_dot: rows {rows.shape} and cols {cols.shape} differ")
-    _check_index(rows, a.shape[0], "pair_dot")
-    _check_index(cols, b.shape[0], "pair_dot")
-    ad, bd = a.data, b.data
-    out = np.einsum("pd,pd->p", ad[rows], bd[cols])
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionError(f"block_dot: need matrices of equal shape, got {a.shape}, {b.shape}")
+    lay = _layout(layout, a.shape[0], "block_dot")
+    first, start, col_start = lay.first, lay.start, lay.col_start
+    ad, bd = np.ascontiguousarray(a.data), b.data  # einsum sums contiguous rows alike
+    out = np.empty(start[-1])
+    for j, c in enumerate(lay.counts):
+        out[start[j] : start[j + 1]] = np.einsum("gd,gd->g", ad[:c], bd[first[:c] + j])
 
     def backward(g):
-        ga = _scatter_add(rows, g[:, None] * bd[cols], ad.shape[0]) if a.requires_grad else None
-        gb = _scatter_add(cols, g[:, None] * ad[rows], bd.shape[0]) if b.requires_grad else None
+        ga = np.zeros_like(ad) if a.requires_grad else None
+        gb = np.zeros_like(bd) if b.requires_grad else None
+        for j, c in enumerate(lay.counts):
+            partner = first[:c] + j
+            if ga is not None:
+                part = bd[partner]
+                part *= g[start[j] : start[j + 1], None]
+                ga[:c] += part
+            if gb is not None:
+                part = ad[partner]
+                part *= g[col_start[:c] + j, None]
+                gb[:c] += part
         return ga, gb
 
-    return record_op("pair_dot", out, (a, b), backward)
+    return record_op("block_dot", out, (a, b), backward)
+
+
+def block_sum(w, x, layout: BlockLayout) -> Tensor:
+    """Pair-weighted sums over each row's block.
+
+    ``out[s] = sum_j w[start[j] + s] * x[first[s] + j]``: ``w`` holds one
+    weight per ordered row pair, in :func:`block_dot`'s order.  The loop and
+    its transients are those of :func:`block_dot`.
+    """
+    w, x = _as_tensor(w), _as_tensor(x)
+    if w.ndim != 1 or x.ndim != 2:
+        raise DimensionError(f"block_sum: need a weight vector and a matrix, got {w.shape}, {x.shape}")
+    lay = _layout(layout, x.shape[0], "block_sum")
+    first, start, col_start = lay.first, lay.start, lay.col_start
+    if w.shape != (start[-1],):
+        raise DimensionError(f"block_sum: {w.shape[0]} weights for {start[-1]} block pairs")
+    wd, xd = w.data, x.data
+    out = np.zeros_like(xd)
+    for j, c in enumerate(lay.counts):
+        part = xd[first[:c] + j]
+        part *= wd[start[j] : start[j + 1], None]
+        out[:c] += part
+
+    def backward(g):
+        gw = np.empty_like(wd) if w.requires_grad else None
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        for j, c in enumerate(lay.counts):
+            partner = first[:c] + j
+            if gw is not None:
+                gw[start[j] : start[j + 1]] = (g[:c] * xd[partner]).sum(axis=1)
+            if gx is not None:
+                part = g[partner]
+                part *= wd[col_start[:c] + j, None]
+                gx[:c] += part
+        return gw, gx
+
+    return record_op("block_sum", out, (w, x), backward)
 
 
 def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:

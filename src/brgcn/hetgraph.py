@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .diffnum import BlockLayout
+
 log = logging.getLogger(__name__)
 
 SELF_RELATION_NAME = "SELF"
@@ -79,39 +81,49 @@ class GraphIndex:
 
     Edges are sorted by (relation, head, tail), so within each (node,
     relation) group they follow ``graph.neighbors`` order; ``edge_rel`` and
-    ``edge_group`` give each edge's relation and group.  Groups are
-    relation-major, nodes ascending within a relation; relation r owns edges
-    ``edge_start[r]:edge_start[r+1]``.  Node i's groups are
-    ``by_node[node_first[i]:node_first[i] + node_count[i]]``, relations
-    ascending.  ``pair_rows`` and ``pair_cols`` list every ordered pair (g,
-    g') of groups at the same node, node by node and relations ascending in
-    both positions, so node i's pairs are its row-major |R_i| x |R_i| block,
-    starting at ``pair_first[i]``.
+    ``edge_group`` give each edge's relation and group, and relation r owns
+    edges ``edge_start[r]:edge_start[r+1]``.
+
+    Groups are in block order: by their node's relation count |R_i|
+    descending, then by node, then by relation.  Node i's groups are the
+    block ``node_first[i]:node_first[i] + node_count[i]``, relations
+    ascending, and ``blocks`` is that layout as the relation stage's block
+    ops take it.  As blocks shrink down the order, the groups whose node has
+    more than b relations are a prefix.  The ordered pairs (g, g') of groups
+    at the same node are listed position-major: the pairs whose g' sits at
+    position b of the block are ``blocks.start[b]:blocks.start[b+1]``, one
+    per group g of that prefix in order, and ``pair_rows`` gives each pair's
+    g.  So node i's |R_i| x |R_i| block holds, at row a and column b, pair
+    ``blocks.start[b] + node_first[i] + a``.
     """
 
     def __init__(self, graph: HeteroGraph):
         n = graph.num_nodes
         t = graph.triples
         self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
-        _, first, self.edge_group, self.group_size = np.unique(
+        _, first, edge_group, size = np.unique(
             self.edge_rel * n + self.heads,
             return_index=True,
             return_inverse=True,
             return_counts=True,
         )
-        self.group_node, self.group_rel = self.heads[first], self.edge_rel[first]
+        node, rel = self.heads[first], self.edge_rel[first]
+        self.node_count = np.bincount(node, minlength=n)
+        order = np.lexsort((rel, node, -self.node_count[node]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.edge_group = rank[edge_group]
+        self.group_node, self.group_rel, self.group_size = node[order], rel[order], size[order]
         self.edge_start = np.searchsorted(self.edge_rel, np.arange(graph.num_relations + 1))
 
-        self.by_node = np.argsort(self.group_node, kind="stable")  # relations stay ascending
-        self.node_count = np.bincount(self.group_node, minlength=n)
-        self.node_first = np.cumsum(self.node_count) - self.node_count  # into by_node
-        sq = self.node_count**2
-        self.pair_first = np.cumsum(sq) - sq
-        local = np.arange(sq.sum()) - np.repeat(self.pair_first, sq)
-        m = np.repeat(self.node_count, sq)
-        base = np.repeat(self.node_first, sq)
-        self.pair_rows = self.by_node[base + local // m]
-        self.pair_cols = self.by_node[base + local % m]
+        starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
+        self.node_first = np.zeros(n, dtype=np.int64)
+        self.node_first[self.group_node[starts]] = starts
+        self.blocks = BlockLayout(np.repeat(starts, self.node_count[self.group_node[starts]]))
+        pair_start = self.blocks.start
+        self.pair_rows = np.empty(pair_start[-1], dtype=np.int64)
+        for b, c in enumerate(self.blocks.counts):
+            self.pair_rows[pair_start[b] : pair_start[b + 1]] = np.arange(c)
 
     @property
     def num_groups(self) -> int:
@@ -125,8 +137,7 @@ class GraphIndex:
 
     def relations_of(self, i: int) -> tuple[int, ...]:
         """Node i's relation ids, ascending."""
-        groups = self.by_node[self.node_first[i] : self.node_first[i] + self.node_count[i]]
-        return tuple(self.group_rel[groups].tolist())
+        return tuple(self.group_rel[self.node_first[i] :][: self.node_count[i]].tolist())
 
 
 @dataclass(eq=False, repr=False)

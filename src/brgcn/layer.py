@@ -24,13 +24,22 @@ segment softmax over every edge gives gamma, and since sum_j gamma_ij W_r h_j
 = W_r z_i^r, each role is projected first, as R-GCN's per-relation messages
 are (Schlichtkrull et al. 2018), then gathered once.  The relation stage is
 one segment softmax over all pairs of (node, relation) groups at the same
-node.  The tape's length depends on the number of layers only.
+node, run on per-node blocks: the index numbers groups by their node's
+|R_i|, descending, so node i's groups form one block and the groups whose
+node has more than b relations are a prefix.  The pair logits
+(``dn.block_dot``) and the psi-weighted value sums (``dn.block_sum``) loop
+over the block position b = 0 .. max |R_i| - 1, each step one gather and
+product over that prefix.  The tape's length depends on the number of
+layers only.
 
 Cost model: every role projects all N*R (node, relation) slots and gathers
 d_out-wide rows per edge.  With identity (one-hot) input the projection is a
-lookup of the weights' rows and no N x N array is built, so a step is linear
-in edges plus slots.  A dense layer on a graph whose nodes carry few of many
-relations pays for its empty slots.
+lookup of the weights' rows and no N x N array is built.  The relation stage
+does d_out work per same-node pair, but its transients are at most groups x
+d_out; only the logits and psi, one float per pair, grow with the pairs, and
+the block ops run max |R_i| loop steps each.  So a step is linear in edges
+plus slots plus pairs.  A dense layer on a graph whose nodes carry few of
+many relations pays for its empty slots.
 """
 
 from __future__ import annotations
@@ -314,9 +323,8 @@ def layer_forward(
     if mode in ("full", "relation_only"):
         # Relation-level attention: one segment softmax over same-node group pairs.
         q, k, v = (messages(role, idx.edge_group, groups) for role in params.ROLES)
-        rows, cols = idx.pair_rows, idx.pair_cols
-        psi = dn.segment_softmax(dn.pair_dot(q, k, rows, cols), rows, groups)
-        fused = dn.gather_sum(psi, v, cols, rows, groups)
+        psi = dn.segment_softmax(dn.block_dot(q, k, idx.blocks), idx.pair_rows, groups)
+        fused = dn.block_sum(psi, v, idx.blocks)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
         out = dn.segment_sum(delta, idx.group_node, n)
     else:
@@ -363,9 +371,11 @@ def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> Attenti
                 edges = idx.edges_of(i, r)
                 return flat_gamma[edges] if edges.start < edges.stop else None
 
-        trace.gamma = _FlatView(
-            lambda: list(zip(idx.group_node.tolist(), idx.group_rel.tolist())), gamma_of
-        )
+        def keys():  # relation-major, nodes ascending
+            order = np.lexsort((idx.group_node, idx.group_rel))
+            return list(zip(idx.group_node[order].tolist(), idx.group_rel[order].tolist()))
+
+        trace.gamma = _FlatView(keys, gamma_of)
     if psi is not None:
         flat_psi = psi.data.copy()
 
@@ -377,7 +387,11 @@ def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> Attenti
 
             return _FlatView(lambda: np.flatnonzero(idx.node_count).tolist(), of)
 
-        trace.psi = per_node(lambda i, m: flat_psi[idx.pair_first[i] :][: m * m].reshape(m, m))
+        def psi_of(i, m):  # row a, column b: pair blocks.start[b] + node_first[i] + a
+            rows = idx.node_first[i] + np.arange(m)
+            return flat_psi[idx.blocks.start[:m] + rows[:, None]]
+
+        trace.psi = per_node(psi_of)
         trace.rel_order = per_node(lambda i, m: idx.relations_of(i))
     return trace
 

@@ -17,6 +17,7 @@ from brgcn.diffnum import (
 )
 from brgcn.diffnum.tensor import _scatter_add
 from gradcheck import DeterminismError, grad_check
+from pair_oracle import pair_dot
 
 
 class TestScatterAdd:
@@ -106,7 +107,7 @@ class TestForwardValues:
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         rows, cols = np.array([2, 0, 2, 1]), np.array([4, 4, 0, 1])
-        out = dn.pair_dot(Tensor(a), Tensor(b), rows, cols)
+        out = pair_dot(Tensor(a), Tensor(b), rows, cols)
         np.testing.assert_allclose(out.data, (a @ b.T)[rows, cols], atol=1e-14)
 
     def test_gather_sum_is_a_sparse_product(self):
@@ -122,7 +123,7 @@ class TestForwardValues:
     def test_fused_ops_reject_bad_indices(self):
         m = Tensor(np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            dn.pair_dot(m, m, np.array([0, 2]), np.array([0, 1]))
+            pair_dot(m, m, np.array([0, 2]), np.array([0, 1]))
         with pytest.raises(DimensionError):
             dn.gather_sum(Tensor([1.0]), m, np.array([0]), np.array([3]), 3)
 
@@ -201,11 +202,13 @@ def _op_cases(rng):
     seg = np.array([0, 0, 1, 1])
     lo_vec = dn.param(_rand(rng, 5))
     pos = dn.param(np.abs(_rand(rng, 4)) + 0.05)
-    k = dn.param(_rand(rng, 2, 4))
     w = dn.param(_rand(rng, 5))
     # repeated indices: gradients must accumulate, not overwrite
-    rows, cols = np.array([0, 2, 2, 1, 0]), np.array([1, 0, 1, 1, 1])
     src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 1])
+    # blocks of 3, 2 and 1 rows: 14 ordered same-block row pairs
+    blocks = dn.BlockLayout([0, 0, 0, 3, 3, 5])
+    q, k, v = (dn.param(_rand(rng, 6, 2)) for _ in range(3))
+    pw = dn.param(_rand(rng, 14))
     return [
         ("add", lambda: dn.tsum(dn.add(a, b)), [a, b]),
         ("add_broadcast", lambda: dn.tsum(dn.add(m, b)), [m, b]),
@@ -246,9 +249,14 @@ def _op_cases(rng):
             [m],
         ),
         (
-            "pair_dot",
-            lambda: dn.tsum(dn.mul(dn.pair_dot(m, k, rows, cols), w)),
-            [m, k, w],
+            "block_dot",
+            lambda: dn.tsum(dn.mul(dn.block_dot(q, k, blocks), pw)),
+            [q, k, pw],
+        ),
+        (
+            "block_sum",
+            lambda: dn.tsum(dn.mul(dn.block_sum(pw, v, blocks), q)),
+            [pw, v, q],
         ),
         (
             "gather_sum",
