@@ -33,26 +33,30 @@ class DecoderParams:
     ``complex`` stores 2*dim values per row, the real half followed by the
     imaginary half.  Entity embeddings are present only in standalone mode
     and use the matching width; in auto-encoder mode they come from the
-    encoder and must have the decoder's width.
+    encoder and must have the decoder's width.  :meth:`create` names them
+    ``decoder.<kind>.rel`` and ``decoder.<kind>.entity``, so a checkpoint
+    of one kind does not load as another.
     """
 
     def __init__(self, kind: str, rel_emb: Tensor, entity_emb: Tensor | None = None):
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown decoder kind {kind!r}; expected one of {KINDS}")
         self.kind = kind
         self.rel_emb = rel_emb
         self.entity_emb = entity_emb
         width = rel_emb.shape[1]
-        if kind == "complex":
-            if width % 2:
-                raise ConfigurationError("complex decoder needs an even embedding width")
-            self.dim = width // 2
-        else:
-            self.dim = width
+        self.dim = self.dim_of(kind, width)
         if entity_emb is not None and entity_emb.shape[1] != width:
             raise ConfigurationError(
                 f"entity embedding width {entity_emb.shape[1]} != relation width {width}"
             )
+
+    @staticmethod
+    def dim_of(kind: str, width: int) -> int:
+        """The dimension d of ``width``-wide embedding rows: width/2 for complex."""
+        if kind not in KINDS:
+            raise ConfigurationError(f"unknown decoder kind {kind!r}; expected one of {KINDS}")
+        if kind == "complex" and width % 2:
+            raise ConfigurationError(f"complex decoder needs an even embedding width, got {width}")
+        return width // 2 if kind == "complex" else width
 
     @classmethod
     def create(
@@ -60,27 +64,21 @@ class DecoderParams:
         rng: np.random.Generator,
         kind: str,
         num_relations: int,
-        dim: int,
+        width: int,
         *,
         num_entities: int | None = None,
-        prefix: str = "decoder",
     ) -> "DecoderParams":
-        """Initialize embeddings uniformly in [-0.5/sqrt(d), 0.5/sqrt(d)]."""
-        width = 2 * dim if kind == "complex" else dim
-        limit = 0.5 / np.sqrt(dim)
-        rel = dn.param(rng.uniform(-limit, limit, size=(num_relations, width)), name=f"{prefix}.rel")
-        ent = None
-        if num_entities is not None:
-            ent = dn.param(
-                rng.uniform(-limit, limit, size=(num_entities, width)), name=f"{prefix}.entity"
-            )
-        return cls(kind, rel, ent)
+        """Initialize ``width``-wide embeddings uniformly in [-0.5/sqrt(d), 0.5/sqrt(d)]."""
+        limit = 0.5 / np.sqrt(cls.dim_of(kind, width))
+
+        def param(rows, group):
+            return dn.param(rng.uniform(-limit, limit, size=(rows, width)), name=f"decoder.{kind}.{group}")
+
+        rel = param(num_relations, "rel")  # drawn before the entity rows
+        return cls(kind, rel, None if num_entities is None else param(num_entities, "entity"))
 
     def params(self) -> list[Tensor]:
-        out = [self.rel_emb]
-        if self.entity_emb is not None:
-            out.append(self.entity_emb)
-        return out
+        return [t for t in (self.rel_emb, self.entity_emb) if t is not None]
 
 
 def features(kind: str, X):

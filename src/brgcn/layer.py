@@ -33,8 +33,12 @@ product over that prefix.  The tape's length depends on the number of
 layers only.
 
 Cost model: every role projects all N*R (node, relation) slots and gathers
-d_out-wide rows per edge.  With identity (one-hot) input the projection is a
-lookup of the weights' rows and no N x N array is built.  The relation stage
+d_out-wide rows per edge.  Each role's weights are stored as one (d_in,
+R*d_out) array in slot layout, so a dense layer projects a role with one
+matmul and nothing is restacked per forward.  With identity (one-hot) input
+the slot matrix is the parameter itself and no N x N array is built.  Under
+basis decomposition every forward multiplies out an (R, B, d_out, d_in)
+product and transposes it, per role.  The relation stage
 does d_out work per same-node pair, but its transients are at most groups x
 d_out; only the logits and psi, one float per pair, grow with the pairs, and
 the block ops run max |R_i| loop steps each.  So a step is linear in edges
@@ -64,17 +68,21 @@ VARIANTS = ("full", "node_only", "relation_only", "rgcn_baseline")
 
 
 class BrgcnLayerParams:
-    """All learnable state of one layer.
+    """All learnable state of one layer, one parameter array per group.
 
-    Per relation: the attention vector ``a[r]`` (length 2*d_in) and the
-    query/key/value projections ``w_query/w_key/w_value`` (d_out x d_in).
-    Shared: the self-connection matrix ``w_self`` (d_out x d_in).  The fused
-    values are added to W_self h_i, so they too have d_out entries.
+    ``attention`` (``<prefix>.a``, 2*d_in x R): column r is a_r.  ``roles``
+    maps the query, key and value roles to ``<prefix>.w_<role>`` (d_in x
+    R*d_out) in slot layout: columns r*d_out:(r+1)*d_out hold W_role_r^T, so
+    one matmul projects every (node, relation) slot, and with one-hot input
+    the array is the slot matrix itself.  ``w_self`` (d_out x d_in) is
+    shared; the fused values are added to W_self h_i, so they too have d_out
+    entries.
 
-    With ``num_bases > 0`` the projection matrices are not stored directly;
-    instead one shared stack of basis matrices plus per-(role, relation)
-    coefficient vectors reconstructs W_role_r = sum_b coeff[b] * basis[b].
-    The attention vectors and w_self are never decomposed.
+    With ``num_bases > 0``, ``roles[role]`` is the (R, B) coefficient matrix
+    ``<prefix>.coeff_<role>`` over the shared ``basis`` (B x d_out x d_in):
+    W_role_r = sum_b coeff[r, b] * basis[b].  a and w_self are never
+    decomposed.  The read-only ``a``, ``w_query``, ``w_key`` and ``w_value``
+    list R detached per-relation Tensors (a_r; W_role_r as d_out x d_in).
     """
 
     ROLES = ("query", "key", "value")
@@ -99,19 +107,26 @@ class BrgcnLayerParams:
         self.num_bases = num_bases
         self.leaky_slope = leaky_slope
         self.dropout = dropout
-        self.a: list[Tensor] = []
-        self.w_self: Tensor | None = None
-        self.w_query: list[Tensor] = []
-        self.w_key: list[Tensor] = []
-        self.w_value: list[Tensor] = []
+        self.attention: Tensor | None = None
+        self.roles: dict[str, Tensor] = {}
         self.basis: Tensor | None = None
-        self.coeff: dict[str, list[Tensor]] = {}
+        self.w_self: Tensor | None = None
 
     @staticmethod
     def num_floats(d_in: int, d_out: int, num_relations: int, num_bases: int = 0) -> int:
         """How many parameter entries :meth:`create` allocates for these sizes."""
         roles = 3 * num_relations * (num_bases if num_bases else d_out * d_in)
         return num_relations * 2 * d_in + (1 + num_bases) * d_out * d_in + roles
+
+    @classmethod
+    def stacked(cls, group: str, per_relation) -> np.ndarray:
+        """The stored, C-contiguous array of ``group`` from its R per-relation arrays."""
+        x = np.asarray(per_relation, dtype=np.float64)
+        if group == "a":
+            x = x.T
+        elif group.startswith("w_") and group[2:] in cls.ROLES:  # (R, d_out, d_in) -> slot layout
+            x = x.transpose(2, 0, 1).reshape(x.shape[2], x.shape[0] * x.shape[1])
+        return np.ascontiguousarray(x)
 
     @classmethod
     def create(
@@ -126,70 +141,45 @@ class BrgcnLayerParams:
         dropout: float = 0.0,
         prefix: str = "layer",
     ) -> "BrgcnLayerParams":
-        """Glorot-uniform initialization of all parameter groups."""
-        p = cls(
-            d_in,
-            d_out,
-            num_relations,
-            num_bases=num_bases,
-            leaky_slope=leaky_slope,
-            dropout=dropout,
-        )
+        """Glorot-uniform initialization; a group's (R, ...) draw gives what R draws would."""
+        p = cls(d_in, d_out, num_relations, num_bases=num_bases, leaky_slope=leaky_slope, dropout=dropout)
 
-        def glorot(fan_in, fan_out, shape, name):
+        def glorot(fan_in, fan_out, shape):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return dn.param(rng.uniform(-limit, limit, size=shape), name=name)
+            return rng.uniform(-limit, limit, size=shape)
 
-        p.a = [
-            glorot(2 * d_in, 1, (2 * d_in,), f"{prefix}.a.{r}") for r in range(num_relations)
-        ]
-        p.w_self = glorot(d_in, d_out, (d_out, d_in), f"{prefix}.w_self")
-        if num_bases == 0:
-            for role in cls.ROLES:
-                mats = [
-                    glorot(d_in, d_out, (d_out, d_in), f"{prefix}.w_{role}.{r}")
-                    for r in range(num_relations)
-                ]
-                setattr(p, f"w_{role}", mats)
-        else:
-            p.basis = glorot(d_in, d_out, (num_bases, d_out, d_in), f"{prefix}.basis")
-            p.coeff = {
-                role: [
-                    dn.param(
-                        rng.normal(0.0, 1.0 / np.sqrt(num_bases), size=num_bases),
-                        name=f"{prefix}.coeff_{role}.{r}",
-                    )
-                    for r in range(num_relations)
-                ]
-                for role in cls.ROLES
-            }
+        def param(group, values):  # a fresh array: no copy, unlike dn.param
+            return Tensor(cls.stacked(group, values), requires_grad=True, name=f"{prefix}.{group}")
+
+        p.attention = param("a", glorot(2 * d_in, 1, (num_relations, 2 * d_in)))
+        p.w_self = param("w_self", glorot(d_in, d_out, (d_out, d_in)))
+        if num_bases:
+            p.basis = param("basis", glorot(d_in, d_out, (num_bases, d_out, d_in)))
+        for role in cls.ROLES:
+            if num_bases:
+                coeff = rng.normal(0.0, 1.0 / np.sqrt(num_bases), size=(num_relations, num_bases))
+                p.roles[role] = param(f"coeff_{role}", coeff)
+            else:
+                p.roles[role] = param(f"w_{role}", glorot(d_in, d_out, (num_relations, d_out, d_in)))
         return p
 
     def params(self) -> list[Tensor]:
         """All learnable tensors in a fixed, checkpoint-stable order."""
-        out = list(self.a)
-        if self.num_bases == 0:
-            for role in self.ROLES:
-                out.extend(getattr(self, f"w_{role}"))
-        else:
-            out.append(self.basis)
-            for role in self.ROLES:
-                out.extend(self.coeff[role])
-        out.append(self.w_self)
-        return out
+        basis = [self.basis] if self.num_bases else []
+        return [self.attention, *basis, *(self.roles[role] for role in self.ROLES), self.w_self]
 
-    def projections(self, role: str) -> Tensor:
-        """Every relation's (d_out, d_in) projection for one role, stacked as (R*d_out, d_in).
+    @property
+    def a(self) -> list[Tensor]:
+        return [Tensor(col) for col in self.attention.data.T.copy()]
 
-        Rows ``r*d_out:(r+1)*d_out`` hold W_role_r.  Under basis decomposition
-        the stack is built through tape ops so gradients reach the basis stack
-        and the coefficients.
-        """
-        if self.num_bases == 0:
-            return dn.concat(getattr(self, f"w_{role}"))
-        coeff = dn.reshape(dn.stack(self.coeff[role]), (self.num_relations, self.num_bases, 1, 1))
-        mats = dn.tsum(dn.mul(self.basis, coeff), axis=1)  # (R, d_out, d_in)
-        return dn.reshape(mats, (self.num_relations * self.d_out, self.d_in))
+    def _per_relation(self, role: str) -> list[Tensor]:
+        w = self.roles[role].data
+        if self.num_bases:  # summed as the forward pass sums them
+            return [Tensor(m) for m in (self.basis.data * w[:, :, None, None]).sum(axis=1)]
+        mats = w.reshape(self.d_in, self.num_relations, self.d_out).transpose(1, 2, 0)
+        return [Tensor(m) for m in mats.copy()]
+
+    w_query, w_key, w_value = (property(lambda self, r=role: self._per_relation(r)) for role in ROLES)
 
 
 @dataclass
@@ -299,9 +289,8 @@ def layer_forward(
     if mode in ("relation_only", "rgcn_baseline"):
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
     else:
-        a = dn.stack(params.a, axis=1)  # (2 d_in, R)
-        s_head = project(dn.take(a, np.arange(d_in)))  # (N, R)
-        s_tail = project(dn.take(a, np.arange(d_in, 2 * d_in)))
+        s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
+        s_tail = project(dn.take(params.attention, np.arange(d_in, 2 * d_in)))
         logits = dn.add(
             dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
             dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
@@ -314,8 +303,12 @@ def layer_forward(
 
     def messages(role: str, dst: np.ndarray, num_dst: int) -> Tensor:
         # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
-        slots = project(dn.transpose(params.projections(role)))  # (N, R*d_out)
-        rows = dn.reshape(slots, (n * num_rel, params.d_out))
+        w = params.roles[role]  # (d_in, R*d_out) in slot layout, or (R, B) coefficients
+        if params.num_bases:
+            coeff = dn.reshape(w, (num_rel, params.num_bases, 1, 1))
+            mats = dn.tsum(dn.mul(params.basis, coeff), axis=1)  # (R, d_out, d_in)
+            w = dn.transpose(dn.reshape(mats, (num_rel * params.d_out, params.d_in)))
+        rows = dn.reshape(project(w), (n * num_rel, params.d_out))  # project(w): (N, R*d_out)
         return dn.gather_sum(weights, rows, tail_slot, dst, num_dst)
 
     self_rows = project(dn.transpose(params.w_self))  # (N, d_out)

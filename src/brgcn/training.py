@@ -7,6 +7,7 @@ generator, so fixed-seed runs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from dataclasses import dataclass, field, fields
@@ -173,6 +174,9 @@ def lp_loss(batch: TripleBatch, scores: Tensor, e_prime_size: int, omega: int) -
 # ---------------------------------------------------------------------------
 
 
+NEGATIVE_MAX_RETRIES = 100
+
+
 def negative_sample(
     positive: tuple[int, int, int],
     graph: hg.HeteroGraph,
@@ -180,15 +184,14 @@ def negative_sample(
     *,
     omega: int = 1,
     known: set[tuple[int, int, int]] | None = None,
-    max_retries: int = 100,
 ) -> list[tuple[int, int, int]]:
     """Draw ``omega`` corrupted triples for one observed positive.
 
     Each draw replaces the head or the tail (equal probability) with a
     uniformly random entity; draws that reproduce a known positive are
     rejected and resampled (filtered negatives).  Raises
-    :class:`SamplingExhaustedError` when ``max_retries`` consecutive draws
-    for one negative all land on known positives.
+    :class:`SamplingExhaustedError` when NEGATIVE_MAX_RETRIES consecutive
+    draws for one negative all land on known positives.
     """
     if graph.num_nodes == 0:
         raise SamplingExhaustedError("cannot sample negatives from an empty graph")
@@ -196,7 +199,7 @@ def negative_sample(
     h, r, t = positive
     out = []
     for _ in range(omega):
-        for attempt in range(max_retries):
+        for attempt in range(NEGATIVE_MAX_RETRIES):
             corrupt_head = rng.random() < 0.5
             entity = int(rng.integers(graph.num_nodes))
             cand = (entity, r, t) if corrupt_head else (h, r, entity)
@@ -205,7 +208,7 @@ def negative_sample(
                 break
         else:
             raise SamplingExhaustedError(
-                f"no valid corruption of {positive} found in {max_retries} draws"
+                f"no valid corruption of {positive} found in {NEGATIVE_MAX_RETRIES} draws"
             )
     return out
 
@@ -271,10 +274,7 @@ def optimize(
             with Tape() as tape:
                 loss = loss_fn(epoch)
                 if config.l2_penalty > 0.0:
-                    penalty = None
-                    for p in params:
-                        term = dn.tsum(dn.mul(p, p))
-                        penalty = term if penalty is None else dn.add(penalty, term)
+                    penalty = functools.reduce(dn.add, (dn.tsum(dn.mul(p, p)) for p in params))
                     loss = dn.add(loss, dn.mul(penalty, config.l2_penalty))
                 tape.backward(loss)
         except dn.NumericError as err:
@@ -310,9 +310,11 @@ class _Model:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Load a checkpoint whose keys are exactly this model's parameter names.
 
+        A per-relation checkpoint is converted first (:func:`_from_per_relation`).
         Every key and shape is checked before any parameter changes.
         """
         params = self.params()
+        arrays = _from_per_relation(arrays, [p.name for p in params])
         unexpected = sorted(set(arrays) - {p.name for p in params})
         if unexpected:
             raise ConfigurationError(f"checkpoint has parameters the model lacks: {unexpected}")
@@ -324,7 +326,32 @@ class _Model:
                     f"checkpoint shape {arrays[p.name].shape} != expected {p.data.shape} for {p.name!r}"
                 )
         for p in params:
-            p.data = np.array(arrays[p.name], dtype=np.float64)
+            p.data = np.array(arrays[p.name], dtype=np.float64, order="C")
+
+
+def _from_per_relation(arrays: dict[str, np.ndarray], names: Sequence[str]) -> dict[str, np.ndarray]:
+    """``arrays`` with the per-relation format's keys moved to ``names``, with one warning.
+
+    That format stored a layer group as ``<name>.0 .. <name>.{R-1}``, stacked
+    here by :meth:`BrgcnLayerParams.stacked`, and the decoder's embeddings as
+    ``decoder.rel`` and ``decoder.entity``, read as the configured kind's.
+    """
+    out = dict(arrays)
+    for name in [n for n in names if n not in arrays]:
+        group = name.rpartition(".")[2]
+        if name.startswith("decoder.") and f"decoder.{group}" in out:
+            out[name] = out.pop(f"decoder.{group}")
+        rows = []
+        while f"{name}.{len(rows)}" in out:
+            rows.append(out.pop(f"{name}.{len(rows)}"))
+        if rows:
+            try:
+                out[name] = BrgcnLayerParams.stacked(group, rows)
+            except ValueError as err:
+                raise ConfigurationError(f"checkpoint arrays {name}.<r> do not stack: {err}") from err
+    if out.keys() != arrays.keys():
+        log.warning("checkpoint in the per-relation format: its arrays were stacked into one per group")
+    return out
 
 
 def _check_memory(num_floats: int) -> None:
@@ -380,10 +407,7 @@ class NodeClassificationModel(_Model):
         return cls(_layer_stack(rng, dims, graph, cfg), variant)
 
     def params(self) -> list[Tensor]:
-        out = []
-        for lay in self.layers:
-            out.extend(lay.params())
-        return out
+        return [t for lay in self.layers for t in lay.params()]
 
     def forward(
         self,
@@ -394,13 +418,7 @@ class NodeClassificationModel(_Model):
         collect_trace: bool = False,
     ) -> tuple[Tensor, list[AttentionTrace]]:
         h, traces = stack_forward(
-            self.layers,
-            None,
-            graph,
-            mode=self.variant,
-            training=training,
-            rng=rng,
-            collect_trace=collect_trace,
+            self.layers, None, graph, mode=self.variant, training=training, rng=rng, collect_trace=collect_trace
         )
         return dn.softmax_rows(h), traces
 
@@ -433,30 +451,17 @@ class LinkPredictionModel(_Model):
         standalone: bool = False,
     ) -> "LinkPredictionModel":
         width = cfg.hidden_units
-        if decoder_kind == "complex":
-            if width % 2:
-                raise ConfigurationError(
-                    "complex decoder needs an even embedding width (real||imag halves)"
-                )
-            dim = width // 2
-        else:
-            dim = width
         if standalone:
             decoder = dec.DecoderParams.create(
-                rng, decoder_kind, num_score_relations, dim, num_entities=graph.num_nodes
+                rng, decoder_kind, num_score_relations, width, num_entities=graph.num_nodes
             )
             return cls(None, decoder)
         encoder = _layer_stack(rng, [graph.num_nodes] + [width] * cfg.encoder_layers, graph, cfg)
-        decoder = dec.DecoderParams.create(rng, decoder_kind, num_score_relations, dim)
+        decoder = dec.DecoderParams.create(rng, decoder_kind, num_score_relations, width)
         return cls(encoder, decoder)
 
     def params(self) -> list[Tensor]:
-        out = []
-        if self.encoder is not None:
-            for lay in self.encoder:
-                out.extend(lay.params())
-        out.extend(self.decoder.params())
-        return out
+        return [t for lay in self.encoder or () for t in lay.params()] + self.decoder.params()
 
     def embeddings(
         self,

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
 from brgcn.cli import main
 from brgcn.decoders import score
 from brgcn.diffnum import Tensor
 from brgcn.evalkit import ablate, rank_triples
-from brgcn.layer import BrgcnLayerParams, layer_forward
+from brgcn.layer import layer_forward
 from brgcn.training import (
     LinkPredictionModel,
     NodeClassificationModel,
@@ -31,6 +30,7 @@ from brgcn.training import (
 )
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
+from layer_weights import layer_with_weights
 from synth import memorization_kg, planted_graph, planted_split
 from test_decoders import fft_circular_correlation
 from test_evalkit import brute_force_ranks
@@ -50,12 +50,9 @@ def _random_graph_and_params(rng, max_nodes, max_rels):
         num_nodes=inst["n"],
         relation_names=[f"r{k}" for k in range(inst["num_rels"])],
     )
-    params = BrgcnLayerParams(inst["d_in"], inst["d_out"], inst["num_rels"], leaky_slope=0.2)
-    params.a = [dn.param(v) for v in inst["a_vecs"]]
-    params.w_query = [dn.param(m) for m in inst["w_query"]]
-    params.w_key = [dn.param(m) for m in inst["w_key"]]
-    params.w_value = [dn.param(m) for m in inst["w_value"]]
-    params.w_self = dn.param(inst["w_self"])
+    params = layer_with_weights(
+        inst["a_vecs"], inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], leaky_slope=0.2
+    )
     return inst, graph, params
 
 

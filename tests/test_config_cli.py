@@ -1,6 +1,8 @@
 """Config validation, resolution, snapshots, and the CLI surface."""
 
+import importlib.resources
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -201,9 +203,10 @@ class TestCliNodeClassification:
                     assert abs(sum(row) - 1.0) <= 1e-9
 
     def test_eval_refuses_checkpoint_with_extra_relations(self, toy_config, tmp_path, capsys):
-        # Trained with inverse relations, evaluated without them: every
-        # weight has the right shape, but the inverse relations' weights
-        # have no place in the smaller model, so the load must fail.
+        # Trained with inverse relations, evaluated without them: each
+        # parameter group holds one column block per relation, so the first
+        # group, layer0.a, is wider than the smaller model's and the load
+        # must fail.
         args = ["--config", str(toy_config), "--set", "epochs=2"]
         assert main(["train-nc", *args, "--set", "add_inverse=true"]) == 0
         ckpt = tmp_path / "out" / "seed_0" / "checkpoint.npz"
@@ -213,8 +216,8 @@ class TestCliNodeClassification:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "checkpoint has parameters the model lacks" in err
-        assert "layer0.a.4" in err and "layer1.w_value.4" in err
+        assert "checkpoint shape (24, 5) != expected (24, 3)" in err
+        assert "'layer0.a'" in err
 
     def test_eval_without_checkpoint_is_config_error(self, toy_config):
         assert main(["eval", "--config", str(toy_config)]) == 2
@@ -393,6 +396,100 @@ lr = 0.05
         for setting in ("raw", "filtered"):
             hits = [results[f"hits@{k}_{setting}"] for k in (1, 3, 10)]
             assert 0.0 <= hits[0] <= hits[1] <= hits[2] <= 1.0
+
+
+    @pytest.mark.parametrize("which", ["checkpoint", "ensemble_checkpoint"])
+    def test_eval_refuses_checkpoint_of_another_decoder(self, tmp_path, capsys, which):
+        # Decoders of equal width have parameters of equal shapes; the kind in
+        # their names is what tells a DistMult checkpoint from a HolE one.
+        triples, train, test = _write_lp_dataset(tmp_path)
+        base = f"""task = link_prediction
+triples_path = {triples}
+train_triples_path = {train}
+test_triples_path = {test}
+hidden_units = 8
+epochs = 2
+"""
+        enc_cfg = _cfg_file(tmp_path, base + f"decoder = distmult\noutput_dir = {tmp_path / 'enc'}\n", "enc.cfg")
+        emb_cfg = _cfg_file(
+            tmp_path,
+            base + f"decoder = hole\nstandalone_decoder = true\noutput_dir = {tmp_path / 'emb'}\n",
+            "emb.cfg",
+        )
+        assert main(["train-lp", "--config", str(enc_cfg)]) == 0
+        assert main(["train-lp", "--config", str(emb_cfg)]) == 0
+        capsys.readouterr()
+        args = ["--set", f"checkpoint={tmp_path / 'enc' / 'seed_0' / 'checkpoint.npz'}"]
+        if which == "checkpoint":
+            args += ["--set", "decoder=hole"]
+            stray = "'decoder.distmult.rel'"
+        else:
+            args += ["--set", f"ensemble_checkpoint={tmp_path / 'emb' / 'seed_0' / 'checkpoint.npz'}"]
+            stray = "'decoder.hole.entity', 'decoder.hole.rel'"
+        code = main(["eval", "--config", str(enc_cfg), *args, "--set", f"output_dir={tmp_path / 'ev'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint has parameters the model lacks" in err and stray in err
+        assert not (tmp_path / "ev" / "results.json").exists()
+
+    def test_complex_decoder_refuses_odd_width(self, tmp_path, capsys):
+        triples, train, test = _write_lp_dataset(tmp_path)
+        cfg = _cfg_file(
+            tmp_path,
+            f"""task = link_prediction
+triples_path = {triples}
+train_triples_path = {train}
+decoder = complex
+hidden_units = 7
+output_dir = {tmp_path / 'lp'}
+""",
+        )
+        assert main(["train-lp", "--config", str(cfg)]) == 2
+        assert "complex decoder needs an even embedding width" in capsys.readouterr().err
+
+
+class TestPerRelationCheckpoints:
+    """Checkpoints in the per-relation format (one array per relation, decoder
+    without its kind), written by the earlier code, evaluate as they did then."""
+
+    @staticmethod
+    def _eval(args, out, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+            assert main(["eval", *args, "--set", f"output_dir={out}"]) == 0
+        warnings = [r for r in caplog.records if "per-relation format" in r.getMessage()]
+        assert len(warnings) == 1
+        return (out / "results.json").read_bytes()
+
+    def test_node_classification(self, toy_config, tmp_path, caplog):
+        ckpt = GOLDEN / "per_relation_nc_checkpoint.npz"
+        args = ["--config", str(toy_config), "--set", "hidden_units=4", "--set", f"checkpoint={ckpt}"]
+        results = self._eval(args, tmp_path / "ev", caplog)
+        assert results == (GOLDEN / "per_relation_nc_results.json").read_bytes()
+        assert main(["export-attention", *args, "--set", f"output_dir={tmp_path / 'att'}"]) == 0
+        attention = (tmp_path / "att" / "attention.json").read_bytes()
+        assert attention == (GOLDEN / "per_relation_nc_attention.json").read_bytes()
+
+    def test_link_prediction(self, tmp_path, caplog):
+        data = importlib.resources.files("brgcn.data")
+        lines = (data / "toy_nc_triples.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / "train.tsv").write_text("".join(lines[:16]))
+        (tmp_path / "test.tsv").write_text("".join(lines[-4:]))
+        cfg = _cfg_file(
+            tmp_path,
+            f"""task = link_prediction
+triples_path = {data / 'toy_nc_triples.tsv'}
+train_triples_path = {tmp_path / 'train.tsv'}
+test_triples_path = {tmp_path / 'test.tsv'}
+decoder = distmult
+add_inverse = true
+add_self_loop = true
+hidden_units = 4
+checkpoint = {GOLDEN / 'per_relation_lp_checkpoint.npz'}
+""",
+        )
+        results = self._eval(["--config", str(cfg)], tmp_path / "ev", caplog)
+        assert results == (GOLDEN / "per_relation_lp_results.json").read_bytes()
 
 
 class TestCliTaskDecision:

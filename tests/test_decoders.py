@@ -203,7 +203,7 @@ class TestGradients:
         # has a zero gradient.
         rng = np.random.default_rng(12)
         width = WIDTHS[kind]
-        dec = DecoderParams.create(rng, kind, 2, width // 2 if kind == "complex" else width)
+        dec = DecoderParams.create(rng, kind, 2, width)
         emb = dn.param(rng.uniform(-1, 1, size=(4, width)), name="entity")
         emb.data[3] = emb.data[0] + dec.rel_emb.data[1]
         triples = [(0, 0, 1), (1, 0, 0), (2, 1, 2), (0, 1, 1), (0, 1, 3)]
@@ -238,7 +238,7 @@ class TestDecoderParams:
         assert dec.entity_emb.shape == (10, 16)
 
     def test_complex_width_is_double(self):
-        dec = DecoderParams.create(np.random.default_rng(7), "complex", 2, 5)
+        dec = DecoderParams.create(np.random.default_rng(7), "complex", 2, 10)
         assert dec.rel_emb.shape == (2, 10)
         assert dec.dim == 5
 

@@ -25,17 +25,14 @@ from brgcn.layer import (
 from brgcn.training import LinkPredictionModel, NodeClassificationModel, TrainConfig, nc_loss
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
+from layer_weights import layer_with_weights
 from synth import planted_graph
 
 
 def _params_from_instance(inst, slope=0.2):
-    p = BrgcnLayerParams(inst["d_in"], inst["d_out"], inst["num_rels"], leaky_slope=slope)
-    p.a = [dn.param(v) for v in inst["a_vecs"]]
-    p.w_query = [dn.param(m) for m in inst["w_query"]]
-    p.w_key = [dn.param(m) for m in inst["w_key"]]
-    p.w_value = [dn.param(m) for m in inst["w_value"]]
-    p.w_self = dn.param(inst["w_self"])
-    return p
+    return layer_with_weights(
+        inst["a_vecs"], inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], leaky_slope=slope
+    )
 
 
 def _graph_from_instance(inst):
@@ -48,14 +45,10 @@ def _graph_from_instance(inst):
 
 def _identity_params(d, num_relations, w_self=None):
     """a = 0, W1 = W2 = W3 = I, configurable self matrix."""
-    p = BrgcnLayerParams(d, d, num_relations)
-    eye = np.eye(d)
-    p.a = [dn.param(np.zeros(2 * d)) for _ in range(num_relations)]
-    p.w_query = [dn.param(eye.copy()) for _ in range(num_relations)]
-    p.w_key = [dn.param(eye.copy()) for _ in range(num_relations)]
-    p.w_value = [dn.param(eye.copy()) for _ in range(num_relations)]
-    p.w_self = dn.param(np.zeros((d, d)) if w_self is None else w_self)
-    return p
+    eyes = [np.eye(d)] * num_relations
+    return layer_with_weights(
+        [np.zeros(2 * d)] * num_relations, eyes, eyes, eyes, np.zeros((d, d)) if w_self is None else w_self
+    )
 
 
 def _gamma_and_z(p, h, g, i, r):
@@ -100,10 +93,8 @@ class TestNodeAttention:
         # raw logits are a . [h_i || h_j] = h_j[0], so (1, 0); both positive
         # branch, softmax gives (e/(e+1), 1/(e+1)) and z = (g1, g2).
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2)], num_nodes=3)
-        p = BrgcnLayerParams(2, 2, 1, leaky_slope=0.2)
-        p.a = [dn.param(np.array([0.0, 0.0, 1.0, 0.0]))]
-        p.w_query = p.w_key = p.w_value = [dn.param(np.eye(2))]
-        p.w_self = dn.param(np.zeros((2, 2)))
+        eye = [np.eye(2)]
+        p = layer_with_weights([np.array([0.0, 0.0, 1.0, 0.0])], eye, eye, eye, np.zeros((2, 2)))
         h = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         gamma, z = _gamma_and_z(p, h, g, 0, 0)
         e = math.e
@@ -125,10 +116,8 @@ class TestNodeAttention:
         raw = np.add.outer(h @ a[:2], h @ a[2:])
         assert raw[0, 1] != raw[1, 0]
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2), (1, 0, 0), (1, 0, 2)], num_nodes=3)
-        p = BrgcnLayerParams(2, 2, 1, leaky_slope=0.2)
-        p.a = [dn.param(a)]
-        p.w_query = p.w_key = p.w_value = [dn.param(np.eye(2))]
-        p.w_self = dn.param(np.zeros((2, 2)))
+        eye = [np.eye(2)]
+        p = layer_with_weights([a], eye, eye, eye, np.zeros((2, 2)))
         _, trace = layer_forward(p, Tensor(h), g)
         assert abs(trace.gamma[(0, 0)][0] - trace.gamma[(1, 0)][0]) > 1e-6
 
@@ -441,21 +430,21 @@ class TestBasisDecomposition:
             rng, inst["d_in"], inst["d_out"], inst["num_rels"], num_bases=2
         )
         # materialize every projection and rebuild an equivalent plain layer
-        plain = BrgcnLayerParams(inst["d_in"], inst["d_out"], inst["num_rels"])
-        plain.a = basis_params.a
-        plain.w_self = basis_params.w_self
         d_out = inst["d_out"]
+        roles = {}
         for role in ("query", "key", "value"):
-            stacked = basis_params.projections(role).data
+            stacked = np.concatenate([w.data for w in getattr(basis_params, f"w_{role}")])
             assert stacked.shape == (inst["num_rels"] * d_out, inst["d_in"])
             mats = []
             for r in range(inst["num_rels"]):
                 w = stacked[r * d_out : (r + 1) * d_out]
-                coeff = basis_params.coeff[role][r].data
+                coeff = basis_params.roles[role].data[r]
                 manual = np.sum(coeff[:, None, None] * basis_params.basis.data, axis=0)
                 np.testing.assert_array_equal(w, manual)
-                mats.append(dn.param(w.copy()))
-            setattr(plain, f"w_{role}", mats)
+                mats.append(w.copy())
+            roles[role] = mats
+        a = [v.data for v in basis_params.a]
+        plain = layer_with_weights(a, roles["query"], roles["key"], roles["value"], basis_params.w_self.data)
         h = Tensor(inst["h"])
         out_basis, _ = layer_forward(basis_params, h, g)
         out_plain, _ = layer_forward(plain, h, g)
@@ -481,10 +470,7 @@ class TestBasisDecomposition:
 def _oracle_weights(p):
     """Per-relation (a, W_query, W_key, W_value) arrays of ``p``, bases multiplied out."""
     if p.num_bases:
-        mats = {
-            role: [np.tensordot(c.data, p.basis.data, axes=1) for c in p.coeff[role]]
-            for role in p.ROLES
-        }
+        mats = {role: list(np.tensordot(p.roles[role].data, p.basis.data, axes=1)) for role in p.ROLES}
     else:
         mats = {role: [w.data for w in getattr(p, f"w_{role}")] for role in p.ROLES}
     return [a.data for a in p.a], mats["query"], mats["key"], mats["value"]
@@ -697,7 +683,7 @@ class TestTapeLength:
             with dn.Tape() as tape:
                 probs, _ = model.forward(g, training=True, rng=rng)
                 tape.backward(nc_loss(probs, labels))
-            assert all(p.grad is not None for p in model.params() if ".a." in p.name)
+            assert all(p.grad is not None for p in model.params() if p.name.endswith(".a"))
             lengths.append((g.num_nodes, len(tape)))
         assert [n for n, _ in lengths] == [50, 400]
         assert lengths[0][1] == lengths[1][1]
@@ -734,13 +720,102 @@ class TestLayerParamsConfig:
         p = BrgcnLayerParams.create(rng, 2, 3, 2)
         names = [t.name for t in p.params()]
         assert names == [
-            "layer.a.0",
-            "layer.a.1",
-            "layer.w_query.0",
-            "layer.w_query.1",
-            "layer.w_key.0",
-            "layer.w_key.1",
-            "layer.w_value.0",
-            "layer.w_value.1",
+            "layer.a",
+            "layer.w_query",
+            "layer.w_key",
+            "layer.w_value",
             "layer.w_self",
         ]
+
+
+class TestStackedParameters:
+    """One parameter array per group: the tensor count and the forward's ops do not grow with R."""
+
+    @pytest.mark.parametrize("num_relations", [3, 9])
+    @pytest.mark.parametrize("num_bases, count", [(0, 5), (2, 6)])
+    def test_tensor_count_does_not_depend_on_relations(self, num_relations, num_bases, count):
+        p = BrgcnLayerParams.create(np.random.default_rng(0), 6, 4, num_relations, num_bases=num_bases)
+        assert len(p.params()) == count
+
+    @pytest.mark.parametrize("num_relations", [3, 9])
+    @pytest.mark.parametrize("one_hot", [True, False])
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_forward_restacks_no_weights(self, monkeypatch, num_relations, one_hot, mode):
+        # The planted graph's 3 relations, each split in num_relations / 3 by the tail id.
+        graph, _ = planted_graph()
+        t = graph.triples
+        split = np.column_stack([t[:, 0], t[:, 1] + 3 * (t[:, 2] % (num_relations // 3)), t[:, 2]])
+        g = HeteroGraph.from_triples(split, num_nodes=graph.num_nodes)
+        assert g.num_relations == num_relations
+        n = g.num_nodes
+        d_in = n if one_hot else 5
+        p = BrgcnLayerParams.create(
+            np.random.default_rng(1), d_in, d_in if mode == "node_only" else 4, num_relations, dropout=0.3
+        )
+        h = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(n, d_in)))
+        calls = []
+
+        def recording(name, op):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args[0] is p.w_self))
+                return op(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("stack", "concat", "transpose"):
+            monkeypatch.setattr(dn, name, recording(name, getattr(dn, name)))
+        with dn.Tape() as tape:
+            out, _ = layer_forward(p, h, g, mode=mode, training=True, rng=np.random.default_rng(3))
+            tape.backward(dn.tsum(dn.mul(out, out)))
+        assert calls == [("transpose", True)]
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_glorot_draws_match_one_draw_per_relation(self, num_bases):
+        num_rel, d_in, d_out = 4, 3, 2
+        p = BrgcnLayerParams.create(np.random.default_rng(5), d_in, d_out, num_rel, num_bases=num_bases)
+        rng = np.random.default_rng(5)
+
+        def glorot(fan_in, fan_out, shape):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=shape)
+
+        a = [glorot(2 * d_in, 1, (2 * d_in,)) for _ in range(num_rel)]
+        w_self = glorot(d_in, d_out, (d_out, d_in))
+        if num_bases:
+            basis = glorot(d_in, d_out, (num_bases, d_out, d_in))
+            assert np.array_equal(p.basis.data, basis)
+        for role in p.ROLES:
+            if num_bases:
+                coeff = [rng.normal(0.0, 1.0 / np.sqrt(num_bases), size=num_bases) for _ in range(num_rel)]
+                assert np.array_equal(p.roles[role].data, np.stack(coeff))
+            else:
+                mats = [glorot(d_in, d_out, (d_out, d_in)) for _ in range(num_rel)]
+                assert all(np.array_equal(w.data, m) for w, m in zip(getattr(p, f"w_{role}"), mats))
+        assert all(np.array_equal(v.data, ref) for v, ref in zip(p.a, a))
+        assert np.array_equal(p.w_self.data, w_self)
+        assert all(t.data.flags.c_contiguous for t in p.params())
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_per_relation_views_read_the_stacked_arrays(self, num_bases):
+        num_rel, d_in, d_out = 5, 3, 2
+        p = BrgcnLayerParams.create(np.random.default_rng(6), d_in, d_out, num_rel, num_bases=num_bases)
+        assert len(p.a) == num_rel
+        for r, v in enumerate(p.a):
+            assert np.array_equal(v.data, p.attention.data[:, r])
+        for role in p.ROLES:
+            mats = getattr(p, f"w_{role}")
+            assert len(mats) == num_rel and all(w.shape == (d_out, d_in) for w in mats)
+            if num_bases:
+                coeff = p.roles[role].data
+                for r, w in enumerate(mats):
+                    manual = np.sum(coeff[r][:, None, None] * p.basis.data, axis=0)
+                    assert np.array_equal(w.data, manual)
+            else:
+                slots = p.roles[role].data
+                for r, w in enumerate(mats):
+                    assert np.array_equal(w.data.T, slots[:, r * d_out : (r + 1) * d_out])
+                assert np.array_equal(p.stacked(f"w_{role}", [w.data for w in mats]), slots)
+        assert np.array_equal(p.stacked("a", [v.data for v in p.a]), p.attention.data)
+        for name in ("a", "w_query", "w_key", "w_value"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, [])

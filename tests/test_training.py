@@ -322,6 +322,35 @@ class TestCheckpointArrays:
         assert all(np.array_equal(b, p.data) for b, p in zip(before, model.params()))
 
 
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_per_relation_checkpoint_loads_into_the_stacked_groups(self, num_bases, caplog):
+        # The per-relation format: a.<r>, w_<role>.<r> or coeff_<role>.<r>
+        # per relation, the basis and w_self as they are.
+        graph, labels = planted_graph()
+        cfg = TrainConfig(num_bases=num_bases)
+        model = NodeClassificationModel.build(np.random.default_rng(0), graph, labels.num_classes, cfg)
+        arrays = {}
+        for k, lay in enumerate(model.layers):
+            arrays[f"layer{k}.w_self"] = lay.w_self.data
+            arrays.update((f"layer{k}.a.{r}", v.data) for r, v in enumerate(lay.a))
+            if num_bases:
+                arrays[f"layer{k}.basis"] = lay.basis.data
+            for role in lay.ROLES:
+                if num_bases:
+                    rows = {f"coeff_{role}.{r}": c for r, c in enumerate(lay.roles[role].data)}
+                else:
+                    rows = {f"w_{role}.{r}": w.data for r, w in enumerate(getattr(lay, f"w_{role}"))}
+                arrays.update((f"layer{k}.{key}", value) for key, value in rows.items())
+        other = NodeClassificationModel.build(np.random.default_rng(1), graph, labels.num_classes, cfg)
+        with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+            other.load_arrays(arrays)
+        assert [r.getMessage() for r in caplog.records] == [
+            "checkpoint in the per-relation format: its arrays were stacked into one per group"
+        ]
+        for p, q in zip(model.params(), other.params()):
+            assert p.name == q.name and np.array_equal(p.data, q.data) and q.data.flags.c_contiguous
+
+
 class TestMemoryEstimate:
     def test_paper_scale_model_without_bases_is_refused_before_allocating(self):
         # BGS's sizes: 333,845 nodes and 207 relations (with inverses and self
