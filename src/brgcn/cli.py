@@ -27,7 +27,7 @@ from . import hetgraph as hg
 from .config import ExperimentConfig, snapshot, validate_config
 from .decoders import ensemble_score
 from .diffnum import CheckpointError, NumericError, load_checkpoint, save_checkpoint
-from .layer import ConfigurationError, stack_forward
+from .layer import ConfigurationError
 from .training import (
     LinkPredictionModel,
     NodeClassificationModel,
@@ -128,7 +128,7 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
             )
             accuracy = ""
         else:
-            run = train_node_classifier(graph, labels, split, train_cfg, variant=cfg.variant)
+            run = train_node_classifier(graph, labels, split, train_cfg)
             accuracy = f", train acc {run.train_accuracy:.2f}%"
             if run.test_accuracy is not None:
                 accuracy += f", test acc {run.test_accuracy:.2f}%"
@@ -151,9 +151,7 @@ def _restore(cfg: ExperimentConfig, graph, labels, split, checkpoint, standalone
             rng, g, graph.num_relations, train_cfg, cfg.decoder, standalone=standalone
         )
     else:
-        model = NodeClassificationModel.build(
-            rng, g, labels.num_classes, train_cfg, variant=cfg.variant
-        )
+        model = NodeClassificationModel.build(rng, g, labels.num_classes, train_cfg)
     model.load_arrays(load_checkpoint(checkpoint))
     return g, model
 
@@ -195,10 +193,7 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
     if labels is None and cfg.standalone_decoder:
         raise UsageError("a standalone decoder has no attention to export")
     g, model = _restore(cfg, graph, labels, split, cfg.checkpoint, standalone=False)
-    if labels is None:
-        _, traces = stack_forward(model.encoder, None, g, collect_trace=True)
-    else:
-        _, traces = model.forward(g, collect_trace=True)
+    _, traces = model.encode(g, collect_trace=True)
     payload = {
         "relations": {str(r): name for r, name in enumerate(g.relation_names)},
         "layers": [
@@ -226,7 +221,6 @@ def _cmd_ablate(cfg: ExperimentConfig) -> int:
         strategies=cfg.ablation_strategies,
         fractions=cfg.ablation_fractions,
         seeds=cfg.seeds,
-        variant=cfg.variant,
     )
     rows = [f"{name},{fraction!r},{seed},{acc!r}" for name, fraction, seed, acc in report.rows]
     _write_csv(out / "ablation.csv", "strategy,fraction,seed,accuracy", rows)

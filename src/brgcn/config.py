@@ -15,7 +15,6 @@ from typing import Any
 
 from .decoders import KINDS as DECODERS
 from .evalkit import STRATEGIES as STRATEGY_NAMES
-from .layer import VARIANTS
 from .training import Hyperparameters, TrainConfig, check, one_of, problems
 
 FORMATS = ("tsv", "ntriples")
@@ -55,7 +54,6 @@ class ExperimentConfig(Hyperparameters):
     train_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
     valid_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
     test_triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
-    variant: str = field(default="full", metadata=one_of(VARIANTS))
     decoder: str = field(default="distmult", metadata=one_of(DECODERS))
     standalone_decoder: bool = False
     checkpoint: str | None = field(default=None, metadata=EXISTING_FILE)

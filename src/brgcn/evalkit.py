@@ -246,7 +246,6 @@ def ablate(
     strategies: Sequence[str] = STRATEGIES,
     fractions: Sequence[float] = tuple(k / 10 for k in range(1, 11)),
     seeds: Sequence[int] | None = None,
-    variant: str = "full",
 ) -> AblationReport:
     """Score relations by learned attention, prune, retrain, and measure.
 
@@ -264,7 +263,7 @@ def ablate(
     base_relations = range(graph.num_relations)
     for seed in seeds:
         seed_cfg = replace(cfg, seed=seed)
-        full_run = train_node_classifier(graph, labels, split, seed_cfg, variant=variant)
+        full_run = train_node_classifier(graph, labels, split, seed_cfg)
         scores = {r: relation_attention_score(full_run.traces, r) for r in base_relations}
         report.full_runs[seed] = AblationSeedInfo(
             train_accuracy=full_run.train_accuracy,
@@ -276,7 +275,7 @@ def ablate(
         )
         for cell in splits:
             sub = hg.restrict_relations(graph, cell.retained)
-            run = train_node_classifier(sub, labels, split, seed_cfg, variant=variant)
+            run = train_node_classifier(sub, labels, split, seed_cfg)
             acc = run.test_accuracy if run.test_accuracy is not None else run.train_accuracy
             report.rows.append((cell.strategy, cell.fraction, seed, acc))
     return report

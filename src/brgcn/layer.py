@@ -17,6 +17,12 @@ The self term W_self h_i is shared across relations and, per the layer
 algebra, appears inside every delta_i^r, so it is counted |R_i| times in
 the output.  Nodes with no outgoing edges produce the zero vector.
 
+The four variants (``VARIANTS``) are the 2 x 2 grid of the two levels, each
+on or off.  ``full`` and ``node_only`` learn gamma, the other two use the
+uniform 1/|N_i^r|.  ``full`` and ``relation_only`` fuse through psi, the
+other two take R-GCN's sum (Schlichtkrull et al. 2018) over the value
+projections, h'_i = ReLU(sum_{r in R_i} W^V_r z_i^r + W_self h_i).
+
 Both stages run in one pass over the graph's sorted index arrays
 (``graph.index``, built once per graph), for all relations at once, in the
 edge-softmax / scatter formulation of GAT (Velickovic et al. 2018): one
@@ -232,12 +238,9 @@ def layer_forward(
 ) -> tuple[Tensor, AttentionTrace]:
     """Apply one layer to every node; see the module docstring for the math.
 
-    ``mode`` selects the variant.  ``full`` is the bi-level layer;
-    ``node_only`` drops relation attention (unweighted sum of the z
-    summaries plus ReLU(W_self h_i) added once); ``relation_only`` replaces
-    neighbor attention by uniform weights; ``rgcn_baseline`` is the
-    mean-aggregation relational convolution ReLU(sum_r W_r mean_j h_j +
-    W_self h_i) with W_r taken from the value projections.
+    ``mode`` selects the variant, a cell of the module docstring's grid:
+    ``rgcn_baseline`` is R-GCN's mean-aggregation convolution, ``node_only``
+    the same with learned gamma.
 
     The result depends only on the graph's edge set, not on triple storage
     order or node iteration order.  During training, dropout (when
@@ -258,10 +261,6 @@ def layer_forward(
     if graph.num_relations > params.num_relations:
         raise ConfigurationError(
             f"layer sized for {params.num_relations} relations, graph has {graph.num_relations}"
-        )
-    if mode == "node_only" and params.d_in != params.d_out:
-        raise ConfigurationError(
-            "node_only fuses unprojected neighbor summaries, so d_in must equal d_out"
         )
 
     use_dropout = training and params.dropout > 0.0
@@ -286,7 +285,7 @@ def layer_forward(
     tail_slot = idx.tails * num_rel + idx.edge_rel
 
     # Node-level attention: one segment softmax over the edges of every group.
-    if mode in ("relation_only", "rgcn_baseline"):
+    if mode in ("relation_only", "rgcn_baseline"):  # no node-level attention
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
     else:
         s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
@@ -321,14 +320,9 @@ def layer_forward(
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
         out = dn.segment_sum(delta, idx.group_node, n)
     else:
-        # Nodes without outgoing edges must stay zero despite the self term.
+        # R-GCN's sum; nodes without outgoing edges must stay zero despite the self term.
         has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
-        if mode == "rgcn_baseline":
-            out = dn.mul(dn.relu(dn.add(messages("value", idx.heads, n), self_rows)), has_rel)
-        else:
-            x = h if h is not None else project(Tensor(np.eye(n)))
-            zsum = dn.gather_sum(weights, x, idx.tails, idx.heads, n)
-            out = dn.mul(dn.add(zsum, dn.relu(self_rows)), has_rel)
+        out = dn.mul(dn.relu(dn.add(messages("value", idx.heads, n), self_rows)), has_rel)
 
     if not collect_trace:
         return out, AttentionTrace()

@@ -20,7 +20,7 @@ from . import diffnum as dn
 from . import evalkit
 from . import hetgraph as hg
 from .diffnum import Tape, Tensor
-from .layer import AttentionTrace, BrgcnLayerParams, ConfigurationError, stack_forward
+from .layer import VARIANTS, AttentionTrace, BrgcnLayerParams, ConfigurationError, stack_forward
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +74,7 @@ class Hyperparameters:
     """
 
     task: str = field(default="node_classification", metadata=one_of(TASKS))
+    variant: str = field(default="full", metadata=one_of(VARIANTS))
     lr: float = field(default=0.05, metadata=POSITIVE)
     l2_penalty: float = field(default=0.0, metadata=NON_NEGATIVE)
     epochs: int = field(default=85, metadata=POSITIVE)
@@ -302,7 +303,21 @@ def _culprit(params: Sequence[Tensor]) -> str:
 
 
 class _Model:
-    """Checkpoint I/O over the subclass's ``params()``, keyed by parameter name."""
+    """The subclass's layer stack ``layers``, run as its ``variant``, and checkpoint
+    I/O over its ``params()``, keyed by parameter name."""
+
+    def encode(
+        self,
+        graph: hg.HeteroGraph,
+        *,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        collect_trace: bool = False,
+    ) -> tuple[Tensor, list[AttentionTrace]]:
+        """The layer stack's output on one-hot input, with one trace per layer."""
+        return stack_forward(
+            self.layers, None, graph, mode=self.variant, training=training, rng=rng, collect_trace=collect_trace
+        )
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.params()}
@@ -361,7 +376,7 @@ def _check_memory(num_floats: int) -> None:
     if need > have:
         raise ConfigurationError(
             f"parameters, gradients and Adam moments need about {need / 1e9:.1f} GB, more than "
-            f"this machine's {have / 1e9:.1f} GB of memory; set num_bases or lower hidden_units"
+            f"this machine's {have / 1e9:.1f} GB of memory; lower hidden_units"
         )
 
 
@@ -389,7 +404,7 @@ def _layer_stack(
 class NodeClassificationModel(_Model):
     """Stacked layers with a per-node softmax head."""
 
-    def __init__(self, layers: list[BrgcnLayerParams], variant: str = "full"):
+    def __init__(self, layers: list[BrgcnLayerParams], variant: str):
         self.layers = layers
         self.variant = variant
 
@@ -400,26 +415,16 @@ class NodeClassificationModel(_Model):
         graph: hg.HeteroGraph,
         num_classes: int,
         cfg: TrainConfig,
-        *,
-        variant: str = "full",
     ) -> "NodeClassificationModel":
         dims = [graph.num_nodes] + [cfg.hidden_units] * (cfg.num_layers - 1) + [num_classes]
-        return cls(_layer_stack(rng, dims, graph, cfg), variant)
+        return cls(_layer_stack(rng, dims, graph, cfg), cfg.variant)
 
     def params(self) -> list[Tensor]:
         return [t for lay in self.layers for t in lay.params()]
 
-    def forward(
-        self,
-        graph: hg.HeteroGraph,
-        *,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        collect_trace: bool = False,
-    ) -> tuple[Tensor, list[AttentionTrace]]:
-        h, traces = stack_forward(
-            self.layers, None, graph, mode=self.variant, training=training, rng=rng, collect_trace=collect_trace
-        )
+    def forward(self, graph: hg.HeteroGraph, **kwargs) -> tuple[Tensor, list[AttentionTrace]]:
+        """Per-node class probabilities, the row softmax of :meth:`encode` given ``kwargs``."""
+        h, traces = self.encode(graph, **kwargs)
         return dn.softmax_rows(h), traces
 
     def predict(self, graph: hg.HeteroGraph) -> np.ndarray:
@@ -435,9 +440,12 @@ class LinkPredictionModel(_Model):
     the decoder.
     """
 
-    def __init__(self, encoder: list[BrgcnLayerParams] | None, decoder: dec.DecoderParams):
+    def __init__(self, encoder: list[BrgcnLayerParams] | None, decoder: dec.DecoderParams, variant: str):
         self.encoder = encoder
         self.decoder = decoder
+        self.variant = variant
+
+    layers = property(lambda self: self.encoder)  # the stack encode() runs
 
     @classmethod
     def build(
@@ -455,25 +463,19 @@ class LinkPredictionModel(_Model):
             decoder = dec.DecoderParams.create(
                 rng, decoder_kind, num_score_relations, width, num_entities=graph.num_nodes
             )
-            return cls(None, decoder)
+            return cls(None, decoder, cfg.variant)
         encoder = _layer_stack(rng, [graph.num_nodes] + [width] * cfg.encoder_layers, graph, cfg)
         decoder = dec.DecoderParams.create(rng, decoder_kind, num_score_relations, width)
-        return cls(encoder, decoder)
+        return cls(encoder, decoder, cfg.variant)
 
     def params(self) -> list[Tensor]:
         return [t for lay in self.encoder or () for t in lay.params()] + self.decoder.params()
 
-    def embeddings(
-        self,
-        graph: hg.HeteroGraph,
-        *,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def embeddings(self, graph: hg.HeteroGraph, **kwargs) -> Tensor:
+        """The entity embeddings: :meth:`encode` given ``kwargs``, or the standalone decoder's."""
         if self.encoder is None:
             return self.decoder.entity_emb
-        h, _ = stack_forward(self.encoder, None, graph, training=training, rng=rng, collect_trace=False)
-        return h
+        return self.encode(graph, **kwargs)[0]
 
     def score_fn(self, graph: hg.HeteroGraph) -> Callable[..., np.ndarray]:
         """A deterministic eval-mode scorer ``fn(h, r, t)`` that broadcasts over id arrays.
@@ -520,8 +522,6 @@ def train_node_classifier(
     labels: hg.NodeLabels,
     split: hg.SplitSpec,
     cfg: TrainConfig,
-    *,
-    variant: str = "full",
 ) -> NCRun:
     """Full-batch semi-supervised classification training.
 
@@ -534,7 +534,7 @@ def train_node_classifier(
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     g = run_graph(graph, cfg)
-    model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg, variant=variant)
+    model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
     train_labels = labels.restrict(split.train)
     metrics_rows: list[tuple[int, float, float, str]] = []
     best_val = [-1.0, 0]  # best validation accuracy, epochs since improvement
@@ -596,9 +596,14 @@ def train_link_predictor(
     scores for valid/test triples never leak into the encoder input.  Each
     epoch draws ``omega`` fresh corruptions per positive.  The metrics
     ``train_acc`` column reports the fraction of batch triples whose score
-    sign matches their label; the validation column is left empty.
+    sign matches their label; the validation column is left empty, so a
+    positive ``early_stop_patience`` is refused.
     """
     cfg.validate()
+    if cfg.early_stop_patience:
+        raise ConfigurationError(
+            "early_stop_patience: link prediction records no validation metric to stop on; set it to 0"
+        )
     rng = np.random.default_rng(cfg.seed)
     train_triples = tuple(map(tuple, graph.triples[list(split.train)].tolist()))
     if not train_triples:

@@ -65,10 +65,7 @@ def dense_layer_forward(
         rels = sorted(r for r in range(num_relations) if (i, r) in z)
         if not rels:
             continue
-        if mode == "node_only":
-            h_next[i] = sum(z[(i, r)] for r in rels) + np.maximum(w_self @ h[i], 0.0)
-            continue
-        if mode == "rgcn_baseline":
+        if mode in ("node_only", "rgcn_baseline"):  # R-GCN's sum over relations
             h_next[i] = np.maximum(sum(w_value[r] @ z[(i, r)] for r in rels) + w_self @ h[i], 0.0)
             continue
         q = {r: w_query[r] @ z[(i, r)] for r in rels}

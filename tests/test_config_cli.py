@@ -492,6 +492,49 @@ checkpoint = {GOLDEN / 'per_relation_lp_checkpoint.npz'}
         assert results == (GOLDEN / "per_relation_lp_results.json").read_bytes()
 
 
+class TestCliVariants:
+    """``variant`` is read from the config by both tasks and every subcommand."""
+
+    def test_node_only_runs_every_nc_command(self, toy_config, tmp_path):
+        args = ["--config", str(toy_config), "--set", "variant=node_only", "--set", "epochs=5"]
+        assert main(["train-nc", *args]) == 0
+        assert (tmp_path / "out" / "seed_0" / "metrics.csv").read_text().count("\n") == 1 + 5
+        ckpt = tmp_path / "out" / "seed_0" / "checkpoint.npz"
+        for command, out in (("eval", "ev"), ("export-attention", "att")):
+            where = ["--set", f"checkpoint={ckpt}", "--set", f"output_dir={tmp_path / out}"]
+            assert main([command, *args, *where]) == 0
+        layers = json.loads((tmp_path / "att" / "attention.json").read_text())["layers"]
+        assert len(layers) == 2 and all(layer["gamma"] and not layer["psi"] for layer in layers)
+        abl = ["--set", "ablation_fractions=1.0", "--set", f"output_dir={tmp_path / 'abl'}"]
+        assert main(["ablate", *args, *abl]) == 0
+        assert len((tmp_path / "abl" / "ablation.csv").read_text().strip().splitlines()) == 1 + 3
+
+    def test_link_prediction_encoder_follows_the_variant(self, tmp_path):
+        triples, train, test = _write_lp_dataset(tmp_path)
+        cfg = _cfg_file(
+            tmp_path,
+            f"""task = link_prediction
+triples_path = {triples}
+train_triples_path = {train}
+test_triples_path = {test}
+hidden_units = 8
+epochs = 5
+""",
+        )
+        metrics = {}
+        for variant in ("full", "rgcn_baseline"):
+            args = ["--set", f"variant={variant}", "--set", f"output_dir={tmp_path / variant}"]
+            assert main(["train-lp", "--config", str(cfg), *args]) == 0
+            metrics[variant] = (tmp_path / variant / "seed_0" / "metrics.csv").read_bytes()
+        assert metrics["full"] != metrics["rgcn_baseline"]
+        ckpt = tmp_path / "rgcn_baseline" / "seed_0" / "checkpoint.npz"
+        args = ["--set", "variant=rgcn_baseline", "--set", f"checkpoint={ckpt}"]
+        args += ["--set", f"output_dir={tmp_path / 'att'}"]
+        assert main(["export-attention", "--config", str(cfg), *args]) == 0
+        layers = json.loads((tmp_path / "att" / "attention.json").read_text())["layers"]
+        assert len(layers) == 1 and layers[0]["gamma"] == {} and layers[0]["psi"] == {}
+
+
 class TestCliTaskDecision:
     """The config's ``task`` chooses the pipeline; a training subcommand refuses another task."""
 
@@ -515,6 +558,13 @@ output_dir = {tmp_path / 'lp'}
         err = capsys.readouterr().err
         assert "task" in err and "link_prediction" in err and "node_classification" in err
         assert not (tmp_path / "lp").exists()
+
+    def test_train_lp_refuses_early_stopping(self, tmp_path, capsys):
+        # link prediction records no validation metric to stop on
+        cfg = self._lp_cfg(tmp_path, "task = link_prediction")
+        assert main(["train-lp", "--config", str(cfg), "--set", "early_stop_patience=2"]) == 2
+        assert "early_stop_patience" in capsys.readouterr().err
+        assert not (tmp_path / "lp" / "seed_0").exists()
 
     @pytest.mark.parametrize("command", ["train-nc", "ablate"])
     def test_nc_commands_refuse_link_prediction(self, toy_config, tmp_path, capsys, command):

@@ -52,15 +52,21 @@ def _identity_params(d, num_relations, w_self=None):
 
 
 def _gamma_and_z(p, h, g, i, r):
-    """gamma_i^r and z_i^r as ``layer_forward`` computes them.
+    """gamma_i^r and z_i^r as ``layer_forward`` computes them, for a square layer without bases.
 
-    On the subgraph of relation r alone and with W_self = 0, the node_only
-    output of node i is z_i^r + ReLU(0) = z_i^r.
+    On the subgraph of relation r alone, with W_self = 0 and every W^V_r = s*I,
+    the node_only output of node i is ReLU(s * z_i^r); s = +1 and s = -1 give
+    z_i^r = ReLU(z_i^r) - ReLU(-z_i^r).
     """
-    q = copy.copy(p)
-    q.w_self = dn.param(np.zeros_like(p.w_self.data))
-    out, trace = layer_forward(q, h, restrict_relations(g, [r]), mode="node_only")
-    return trace.gamma[(i, r)], out.data[i]
+
+    def node_only(sign):
+        q = copy.copy(p)
+        q.w_self = dn.param(np.zeros_like(p.w_self.data))
+        q.roles = {**p.roles, "value": dn.param(np.tile(sign * np.eye(p.d_in), p.num_relations))}
+        return layer_forward(q, h, restrict_relations(g, [r]), mode="node_only")
+
+    (pos, trace), (neg, _) = node_only(1.0), node_only(-1.0)
+    return trace.gamma[(i, r)], pos.data[i] - neg.data[i]
 
 
 class TestNodeAttention:
@@ -367,29 +373,33 @@ class TestVariants:
             expected[i] = np.maximum(acc, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_node_only_formula_and_dim_requirement(self):
+    def test_node_only_formula_on_a_3_to_4_layer(self):
         rng = np.random.default_rng(44)
-        inst = random_instance(rng, max_nodes=6, max_rels=2, d_in=3, d_out=3)
+        inst = random_instance(rng, max_nodes=6, max_rels=2, d_in=3, d_out=4)
         g = _graph_from_instance(inst)
         p = _params_from_instance(inst)
-        h = Tensor(inst["h"])
-        out, _ = layer_forward(p, h, g, mode="node_only")
-        _, gammas, _ = dense_layer_forward(
+        out, trace = layer_forward(p, Tensor(inst["h"]), g, mode="node_only")
+        expected, gammas, _ = dense_layer_forward(
             inst["h"], inst["triples"], inst["n"], inst["num_rels"], inst["a_vecs"],
-            inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], 0.2,
+            inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], 0.2, mode="node_only",
         )
-        for i in range(g.num_nodes):
-            rels = g.relations_of(i)
-            if not rels:
-                continue
-            zsum = np.zeros(3)
-            for r in rels:
-                zsum += gammas[(i, r)] @ inst["h"][list(g.neighbors(i, r))]
-            expected = zsum + np.maximum(inst["w_self"] @ inst["h"][i], 0.0)
-            np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
-        rect = BrgcnLayerParams.create(rng, 3, 4, 2)
-        with pytest.raises(ConfigurationError):
-            layer_forward(rect, h, g, mode="node_only")
+        assert out.shape == (inst["n"], 4)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        assert trace.gamma.keys() == gammas.keys() and not trace.psi
+        for key, gam in gammas.items():
+            np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
+
+    def test_node_only_equals_rgcn_baseline_on_single_neighbours(self):
+        # one neighbour per (node, relation) forces gamma = [1] with or without attention
+        triples = [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)]
+        g = HeteroGraph.from_triples(triples, num_nodes=4)
+        rng = np.random.default_rng(45)
+        p = BrgcnLayerParams.create(rng, 3, 5, 2)
+        h = Tensor(rng.normal(size=(4, 3)))
+        node_only, _ = layer_forward(p, h, g, mode="node_only")
+        baseline, _ = layer_forward(p, h, g, mode="rgcn_baseline")
+        np.testing.assert_array_equal(node_only.data, baseline.data)
+        assert not node_only.data[3].any()  # no edges: zero despite the self term
 
 
 class TestDropout:
@@ -522,9 +532,8 @@ class TestIdentityInput:
     def _step(identity, mode, num_bases, dropout):
         g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
         n = g.num_nodes
-        d_out = n if mode == "node_only" else 5
         p = BrgcnLayerParams.create(
-            np.random.default_rng(3), n, d_out, g.num_relations, num_bases=num_bases, dropout=dropout
+            np.random.default_rng(3), n, 5, g.num_relations, num_bases=num_bases, dropout=dropout
         )
         rng = np.random.default_rng(11)
         rng.integers(0, 5)  # leaves the cached half of a 64-bit draw in the generator
@@ -584,6 +593,26 @@ class TestIdentityInput:
         finally:
             tracemalloc.stop()
         assert all(p.grad is not None for p in model.params() if p.name.startswith("layer0.w_"))
+        assert peak < n * n * 8
+
+    def test_one_hot_node_only_allocates_no_n_by_n_array(self):
+        n = 2000
+        rng = np.random.default_rng(6)
+        triples = np.column_stack(
+            [rng.integers(0, n, 2 * n), rng.integers(0, 3, 2 * n), rng.integers(0, n, 2 * n)]
+        )
+        g = augment(HeteroGraph.from_triples(triples, num_nodes=n), add_self_loop=True)
+        p = BrgcnLayerParams.create(rng, n, 16, g.num_relations, dropout=0.4)
+        g.index  # built once per graph, outside the step
+        tracemalloc.start()
+        try:
+            with dn.Tape() as tape:
+                out, _ = layer_forward(p, None, g, mode="node_only", training=True, rng=rng)
+                tape.backward(dn.tsum(dn.mul(out, out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.roles["value"].grad is not None
         assert peak < n * n * 8
 
 
@@ -749,9 +778,7 @@ class TestStackedParameters:
         assert g.num_relations == num_relations
         n = g.num_nodes
         d_in = n if one_hot else 5
-        p = BrgcnLayerParams.create(
-            np.random.default_rng(1), d_in, d_in if mode == "node_only" else 4, num_relations, dropout=0.3
-        )
+        p = BrgcnLayerParams.create(np.random.default_rng(1), d_in, 4, num_relations, dropout=0.3)
         h = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(n, d_in)))
         calls = []
 

@@ -368,12 +368,15 @@ class TestMemoryEstimate:
             pytest.skip("this machine's memory would hold the model")
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=f"about {need / 1e9:.1f} GB"):
+            with pytest.raises(ConfigurationError, match=f"about {need / 1e9:.1f} GB") as refusal:
                 NodeClassificationModel.build(np.random.default_rng(0), graph, 3, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 * n  # below one attention vector, the smallest layer-0 parameter
+        # Bases multiply out an (R, B, d_out, d_in) product per role in every
+        # forward, so num_bases is no way under the limit.
+        assert "hidden_units" in str(refusal.value) and "num_bases" not in str(refusal.value)
 
     @pytest.mark.parametrize("num_bases", [0, 1, 3])
     def test_num_floats_counts_what_create_allocates(self, num_bases):
