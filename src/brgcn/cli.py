@@ -11,6 +11,8 @@ Artifacts land under ``output_dir``: a ``config.resolved`` snapshot at the
 root, and per seed a ``metrics.csv`` (``epoch,loss,train_acc,val_metric``)
 plus ``checkpoint.npz``.  ``eval`` writes ``results.json``, ``ablate``
 writes ``ablation.csv``, ``export-attention`` writes ``attention.json``.
+Nothing is written until the inputs have loaded and the first run has
+trained or the results are computed, so a refused run leaves no directory.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _write_json(path: Path, payload) -> None:
 
 def _cmd_train(cfg: ExperimentConfig) -> int:
     graph, labels, split = _load_data(cfg)
-    out = _prepare_output(cfg)
+    out = None
     for seed in cfg.seeds:
         train_cfg = cfg.to_train_config(seed)
         if labels is None:
@@ -132,6 +134,7 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
             accuracy = f", train acc {run.train_accuracy:.2f}%"
             if run.test_accuracy is not None:
                 accuracy += f", test acc {run.test_accuracy:.2f}%"
+        out = out or _prepare_output(cfg)  # a run refused before it trains writes nothing
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
         rows = [f"{epoch},{loss!r},{acc!r},{val}" for epoch, loss, acc, val in run.metrics_rows]
@@ -158,7 +161,6 @@ def _restore(cfg: ExperimentConfig, graph, labels, split, checkpoint, standalone
 
 def _cmd_eval(cfg: ExperimentConfig) -> int:
     _require(cfg, "checkpoint")
-    out = _prepare_output(cfg)
     graph, labels, split = _load_data(cfg)
     if labels is None and not split.test:
         raise UsageError("link-prediction eval needs a non-empty test split")
@@ -179,6 +181,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
         for name, ids in (("train", split.train), ("valid", split.valid), ("test", split.test)):
             if ids:
                 results[f"accuracy_{name}"] = evalkit.accuracy(pred, labels, ids)
+    out = _prepare_output(cfg)
     _write_json(out / "results.json", results)
     for key in sorted(results):
         if key != "task":
@@ -188,7 +191,6 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
 
 def _cmd_export_attention(cfg: ExperimentConfig) -> int:
     _require(cfg, "checkpoint")
-    out = _prepare_output(cfg)
     graph, labels, split = _load_data(cfg)
     if labels is None and cfg.standalone_decoder:
         raise UsageError("a standalone decoder has no attention to export")
@@ -205,6 +207,7 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
             for trace in traces
         ],
     }
+    out = _prepare_output(cfg)
     _write_json(out / "attention.json", payload)
     print(f"wrote attention for {len(traces)} layer(s) to {out / 'attention.json'}")
     return 0
@@ -212,7 +215,6 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
 
 def _cmd_ablate(cfg: ExperimentConfig) -> int:
     graph, labels, split = _load_data(cfg)
-    out = _prepare_output(cfg)
     report = evalkit.ablate(
         graph,
         labels,
@@ -223,6 +225,7 @@ def _cmd_ablate(cfg: ExperimentConfig) -> int:
         seeds=cfg.seeds,
     )
     rows = [f"{name},{fraction!r},{seed},{acc!r}" for name, fraction, seed, acc in report.rows]
+    out = _prepare_output(cfg)
     _write_csv(out / "ablation.csv", "strategy,fraction,seed,accuracy", rows)
     _write_json(
         out / "relation_scores.json",

@@ -491,114 +491,87 @@ def _check_index(idx: np.ndarray, size: int, op: str) -> None:
 
 
 class BlockLayout:
-    """Rows split into contiguous square blocks, checked once; the layout of :func:`block_dot`.
+    """Rows split into contiguous square blocks of non-increasing size, checked once.
 
-    ``first[s]`` is the first row of row s's block.  Blocks run in
-    non-increasing size order, so the rows of blocks larger than j are a
-    prefix, of length ``counts[j]``.  The ordered row pairs (s, j), row s
-    with the j-th row of its block, are listed position-major: pair (s, j)
-    is entry ``start[j] + s`` of a ``start[-1]``-long vector, and pair
-    (first[t] + j, t) is entry ``col_start[t] + j``.
+    Built from the blocks' sizes, in row order.  The blocks of one size m
+    form one run: ``runs`` lists (lo, hi, m, p) per distinct size,
+    descending, where rows lo:hi are (hi - lo) / m blocks of m rows.  The
+    ordered row pairs of every block are listed node-major: each block's
+    m x m pairs are row-major and consecutive, and the run's pairs are
+    entries p:p + (hi - lo) * m of a ``pairs``-long vector.
     """
 
-    __slots__ = ("first", "counts", "start", "col_start")
+    __slots__ = ("runs", "rows", "pairs")
 
-    def __init__(self, first):
-        first = np.asarray(first, dtype=np.intp)
-        if first.ndim != 1:
-            raise DimensionError(f"BlockLayout: first must be a vector, got shape {first.shape}")
-        rows = first.size
-        pos = np.arange(rows) - first
-        starts = np.flatnonzero(pos == 0)
-        size = np.diff(starts, append=rows)
-        bad = rows > 0 and first[0] != 0 or (first != np.repeat(starts, size)).any()
-        if bad or (size[1:] > size[:-1]).any():
-            raise DimensionError("BlockLayout: first must list contiguous blocks of non-increasing size")
-        self.first = first
-        self.counts = np.searchsorted(-np.repeat(size, size), -np.arange(size[0] if rows else 0))
-        self.start = np.concatenate(([0], np.cumsum(self.counts)))
-        self.col_start = self.start[pos] + first
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes)
+        if sizes.ndim != 1 or sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 1):
+            raise DimensionError(f"BlockLayout: sizes must be a vector of positive ints, got {sizes!r}")
+        if (sizes[1:] > sizes[:-1]).any():
+            raise DimensionError("BlockLayout: block sizes must not increase")
+        runs, lo, p = [], 0, 0
+        for neg_m, count in zip(*np.unique(-sizes, return_counts=True)):
+            m = int(-neg_m)
+            hi = lo + m * int(count)
+            runs.append((lo, hi, m, p))
+            lo, p = hi, p + m * m * int(count)
+        self.runs, self.rows, self.pairs = tuple(runs), lo, p
 
 
-def _layout(layout, rows: int, op: str) -> BlockLayout:
-    if not isinstance(layout, BlockLayout) or layout.first.size != rows:
-        raise DimensionError(f"{op}: need a BlockLayout over {rows} rows")
-    return layout
+def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
+    """Dot-product attention, unscaled, within each block of ``layout``.
 
-
-def block_dot(a, b, layout: BlockLayout) -> Tensor:
-    """Dot products of every ordered row pair of each block.
-
-    ``out[start[j] + s] = a[s] . b[first[s] + j]`` over the blocks of
-    ``layout``.  Step j of the loop handles the prefix of rows whose block
-    is larger than j, so transients are at most (rows, d) and the loop runs
-    as many times as the largest block has rows.  Each sum adds the same
-    products in the same order as a scatter over the flat (row, column)
-    pair list.
+    For the rows B of one block, psi_B = softmax_rows(q_B k_B^T) and
+    ``out[B] = psi_B v_B``.  Returns ``out`` and psi, one float per ordered
+    row pair in ``layout``'s node-major order, as a fresh read-only vector.
+    Each run of equal-size blocks is one (blocks, m, d) view of the rows, so
+    the loop runs once per distinct block size, with batched matmuls and no
+    gathers; transients are at most one run's pairs or rows.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise DimensionError(f"block_dot: need matrices of equal shape, got {a.shape}, {b.shape}")
-    lay = _layout(layout, a.shape[0], "block_dot")
-    first, start, col_start = lay.first, lay.start, lay.col_start
-    ad, bd = np.ascontiguousarray(a.data), b.data  # einsum sums contiguous rows alike
-    out = np.empty(start[-1])
-    for j, c in enumerate(lay.counts):
-        out[start[j] : start[j + 1]] = np.einsum("gd,gd->g", ad[:c], bd[first[:c] + j])
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or q.shape != k.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
+        raise DimensionError(
+            f"block_attention: need q, k of equal shape and v as tall, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    if not isinstance(layout, BlockLayout) or layout.rows != q.shape[0]:
+        raise DimensionError(f"block_attention: need a BlockLayout over {q.shape[0]} rows")
+    qd, kd, vd = q.data, k.data, v.data
+    d, dv = qd.shape[1], vd.shape[1]
+    out = np.empty_like(vd, order="C")
+    psi = np.empty(layout.pairs)
+
+    def views(lo, hi, m, p):  # the run's blocks of q, k, v and psi, (blocks, m, .)
+        s = psi[p : p + (hi - lo) * m].reshape(-1, m, m)
+        return s, qd[lo:hi].reshape(-1, m, d), kd[lo:hi].reshape(-1, m, d), vd[lo:hi].reshape(-1, m, dv)
+
+    for lo, hi, m, p in layout.runs:
+        s, qb, kb, vb = views(lo, hi, m, p)
+        np.matmul(qb, kb.transpose(0, 2, 1), out=s)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        np.matmul(s, vb, out=out[lo:hi].reshape(-1, m, dv))
+    psi.flags.writeable = False
 
     def backward(g):
-        ga = np.zeros_like(ad) if a.requires_grad else None
-        gb = np.zeros_like(bd) if b.requires_grad else None
-        for j, c in enumerate(lay.counts):
-            partner = first[:c] + j
-            if ga is not None:
-                part = bd[partner]
-                part *= g[start[j] : start[j + 1], None]
-                ga[:c] += part
-            if gb is not None:
-                part = ad[partner]
-                part *= g[col_start[:c] + j, None]
-                gb[:c] += part
-        return ga, gb
+        gq, gk, gv = (np.empty_like(t.data, order="C") if t.requires_grad else None for t in (q, k, v))
+        for lo, hi, m, p in layout.runs:
+            s, qb, kb, vb = views(lo, hi, m, p)
+            gb = g[lo:hi].reshape(-1, m, dv)
+            if gv is not None:
+                np.matmul(s.transpose(0, 2, 1), gb, out=gv[lo:hi].reshape(-1, m, dv))
+            if gq is None and gk is None:
+                continue
+            gs = gb @ vb.transpose(0, 2, 1)  # d psi, then d logits in place
+            gs -= (gs * s).sum(axis=-1, keepdims=True)
+            gs *= s
+            if gq is not None:
+                np.matmul(gs, kb, out=gq[lo:hi].reshape(-1, m, d))
+            if gk is not None:
+                np.matmul(gs.transpose(0, 2, 1), qb, out=gk[lo:hi].reshape(-1, m, d))
+        return gq, gk, gv
 
-    return record_op("block_dot", out, (a, b), backward)
-
-
-def block_sum(w, x, layout: BlockLayout) -> Tensor:
-    """Pair-weighted sums over each row's block.
-
-    ``out[s] = sum_j w[start[j] + s] * x[first[s] + j]``: ``w`` holds one
-    weight per ordered row pair, in :func:`block_dot`'s order.  The loop and
-    its transients are those of :func:`block_dot`.
-    """
-    w, x = _as_tensor(w), _as_tensor(x)
-    if w.ndim != 1 or x.ndim != 2:
-        raise DimensionError(f"block_sum: need a weight vector and a matrix, got {w.shape}, {x.shape}")
-    lay = _layout(layout, x.shape[0], "block_sum")
-    first, start, col_start = lay.first, lay.start, lay.col_start
-    if w.shape != (start[-1],):
-        raise DimensionError(f"block_sum: {w.shape[0]} weights for {start[-1]} block pairs")
-    wd, xd = w.data, x.data
-    out = np.zeros_like(xd)
-    for j, c in enumerate(lay.counts):
-        part = xd[first[:c] + j]
-        part *= wd[start[j] : start[j + 1], None]
-        out[:c] += part
-
-    def backward(g):
-        gw = np.empty_like(wd) if w.requires_grad else None
-        gx = np.zeros_like(xd) if x.requires_grad else None
-        for j, c in enumerate(lay.counts):
-            partner = first[:c] + j
-            if gw is not None:
-                gw[start[j] : start[j + 1]] = (g[:c] * xd[partner]).sum(axis=1)
-            if gx is not None:
-                part = g[partner]
-                part *= wd[col_start[:c] + j, None]
-                gx[:c] += part
-        return gw, gx
-
-    return record_op("block_sum", out, (w, x), backward)
+    return record_op("block_attention", out, (q, k, v), backward), psi
 
 
 def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:

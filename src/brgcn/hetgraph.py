@@ -87,14 +87,11 @@ class GraphIndex:
     Groups are in block order: by their node's relation count |R_i|
     descending, then by node, then by relation.  Node i's groups are the
     block ``node_first[i]:node_first[i] + node_count[i]``, relations
-    ascending, and ``blocks`` is that layout as the relation stage's block
-    ops take it.  As blocks shrink down the order, the groups whose node has
-    more than b relations are a prefix.  The ordered pairs (g, g') of groups
-    at the same node are listed position-major: the pairs whose g' sits at
-    position b of the block are ``blocks.start[b]:blocks.start[b+1]``, one
-    per group g of that prefix in order, and ``pair_rows`` gives each pair's
-    g.  So node i's |R_i| x |R_i| block holds, at row a and column b, pair
-    ``blocks.start[b] + node_first[i] + a``.
+    ascending, and ``blocks`` is that layout as the relation stage's
+    :func:`~brgcn.diffnum.block_attention` takes it: the nodes with |R_i| = m
+    are one run of groups, and the ordered pairs (g, g') of groups at the
+    same node are listed node-major, one |R_i| x |R_i| row-major block per
+    node.  No per-pair index is kept.
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -119,11 +116,7 @@ class GraphIndex:
         starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
         self.node_first = np.zeros(n, dtype=np.int64)
         self.node_first[self.group_node[starts]] = starts
-        self.blocks = BlockLayout(np.repeat(starts, self.node_count[self.group_node[starts]]))
-        pair_start = self.blocks.start
-        self.pair_rows = np.empty(pair_start[-1], dtype=np.int64)
-        for b, c in enumerate(self.blocks.counts):
-            self.pair_rows[pair_start[b] : pair_start[b + 1]] = np.arange(c)
+        self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
 
     @property
     def num_groups(self) -> int:

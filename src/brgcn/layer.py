@@ -29,13 +29,12 @@ edge-softmax / scatter formulation of GAT (Velickovic et al. 2018): one
 segment softmax over every edge gives gamma, and since sum_j gamma_ij W_r h_j
 = W_r z_i^r, each role is projected first, as R-GCN's per-relation messages
 are (Schlichtkrull et al. 2018), then gathered once.  The relation stage is
-one segment softmax over all pairs of (node, relation) groups at the same
-node, run on per-node blocks: the index numbers groups by their node's
-|R_i|, descending, so node i's groups form one block and the groups whose
-node has more than b relations are a prefix.  The pair logits
-(``dn.block_dot``) and the psi-weighted value sums (``dn.block_sum``) loop
-over the block position b = 0 .. max |R_i| - 1, each step one gather and
-product over that prefix.  The tape's length depends on the number of
+Transformer-style attention (Vaswani et al. 2017) within per-node blocks, one
+op (``dn.block_attention``): the index numbers groups by their node's |R_i|,
+descending, so node i's groups form one block and the nodes with |R_i| = m
+are one run of groups, read as a (nodes, m, d_out) view.  Per run, one
+batched matmul gives the logits, a row softmax gives psi and one batched
+matmul the psi-weighted values.  The tape's length depends on the number of
 layers only.
 
 Cost model: every role projects all N*R (node, relation) slots and gathers
@@ -44,12 +43,12 @@ R*d_out) array in slot layout, so a dense layer projects a role with one
 matmul and nothing is restacked per forward.  With identity (one-hot) input
 the slot matrix is the parameter itself and no N x N array is built.  Under
 basis decomposition every forward multiplies out an (R, B, d_out, d_in)
-product and transposes it, per role.  The relation stage
-does d_out work per same-node pair, but its transients are at most groups x
-d_out; only the logits and psi, one float per pair, grow with the pairs, and
-the block ops run max |R_i| loop steps each.  So a step is linear in edges
-plus slots plus pairs.  A dense layer on a graph whose nodes carry few of
-many relations pays for its empty slots.
+product and transposes it, per role.  The relation stage does d_out work
+per same-node pair and loops once per distinct |R_i|; only psi and the
+transients of one run's logits, one float per pair, grow with the pairs,
+and no pairs x d_out array is built.  So a step is linear in edges plus
+slots plus pairs.  A dense layer on a graph whose nodes carry few of many
+relations pays for its empty slots.
 """
 
 from __future__ import annotations
@@ -196,7 +195,8 @@ class AttentionTrace:
     ordered like ``graph.neighbors(i, r)``.  ``psi[i]`` is the
     |R_i| x |R_i| relation-attention matrix whose row/column order is
     ``rel_order[i]``.  A forward pass fills them with read-only mappings over
-    ``graph.index`` and detached flat copies of gamma and psi.
+    ``graph.index``, a detached flat copy of gamma and the relation stage's
+    read-only flat psi, node-major: each value is built or viewed on lookup.
     """
 
     gamma: Mapping[tuple[int, int], np.ndarray] = field(default_factory=dict)
@@ -313,10 +313,9 @@ def layer_forward(
     self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if mode in ("full", "relation_only"):
-        # Relation-level attention: one segment softmax over same-node group pairs.
+        # Relation-level attention: one softmax over each node's block of groups.
         q, k, v = (messages(role, idx.edge_group, groups) for role in params.ROLES)
-        psi = dn.segment_softmax(dn.block_dot(q, k, idx.blocks), idx.pair_rows, groups)
-        fused = dn.block_sum(psi, v, idx.blocks)
+        fused, psi = dn.block_attention(q, k, v, idx.blocks)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
         out = dn.segment_sum(delta, idx.group_node, n)
     else:
@@ -346,8 +345,11 @@ def _diagonal_dropout(rng: np.random.Generator, n: int, keep: float) -> np.ndarr
     return (diag < keep) / keep
 
 
-def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> AttentionTrace:
-    """Mappings over detached copies of the flat edge (gamma) and pair (psi) arrays."""
+def _trace(idx: GraphIndex, gamma: Tensor | None, psi: np.ndarray | None) -> AttentionTrace:
+    """Mappings over a detached copy of the flat edge gamma and over psi.
+
+    ``psi`` is :func:`dn.block_attention`'s fresh read-only pair vector, held as it is.
+    """
     trace = AttentionTrace()
     if gamma is not None:
         flat_gamma = gamma.data.copy()
@@ -364,7 +366,6 @@ def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> Attenti
 
         trace.gamma = _FlatView(keys, gamma_of)
     if psi is not None:
-        flat_psi = psi.data.copy()
 
         def per_node(value_of: Callable[[int, int], object]) -> _FlatView:
             def of(key):  # value_of(i, |R_i|) for a node i with edges
@@ -374,9 +375,10 @@ def _trace(idx: GraphIndex, gamma: Tensor | None, psi: Tensor | None) -> Attenti
 
             return _FlatView(lambda: np.flatnonzero(idx.node_count).tolist(), of)
 
-        def psi_of(i, m):  # row a, column b: pair blocks.start[b] + node_first[i] + a
-            rows = idx.node_first[i] + np.arange(m)
-            return flat_psi[idx.blocks.start[:m] + rows[:, None]]
+        def psi_of(i, m):  # node i's m x m block, row-major, in the run of size m
+            lo, p = next((lo, p) for lo, _, size, p in idx.blocks.runs if size == m)
+            start = p + (idx.node_first[i] - lo) * m
+            return psi[start : start + m * m].reshape(m, m)
 
         trace.psi = per_node(psi_of)
         trace.rel_order = per_node(lambda i, m: idx.relations_of(i))

@@ -1,9 +1,12 @@
-"""Flat pair-list oracles for the block ops ``block_dot`` and ``block_sum``.
+"""Flat pair-list oracles for the relation stage's ``block_attention``.
 
-``pair_dot`` is the generic sampled dense-dense product.  With it and
-``gather_sum`` over the flat (row, column) lists of :func:`block_pairs`, the
-block ops' results come from one gather of (pairs, d) rows and one scatter
-each, with every sum added in the same order.
+:func:`attention_chain` computes the attention as three generic ops over the
+flat (row, column) list of every ordered same-block row pair: ``pair_dot``
+(the sampled dense-dense product) for the logits, ``segment_softmax`` for psi
+and ``gather_sum`` for the psi-weighted values.  :func:`block_dot` and
+:func:`block_sum` compute the logits and the values position by position
+over the blocks (:class:`PositionMajor`), adding the same products in the
+same order as the flat list of :func:`block_pairs`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from collections import Counter
 
 import numpy as np
 
-from brgcn.diffnum import DimensionError, Tensor, record_op
+from brgcn import diffnum as dn
+from brgcn.diffnum import BlockLayout, DimensionError, Tensor, record_op
 from brgcn.diffnum.tensor import _as_tensor, _check_index, _scatter_add
 
 
@@ -43,12 +47,51 @@ def pair_dot(a, b, rows, cols) -> Tensor:
     return record_op("pair_dot", out, (a, b), backward)
 
 
-def block_pairs(first) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (rows, cols) of every ordered same-block row pair, in the block ops' order.
+def row_firsts(layout: BlockLayout) -> np.ndarray:
+    """The first row of each row's block."""
+    parts = [np.repeat(np.arange(lo, hi, m), m) for lo, hi, m, _ in layout.runs]
+    return np.concatenate([np.zeros(0, dtype=np.intp), *parts])
 
-    Built per row from the block sizes alone: position-major, so pair (s, j)
-    (row s, column the j-th row of s's block) comes before every pair at a
-    later position, and within a position the rows ascend.
+
+def node_pairs(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of :func:`block_pairs` in ``block_attention``'s psi order: by row, then column."""
+    rows, cols = block_pairs(row_firsts(layout))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
+def attention_chain(q, k, v, layout: BlockLayout) -> tuple[Tensor, Tensor]:
+    """``block_attention``'s output and psi from the flat pair list, three taped ops."""
+    rows, cols = node_pairs(layout)
+    psi = dn.segment_softmax(pair_dot(q, k, rows, cols), rows, layout.rows)
+    return dn.gather_sum(psi, v, cols, rows, layout.rows), psi
+
+
+class PositionMajor:
+    """The pairs of :func:`block_pairs`' order, located per block position.
+
+    ``first[s]`` is the first row of row s's block.  The rows of blocks
+    larger than j are a prefix, of length ``counts[j]``.  Pair (s, j), row s
+    with the j-th row of its block, is entry ``start[j] + s``, and pair
+    (first[t] + j, t) is entry ``col_start[t] + j``.
+    """
+
+    def __init__(self, first):
+        self.first = first = np.asarray(first, dtype=np.intp)
+        pos = np.arange(first.size) - first
+        starts = np.flatnonzero(pos == 0)
+        size = np.diff(starts, append=first.size)
+        self.counts = np.searchsorted(-np.repeat(size, size), -np.arange(size[0] if first.size else 0))
+        self.start = np.concatenate(([0], np.cumsum(self.counts)))
+        self.col_start = self.start[pos] + first
+
+
+def block_pairs(first) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (rows, cols) of every ordered same-block row pair, position-major.
+
+    Built per row from the block sizes alone: pair (s, j) (row s, column the
+    j-th row of s's block) comes before every pair at a later position, and
+    within a position the rows ascend.
     """
     first = np.asarray(first).tolist()
     size = Counter(first)
@@ -56,3 +99,57 @@ def block_pairs(first) -> tuple[np.ndarray, np.ndarray]:
     rows = np.array([s for _, s, _ in pairs], dtype=np.intp)
     cols = np.array([c for _, _, c in pairs], dtype=np.intp)
     return rows, cols
+
+
+def block_dot(a, b, lay: PositionMajor) -> Tensor:
+    """``out[start[j] + s] = a[s] . b[first[s] + j]``, one gather and product per position j."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    first, start, col_start = lay.first, lay.start, lay.col_start
+    ad, bd = np.ascontiguousarray(a.data), b.data  # einsum sums contiguous rows alike
+    out = np.empty(start[-1])
+    for j, c in enumerate(lay.counts):
+        out[start[j] : start[j + 1]] = np.einsum("gd,gd->g", ad[:c], bd[first[:c] + j])
+
+    def backward(g):
+        ga = np.zeros_like(ad) if a.requires_grad else None
+        gb = np.zeros_like(bd) if b.requires_grad else None
+        for j, c in enumerate(lay.counts):
+            partner = first[:c] + j
+            if ga is not None:
+                part = bd[partner]
+                part *= g[start[j] : start[j + 1], None]
+                ga[:c] += part
+            if gb is not None:
+                part = ad[partner]
+                part *= g[col_start[:c] + j, None]
+                gb[:c] += part
+        return ga, gb
+
+    return record_op("block_dot", out, (a, b), backward)
+
+
+def block_sum(w, x, lay: PositionMajor) -> Tensor:
+    """``out[s] = sum_j w[start[j] + s] * x[first[s] + j]``, in :func:`block_dot`'s loop."""
+    w, x = _as_tensor(w), _as_tensor(x)
+    first, start, col_start = lay.first, lay.start, lay.col_start
+    wd, xd = w.data, x.data
+    out = np.zeros_like(xd)
+    for j, c in enumerate(lay.counts):
+        part = xd[first[:c] + j]
+        part *= wd[start[j] : start[j + 1], None]
+        out[:c] += part
+
+    def backward(g):
+        gw = np.empty_like(wd) if w.requires_grad else None
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        for j, c in enumerate(lay.counts):
+            partner = first[:c] + j
+            if gw is not None:
+                gw[start[j] : start[j + 1]] = (g[:c] * xd[partner]).sum(axis=1)
+            if gx is not None:
+                part = g[partner]
+                part *= wd[col_start[:c] + j, None]
+                gx[:c] += part
+        return gw, gx
+
+    return record_op("block_sum", out, (w, x), backward)

@@ -583,3 +583,36 @@ output_dir = {tmp_path / 'lp'}
         args = ["--set", f"checkpoint={ckpt}", "--set", f"output_dir={out}"]
         assert main(["eval", "--config", str(resolved), *args]) == 0
         assert "mrr_filtered" in json.loads((out / "results.json").read_text())
+
+
+class TestRefusedRunsWriteNothing:
+    """A run refused for its config or inputs exits 2 and leaves no output directory."""
+
+    def test_train_lp_with_early_stopping(self, tmp_path, capsys):
+        triples, train, _ = _write_lp_dataset(tmp_path)
+        cfg = _cfg_file(
+            tmp_path,
+            f"task = link_prediction\ntriples_path = {triples}\ntrain_triples_path = {train}\n"
+            f"epochs = 2\noutput_dir = {tmp_path / 'lp'}\n",
+        )
+        assert main(["train-lp", "--config", str(cfg), "--set", "early_stop_patience=2"]) == 2
+        assert "early_stop_patience" in capsys.readouterr().err
+        assert not (tmp_path / "lp").exists()
+
+    def test_eval_without_labels(self, toy_config, tmp_path, capsys):
+        text = toy_config.read_text().splitlines(keepends=True)
+        cfg = _cfg_file(tmp_path, "".join(line for line in text if not line.startswith("labels_path")))
+        ckpt = GOLDEN / "per_relation_nc_checkpoint.npz"
+        args = ["--set", "hidden_units=4", "--set", f"checkpoint={ckpt}"]
+        assert main(["eval", "--config", str(cfg), *args]) == 2
+        assert "labels_path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_export_attention_with_an_unknown_test_node(self, toy_config, tmp_path, capsys):
+        (tmp_path / "test.txt").write_text("no_such_node\n")
+        ckpt = GOLDEN / "per_relation_nc_checkpoint.npz"
+        args = ["--set", "hidden_units=4", "--set", f"checkpoint={ckpt}"]
+        args += ["--set", f"test_nodes_path={tmp_path / 'test.txt'}"]
+        assert main(["export-attention", "--config", str(toy_config), *args]) == 2
+        assert "no_such_node" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -205,10 +205,10 @@ def _op_cases(rng):
     w = dn.param(_rand(rng, 5))
     # repeated indices: gradients must accumulate, not overwrite
     src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 1])
-    # blocks of 3, 2 and 1 rows: 14 ordered same-block row pairs
-    blocks = dn.BlockLayout([0, 0, 0, 3, 3, 5])
-    q, k, v = (dn.param(_rand(rng, 6, 2)) for _ in range(3))
-    pw = dn.param(_rand(rng, 14))
+    # blocks of 3, 2, 2 and 1 rows: runs of sizes 3, 2 and 1
+    blocks = dn.BlockLayout([3, 2, 2, 1])
+    q, k, v = (dn.param(_rand(rng, 8, 2)) for _ in range(3))
+    pw = _rand(rng, 8, 2)
     return [
         ("add", lambda: dn.tsum(dn.add(a, b)), [a, b]),
         ("add_broadcast", lambda: dn.tsum(dn.add(m, b)), [m, b]),
@@ -249,14 +249,9 @@ def _op_cases(rng):
             [m],
         ),
         (
-            "block_dot",
-            lambda: dn.tsum(dn.mul(dn.block_dot(q, k, blocks), pw)),
-            [q, k, pw],
-        ),
-        (
-            "block_sum",
-            lambda: dn.tsum(dn.mul(dn.block_sum(pw, v, blocks), q)),
-            [pw, v, q],
+            "block_attention",
+            lambda: dn.tsum(dn.mul(dn.block_attention(q, k, v, blocks)[0], pw)),
+            [q, k, v],
         ),
         (
             "gather_sum",

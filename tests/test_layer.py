@@ -26,6 +26,7 @@ from brgcn.training import LinkPredictionModel, NodeClassificationModel, TrainCo
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
 from layer_weights import layer_with_weights
+from pair_oracle import attention_chain
 from synth import planted_graph
 
 
@@ -677,7 +678,7 @@ class TestFlatTrace:
         assert len(kept) == 20 and idx.num_groups > 100
         # One gamma and one psi copy plus a few fixed objects per trace; per-group
         # arrays and dict entries would add about 280 bytes per group.
-        flat = 8 * (idx.heads.size + idx.pair_rows.size)
+        flat = 8 * (idx.heads.size + (idx.node_count**2).sum())
         assert held < 20 * (flat + 8192)
 
 
@@ -737,6 +738,27 @@ class TestTapeLength:
             lengths.append((g.num_relations, len(tape)))
         assert [r for r, _ in lengths] == [3, 9]
         assert lengths[0][1] == lengths[1][1]
+
+    def test_relation_stage_records_one_entry_per_layer(self, monkeypatch):
+        # A 2-layer full step records two fewer entries per layer with the
+        # fused relation attention than with the three-op flat pair chain.
+        graph, labels = planted_graph()
+        g = augment(graph, add_self_loop=True)
+        cfg = TrainConfig(hidden_units=8, dropout=0.4, variant="full", num_layers=2)
+
+        def step():
+            rng = np.random.default_rng(0)
+            model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
+            with dn.Tape() as tape:
+                probs, _ = model.forward(g, training=True, rng=rng)
+                tape.backward(nc_loss(probs, labels))
+            return len(tape)
+
+        fused = step()
+        monkeypatch.setattr(
+            dn, "block_attention", lambda q, k, v, lay: (attention_chain(q, k, v, lay)[0], None)
+        )
+        assert step() == fused + 2 * 2
 
 
 class TestLayerParamsConfig:
