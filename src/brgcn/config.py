@@ -35,7 +35,7 @@ def _seed_problems(seeds: tuple[int, ...]) -> list[str]:
     return ["must be non-negative"] if any(s < 0 for s in seeds) else []
 
 
-EXISTING_FILE = check(lambda v: () if v is None or Path(v).exists() else (f"file not found: {v}",))
+EXISTING_FILE = check(lambda v: () if v is None or Path(v).is_file() else (f"file not found: {v!r}",))
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def validate_config(
     """
     errors: list[str] = []
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         return None, [f"config file not found: {path}"]
     raw = parse_config_text(path.read_text(encoding="utf-8"), errors)
     for key, value in (overrides or {}).items():

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import hetgraph as hg
-from .layer import AttentionTrace
+from .layer import PSI_VARIANTS, AttentionTrace, ConfigurationError
 
 if TYPE_CHECKING:  # training imports this module for accuracy
     from .training import TrainConfig
@@ -254,10 +254,13 @@ def ablate(
     (strategy, fraction) cell rebuild the retained-relation subgraph and
     retrain from scratch with the identical config and seed, recording test
     accuracy.  Relations added by augmentation (inverses, self loops) are
-    rebuilt inside each retrain and never ranked.
+    rebuilt inside each retrain and never ranked.  A variant without psi
+    would score every relation 0, so it is refused before anything trains.
     """
     from .training import train_node_classifier
 
+    if cfg.variant not in PSI_VARIANTS:
+        raise ConfigurationError(f"ablate ranks relations by psi; variant {cfg.variant} has none")
     seeds = list(seeds) if seeds is not None else [cfg.seed]
     report = AblationReport()
     base_relations = range(graph.num_relations)

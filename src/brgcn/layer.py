@@ -41,14 +41,14 @@ Cost model: every role projects all N*R (node, relation) slots and gathers
 d_out-wide rows per edge.  Each role's weights are stored as one (d_in,
 R*d_out) array in slot layout, so a dense layer projects a role with one
 matmul and nothing is restacked per forward.  With identity (one-hot) input
-the slot matrix is the parameter itself and no N x N array is built.  Under
-basis decomposition every forward multiplies out an (R, B, d_out, d_in)
-product and transposes it, per role.  The relation stage does d_out work
-per same-node pair and loops once per distinct |R_i|; only psi and the
-transients of one run's logits, one float per pair, grow with the pairs,
-and no pairs x d_out array is built.  So a step is linear in edges plus
-slots plus pairs.  A dense layer on a graph whose nodes carry few of many
-relations pays for its empty slots.
+the slot matrix is the parameter itself, dropout draws one mask entry per
+node and no N x N array is built.  Under basis decomposition every forward
+multiplies out an (R, B, d_out, d_in) product and transposes it, per role.
+The relation stage does d_out work per same-node pair and loops once per
+distinct |R_i|; only psi and the transients of one run's logits, one float
+per pair, grow with the pairs, and no pairs x d_out array is built.  So a
+step is linear in edges plus slots plus pairs.  A dense layer on a graph
+whose nodes carry few of many relations pays for its empty slots.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class ConfigurationError(Exception):
 
 
 VARIANTS = ("full", "node_only", "relation_only", "rgcn_baseline")
+PSI_VARIANTS = ("full", "relation_only")  # the variants that fuse through psi
 
 
 class BrgcnLayerParams:
@@ -247,8 +248,9 @@ def layer_forward(
     configured) is applied to the input features and to the post-softmax
     neighbor weights with inverted scaling; evaluation passes are
     deterministic.  ``h=None`` is the identity (one-hot features) without
-    building it: h @ W is a lookup of W's rows, each scaled by its diagonal
-    feature-dropout mask entry.
+    building it: h @ W is a lookup of W's rows.  Dropout on it is one
+    Bernoulli(keep) / keep mask entry per node, which scales that node's
+    rows: the per-unit dropout of Srivastava et al. (2014).
     """
     if mode not in VARIANTS:
         raise ConfigurationError(f"unknown variant {mode!r}; expected one of {VARIANTS}")
@@ -267,15 +269,20 @@ def layer_forward(
     if use_dropout and rng is None:
         raise ConfigurationError("training with dropout requires an rng")
     keep = 1.0 - params.dropout
-    if h is None:
-        scale = Tensor(_diagonal_dropout(rng, n, keep)[:, None]) if use_dropout else None
-    elif use_dropout:
-        h = dn.mul(h, Tensor((rng.random(h.shape) < keep) / keep))
+
+    def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry
+        return Tensor((rng.random(shape) < keep) / keep) if use_dropout else None
+
+    def scaled(x: Tensor, m: Tensor | None) -> Tensor:
+        return x if m is None else dn.mul(x, m)
+
+    # One-hot input drops whole nodes: node j's one mask entry scales its weight rows.
+    feature_mask = mask((n, 1) if h is None else h.shape)
+    if h is not None:
+        h = scaled(h, feature_mask)
 
     def project(w: Tensor) -> Tensor:  # h @ w
-        if h is not None:
-            return dn.matmul(h, w)
-        return w if scale is None else dn.mul(w, scale)
+        return scaled(w, feature_mask) if h is None else dn.matmul(h, w)
 
     idx = graph.index
     if not idx.num_groups:
@@ -294,11 +301,8 @@ def layer_forward(
             dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
             dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
         )
-        gamma = weights = dn.segment_softmax(
-            dn.leaky_relu(logits, params.leaky_slope), idx.edge_group, groups
-        )
-        if use_dropout:
-            weights = dn.mul(gamma, Tensor((rng.random(gamma.shape[0]) < keep) / keep))
+        gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edge_group, groups)
+        weights = scaled(gamma, mask(gamma.shape))
 
     def messages(role: str, dst: np.ndarray, num_dst: int) -> Tensor:
         # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
@@ -312,7 +316,7 @@ def layer_forward(
 
     self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
     psi = None
-    if mode in ("full", "relation_only"):
+    if mode in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.
         q, k, v = (messages(role, idx.edge_group, groups) for role in params.ROLES)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
@@ -326,23 +330,6 @@ def layer_forward(
     if not collect_trace:
         return out, AttentionTrace()
     return out, _trace(idx, None if mode == "rgcn_baseline" else gamma, psi)
-
-
-def _diagonal_dropout(rng: np.random.Generator, n: int, keep: float) -> np.ndarray:
-    """The diagonal of ``(rng.random((n, n)) < keep) / keep``; ``bit_generator.advance``
-    skips the rest of that draw, so ``rng`` ends where the full draw leaves it."""
-    bitgen = rng.bit_generator
-    if not hasattr(bitgen, "advance"):
-        raise ConfigurationError(f"one-hot dropout needs advance(), {type(bitgen).__name__} lacks it")
-    before = bitgen.state
-    diag = np.empty(n)
-    for i in range(n):
-        if i:
-            bitgen.advance(n)
-        diag[i] = rng.random()
-    # advance() drops the cached 32-bit half-draw that drawing doubles keeps.
-    bitgen.state = {**bitgen.state, **{k: before[k] for k in ("has_uint32", "uinteger") if k in before}}
-    return (diag < keep) / keep
 
 
 def _trace(idx: GraphIndex, gamma: Tensor | None, psi: np.ndarray | None) -> AttentionTrace:

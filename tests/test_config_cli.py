@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brgcn import training
 from brgcn.cli import main
 from brgcn.config import ExperimentConfig, snapshot, validate_config
 from brgcn.layer import ConfigurationError
@@ -105,6 +106,10 @@ class TestValidateConfig:
         cfg, errors = validate_config(_cfg_file(tmp_path, "triples_path = /nope.tsv\n"))
         assert cfg is None
         assert any("triples_path" in e and "not found" in e for e in errors)
+
+    def test_empty_or_directory_config_path(self, tmp_path):
+        for path in ("", tmp_path):
+            assert validate_config(path) == (None, [f"config file not found: {Path(path)}"])
 
     def test_snapshot_is_fixed_point(self, tmp_path):
         original, errors = validate_config(
@@ -505,9 +510,7 @@ class TestCliVariants:
             assert main([command, *args, *where]) == 0
         layers = json.loads((tmp_path / "att" / "attention.json").read_text())["layers"]
         assert len(layers) == 2 and all(layer["gamma"] and not layer["psi"] for layer in layers)
-        abl = ["--set", "ablation_fractions=1.0", "--set", f"output_dir={tmp_path / 'abl'}"]
-        assert main(["ablate", *args, *abl]) == 0
-        assert len((tmp_path / "abl" / "ablation.csv").read_text().strip().splitlines()) == 1 + 3
+        # ablate, which ranks relations by psi, refuses it (TestRefusedRunsWriteNothing).
 
     def test_link_prediction_encoder_follows_the_variant(self, tmp_path):
         triples, train, test = _write_lp_dataset(tmp_path)
@@ -615,4 +618,21 @@ class TestRefusedRunsWriteNothing:
         args += ["--set", f"test_nodes_path={tmp_path / 'test.txt'}"]
         assert main(["export-attention", "--config", str(toy_config), *args]) == 2
         assert "no_such_node" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["node_only", "rgcn_baseline"])
+    def test_ablate_with_a_variant_without_psi(self, toy_config, tmp_path, capsys, monkeypatch, variant):
+        def train(*args, **kwargs):
+            raise AssertionError("ablate trained before refusing")
+
+        monkeypatch.setattr(training, "train_node_classifier", train)
+        assert main(["ablate", "--config", str(toy_config), "--set", f"variant={variant}"]) == 2
+        assert variant in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["empty", "directory"])
+    def test_train_nc_with_an_empty_or_directory_path(self, toy_config, tmp_path, capsys, where):
+        value = "" if where == "empty" else str(tmp_path)
+        assert main(["train-nc", "--config", str(toy_config), "--set", f"labels_path={value}"]) == 2
+        assert "labels_path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

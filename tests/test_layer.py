@@ -526,45 +526,80 @@ class TestRelationSlots:
                 np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
 
 
+class _Replay:
+    """Stands in for a generator: ``random`` hands out the given uniform draws in turn."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self, shape):
+        u = self._draws.pop(0)
+        assert u.shape == np.empty(shape).shape
+        return u
+
+
 class TestIdentityInput:
-    """``h=None`` against an explicit ``np.eye`` input: the same bits, gradients and RNG stream."""
+    """``h=None`` against an explicit ``np.eye`` input: the same bits and gradients.
+
+    One-hot dropout is one mask entry m_j per node, so the explicit input the
+    layer sees is ``np.diag(m)``.
+    """
 
     @staticmethod
-    def _step(identity, mode, num_bases, dropout):
-        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
-        n = g.num_nodes
+    def _graph():
+        return augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+
+    @staticmethod
+    def _step(g, h, rng, mode, num_bases, dropout):
         p = BrgcnLayerParams.create(
-            np.random.default_rng(3), n, 5, g.num_relations, num_bases=num_bases, dropout=dropout
+            np.random.default_rng(3), g.num_nodes, 5, g.num_relations, num_bases=num_bases, dropout=dropout
         )
-        rng = np.random.default_rng(11)
-        rng.integers(0, 5)  # leaves the cached half of a 64-bit draw in the generator
-        h = None if identity else Tensor(np.eye(n))
         with dn.Tape() as tape:
             out, _ = layer_forward(p, h, g, mode=mode, training=dropout > 0, rng=rng)
             tape.backward(dn.tsum(dn.mul(out, out)))
-        grads = [t.grad for t in p.params()]
-        return out.data, grads, rng.bit_generator.state, rng.integers(0, 5, 4), rng.random(4)
+        return out.data, [t.grad for t in p.params()]
+
+    def _explicit(self, g, replay, mode, num_bases, dropout):
+        """The step on ``np.eye(n)`` whose masked input is ``np.diag(m)``, m drawn from ``replay``.
+
+        Its dense (n, n) feature draw is replayed with the n node draws on the
+        diagonal and 1 (always dropped) off it; the edge draws follow as drawn.
+        """
+        n = g.num_nodes
+        draws = [np.where(np.eye(n, dtype=bool), replay.random(n)[:, None], 1.0)]
+        if mode in ("full", "node_only"):  # the variants that learn gamma drop edges too
+            draws.append(replay.random(g.index.heads.size))
+        return self._step(g, Tensor(np.eye(n)), _Replay(*draws), mode, num_bases, dropout)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     @pytest.mark.parametrize("num_bases", [0, 2])
     @pytest.mark.parametrize("mode", VARIANTS)
     def test_bit_equal_to_explicit_identity(self, mode, num_bases, dropout):
-        out, grads, state, ints, draws = self._step(True, mode, num_bases, dropout)
-        ref_out, ref_grads, ref_state, ref_ints, ref_draws = self._step(False, mode, num_bases, dropout)
+        g = self._graph()
+        out, grads = self._step(g, None, np.random.default_rng(11), mode, num_bases, dropout)
+        ref_out, ref_grads = self._explicit(g, np.random.default_rng(11), mode, num_bases, dropout)
         assert np.array_equal(out, ref_out)
-        assert [g is None for g in grads] == [g is None for g in ref_grads]
-        for g, ref in zip(grads, ref_grads):
-            assert g is None or np.array_equal(g, ref)
-        assert state == ref_state
-        assert np.array_equal(ints, ref_ints) and np.array_equal(draws, ref_draws)
+        assert [grad is None for grad in grads] == [grad is None for grad in ref_grads]
+        for grad, ref in zip(grads, ref_grads):
+            assert grad is None or np.array_equal(grad, ref)
 
-    def test_dropout_needs_a_generator_that_can_advance(self):
-        g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2)], num_nodes=3)
-        p = BrgcnLayerParams.create(np.random.default_rng(0), 3, 2, 1, dropout=0.5)
-        rng = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ConfigurationError, match="advance"):
-            layer_forward(p, None, g, training=True, rng=rng)
-        layer_forward(p, Tensor(np.eye(3)), g, training=True, rng=rng)  # dense input draws in full
+    @pytest.mark.parametrize("mode", VARIANTS)
+    def test_training_forward_draws_n_feature_and_e_edge_numbers(self, mode):
+        g = self._graph()
+        rng = np.random.default_rng(11)
+        self._step(g, None, rng, mode, 0, 0.4)
+        replay = np.random.default_rng(11)
+        replay.random(g.num_nodes)
+        if mode in ("full", "node_only"):
+            replay.random(g.index.heads.size)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_one_hot_dropout_runs_on_mt19937(self):
+        # MT19937 cannot skip ahead (it has no advance()); one-hot dropout needs nothing but draws.
+        g = self._graph()
+        out, _ = self._step(g, None, np.random.Generator(np.random.MT19937(0)), "full", 0, 0.5)
+        ref_out, _ = self._explicit(g, np.random.Generator(np.random.MT19937(0)), "full", 0, 0.5)
+        assert np.array_equal(out, ref_out)
 
     @pytest.mark.parametrize("task", ["nc", "lp"])
     def test_one_hot_step_allocates_no_n_by_n_array(self, task):
