@@ -200,9 +200,9 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
         "relations": {str(r): name for r, name in enumerate(g.relation_names)},
         "layers": [
             {
-                "gamma": {f"{i}:{r}": trace.gamma[(i, r)].tolist() for (i, r) in trace.gamma},
-                "psi": {str(i): trace.psi[i].tolist() for i in trace.psi},
-                "rel_order": {str(i): list(trace.rel_order[i]) for i in trace.rel_order},
+                "gamma": {f"{i}:{r}": g.tolist() for (i, r), g in trace.gamma.items()},
+                "psi": {str(i): p.tolist() for i, p in trace.psi.items()},
+                "rel_order": {str(i): list(rels) for i, rels in trace.rel_order.items()},
             }
             for trace in traces
         ],

@@ -161,21 +161,28 @@ def _in_range(triples: np.ndarray, num_entities: int, num_relations: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-def relation_attention_score(traces: Iterable[AttentionTrace], r: int) -> float:
-    """Average incoming attention mass of relation ``r`` across nodes and layers.
+def relation_attention_scores(traces: Iterable[AttentionTrace], num_relations: int) -> np.ndarray:
+    """Average incoming attention mass of relations 0..num_relations-1 across nodes and layers.
 
-    For each node whose incident-relation set contains ``r``, take the mean
-    of the column of its relation-attention matrix belonging to ``r`` (how
-    much every incident relation attends INTO ``r``), then average over all
-    such node observations.  Relations never incident anywhere score 0.
+    For each node i and each r in R_i, take the mean of the column of psi_i
+    belonging to r (how much every incident relation attends INTO r); r's
+    score averages these node observations over all traces.  Per trace this
+    is one column mean per block run of the flat psi, then one ``bincount``
+    of the masses and one of the counts by ``group_rel``.  Relations never
+    incident anywhere, and every relation of traces without psi, score 0.
     """
-    masses = []
+    mass, count = np.zeros(num_relations), np.zeros(num_relations)
     for trace in traces:
-        for i, rels in trace.rel_order.items():
-            if r in rels:
-                col = rels.index(r)
-                masses.append(float(trace.psi[i][:, col].mean()))
-    return float(np.mean(masses)) if masses else 0.0
+        if trace.flat_psi is None:
+            continue
+        col_means = [  # one per group, in group order
+            trace.flat_psi[p : p + (hi - lo) * m].reshape(-1, m, m).mean(axis=1).ravel()
+            for lo, hi, m, p in trace.index.blocks.runs
+        ]
+        rel = trace.index.group_rel
+        mass += np.bincount(rel, np.concatenate(col_means), minlength=num_relations)[:num_relations]
+        count += np.bincount(rel, minlength=num_relations)[:num_relations]
+    return np.divide(mass, count, out=np.zeros(num_relations), where=count > 0)
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ class AblationSeedInfo:
     """Full-graph run diagnostics backing one seed's ablation row set."""
 
     train_accuracy: float
-    test_accuracy: float | None
+    test_accuracy: float
     relation_scores: dict[int, float]
 
 
@@ -250,24 +257,26 @@ def ablate(
     """Score relations by learned attention, prune, retrain, and measure.
 
     Per seed: train the full-graph model, rank the base relations by
-    :func:`relation_attention_score` over its traces, then for every
+    :func:`relation_attention_scores` over its traces, then for every
     (strategy, fraction) cell rebuild the retained-relation subgraph and
     retrain from scratch with the identical config and seed, recording test
     accuracy.  Relations added by augmentation (inverses, self loops) are
     rebuilt inside each retrain and never ranked.  A variant without psi
-    would score every relation 0, so it is refused before anything trains.
+    would score every relation 0, and a split without test nodes has no
+    accuracy to record, so both are refused before anything trains.
     """
     from .training import train_node_classifier
 
     if cfg.variant not in PSI_VARIANTS:
         raise ConfigurationError(f"ablate ranks relations by psi; variant {cfg.variant} has none")
+    if not split.test:
+        raise ConfigurationError("ablate records test accuracy, but the split has no test nodes")
     seeds = list(seeds) if seeds is not None else [cfg.seed]
     report = AblationReport()
-    base_relations = range(graph.num_relations)
     for seed in seeds:
         seed_cfg = replace(cfg, seed=seed)
         full_run = train_node_classifier(graph, labels, split, seed_cfg)
-        scores = {r: relation_attention_score(full_run.traces, r) for r in base_relations}
+        scores = dict(enumerate(relation_attention_scores(full_run.traces, graph.num_relations).tolist()))
         report.full_runs[seed] = AblationSeedInfo(
             train_accuracy=full_run.train_accuracy,
             test_accuracy=full_run.test_accuracy,
@@ -279,6 +288,5 @@ def ablate(
         for cell in splits:
             sub = hg.restrict_relations(graph, cell.retained)
             run = train_node_classifier(sub, labels, split, seed_cfg)
-            acc = run.test_accuracy if run.test_accuracy is not None else run.train_accuracy
-            report.rows.append((cell.strategy, cell.fraction, seed, acc))
+            report.rows.append((cell.strategy, cell.fraction, seed, run.test_accuracy))
     return report

@@ -53,9 +53,10 @@ whose nodes carry few of many relations pays for its empty slots.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -188,43 +189,56 @@ class BrgcnLayerParams:
     w_query, w_key, w_value = (property(lambda self, r=role: self._per_relation(r)) for role in ROLES)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AttentionTrace:
-    """Recorded attention weights from one forward pass.
+    """Recorded attention weights from one forward pass, as the layer computed them.
 
-    ``gamma[(i, r)]`` holds the neighbor weights of node i under relation r,
-    ordered like ``graph.neighbors(i, r)``.  ``psi[i]`` is the
-    |R_i| x |R_i| relation-attention matrix whose row/column order is
-    ``rel_order[i]``.  A forward pass fills them with read-only mappings over
-    ``graph.index``, a detached flat copy of gamma and the relation stage's
-    read-only flat psi, node-major: each value is built or viewed on lookup.
+    ``flat_gamma`` is a read-only copy of gamma, one weight per edge of
+    ``index``, None under ``rgcn_baseline``.  ``flat_psi`` is the relation
+    stage's read-only psi, one float per same-node pair in ``index.blocks``
+    order, None without relation attention.
+
+    ``gamma``, ``psi`` and ``rel_order`` are read-only mappings of read-only
+    views, each split from the flat arrays in one pass on first access and
+    then kept.  ``gamma[(i, r)]`` holds the neighbor weights of node i under
+    relation r, ordered like ``graph.neighbors(i, r)``, keys relation-major
+    with nodes ascending.  ``psi[i]`` is the |R_i| x |R_i| relation-attention
+    matrix whose row/column order is ``rel_order[i]``, nodes ascending.
     """
 
-    gamma: Mapping[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    psi: Mapping[int, np.ndarray] = field(default_factory=dict)
-    rel_order: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+    index: GraphIndex | None = None
+    flat_gamma: np.ndarray | None = None
+    flat_psi: np.ndarray | None = None
 
+    @cached_property
+    def gamma(self) -> Mapping[tuple[int, int], np.ndarray]:
+        if self.flat_gamma is None:
+            return MappingProxyType({})
+        idx = self.index
+        starts = np.flatnonzero(np.diff(idx.edge_group, prepend=-1))  # each group's first edge
+        keys = zip(idx.heads[starts].tolist(), idx.edge_rel[starts].tolist())
+        return MappingProxyType(dict(zip(keys, np.split(self.flat_gamma, starts[1:]))))
 
-class _FlatView(Mapping):
-    """Read-only ``{k: value_of(k) for k in keys_of()}``; ``value_of`` is None off the keys."""
+    @cached_property
+    def psi(self) -> Mapping[int, np.ndarray]:
+        return self._per_node(lambda lo, hi, m, p: self.flat_psi[p : p + (hi - lo) * m].reshape(-1, m, m))
 
-    def __init__(self, keys_of: Callable[[], list], value_of: Callable):
-        self._keys_of, self._value_of = keys_of, value_of
+    @cached_property
+    def rel_order(self) -> Mapping[int, tuple[int, ...]]:
+        return self._per_node(
+            lambda lo, hi, m, p: map(tuple, self.index.group_rel[lo:hi].reshape(-1, m).tolist())
+        )
 
-    def __getitem__(self, key):
-        try:
-            value = self._value_of(key)
-        except (TypeError, ValueError):  # not a key of this shape
-            value = None
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __iter__(self):
-        return iter(self._keys_of())
-
-    def __len__(self) -> int:
-        return len(self._keys_of())
+    def _per_node(self, run_values: Callable) -> Mapping:
+        """Node i -> its value, from ``run_values(*run)``: one value per block of each run."""
+        if self.flat_psi is None:
+            return MappingProxyType({})
+        idx = self.index
+        out = dict.fromkeys(np.flatnonzero(idx.node_count).tolist())  # the key order
+        for run in idx.blocks.runs:
+            lo, hi, m, _ = run
+            out.update(zip(idx.group_node[lo:hi:m].tolist(), run_values(*run)))
+        return MappingProxyType(out)
 
 
 def layer_forward(
@@ -329,47 +343,11 @@ def layer_forward(
 
     if not collect_trace:
         return out, AttentionTrace()
-    return out, _trace(idx, None if mode == "rgcn_baseline" else gamma, psi)
-
-
-def _trace(idx: GraphIndex, gamma: Tensor | None, psi: np.ndarray | None) -> AttentionTrace:
-    """Mappings over a detached copy of the flat edge gamma and over psi.
-
-    ``psi`` is :func:`dn.block_attention`'s fresh read-only pair vector, held as it is.
-    """
-    trace = AttentionTrace()
-    if gamma is not None:
-        flat_gamma = gamma.data.copy()
-
-        def gamma_of(key):
-            i, r = map(operator.index, key)
-            if 0 <= r < idx.edge_start.size - 1 and 0 <= i < idx.node_count.size:
-                edges = idx.edges_of(i, r)
-                return flat_gamma[edges] if edges.start < edges.stop else None
-
-        def keys():  # relation-major, nodes ascending
-            order = np.lexsort((idx.group_node, idx.group_rel))
-            return list(zip(idx.group_node[order].tolist(), idx.group_rel[order].tolist()))
-
-        trace.gamma = _FlatView(keys, gamma_of)
-    if psi is not None:
-
-        def per_node(value_of: Callable[[int, int], object]) -> _FlatView:
-            def of(key):  # value_of(i, |R_i|) for a node i with edges
-                i = operator.index(key)
-                m = int(idx.node_count[i]) if 0 <= i < idx.node_count.size else 0
-                return value_of(i, m) if m else None
-
-            return _FlatView(lambda: np.flatnonzero(idx.node_count).tolist(), of)
-
-        def psi_of(i, m):  # node i's m x m block, row-major, in the run of size m
-            lo, p = next((lo, p) for lo, _, size, p in idx.blocks.runs if size == m)
-            start = p + (idx.node_first[i] - lo) * m
-            return psi[start : start + m * m].reshape(m, m)
-
-        trace.psi = per_node(psi_of)
-        trace.rel_order = per_node(lambda i, m: idx.relations_of(i))
-    return trace
+    flat_gamma = None
+    if mode != "rgcn_baseline":
+        flat_gamma = gamma.data.copy()  # detached from the tape
+        flat_gamma.flags.writeable = False
+    return out, AttentionTrace(idx, flat_gamma, psi)
 
 
 def stack_forward(

@@ -630,6 +630,18 @@ class TestRefusedRunsWriteNothing:
         assert variant in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_ablate_without_test_nodes(self, toy_config, tmp_path, capsys, monkeypatch):
+        # With no split files every labeled node trains, so no accuracy is a test accuracy.
+        def train(*args, **kwargs):
+            raise AssertionError("ablate trained before refusing")
+
+        monkeypatch.setattr(training, "train_node_classifier", train)
+        text = toy_config.read_text().splitlines(keepends=True)
+        cfg = _cfg_file(tmp_path, "".join(line for line in text if "_nodes_path" not in line))
+        assert main(["ablate", "--config", str(cfg)]) == 2
+        assert "no test nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where", ["empty", "directory"])
     def test_train_nc_with_an_empty_or_directory_path(self, toy_config, tmp_path, capsys, where):
         value = "" if where == "empty" else str(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from brgcn import evalkit
+from brgcn import evalkit, training
 from brgcn import hetgraph as hg
 from brgcn.decoders import score
 from brgcn.diffnum import Tape, Tensor
@@ -14,9 +14,9 @@ from brgcn.evalkit import (
     ablation_splits,
     accuracy,
     rank_triples,
-    relation_attention_score,
+    relation_attention_scores,
 )
-from brgcn.layer import AttentionTrace
+from brgcn.layer import AttentionTrace, BrgcnLayerParams, ConfigurationError, stack_forward
 from brgcn.training import LinkPredictionModel, TrainConfig
 from synth import memorization_kg, planted_graph
 
@@ -277,33 +277,79 @@ class TestModelScorerRanking:
         assert len(tape) == 0
 
 
+def _per_node_score(traces, r):
+    """Oracle of ``relation_attention_scores``: walk every node's psi and rel_order per relation."""
+    masses = []
+    for trace in traces:
+        for i, rels in trace.rel_order.items():
+            if r in rels:
+                col = rels.index(r)
+                masses.append(float(trace.psi[i][:, col].mean()))
+    return float(np.mean(masses)) if masses else 0.0
+
+
+def _hand_trace(triples, num_nodes, num_relations, psi):
+    """A trace over a small real graph whose flat psi (node-major) is given by hand."""
+    g = hg.HeteroGraph.from_triples(
+        triples, num_nodes=num_nodes, relation_names=[f"r{k}" for k in range(num_relations)]
+    )
+    return AttentionTrace(g.index, flat_psi=np.asarray(psi, dtype=np.float64))
+
+
 class TestRelationAttentionScore:
     def test_hand_example(self):
-        trace = AttentionTrace(
-            psi={0: np.array([[0.7, 0.3], [0.6, 0.4]])}, rel_order={0: (1, 2)}
-        )
-        assert relation_attention_score([trace], 1) == pytest.approx(0.65)
-        assert relation_attention_score([trace], 2) == pytest.approx(0.35)
+        # node 0 carries relations 1 and 2; psi rows attend over (1, 2)
+        trace = _hand_trace([(0, 1, 1), (0, 2, 2)], 3, 3, [0.7, 0.3, 0.6, 0.4])
+        assert trace.rel_order[0] == (1, 2)
+        np.testing.assert_array_equal(trace.psi[0], [[0.7, 0.3], [0.6, 0.4]])
+        scores = relation_attention_scores([trace], 3)
+        assert scores.tolist() == pytest.approx([0.0, 0.65, 0.35])
 
     def test_uniform_psi_scores_one_over_m(self):
         m = 4
-        trace = AttentionTrace(
-            psi={0: np.full((m, m), 1.0 / m)}, rel_order={0: tuple(range(m))}
-        )
-        for r in range(m):
-            assert relation_attention_score([trace], r) == pytest.approx(1.0 / m)
+        trace = _hand_trace([(0, r, 1) for r in range(m)], 2, m, np.full(m * m, 1.0 / m))
+        assert relation_attention_scores([trace], m).tolist() == pytest.approx([1.0 / m] * m)
 
     def test_absent_relation_scores_zero(self):
-        assert relation_attention_score([AttentionTrace()], 3) == 0.0
+        assert relation_attention_scores([AttentionTrace()], 3).tolist() == [0.0] * 3
+        trace = _hand_trace([(0, 1, 1), (0, 2, 2)], 3, 3, [0.7, 0.3, 0.6, 0.4])
+        assert relation_attention_scores([trace], 5)[[0, 3, 4]].tolist() == [0.0] * 3
 
     def test_scores_in_unit_interval_and_columns_sum_to_one(self):
         rng = np.random.default_rng(0)
         raw = rng.uniform(size=(3, 3))
         psi = raw / raw.sum(axis=1, keepdims=True)
-        trace = AttentionTrace(psi={5: psi}, rel_order={5: (0, 1, 2)})
-        scores = [relation_attention_score([trace], r) for r in range(3)]
+        trace = _hand_trace([(5, r, 0) for r in range(3)], 6, 3, psi.ravel())
+        scores = relation_attention_scores([trace], 3)
         assert all(0.0 <= s <= 1.0 for s in scores)
-        assert sum(scores) == pytest.approx(1.0)
+        assert scores.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mode", ["full", "relation_only"])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_node_walk(self, mode, num_layers, seed):
+        rng = np.random.default_rng(seed)
+        n, base = 40, 5
+        triples = np.stack([rng.integers(hi, size=150) for hi in (n, base, n)], axis=1)
+        names = [f"r{k}" for k in range(base)]
+        g = hg.augment(hg.HeteroGraph.from_triples(triples, num_nodes=n, relation_names=names),
+                       add_inverse=True, add_self_loop=True)
+        dims = [n, 6, 3][: num_layers + 1]
+        layers = [BrgcnLayerParams.create(rng, a, b, g.num_relations) for a, b in zip(dims, dims[1:])]
+        _, traces = stack_forward(layers, None, g, mode=mode)
+        for num_relations in (base, g.num_relations, g.num_relations + 2):
+            want = [_per_node_score(traces, r) for r in range(num_relations)]
+            got = relation_attention_scores(traces, num_relations)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["node_only", "rgcn_baseline"])
+    def test_variants_without_psi_score_zero(self, mode):
+        rng = np.random.default_rng(3)
+        g = hg.augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+        layer = BrgcnLayerParams.create(rng, 4, 4, g.num_relations)
+        h = Tensor(rng.normal(size=(g.num_nodes, 4)))
+        _, traces = stack_forward([layer, layer], h, g, mode=mode)
+        assert relation_attention_scores(traces, g.num_relations).tolist() == [0.0] * g.num_relations
 
 
 class TestAblationSplits:
@@ -364,7 +410,18 @@ class TestAblate:
             seeds=[1],
         )
         accs = {row[0]: row[3] for row in report.rows}
-        assert len(set(accs.values())) == 1
+        # retaining every relation retrains the full run: the rows hold its test accuracy
+        assert set(accs.values()) == {report.full_runs[1].test_accuracy}
+
+    def test_split_without_test_nodes_is_refused_before_training(self, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("ablate trained before refusing")
+
+        monkeypatch.setattr(training, "train_node_classifier", train)
+        graph, labels = planted_graph(num_labeled=10, num_distractors=3, seed=10)
+        split = hg.SplitSpec(tuple(labels.labeled_ids))  # everything trains, nothing is tested
+        with pytest.raises(ConfigurationError, match="no test nodes"):
+            ablate(graph, labels, split, TrainConfig(epochs=2, hidden_units=4), seeds=[0])
 
     def test_rows_schema_and_full_run_info(self):
         graph, labels = planted_graph(num_labeled=10, num_distractors=3, seed=10)

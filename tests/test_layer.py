@@ -699,6 +699,32 @@ class TestFlatTrace:
                 assert key not in mapping
         assert (0, 0) not in layer_forward(p, None, g, collect_trace=False)[1].gamma
 
+    @pytest.mark.parametrize("mode", ["full", "relation_only"])
+    def test_mappings_and_values_are_built_once(self, mode):
+        g, p = self._graph_and_params()
+        _, trace = layer_forward(p, None, g, mode=mode)
+        for name in ("gamma", "psi", "rel_order"):
+            mapping = getattr(trace, name)
+            assert getattr(trace, name) is mapping
+            key = next(iter(mapping))
+            assert mapping[key] is mapping[key]
+
+    def test_mappings_and_values_are_read_only(self):
+        # One consumer's write must not change what later readers see.
+        g, p = self._graph_and_params()
+        _, trace = layer_forward(p, None, g)
+        (key, gamma), (i, psi) = next(iter(trace.gamma.items())), next(iter(trace.psi.items()))
+        before = gamma.copy(), psi.copy()
+        for mapping, k in ((trace.gamma, key), (trace.psi, i), (trace.rel_order, i)):
+            with pytest.raises(TypeError):
+                mapping[k] = None
+        for value in (gamma, psi):
+            with pytest.raises(ValueError):
+                value[0] = 7.0
+        np.testing.assert_array_equal(trace.gamma[key], before[0])
+        np.testing.assert_array_equal(trace.psi[i], before[1])
+        assert not trace.flat_gamma.flags.writeable and not trace.flat_psi.flags.writeable
+
     def test_kept_traces_hold_no_per_group_objects(self):
         g, p = self._graph_and_params()
         idx = g.index
