@@ -189,6 +189,21 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _attention_payload(g: hg.HeteroGraph, traces) -> dict:
+    """``attention.json``'s content; gamma comes from the flat arrays, not the traces' mappings."""
+    return {
+        "relations": {str(r): name for r, name in enumerate(g.relation_names)},
+        "layers": [
+            {
+                "gamma": {f"{i}:{r}": values for (i, r), values in trace.gamma_lists()},
+                "psi": {str(i): p.tolist() for i, p in trace.psi.items()},
+                "rel_order": {str(i): list(rels) for i, rels in trace.rel_order.items()},
+            }
+            for trace in traces
+        ],
+    }
+
+
 def _cmd_export_attention(cfg: ExperimentConfig) -> int:
     _require(cfg, "checkpoint")
     graph, labels, split = _load_data(cfg)
@@ -196,17 +211,7 @@ def _cmd_export_attention(cfg: ExperimentConfig) -> int:
         raise UsageError("a standalone decoder has no attention to export")
     g, model = _restore(cfg, graph, labels, split, cfg.checkpoint, standalone=False)
     _, traces = model.encode(g, collect_trace=True)
-    payload = {
-        "relations": {str(r): name for r, name in enumerate(g.relation_names)},
-        "layers": [
-            {
-                "gamma": {f"{i}:{r}": g.tolist() for (i, r), g in trace.gamma.items()},
-                "psi": {str(i): p.tolist() for i, p in trace.psi.items()},
-                "rel_order": {str(i): list(rels) for i, rels in trace.rel_order.items()},
-            }
-            for trace in traces
-        ],
-    }
+    payload = _attention_payload(g, traces)
     out = _prepare_output(cfg)
     _write_json(out / "attention.json", payload)
     print(f"wrote attention for {len(traces)} layer(s) to {out / 'attention.json'}")

@@ -171,6 +171,11 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape((n,) + tail)
 
 
+def _partial(t: Tensor, compute: Callable[[], np.ndarray]) -> np.ndarray | None:
+    """``compute()``, the partial for input ``t``, or None when ``t`` takes no gradient."""
+    return compute() if t.requires_grad else None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a gradient back to the shape of a broadcast operand."""
     if g.shape == shape:
@@ -198,7 +203,7 @@ def add(a, b) -> Tensor:
     ash, bsh = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return _partial(a, lambda: _unbroadcast(g, ash)), _partial(b, lambda: _unbroadcast(g, bsh))
 
     return record_op("add", out, (a, b), backward)
 
@@ -212,7 +217,7 @@ def sub(a, b) -> Tensor:
     ash, bsh = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
+        return _partial(a, lambda: _unbroadcast(g, ash)), _partial(b, lambda: _unbroadcast(-g, bsh))
 
     return record_op("sub", out, (a, b), backward)
 
@@ -232,7 +237,10 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (
+            _partial(a, lambda: _unbroadcast(g * bd, ad.shape)),
+            _partial(b, lambda: _unbroadcast(g * ad, bd.shape)),
+        )
 
     return record_op("mul", out, (a, b), backward)
 
@@ -247,7 +255,7 @@ def matmul(a, b) -> Tensor:
         out = ad @ bd
 
         def backward(g):
-            return g @ bd.T, ad.T @ g
+            return _partial(a, lambda: g @ bd.T), _partial(b, lambda: ad.T @ g)
 
     elif ad.ndim == 2 and bd.ndim == 1:
         if ad.shape[1] != bd.shape[0]:
@@ -255,7 +263,7 @@ def matmul(a, b) -> Tensor:
         out = ad @ bd
 
         def backward(g):
-            return g[:, None] * bd, ad.T @ g
+            return _partial(a, lambda: g[:, None] * bd), _partial(b, lambda: ad.T @ g)
 
     elif ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
@@ -263,7 +271,7 @@ def matmul(a, b) -> Tensor:
         out = ad @ bd
 
         def backward(g):
-            return bd @ g, ad[:, None] * g
+            return _partial(a, lambda: bd @ g), _partial(b, lambda: ad[:, None] * g)
 
     else:
         raise DimensionError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
@@ -461,33 +469,178 @@ def softmax_rows(a) -> Tensor:
     return record_op("softmax_rows", out, (a,), backward)
 
 
-def _check_segments(segments: np.ndarray, n: int, num_segments: int, op: str) -> None:
-    if segments.shape != (n,):
-        raise DimensionError(f"{op}: segments shape {segments.shape} != ({n},)")
-    if n and (segments.min() < 0 or segments.max() >= num_segments):
-        raise DimensionError(f"{op}: segment ids out of range [0, {num_segments})")
+# A rank of a schedule is summed as one pass while at least this many segments reach it.
+PASS_MIN_SEGMENTS = 64
 
 
-def segment_sum(a, segments, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets given by ``segments``."""
+class Segments:
+    """An index of segment ids in [0, n), one per entry, checked once, with its reduction schedule.
+
+    ``ids`` is a read-only copy.  ``sum(values)`` returns
+    ``_scatter_add(ids, values, n)`` bit for bit: every segment adds its
+    entries in index order, starting from 0.  The schedule is built once,
+    from the index's shape alone.  Segments are ranked by entry count,
+    descending, so the segments with more than k entries are a prefix.
+    While at least ``PASS_MIN_SEGMENTS`` segments have a k-th entry, rank k
+    is one pass: one vectorized add of each such segment's k-th entry onto
+    that prefix of the partial sums.  A segment deeper than the last pass is
+    summed whole by one bincount, as ``_scatter_add`` sums it; an index with
+    fewer segments than that is one bincount and no pass.
+
+    ``order`` lists the entries as the schedule reads them (None: as given):
+    the deep segments' entries, then pass after pass.  They are gathered
+    once into a work array with one spare row, and the partial sums are
+    kept in place of each segment's first entry read, so a reduction
+    allocates the work array and its result only.  The schedule holds
+    O(entries + n) integers and nothing that depends on the values' width.
+    """
+
+    __slots__ = ("ids", "n", "order", "_slot", "_deep", "_num_deep", "_deep_rows", "_widths")
+
+    def __init__(self, ids, n: int):
+        ids = np.array(ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise DimensionError(f"Segments: ids must be a vector, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise DimensionError(f"Segments: segment ids out of range [0, {n})")
+        ids.flags.writeable = False
+        self.ids, self.n = ids, n
+        counts = np.bincount(ids, minlength=n)
+        reach = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # reach[k]: segments with > k entries
+        short = reach < PASS_MIN_SEGMENTS
+        passes = int(np.argmax(short)) if short.any() else reach.size
+        if not passes:  # one bincount, in index order
+            self.order = self._slot = None
+            self._deep, self._num_deep, self._deep_rows, self._widths = ids.size, n, ids, ()
+            return
+        self._num_deep = num_deep = int(reach[passes]) if passes < reach.size else 0
+        widths = reach[:passes] - num_deep
+        # The segments with entries by count, descending, ties by id (a radix sort when
+        # counts fit 16 bits); a segment's rank is its row of the partial sums.
+        live = np.flatnonzero(counts)
+        key = -counts[live].astype(np.int16 if counts.max() < 2**15 else np.intp)
+        by_count = live[np.argsort(key, kind="stable")]
+        rank = np.arange(live.size)
+        rank_of = np.empty(n, dtype=np.intp)
+        rank_of[by_count] = rank
+        by_segment = _stable_argsort(ids, n)
+        nth = np.empty_like(ids)  # which of its segment's entries each entry is
+        nth[by_segment] = np.arange(ids.size) - (np.cumsum(counts) - counts)[ids[by_segment]]
+        # Where the schedule reads each entry: the deep segments' entries first, by
+        # row; then a shallow segment's k-th entry in pass k, at the segment's row.
+        row = rank_of[ids]
+        deep_counts = counts[by_count[:num_deep]]
+        deep, is_deep = int(deep_counts.sum()), row < num_deep
+        at = np.empty_like(ids)
+        at[is_deep] = (np.cumsum(deep_counts) - deep_counts)[row[is_deep]] + nth[is_deep]
+        shallow = ~is_deep
+        at[shallow] = (deep + np.cumsum(widths) - widths)[nth[shallow]] + row[shallow] - num_deep
+        self.order = np.empty_like(ids)
+        self.order[at] = np.arange(ids.size)
+        self.order.flags.writeable = False
+        self._deep, self._widths = deep, tuple(widths.tolist())
+        self._deep_rows = np.repeat(np.arange(num_deep), deep_counts)
+        # Where each segment's result ends up in the work array; the spare row for empty ones.
+        self._slot = np.full(n, ids.size)
+        self._slot[by_count] = np.where(rank < num_deep, rank, deep + rank - num_deep)
+
+    @property
+    def size(self) -> int:
+        return self.ids.size
+
+    def __repr__(self) -> str:
+        return f"Segments({self.size} entries into {self.n})"
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment sums of ``values`` (entries, ...), bit-equal to ``_scatter_add``."""
+        return self._reduce(self._entries(values), np.add)
+
+    def sum_products(self, w: np.ndarray, x: np.ndarray, rows: "Segments") -> np.ndarray:
+        """:meth:`sum` of ``w[:, None] * x[rows.ids]``, the products made in the work array."""
+        _check_segments(rows, self.size, "Segments.sum_products", x.shape[0])
+        if w.shape != (self.size,):
+            raise DimensionError(f"Segments.sum_products: {w.shape} weights for {self.size} entries")
+        return self._reduce(self._entries(x, rows.ids, w), np.add)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment maxima of ``values``, -inf for a segment without entries."""
+        return self._reduce(self._entries(values), np.maximum)
+
+    def _entries(self, x: np.ndarray, rows: np.ndarray | None = None, w: np.ndarray | None = None):
+        """The work array: ``x[e]``, or ``w[e] * x[rows[e]]``, for the entries e in ``order``.
+
+        With a schedule it has one spare row after the entries; without one
+        it is ``x`` itself or the products in index order.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if rows is None:
+            if x.shape[0] != self.size:
+                raise DimensionError(f"Segments: {x.shape[0]} values for {self.size} entries")
+            if self.order is None:
+                return x
+            index = self.order
+        else:
+            index = rows if self.order is None else rows[self.order]
+        v = np.empty((self.size + (self.order is not None),) + x.shape[1:])
+        np.take(x, index, axis=0, out=v[: self.size], mode="clip")  # checked indices: nothing clips
+        if w is not None:
+            w = w if self.order is None else w[self.order]
+            v[: self.size] *= w.reshape((-1,) + (1,) * (x.ndim - 1))
+        return v
+
+    def _reduce(self, v: np.ndarray, ufunc) -> np.ndarray:
+        """Reduce the entries of ``_entries``; consumes the work array."""
+        deep, num_deep, add = self._deep, self._num_deep, ufunc is np.add
+        if add:
+            head = _scatter_add(self._deep_rows, v[:deep], num_deep)
+        else:
+            head = np.full((num_deep,) + v.shape[1:], -np.inf)
+            ufunc.at(head, self._deep_rows, v[:deep])
+        if self.order is None:
+            return head
+        v[:num_deep] = head
+        v[-1] = 0.0 if add else -np.inf
+        if self._widths:
+            acc = v[deep : deep + self._widths[0]]  # the first entry read of every shallow segment
+            if add:
+                acc += 0.0  # a sum from 0: -0.0 becomes 0.0, as in bincount
+            lo = deep + self._widths[0]
+            for m in self._widths[1:]:  # rank k: the k-th entries of the first m segments
+                ufunc(acc[:m], v[lo : lo + m], out=acc[:m])
+                lo += m
+        return np.take(v, self._slot, axis=0)
+
+
+def _stable_argsort(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in [0, n): radix sorts of 16-bit digits."""
+    if n > 2**32:
+        return np.argsort(ids, kind="stable")
+    order = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+    if n > 2**16:
+        order = order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
+
+
+def _check_segments(seg, entries: int, op: str, n: int | None = None) -> None:
+    """O(1): ``seg`` is a :class:`Segments` of ``entries`` entries, into ``n`` segments if given."""
+    if not isinstance(seg, Segments) or seg.size != entries or n is not None and seg.n != n:
+        want = f"{entries} entries" + ("" if n is None else f" into {n} segments")
+        got = seg if isinstance(seg, Segments) else type(seg).__name__
+        raise DimensionError(f"{op}: need Segments of {want}, got {got}")
+
+
+def segment_sum(a, segments: Segments) -> Tensor:
+    """Sum rows of ``a`` into the segments of ``segments``, as :meth:`Segments.sum` adds them."""
     a = _as_tensor(a)
-    seg = np.asarray(segments, dtype=np.intp)
     if a.ndim not in (1, 2):
         raise DimensionError(f"segment_sum: expected vector or matrix, got shape {a.shape}")
-    _check_segments(seg, a.data.shape[0], num_segments, "segment_sum")
-    out = _scatter_add(seg, a.data, num_segments)
+    _check_segments(segments, a.data.shape[0], "segment_sum")
+    ids = segments.ids
 
     def backward(g):
-        return (g[seg],)
+        return (g[ids],)
 
-    return record_op("segment_sum", out, (a,), backward)
-
-
-def _check_index(idx: np.ndarray, size: int, op: str) -> None:
-    if idx.ndim != 1:
-        raise DimensionError(f"{op}: index arrays must be vectors, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise DimensionError(f"{op}: index out of range for axis of size {size}")
+    return record_op("segment_sum", segments.sum(a.data), (a,), backward)
 
 
 class BlockLayout:
@@ -574,58 +727,56 @@ def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
     return record_op("block_attention", out, (q, k, v), backward), psi
 
 
-def gather_sum(w, x, src, dst, num_segments: int) -> Tensor:
+def gather_sum(w, x, src: Segments, dst: Segments) -> Tensor:
     """Weighted gather-scatter ``out[dst[e]] += w[e] * x[src[e]]``.
 
-    A sparse-dense product: the (num_segments, len(x)) matrix with entries
-    w at (dst, src), times x.  Rows of ``out`` no entry reaches are zero.
-    The gathered (entries, d) rows are recomputed in backward instead of
-    being kept alive on the tape.
+    A sparse-dense product: the (dst.n, len(x)) matrix with entries w at
+    (dst.ids, src.ids), times x.  Rows of ``out`` no entry reaches are zero.
+    Each side's sums follow its own schedule: ``dst`` in forward, ``src`` for
+    x's gradient.  The gathered (entries, d) rows are recomputed in backward
+    instead of being kept alive on the tape.
     """
     w, x = _as_tensor(w), _as_tensor(x)
-    src = np.asarray(src, dtype=np.intp)
     if w.ndim != 1 or x.ndim != 2:
         raise DimensionError(f"gather_sum: need a weight vector and a matrix, got {w.shape}, {x.shape}")
-    if src.shape != w.shape:
-        raise DimensionError(f"gather_sum: src shape {src.shape} != weights {w.shape}")
-    _check_index(src, x.shape[0], "gather_sum")
-    seg = np.asarray(dst, dtype=np.intp)
-    _check_segments(seg, w.shape[0], num_segments, "gather_sum")
-    wd, xd = w.data, x.data
-    out = _scatter_add(seg, wd[:, None] * xd[src], num_segments)
+    _check_segments(src, w.shape[0], "gather_sum", x.shape[0])
+    _check_segments(dst, w.shape[0], "gather_sum")
+    wd, xd, src_ids, dst_ids = w.data, x.data, src.ids, dst.ids
+    out = dst.sum_products(wd, xd, src)
 
     def backward(g):
         gw = gx = None
         if w.requires_grad:
             # summed like mul's broadcast gradient, so results match mul + segment_sum bit for bit
-            gw = (g[seg] * xd[src]).sum(axis=1)
+            part = np.take(g, dst_ids, axis=0)
+            part *= np.take(xd, src_ids, axis=0)
+            gw = part.sum(axis=1)
         if x.requires_grad:
-            gx = _scatter_add(src, wd[:, None] * g[seg], xd.shape[0])
+            gx = src.sum_products(wd, g, dst)
         return gw, gx
 
     return record_op("gather_sum", out, (w, x), backward)
 
 
-def segment_softmax(a, segments, num_segments: int) -> Tensor:
+def segment_softmax(a, segments: Segments) -> Tensor:
     """Independent stable softmax over each segment of a vector.
 
-    Every segment id in ``[0, num_segments)`` must occur at least once so
-    each distribution is well defined.
+    Every segment must have at least one entry so each distribution is well
+    defined.  The maxima and sums run on the schedule of ``segments``.
     """
     a = _as_tensor(a)
-    seg = np.asarray(segments, dtype=np.intp)
     if a.ndim != 1:
         raise DimensionError(f"segment_softmax: expected a vector, got shape {a.shape}")
-    _check_segments(seg, a.data.shape[0], num_segments, "segment_softmax")
-    mx = np.full(num_segments, -np.inf)
-    np.maximum.at(mx, seg, a.data)
+    _check_segments(segments, a.data.shape[0], "segment_softmax")
+    ids = segments.ids
+    mx = segments.max(a.data)
     if not np.isfinite(mx).all():
         raise DimensionError("segment_softmax: every segment needs at least one entry")
-    e = np.exp(a.data - mx[seg])
-    out = e / _scatter_add(seg, e, num_segments)[seg]
+    e = np.exp(a.data - mx[ids])
+    out = e / segments.sum(e)[ids]
 
     def backward(g):
-        return (out * (g - _scatter_add(seg, g * out, num_segments)[seg]),)
+        return (out * (g - segments.sum(g * out)[ids]),)
 
     return record_op("segment_softmax", out, (a,), backward)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .diffnum import BlockLayout
+from .diffnum import BlockLayout, Segments
 
 log = logging.getLogger(__name__)
 
@@ -92,10 +92,18 @@ class GraphIndex:
     are one run of groups, and the ordered pairs (g, g') of groups at the
     same node are listed node-major, one |R_i| x |R_i| row-major block per
     node.  No per-pair index is kept.
+
+    The layer's scatters run on :class:`~brgcn.diffnum.Segments` built from
+    these arrays on first use and kept for the graph's lifetime, so each
+    index is range-checked and scheduled once per graph: ``edges_by_group``
+    (edges into their groups), ``edges_by_head`` (edges into their head
+    nodes), ``groups_by_node`` (groups into their nodes) and
+    ``edges_by_tail_slot(R)`` (edges into the (node, relation) slot rows
+    ``tails * R + edge_rel`` of an (N*R, .) array, one schedule per R).
     """
 
     def __init__(self, graph: HeteroGraph):
-        n = graph.num_nodes
+        self.num_nodes = n = graph.num_nodes
         t = graph.triples
         self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
         _, first, edge_group, size = np.unique(
@@ -117,10 +125,31 @@ class GraphIndex:
         self.node_first = np.zeros(n, dtype=np.int64)
         self.node_first[self.group_node[starts]] = starts
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
+        self._tail_slots: dict[int, Segments] = {}
 
     @property
     def num_groups(self) -> int:
         return self.group_node.size
+
+    @cached_property
+    def edges_by_group(self) -> Segments:
+        return Segments(self.edge_group, self.num_groups)
+
+    @cached_property
+    def edges_by_head(self) -> Segments:
+        return Segments(self.heads, self.num_nodes)
+
+    @cached_property
+    def groups_by_node(self) -> Segments:
+        return Segments(self.group_node, self.num_nodes)
+
+    def edges_by_tail_slot(self, num_relations: int) -> Segments:
+        """Edges into the slot rows ``tails * num_relations + edge_rel``, built once per count."""
+        if num_relations not in self._tail_slots:
+            self._tail_slots[num_relations] = Segments(
+                self.tails * num_relations + self.edge_rel, self.num_nodes * num_relations
+            )
+        return self._tail_slots[num_relations]
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

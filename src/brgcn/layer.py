@@ -38,11 +38,16 @@ matmul the psi-weighted values.  The tape's length depends on the number of
 layers only.
 
 Cost model: every role projects all N*R (node, relation) slots and gathers
-d_out-wide rows per edge.  Each role's weights are stored as one (d_in,
-R*d_out) array in slot layout, so a dense layer projects a role with one
-matmul and nothing is restacked per forward.  With identity (one-hot) input
-the slot matrix is the parameter itself, dropout draws one mask entry per
-node and no N x N array is built.  Under basis decomposition every forward
+d_out-wide rows per edge.  Every scatter (the segment softmax over each
+group's edges, the gathers into groups or heads and their gradients into
+the tail slots, the sum of each node's groups) runs on a ``dn.Segments``
+schedule that ``graph.index`` builds once per graph and keeps: its index
+is range-checked once, and its sums are a few vectorized passes, one per
+rank of a segment's entries, bit-equal to one bincount.  Each role's
+weights are stored as one (d_in, R*d_out) array in slot layout, so a dense
+layer projects a role with one matmul and nothing is restacked per
+forward.  With identity (one-hot) input the slot matrix is the parameter
+itself, dropout draws one mask entry per node and no N x N array is built.  Under basis decomposition every forward
 multiplies out an (R, B, d_out, d_in) product and transposes it, per role.
 The relation stage does d_out work per same-node pair and loops once per
 distinct |R_i|; only psi and the transients of one run's logits, one float
@@ -57,7 +62,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,20 +209,34 @@ class AttentionTrace:
     relation r, ordered like ``graph.neighbors(i, r)``, keys relation-major
     with nodes ascending.  ``psi[i]`` is the |R_i| x |R_i| relation-attention
     matrix whose row/column order is ``rel_order[i]``, nodes ascending.
+    :meth:`gamma_lists` gives ``gamma``'s items as float lists without
+    building or keeping the mapping.
     """
 
     index: GraphIndex | None = None
     flat_gamma: np.ndarray | None = None
     flat_psi: np.ndarray | None = None
 
+    def _gamma_groups(self) -> tuple[Iterator[tuple[int, int]], np.ndarray]:
+        """The (node, relation) key and the first edge of each group, in edge order."""
+        idx = self.index
+        starts = np.flatnonzero(np.diff(idx.edge_group, prepend=-1))
+        return zip(idx.heads[starts].tolist(), idx.edge_rel[starts].tolist()), starts
+
     @cached_property
     def gamma(self) -> Mapping[tuple[int, int], np.ndarray]:
         if self.flat_gamma is None:
             return MappingProxyType({})
-        idx = self.index
-        starts = np.flatnonzero(np.diff(idx.edge_group, prepend=-1))  # each group's first edge
-        keys = zip(idx.heads[starts].tolist(), idx.edge_rel[starts].tolist())
+        keys, starts = self._gamma_groups()
         return MappingProxyType(dict(zip(keys, np.split(self.flat_gamma, starts[1:]))))
+
+    def gamma_lists(self) -> Iterator[tuple[tuple[int, int], list[float]]]:
+        """``gamma``'s items in its order, each value a list of floats, split from ``flat_gamma``."""
+        if self.flat_gamma is None:
+            return iter(())
+        keys, starts = self._gamma_groups()
+        values, bounds = self.flat_gamma.tolist(), [*starts.tolist(), self.flat_gamma.size]
+        return ((key, values[a:b]) for key, a, b in zip(keys, bounds, bounds[1:]))
 
     @cached_property
     def psi(self) -> Mapping[int, np.ndarray]:
@@ -301,9 +320,8 @@ def layer_forward(
     idx = graph.index
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
-    groups = idx.num_groups
     # Row of each edge's tail in an (N*R, .) array of (node, relation) slots.
-    tail_slot = idx.tails * num_rel + idx.edge_rel
+    tail_slot = idx.edges_by_tail_slot(num_rel)
 
     # Node-level attention: one segment softmax over the edges of every group.
     if mode in ("relation_only", "rgcn_baseline"):  # no node-level attention
@@ -313,12 +331,12 @@ def layer_forward(
         s_tail = project(dn.take(params.attention, np.arange(d_in, 2 * d_in)))
         logits = dn.add(
             dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
-            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
+            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot.ids),
         )
-        gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edge_group, groups)
+        gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
         weights = scaled(gamma, mask(gamma.shape))
 
-    def messages(role: str, dst: np.ndarray, num_dst: int) -> Tensor:
+    def messages(role: str, dst: dn.Segments) -> Tensor:
         # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
         w = params.roles[role]  # (d_in, R*d_out) in slot layout, or (R, B) coefficients
         if params.num_bases:
@@ -326,20 +344,20 @@ def layer_forward(
             mats = dn.tsum(dn.mul(params.basis, coeff), axis=1)  # (R, d_out, d_in)
             w = dn.transpose(dn.reshape(mats, (num_rel * params.d_out, params.d_in)))
         rows = dn.reshape(project(w), (n * num_rel, params.d_out))  # project(w): (N, R*d_out)
-        return dn.gather_sum(weights, rows, tail_slot, dst, num_dst)
+        return dn.gather_sum(weights, rows, tail_slot, dst)
 
     self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if mode in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.
-        q, k, v = (messages(role, idx.edge_group, groups) for role in params.ROLES)
+        q, k, v = (messages(role, idx.edges_by_group) for role in params.ROLES)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
-        out = dn.segment_sum(delta, idx.group_node, n)
+        out = dn.segment_sum(delta, idx.groups_by_node)
     else:
         # R-GCN's sum; nodes without outgoing edges must stay zero despite the self term.
         has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
-        out = dn.mul(dn.relu(dn.add(messages("value", idx.heads, n), self_rows)), has_rel)
+        out = dn.mul(dn.relu(dn.add(messages("value", idx.edges_by_head), self_rows)), has_rel)
 
     if not collect_trace:
         return out, AttentionTrace()

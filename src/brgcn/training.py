@@ -114,7 +114,8 @@ class TripleBatch:
     def __post_init__(self):
         if len(self.triples) != len(self.y):
             raise ConfigurationError("triples and y must have equal length")
-        if any(v not in (0, 1) for v in self.y):
+        y = np.asarray(self.y)
+        if y.ndim != 1 or not np.isin(y, (0, 1)).all():
             raise ConfigurationError("y entries must be 0 or 1")
 
 
@@ -236,14 +237,29 @@ class Adam:
         dn.zero_grad(self.params)
 
     def step(self) -> None:
+        """One update, the moments and parameter data changed in place.
+
+        Bit-equal to m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p = p - (lr*m_hat) / (sqrt(v_hat) + eps): the same operations in the same order.
+        """
         self.t += 1
-        for k, p in enumerate(self.params):
+        c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            part = np.multiply(g, 1 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += part
+            np.multiply(g, 1 - ADAM_BETA2, out=part)
+            part *= g
+            v *= ADAM_BETA2
+            v += part
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, c1, out=part)
+            part *= self.lr
+            part /= den
+            p.data -= part
 
 
 @dataclass

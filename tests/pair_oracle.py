@@ -17,7 +17,14 @@ import numpy as np
 
 from brgcn import diffnum as dn
 from brgcn.diffnum import BlockLayout, DimensionError, Tensor, record_op
-from brgcn.diffnum.tensor import _as_tensor, _check_index, _scatter_add
+from brgcn.diffnum.tensor import _as_tensor, _scatter_add
+
+
+def _check_index(idx: np.ndarray, size: int, op: str) -> None:
+    if idx.ndim != 1:
+        raise DimensionError(f"{op}: index arrays must be vectors, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise DimensionError(f"{op}: index out of range for axis of size {size}")
 
 
 def pair_dot(a, b, rows, cols) -> Tensor:
@@ -63,8 +70,9 @@ def node_pairs(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
 def attention_chain(q, k, v, layout: BlockLayout) -> tuple[Tensor, Tensor]:
     """``block_attention``'s output and psi from the flat pair list, three taped ops."""
     rows, cols = node_pairs(layout)
-    psi = dn.segment_softmax(pair_dot(q, k, rows, cols), rows, layout.rows)
-    return dn.gather_sum(psi, v, cols, rows, layout.rows), psi
+    by_row, by_col = dn.Segments(rows, layout.rows), dn.Segments(cols, layout.rows)
+    psi = dn.segment_softmax(pair_dot(q, k, rows, cols), by_row)
+    return dn.gather_sum(psi, v, by_col, by_row), psi
 
 
 class PositionMajor:

@@ -135,7 +135,8 @@ class TestBitIdentity:
         w, v = _spread(rng, rows.size), np.asarray(_spread(rng, idx.num_groups, d), order=order)
         up = np.asarray(_spread(rng, idx.num_groups, d), order=order)
         got = _grads(lambda a, b: block_sum(a, b, PositionMajor(first)), [w, v], up)
-        want = _grads(lambda a, b: dn.gather_sum(a, b, cols, rows, idx.num_groups), [w, v], up)
+        by_col, by_row = dn.Segments(cols, idx.num_groups), dn.Segments(rows, idx.num_groups)
+        want = _grads(lambda a, b: dn.gather_sum(a, b, by_col, by_row), [w, v], up)
         assert all(_same(x, y) for x, y in zip(got, want))
 
     @pytest.mark.parametrize("mode", ["full", "relation_only"])

@@ -88,7 +88,7 @@ class TestForwardValues:
         rng = np.random.default_rng(1)
         x = rng.normal(size=7)
         seg = np.array([0, 0, 0, 1, 1, 2, 2])
-        out = dn.segment_softmax(Tensor(x), seg, 3).data
+        out = dn.segment_softmax(Tensor(x), dn.Segments(seg, 3)).data
         for s in range(3):
             np.testing.assert_allclose(
                 out[seg == s], dn.softmax(Tensor(x[seg == s])).data, atol=1e-14
@@ -96,11 +96,11 @@ class TestForwardValues:
 
     def test_segment_softmax_rejects_empty_segment(self):
         with pytest.raises(DimensionError):
-            dn.segment_softmax(Tensor([1.0, 2.0]), np.array([0, 2]), 3)
+            dn.segment_softmax(Tensor([1.0, 2.0]), dn.Segments([0, 2], 3))
 
     def test_segment_sum_buckets(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        out = dn.segment_sum(x, np.array([0, 0, 1, 1]), 2)
+        out = dn.segment_sum(x, dn.Segments([0, 0, 1, 1], 2))
         np.testing.assert_array_equal(out.data, [[2.0, 4.0], [10.0, 12.0]])
 
     def test_pair_dot_samples_the_product(self):
@@ -116,7 +116,7 @@ class TestForwardValues:
         src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 2])
         dense = np.zeros((4, 4))
         np.add.at(dense, (dst, src), w)
-        out = dn.gather_sum(Tensor(w), Tensor(x), src, dst, 4)
+        out = dn.gather_sum(Tensor(w), Tensor(x), dn.Segments(src, 4), dn.Segments(dst, 4))
         np.testing.assert_allclose(out.data, dense @ x, atol=1e-14)
         np.testing.assert_array_equal(out.data[[1, 3]], 0.0)
 
@@ -125,7 +125,7 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             pair_dot(m, m, np.array([0, 2]), np.array([0, 1]))
         with pytest.raises(DimensionError):
-            dn.gather_sum(Tensor([1.0]), m, np.array([0]), np.array([3]), 3)
+            dn.gather_sum(Tensor([1.0]), m, dn.Segments([0], 2), dn.Segments([3], 3))
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -179,6 +179,30 @@ class TestBackwardSemantics:
         assert b.grad.shape == (2,)
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "op, shapes",
+        [
+            (dn.add, [(3, 2), (2,)]),
+            (dn.sub, [(3, 2), (3, 2)]),
+            (dn.mul, [(3, 2), (3, 1)]),
+            (dn.matmul, [(3, 2), (2, 4)]),
+            (dn.matmul, [(3, 2), (2,)]),
+            (dn.matmul, [(3,), (3, 2)]),
+        ],
+    )
+    def test_no_partial_for_a_constant_operand(self, op, shapes):
+        # Only the side that takes a gradient gets a partial; the other is never computed.
+        rng = np.random.default_rng(4)
+        for trained in (0, 1):
+            args = [dn.param(rng.normal(size=s)) if k == trained else Tensor(rng.normal(size=s))
+                    for k, s in enumerate(shapes)]
+            with Tape() as tape:
+                out = op(*args)
+            (_, inputs, backward), = tape._records
+            partials = backward(np.ones_like(out.data))
+            assert partials[1 - trained] is None
+            assert partials[trained].shape == shapes[trained]
+
 
     def test_row_norms_and_zero_row_gradient(self):
         m = dn.param([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
@@ -199,12 +223,12 @@ def _op_cases(rng):
     b = dn.param(_rand(rng, 4))
     m = dn.param(_rand(rng, 3, 4))
     n = dn.param(_rand(rng, 4, 2))
-    seg = np.array([0, 0, 1, 1])
+    seg = dn.Segments([0, 0, 1, 1], 2)
     lo_vec = dn.param(_rand(rng, 5))
     pos = dn.param(np.abs(_rand(rng, 4)) + 0.05)
     w = dn.param(_rand(rng, 5))
     # repeated indices: gradients must accumulate, not overwrite
-    src, dst = np.array([1, 3, 1, 0, 1]), np.array([0, 2, 0, 0, 1])
+    src, dst = dn.Segments([1, 3, 1, 0, 1], 4), dn.Segments([0, 2, 0, 0, 1], 3)
     # blocks of 3, 2, 2 and 1 rows: runs of sizes 3, 2 and 1
     blocks = dn.BlockLayout([3, 2, 2, 1])
     q, k, v = (dn.param(_rand(rng, 8, 2)) for _ in range(3))
@@ -240,12 +264,12 @@ def _op_cases(rng):
         ),
         (
             "segment_softmax",
-            lambda: dn.tsum(dn.mul(dn.segment_softmax(a, seg, 2), b)),
+            lambda: dn.tsum(dn.mul(dn.segment_softmax(a, seg), b)),
             [a, b],
         ),
         (
             "segment_sum",
-            lambda: dn.tsum(dn.mul(dn.segment_sum(m, np.array([0, 1, 0]), 2), 1.3)),
+            lambda: dn.tsum(dn.mul(dn.segment_sum(m, dn.Segments([0, 1, 0], 2)), 1.3)),
             [m],
         ),
         (
@@ -255,7 +279,7 @@ def _op_cases(rng):
         ),
         (
             "gather_sum",
-            lambda: dn.tsum(dn.mul(dn.gather_sum(w, n, src, dst, 3), dn.gather_sum(w, n, src, dst, 3))),
+            lambda: dn.tsum(dn.mul(dn.gather_sum(w, n, src, dst), dn.gather_sum(w, n, src, dst))),
             [w, n],
         ),
         ("l2_norm", lambda: dn.l2_norm(a), [a]),

@@ -6,6 +6,7 @@ z_i^r through the node_only variant (see ``_gamma_and_z``).
 """
 
 import copy
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from brgcn import diffnum as dn
+from brgcn.cli import _attention_payload
 from brgcn.diffnum import Tensor
 from brgcn.hetgraph import HeteroGraph, NodeLabels, augment, restrict_relations
 from brgcn.layer import (
@@ -741,6 +743,34 @@ class TestFlatTrace:
         # arrays and dict entries would add about 280 bytes per group.
         flat = 8 * (idx.heads.size + (idx.node_count**2).sum())
         assert held < 20 * (flat + 8192)
+
+    @pytest.mark.parametrize("mode", ["full", "relation_only", "node_only", "rgcn_baseline"])
+    def test_gamma_lists_are_gamma_as_lists(self, mode):
+        g, p = self._graph_and_params()
+        _, trace = layer_forward(p, None, g, mode=mode)
+        items = list(trace.gamma_lists())
+        assert "gamma" not in vars(trace)  # split without the mapping
+        assert items == [(key, gamma.tolist()) for key, gamma in trace.gamma.items()]
+
+    def test_exported_payload_leaves_the_gamma_mapping_unbuilt(self):
+        # attention.json's gamma section comes from the flat arrays: once the
+        # payload is built, no trace holds a gamma mapping, so building one then
+        # still allocates its per-group views and keys.
+        g, p = self._graph_and_params()
+        traces = [layer_forward(p, None, g)[1] for _ in range(2)]
+        tracemalloc.start()
+        try:
+            payload = json.dumps(_attention_payload(g, traces), sort_keys=True)
+            empty = ["gamma" not in vars(trace) for trace in traces]
+            before = tracemalloc.get_traced_memory()[0]
+            mappings = [trace.gamma for trace in traces]
+            built = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(empty)
+        assert built > 2 * 100 * g.index.num_groups  # a view, a key and a dict entry per group
+        by_mapping = {f"{i}:{r}": gamma.tolist() for (i, r), gamma in mappings[0].items()}
+        assert json.loads(payload)["layers"][0]["gamma"] == by_mapping
 
 
 class TestDifferentiability:

@@ -122,6 +122,15 @@ class TestLpLoss:
         with pytest.raises(ConfigurationError):
             TripleBatch(((0, 0, 1),), (2,))
 
+    @pytest.mark.parametrize("bad", [(-1,), (0.5,), ("a",), (None,), ([0],)])
+    def test_batch_refuses_every_y_but_0_and_1(self, bad):
+        with pytest.raises(ConfigurationError, match="y entries must be 0 or 1"):
+            TripleBatch(((0, 0, 1),), bad)
+
+    @pytest.mark.parametrize("good", [(), (0, 1, 1), (True, False), (1.0, 0.0)])
+    def test_batch_accepts_zeros_and_ones(self, good):
+        TripleBatch(((0, 0, 1),) * len(good), good)
+
 
 class TestNegativeSampling:
     def _graph(self):
@@ -217,6 +226,34 @@ class TestOptimize:
             np.abs(np.array([0.5, -1.0])) + 1e-8
         )
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
+
+    def test_adam_in_place_is_bit_equal_to_the_formula(self):
+        # 20 steps against the out-of-place formula; gradients span 1e-12..1e12,
+        # with zeros, signed zeros and a missing gradient.
+        rng = np.random.default_rng(9)
+        shapes = [(3, 4), (5,), (2, 3)]
+        params = [dn.param(rng.normal(size=s)) for s in shapes]
+        buffers = [p.data for p in params]
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        adam = Adam(params, lr=0.05)
+        for t in range(1, 21):
+            for k, p in enumerate(params):
+                g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-12, 13, size=p.data.shape)
+                g.reshape(-1)[:2] = (0.0, -0.0)
+                p.grad = None if (t + k) % 7 == 0 else g
+                g = np.zeros_like(g) if p.grad is None else g
+                ref_m[k] = 0.9 * ref_m[k] + (1 - 0.9) * g
+                ref_v[k] = 0.999 * ref_v[k] + (1 - 0.999) * g * g
+                m_hat, v_hat = ref_m[k] / (1 - 0.9**t), ref_v[k] / (1 - 0.999**t)
+                ref_p[k] = ref_p[k] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            adam.step()
+            for p, buf, want in zip(params, buffers, ref_p):
+                assert p.data is buf  # updated in place
+                assert np.array_equal(p.data.view(np.int64), want.view(np.int64))
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(adam.m, ref_m))
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(adam.v, ref_v))
 
     def test_config_validation(self):
         for bad in (
