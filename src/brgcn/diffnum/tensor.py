@@ -470,6 +470,8 @@ def softmax_rows(a) -> Tensor:
 
 
 # A rank of a schedule is summed as one pass while at least this many segments reach it.
+# Per-sum times on the benchmark graphs are flat for values from 16 to 256; at 8,
+# nc-onehot's tail slots take 237 passes.
 PASS_MIN_SEGMENTS = 64
 
 
@@ -484,15 +486,15 @@ class Segments:
     While at least ``PASS_MIN_SEGMENTS`` segments have a k-th entry, rank k
     is one pass: one vectorized add of each such segment's k-th entry onto
     that prefix of the partial sums.  A segment deeper than the last pass is
-    summed whole by one bincount, as ``_scatter_add`` sums it; an index with
-    fewer segments than that is one bincount and no pass.
+    summed whole by one bincount, as ``_scatter_add`` sums it; in an index
+    with fewer segments than that, every segment is deep and there is no pass.
 
-    ``order`` lists the entries as the schedule reads them (None: as given):
-    the deep segments' entries, then pass after pass.  They are gathered
-    once into a work array with one spare row, and the partial sums are
-    kept in place of each segment's first entry read, so a reduction
-    allocates the work array and its result only.  The schedule holds
-    O(entries + n) integers and nothing that depends on the values' width.
+    ``order`` lists the entries as the schedule reads them: the deep
+    segments' entries, then pass after pass.  They are gathered once into a
+    work array with one spare row, and the partial sums are kept in place of
+    each segment's first entry read, so a reduction allocates the work array
+    and its result only.  The schedule holds O(entries + n) integers and
+    nothing that depends on the values' width.
     """
 
     __slots__ = ("ids", "n", "order", "_slot", "_deep", "_num_deep", "_deep_rows", "_widths")
@@ -509,21 +511,16 @@ class Segments:
         reach = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # reach[k]: segments with > k entries
         short = reach < PASS_MIN_SEGMENTS
         passes = int(np.argmax(short)) if short.any() else reach.size
-        if not passes:  # one bincount, in index order
-            self.order = self._slot = None
-            self._deep, self._num_deep, self._deep_rows, self._widths = ids.size, n, ids, ()
-            return
         self._num_deep = num_deep = int(reach[passes]) if passes < reach.size else 0
         widths = reach[:passes] - num_deep
-        # The segments with entries by count, descending, ties by id (a radix sort when
-        # counts fit 16 bits); a segment's rank is its row of the partial sums.
+        # The segments with entries by count, descending, ties by id; a segment's
+        # rank is its row of the partial sums.
         live = np.flatnonzero(counts)
-        key = -counts[live].astype(np.int16 if counts.max() < 2**15 else np.intp)
-        by_count = live[np.argsort(key, kind="stable")]
+        by_count = live[np.argsort(-counts[live], kind="stable")]
         rank = np.arange(live.size)
         rank_of = np.empty(n, dtype=np.intp)
         rank_of[by_count] = rank
-        by_segment = _stable_argsort(ids, n)
+        by_segment = np.argsort(ids, kind="stable")
         nth = np.empty_like(ids)  # which of its segment's entries each entry is
         nth[by_segment] = np.arange(ids.size) - (np.cumsum(counts) - counts)[ids[by_segment]]
         # Where the schedule reads each entry: the deep segments' entries first, by
@@ -567,25 +564,18 @@ class Segments:
         return self._reduce(self._entries(values), np.maximum)
 
     def _entries(self, x: np.ndarray, rows: np.ndarray | None = None, w: np.ndarray | None = None):
-        """The work array: ``x[e]``, or ``w[e] * x[rows[e]]``, for the entries e in ``order``.
-
-        With a schedule it has one spare row after the entries; without one
-        it is ``x`` itself or the products in index order.
-        """
+        """The work array: ``x[e]`` or ``w[e] * x[rows[e]]`` per entry e of ``order``, and a spare row."""
         x = np.asarray(x, dtype=np.float64)
         if rows is None:
             if x.shape[0] != self.size:
                 raise DimensionError(f"Segments: {x.shape[0]} values for {self.size} entries")
-            if self.order is None:
-                return x
             index = self.order
         else:
-            index = rows if self.order is None else rows[self.order]
-        v = np.empty((self.size + (self.order is not None),) + x.shape[1:])
+            index = rows[self.order]
+        v = np.empty((self.size + 1,) + x.shape[1:])
         np.take(x, index, axis=0, out=v[: self.size], mode="clip")  # checked indices: nothing clips
         if w is not None:
-            w = w if self.order is None else w[self.order]
-            v[: self.size] *= w.reshape((-1,) + (1,) * (x.ndim - 1))
+            v[: self.size] *= w[self.order].reshape((-1,) + (1,) * (x.ndim - 1))
         return v
 
     def _reduce(self, v: np.ndarray, ufunc) -> np.ndarray:
@@ -596,8 +586,6 @@ class Segments:
         else:
             head = np.full((num_deep,) + v.shape[1:], -np.inf)
             ufunc.at(head, self._deep_rows, v[:deep])
-        if self.order is None:
-            return head
         v[:num_deep] = head
         v[-1] = 0.0 if add else -np.inf
         if self._widths:
@@ -609,16 +597,6 @@ class Segments:
                 ufunc(acc[:m], v[lo : lo + m], out=acc[:m])
                 lo += m
         return np.take(v, self._slot, axis=0)
-
-
-def _stable_argsort(ids: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(ids, kind="stable")`` for ids in [0, n): radix sorts of 16-bit digits."""
-    if n > 2**32:
-        return np.argsort(ids, kind="stable")
-    order = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
-    if n > 2**16:
-        order = order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
-    return order
 
 
 def _check_segments(seg, entries: int, op: str, n: int | None = None) -> None:

@@ -41,19 +41,20 @@ Cost model: every role projects all N*R (node, relation) slots and gathers
 d_out-wide rows per edge.  Every scatter (the segment softmax over each
 group's edges, the gathers into groups or heads and their gradients into
 the tail slots, the sum of each node's groups) runs on a ``dn.Segments``
-schedule that ``graph.index`` builds once per graph and keeps: its index
-is range-checked once, and its sums are a few vectorized passes, one per
-rank of a segment's entries, bit-equal to one bincount.  Each role's
-weights are stored as one (d_in, R*d_out) array in slot layout, so a dense
-layer projects a role with one matmul and nothing is restacked per
-forward.  With identity (one-hot) input the slot matrix is the parameter
-itself, dropout draws one mask entry per node and no N x N array is built.  Under basis decomposition every forward
-multiplies out an (R, B, d_out, d_in) product and transposes it, per role.
-The relation stage does d_out work per same-node pair and loops once per
-distinct |R_i|; only psi and the transients of one run's logits, one float
-per pair, grow with the pairs, and no pairs x d_out array is built.  So a
-step is linear in edges plus slots plus pairs.  A dense layer on a graph
-whose nodes carry few of many relations pays for its empty slots.
+schedule that ``graph.index`` builds once per graph and keeps: its index is
+range-checked once, and its sums are a few vectorized passes, one per rank
+of a segment's entries, bit-equal to one bincount.  Each role's weights are
+stored as one (d_in, R*d_out) array in slot layout, so a dense layer
+projects a role with one matmul and nothing is restacked per forward.  With
+identity (one-hot) input the slot matrix is the parameter itself, dropout
+draws one mask entry per node and no N x N array is built.  Under basis
+decomposition every forward multiplies out an (R, B, d_out, d_in) product
+and transposes it, per role.  The relation stage does d_out work per
+same-node pair and loops once per distinct |R_i|; only psi and the
+transients of one run's logits, one float per pair, grow with the pairs,
+and no pairs x d_out array is built.  So a step is linear in edges plus
+slots plus pairs.  A dense layer on a graph whose nodes carry few of many
+relations pays for its empty slots.
 """
 
 from __future__ import annotations
