@@ -347,11 +347,21 @@ def transpose(a) -> Tensor:
 
 
 def take(a, indices) -> Tensor:
-    """Gather rows (or elements of a vector) along axis 0."""
+    """Gather rows (or elements of a vector) along axis 0.
+
+    ``indices`` may be a :class:`Segments` over the rows of ``a``: its ids,
+    checked when it was built, are then checked against ``a`` by size alone,
+    and the gradient is its :meth:`Segments.sum`, bit-equal to the scatter of
+    plain indices.
+    """
     a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
     if a.ndim == 0:
         raise DimensionError("take: cannot index a scalar")
+    if isinstance(indices, Segments):
+        if indices.n != a.data.shape[0]:
+            raise DimensionError(f"take: {indices} for an axis of size {a.data.shape[0]}")
+        return record_op("take", np.take(a.data, indices.ids, axis=0), (a,), lambda g: (indices.sum(g),))
+    idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise DimensionError(f"take: index out of range for axis of size {a.data.shape[0]}")
     out = a.data[idx]
@@ -649,6 +659,18 @@ class BlockLayout:
         self.runs, self.rows, self.pairs = tuple(runs), lo, p
 
 
+def _row_max(s: np.ndarray) -> np.ndarray:
+    """``s.max(axis=-1)`` as m - 1 passes over the last axis's columns, one fresh array.
+
+    A maximum does not depend on order, so this is exact; over a short last
+    axis it is faster than numpy's reduction.
+    """
+    top = s[..., 0].copy()
+    for j in range(1, s.shape[-1]):
+        np.maximum(top, s[..., j], out=top)
+    return top
+
+
 def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
     """Dot-product attention, unscaled, within each block of ``layout``.
 
@@ -678,7 +700,7 @@ def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
     for lo, hi, m, p in layout.runs:
         s, qb, kb, vb = views(lo, hi, m, p)
         np.matmul(qb, kb.transpose(0, 2, 1), out=s)
-        s -= s.max(axis=-1, keepdims=True)
+        s -= _row_max(s)[..., None]
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
         np.matmul(s, vb, out=out[lo:hi].reshape(-1, m, dv))

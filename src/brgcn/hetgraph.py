@@ -97,9 +97,10 @@ class GraphIndex:
     these arrays on first use and kept for the graph's lifetime, so each
     index is range-checked and scheduled once per graph: ``edges_by_group``
     (edges into their groups), ``edges_by_head`` (edges into their head
-    nodes), ``groups_by_node`` (groups into their nodes) and
-    ``edges_by_tail_slot(R)`` (edges into the (node, relation) slot rows
-    ``tails * R + edge_rel`` of an (N*R, .) array, one schedule per R).
+    nodes), ``groups_by_node`` (groups into their nodes), and
+    ``edges_by_head_slot(R)`` and ``edges_by_tail_slot(R)`` (edges into the
+    (node, relation) slot rows ``heads * R + edge_rel`` or ``tails * R +
+    edge_rel`` of an (N*R, .) array, one schedule per end and R).
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -125,7 +126,7 @@ class GraphIndex:
         self.node_first = np.zeros(n, dtype=np.int64)
         self.node_first[self.group_node[starts]] = starts
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
-        self._tail_slots: dict[int, Segments] = {}
+        self._slots: dict[tuple[str, int], Segments] = {}
 
     @property
     def num_groups(self) -> int:
@@ -143,13 +144,20 @@ class GraphIndex:
     def groups_by_node(self) -> Segments:
         return Segments(self.group_node, self.num_nodes)
 
+    def edges_by_head_slot(self, num_relations: int) -> Segments:
+        """Edges into the slot rows ``heads * num_relations + edge_rel``, built once per count."""
+        return self._slot_schedule("head", num_relations)
+
     def edges_by_tail_slot(self, num_relations: int) -> Segments:
         """Edges into the slot rows ``tails * num_relations + edge_rel``, built once per count."""
-        if num_relations not in self._tail_slots:
-            self._tail_slots[num_relations] = Segments(
-                self.tails * num_relations + self.edge_rel, self.num_nodes * num_relations
-            )
-        return self._tail_slots[num_relations]
+        return self._slot_schedule("tail", num_relations)
+
+    def _slot_schedule(self, end: str, num_relations: int) -> Segments:
+        key = (end, num_relations)
+        if key not in self._slots:
+            nodes = self.heads if end == "head" else self.tails
+            self._slots[key] = Segments(nodes * num_relations + self.edge_rel, self.num_nodes * num_relations)
+        return self._slots[key]
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

@@ -40,20 +40,24 @@ layers only.
 Cost model: every role projects all N*R (node, relation) slots and gathers
 d_out-wide rows per edge.  Every scatter (the segment softmax over each
 group's edges, the gathers into groups or heads and their gradients into
-the tail slots, the sum of each node's groups) runs on a ``dn.Segments``
-schedule that ``graph.index`` builds once per graph and keeps: its index is
-range-checked once, and its sums are a few vectorized passes, one per rank
-of a segment's entries, bit-equal to one bincount.  Each role's weights are
+the tail slots, the sum of each node's groups) and every gradient of a
+gather by a graph-constant index (the head- and tail-slot attention logits,
+the self rows of each group) runs on a ``dn.Segments`` schedule that
+``graph.index`` builds once per graph and keeps: its index is range-checked
+once, and its sums are a few vectorized passes, one per rank of a segment's
+entries, bit-equal to one bincount.  Each role's weights are
 stored as one (d_in, R*d_out) array in slot layout, so a dense layer
 projects a role with one matmul and nothing is restacked per forward.  With
 identity (one-hot) input the slot matrix is the parameter itself, dropout
 draws one mask entry per node and no N x N array is built.  Under basis
 decomposition every forward multiplies out an (R, B, d_out, d_in) product
 and transposes it, per role.  The relation stage does d_out work per
-same-node pair and loops once per distinct |R_i|; only psi and the
-transients of one run's logits, one float per pair, grow with the pairs,
-and no pairs x d_out array is built.  So a step is linear in edges plus
-slots plus pairs.  A dense layer on a graph whose nodes carry few of many
+same-node pair and loops once per distinct |R_i|, its row maxima m - 1
+column passes; only psi and the transients of one run's logits, one float
+per pair, grow with the pairs, and no pairs x d_out array is built.  So a
+step is linear in edges plus slots plus pairs.  A step frees its
+transients when it ends; ``training.optimize`` keeps glibc from trimming
+them, so the next step reuses that heap instead of faulting it back in.  A dense layer on a graph whose nodes carry few of many
 relations pays for its empty slots.
 """
 
@@ -331,8 +335,8 @@ def layer_forward(
         s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
         s_tail = project(dn.take(params.attention, np.arange(d_in, 2 * d_in)))
         logits = dn.add(
-            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.heads * num_rel + idx.edge_rel),
-            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot.ids),
+            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.edges_by_head_slot(num_rel)),
+            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
         )
         gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
         weights = scaled(gamma, mask(gamma.shape))
@@ -353,7 +357,7 @@ def layer_forward(
         # Relation-level attention: one softmax over each node's block of groups.
         q, k, v = (messages(role, idx.edges_by_group) for role in params.ROLES)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
-        delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.group_node)))
+        delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.groups_by_node)))
         out = dn.segment_sum(delta, idx.groups_by_node)
     else:
         # R-GCN's sum; nodes without outgoing edges must stay zero despite the self term.

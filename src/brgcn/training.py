@@ -7,6 +7,8 @@ generator, so fixed-seed runs are bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import logging
 import os
@@ -262,6 +264,40 @@ class Adam:
             p.data -= part
 
 
+# glibc's mallopt parameter M_TOP_PAD (malloc.h): how much free memory the top of the heap
+# keeps when it grows or is trimmed.  glibc documents 128 KiB as its default.
+M_TOP_PAD = -2
+GLIBC_TOP_PAD = 128 << 10
+TRAINING_TOP_PAD = 32 << 20
+
+
+@contextlib.contextmanager
+def _kept_heap() -> Iterator[None]:
+    """Keep up to TRAINING_TOP_PAD of freed heap for the next step, then restore glibc's default.
+
+    Every step frees its transients when it ends; with the default pad glibc
+    trims that memory and the next step faults it back in, page by page.
+    Does nothing where libc is not glibc or where the user has set the pad
+    (``MALLOC_TOP_PAD_``, or ``glibc.malloc.top_pad`` in ``GLIBC_TUNABLES``).
+    Arrays above glibc's mmap threshold are mapped afresh either way.
+    """
+    libc, tunables = None, os.environ.get("GLIBC_TUNABLES", "")
+    if "MALLOC_TOP_PAD_" not in os.environ and "glibc.malloc.top_pad" not in tunables:
+        try:
+            if os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+                libc = ctypes.CDLL(None)
+        except (ValueError, OSError, AttributeError):  # no such name, no value, or no libc handle
+            pass
+    if libc is None:
+        yield
+        return
+    libc.mallopt(M_TOP_PAD, TRAINING_TOP_PAD)
+    try:
+        yield
+    finally:
+        libc.mallopt(M_TOP_PAD, GLIBC_TOP_PAD)
+
+
 @dataclass
 class OptimizeResult:
     loss_curve: list[float] = field(default_factory=list)
@@ -281,28 +317,31 @@ def optimize(
     through the tape.  A non-finite loss aborts with the epoch number and
     the first offending parameter.  ``on_epoch`` may return a truthy value
     to stop training early (used for validation-based early stopping).
+    The epochs run in :func:`_kept_heap`, so each step reuses the heap the
+    first one grew.
     """
     config.validate()
     adam = Adam(params, lr=config.lr)
     result = OptimizeResult()
-    for epoch in range(config.epochs):
-        adam.zero_grad()
-        try:
-            with Tape() as tape:
-                loss = loss_fn(epoch)
-                if config.l2_penalty > 0.0:
-                    penalty = functools.reduce(dn.add, (dn.tsum(dn.mul(p, p)) for p in params))
-                    loss = dn.add(loss, dn.mul(penalty, config.l2_penalty))
-                tape.backward(loss)
-        except dn.NumericError as err:
-            raise TrainingAbort(f"epoch {epoch}: {err}; {_culprit(params)}") from err
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingAbort(f"epoch {epoch}: non-finite loss; {_culprit(params)}")
-        adam.step()
-        result.loss_curve.append(value)
-        if on_epoch is not None and on_epoch(epoch, value):
-            break
+    with _kept_heap():
+        for epoch in range(config.epochs):
+            adam.zero_grad()
+            try:
+                with Tape() as tape:
+                    loss = loss_fn(epoch)
+                    if config.l2_penalty > 0.0:
+                        penalty = functools.reduce(dn.add, (dn.tsum(dn.mul(p, p)) for p in params))
+                        loss = dn.add(loss, dn.mul(penalty, config.l2_penalty))
+                    tape.backward(loss)
+            except dn.NumericError as err:
+                raise TrainingAbort(f"epoch {epoch}: {err}; {_culprit(params)}") from err
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingAbort(f"epoch {epoch}: non-finite loss; {_culprit(params)}")
+            adam.step()
+            result.loss_curve.append(value)
+            if on_epoch is not None and on_epoch(epoch, value):
+                break
     return result
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from brgcn import diffnum as dn
 from brgcn.diffnum import DimensionError, NumericError, Tape, Tensor
+from brgcn.diffnum.tensor import _row_max
 from brgcn.hetgraph import HeteroGraph, augment
 from brgcn.layer import BrgcnLayerParams, layer_forward
 from gradcheck import grad_check
@@ -198,6 +199,15 @@ class TestBlockAttention:
         got, want = _grads(fused, qkv, up), _grads(flat, qkv, up)
         assert all(_close(x, y) for x, y in zip(got, want))
         assert _close(*psis)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_row_maxima_are_numpys(self, m):
+        rng = np.random.default_rng(m)
+        s = rng.normal(size=(40, m, m))
+        s[0, :, -1] = np.inf
+        s[1, 0] = -np.inf
+        s[2] = s[2, :, :1]  # every row tied
+        assert _same(_row_max(s), s.max(axis=-1))
 
     def test_partials_match_central_differences(self):
         rng = np.random.default_rng(40)

@@ -233,6 +233,7 @@ def _op_cases(rng):
     blocks = dn.BlockLayout([3, 2, 2, 1])
     q, k, v = (dn.param(_rand(rng, 8, 2)) for _ in range(3))
     pw = _rand(rng, 8, 2)
+    rows = dn.Segments([2, 0, 2, 1, 2], 3)
     return [
         ("add", lambda: dn.tsum(dn.add(a, b)), [a, b]),
         ("add_broadcast", lambda: dn.tsum(dn.add(m, b)), [m, b]),
@@ -249,6 +250,8 @@ def _op_cases(rng):
         ("reshape", lambda: dn.tsum(dn.mul(dn.reshape(m, (4, 3)), 1.5)), [m]),
         ("transpose", lambda: dn.tsum(dn.matmul(dn.transpose(m), m)), [m]),
         ("take", lambda: dn.tsum(dn.take(m, np.array([2, 0, 2]))), [m]),
+        # a checked index, repeated rows: the gradient is the schedule's sum
+        ("take_segments", lambda: dn.tsum(dn.mul(dn.take(m, rows), pw[:5, :1])), [m]),
         ("sum_all", lambda: dn.tsum(dn.mul(m, m)), [m]),
         ("sum_axis", lambda: dn.tsum(dn.mul(dn.tsum(m, axis=0), b)), [m, b]),
         ("exp", lambda: dn.tsum(dn.exp(a)), [a]),

@@ -151,6 +151,8 @@ class TestRefusals:
             dn.gather_sum(w, m, four, four)
         with pytest.raises(DimensionError, match="gather_sum"):  # dst of 3 entries, w has 4
             dn.gather_sum(w, m, dn.Segments([0, 1, 2, 3], 4), three)
+        with pytest.raises(DimensionError, match="take"):  # rows into 2, m has 4
+            dn.take(m, three)
         with pytest.raises(DimensionError, match="Segments"):  # a raw index is not a schedule
             dn.segment_sum(m, np.array([0, 0, 1, 1]))
         with pytest.raises(DimensionError, match="Segments"):
@@ -192,6 +194,17 @@ class TestOpsAgainstTheRawOracle:
         want = _grads(lambda t: oracle.segment_softmax(t, ids, n), [a], up)
         assert all(_same(g, o) for g, o in zip(got, want))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("tail", [(), (5,)])
+    def test_take(self, kind, tail):
+        rng = np.random.default_rng(8)
+        ids, n = _index(kind, rng)
+        a, up = _values(rng, n, tail), rng.normal(size=ids.shape + tail)
+        seg = dn.Segments(ids, n)
+        got = _grads(lambda t: dn.take(t, seg), [a], up)
+        want = _grads(lambda t: dn.take(t, ids), [a], up)
+        assert all(_same(g, o) for g, o in zip(got, want))
+
     @pytest.mark.parametrize("dst_kind", KINDS)
     @pytest.mark.parametrize("src_kind", ["few", "hubs"])
     @pytest.mark.parametrize("d", [1, 2, 16])
@@ -209,8 +222,9 @@ class TestOpsAgainstTheRawOracle:
 
 class TestSchedulesPerGraph:
     # The schedules each variant's layer reads: edges into groups, groups into
-    # nodes, edges into head nodes, edges into tail slots.
-    USED = {"full": 3, "relation_only": 3, "node_only": 3, "rgcn_baseline": 2}
+    # nodes, edges into head nodes, edges into tail slots, and with node-level
+    # attention edges into head slots.
+    USED = {"full": 4, "relation_only": 3, "node_only": 4, "rgcn_baseline": 2}
 
     @pytest.mark.parametrize("variant", sorted(USED))
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):
@@ -234,3 +248,5 @@ class TestSchedulesPerGraph:
         index = run.graph.index
         assert index.edges_by_group is index.edges_by_group
         assert index.edges_by_tail_slot(4) is index.edges_by_tail_slot(4)
+        assert index.edges_by_head_slot(4) is index.edges_by_head_slot(4)
+        assert index.edges_by_head_slot(4) is not index.edges_by_tail_slot(4)

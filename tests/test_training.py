@@ -1,18 +1,26 @@
 """Losses, negative sampling, the optimizer, and the training pipelines."""
 
+import ctypes
 import logging
 import math
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brgcn
 from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
 from brgcn.diffnum import Tape, Tensor
 from brgcn.layer import BrgcnLayerParams, ConfigurationError
 from brgcn.training import (
+    M_TOP_PAD,
+    TRAINING_TOP_PAD,
     Adam,
     NodeClassificationModel,
     SamplingExhaustedError,
@@ -268,6 +276,108 @@ class TestOptimize:
         ):
             with pytest.raises(ConfigurationError):
                 TrainConfig(**bad).validate()
+
+
+# Faults of a one-hot NC model's epochs 2-5, printed by a fresh interpreter; with
+# the argument "off" the epochs run without optimize's heap scope.
+FAULTS_OF_EPOCHS_2_TO_5 = """
+import contextlib, resource, sys
+import numpy as np
+from brgcn import hetgraph as hg, training
+if sys.argv[1] == "off":
+    training._kept_heap = contextlib.nullcontext
+rng = np.random.default_rng(0)
+n, num_rel = 1000, 7
+triples = [(i, r, int(t)) for r in range(num_rel) for i, t in enumerate(rng.integers(0, n, n))]
+graph = hg.HeteroGraph.from_triples(triples, num_nodes=n)
+labels = hg.NodeLabels(tuple(range(n)), {i: i % 2 for i in range(n)}, 2)
+cfg = training.TrainConfig(epochs=6, seed=0)
+model = training.NodeClassificationModel.build(np.random.default_rng(0), graph, 2, cfg)
+faults = []
+
+def loss_fn(epoch):
+    return training.nc_loss(model.forward(graph, training=True, rng=rng)[0], labels)
+
+def on_epoch(epoch, value):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+training.optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
+print(faults[5] - faults[1])
+"""
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestKeptHeap:
+    PAD, RESTORE = (M_TOP_PAD, TRAINING_TOP_PAD), (M_TOP_PAD, 128 * 1024)
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A glibc whose mallopt records its calls."""
+        fake = FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+        monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+        return fake
+
+    def test_the_pad_is_set_for_the_epochs_and_restored(self, libc):
+        theta = dn.param(np.array([2.0]))
+        during = []
+
+        def loss_fn(epoch):
+            during.append(list(libc.calls))
+            return dn.tsum(dn.mul(theta, theta))
+
+        optimize([theta], loss_fn, TrainConfig(epochs=3, dropout=0.0))
+        assert during == [[self.PAD]] * 3
+        assert libc.calls == [self.PAD, self.RESTORE]
+
+    def test_an_aborted_run_restores_the_default(self, libc):
+        theta = dn.param(np.array([30.0]), name="theta")
+        with pytest.raises(TrainingAbort):
+            optimize([theta], lambda epoch: dn.tsum(dn.exp(dn.mul(theta, theta))), TrainConfig(lr=1e3, epochs=50))
+        assert libc.calls == [self.PAD, self.RESTORE]
+
+    @pytest.mark.parametrize(
+        "var, value", [("MALLOC_TOP_PAD_", "65536"), ("GLIBC_TUNABLES", "glibc.malloc.top_pad=65536")]
+    )
+    def test_a_pad_the_user_set_is_left_alone(self, libc, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        theta = dn.param(np.array([1.0]))
+        optimize([theta], lambda epoch: dn.tsum(dn.mul(theta, theta)), TrainConfig(epochs=2))
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("confstr", [None, "musl"])
+    def test_no_call_where_libc_is_not_glibc(self, libc, monkeypatch, confstr):
+        def other_libc(name):
+            if confstr is None:
+                raise ValueError("unrecognized configuration name")
+            return confstr
+
+        monkeypatch.setattr(os, "confstr", other_libc)
+        theta = dn.param(np.array([1.0]))
+        optimize([theta], lambda epoch: dn.tsum(dn.mul(theta, theta)), TrainConfig(epochs=2))
+        assert libc.calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap scope acts on glibc only")
+    def test_later_epochs_do_not_fault_the_heap_back_in(self):
+        env = {k: v for k, v in os.environ.items() if k not in ("MALLOC_TOP_PAD_", "GLIBC_TUNABLES")}
+        env.update(PYTHONPATH=str(Path(brgcn.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+        def faults(scope):
+            run = [sys.executable, "-c", FAULTS_OF_EPOCHS_2_TO_5, scope]
+            return int(subprocess.run(run, env=env, capture_output=True, text=True, check=True).stdout)
+
+        kept, trimmed = faults("on"), faults("off")
+        assert kept <= trimmed / 10, f"{kept} faults in epochs 2-5 with the scope, {trimmed} without"
 
 
 class TestTaskGradients:
