@@ -434,7 +434,9 @@ def relu(a) -> Tensor:
     def backward(g):
         return (g * mask,)
 
-    return record_op("relu", np.where(mask, a.data, 0.0), (a,), backward)
+    out = np.fmax(a.data, 0.0)  # NaN gives 0.0, as where(mask, a, 0.0) does
+    out += 0.0  # and -0.0 gives +0.0
+    return record_op("relu", out, (a,), backward)
 
 
 def leaky_relu(a, slope: float) -> Tensor:
@@ -559,7 +561,12 @@ class Segments:
         return f"Segments({self.size} entries into {self.n})"
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-segment sums of ``values`` (entries, ...), bit-equal to ``_scatter_add``."""
+        """Per-segment sums of ``values`` (entries, ...), bit-equal to ``_scatter_add``.
+
+        Values of one column are summed by ``_scatter_add`` itself: one
+        bincount, with no bins to expand, is faster than the passes."""
+        if np.ndim(values) == 1:
+            return _scatter_add(self.ids, self._checked(values), self.n)
         return self._reduce(self._entries(values), np.add)
 
     def sum_products(self, w: np.ndarray, x: np.ndarray, rows: "Segments") -> np.ndarray:
@@ -573,15 +580,19 @@ class Segments:
         """Per-segment maxima of ``values``, -inf for a segment without entries."""
         return self._reduce(self._entries(values), np.maximum)
 
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as float64, one row per entry."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.shape[0] != self.size:
+            raise DimensionError(f"Segments: {x.shape[0]} values for {self.size} entries")
+        return x
+
     def _entries(self, x: np.ndarray, rows: np.ndarray | None = None, w: np.ndarray | None = None):
         """The work array: ``x[e]`` or ``w[e] * x[rows[e]]`` per entry e of ``order``, and a spare row."""
-        x = np.asarray(x, dtype=np.float64)
         if rows is None:
-            if x.shape[0] != self.size:
-                raise DimensionError(f"Segments: {x.shape[0]} values for {self.size} entries")
-            index = self.order
+            x, index = self._checked(x), self.order
         else:
-            index = rows[self.order]
+            x, index = np.asarray(x, dtype=np.float64), rows[self.order]
         v = np.empty((self.size + 1,) + x.shape[1:])
         np.take(x, index, axis=0, out=v[: self.size], mode="clip")  # checked indices: nothing clips
         if w is not None:

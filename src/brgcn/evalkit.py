@@ -77,22 +77,27 @@ def rank_triples(
     with an equal score.  The filtered rank drops candidates that are known
     positives (anything in ``known_positives`` other than the target, which
     should normally be the union of train, valid and test triples).  The
-    summary reports MRR and Hits@{1,3,10} in both settings, averaged over
-    head and tail directions.
+    known positives are keyed by a sort on every call, except a graph's own
+    ``triple_set``, which is keyed once for every call that ranks over that
+    graph's entities and relations; callers that rank one graph in chunks
+    should pass it.  The summary reports MRR and Hits@{1,3,10} in both
+    settings, averaged over head and tail directions.
     """
     test = hg.triple_array(triples)
     n, num_rel = num_entities, int(test[:, 1].max(initial=-1)) + 1
-    if not _in_range(test, n, num_rel).all():
+    if not hg.in_range(test, n, num_rel).all():
         raise EvalError(f"test triples need entity ids in [0, {n}) and non-negative relation ids")
     # Known positives as sorted triple keys, once keyed (head, r, tail) and
-    # once (tail, r, head).  The known candidates b of a query (a, r) are
-    # then the keys in [key(a, r, 0), key(a, r, 0) + N), one slice.
-    # Out-of-range triples never match a candidate; they are dropped so that
-    # no key aliases into another query's slice.
-    known = hg.triple_array(known_positives)
-    known = known[_in_range(known, n, num_rel)]
-    by_head = _sorted_set(hg.triple_keys(known, num_rel, n))
-    by_tail = _sorted_set(hg.triple_keys(known[:, ::-1], num_rel, n))
+    # once (tail, r, head): the known candidates b of a query (a, r) are the
+    # keys in [key(a, r, 0), key(a, r, 0) + N), one slice.  A graph's own
+    # triple set keys its triples once, under the graph's R; any other
+    # known positives are keyed here, under the test triples' R.
+    known = known_positives
+    if isinstance(known, hg.TripleSet) and known.num_nodes == n and known.num_relations >= num_rel:
+        num_rel = known.num_relations
+        by_head, by_tail = known.sorted_keys
+    else:
+        by_head, by_tail = hg.sorted_triple_keys(known, num_rel, n)
     tail_first = hg.triple_keys(test * (1, 1, 0), num_rel, n)  # key(h, r, 0)
     head_first = hg.triple_keys(test[:, ::-1] * (1, 1, 0), num_rel, n)  # key(t, r, 0)
 
@@ -140,20 +145,6 @@ def rank_triples(
         for k in HITS_LEVELS:
             summary[f"hits@{k}_{setting}"] = sum(x <= k for x in ranks) / len(ranks) if ranks else math.nan
     return results, summary
-
-
-def _sorted_set(keys: np.ndarray) -> np.ndarray:
-    """The distinct ``keys``, ascending: a sort and one neighbour compare."""
-    keys = np.sort(keys)
-    distinct = np.ones(keys.size, dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
-
-
-def _in_range(triples: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
-    """Mask of the (h, r, t) rows with h, t in [0, num_entities) and r in [0, num_relations)."""
-    lo, hi = np.zeros(3, dtype=np.int64), np.array([num_entities, num_relations, num_entities])
-    return ((triples >= lo) & (triples < hi)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ A graph holds its edges once, as an (E, 3) int64 array of (head, relation,
 tail) rows in first-seen order: the edge-list layout of R-GCN (Schlichtkrull
 et al. 2018) and PyG (Fey & Lenssen 2019).  The sorted :class:`GraphIndex`
 that the layer and the neighbor queries read is derived from it on first use
-and kept.  Membership tests compare the int64 keys of :func:`triple_keys`.
+and kept, as is ``triple_set``, a :class:`TripleSet` that keys the triples
+for filtered ranking once.  Membership tests compare the int64 keys of
+:func:`triple_keys`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ def triple_keys(triples, num_relations: int, num_nodes: int) -> np.ndarray:
 
 def triple_array(triples) -> np.ndarray:
     """``triples``, an array or any iterable of id triples, as an (E, 3) int64 array."""
+    if isinstance(triples, TripleSet):
+        return triples.array
     if isinstance(triples, AbstractSet):
         # A set's tuples are read once, as one run of ids, with no list of them.
         if triples and set(map(len, triples)) != {3}:
@@ -73,7 +77,66 @@ def triple_array(triples) -> np.ndarray:
         return ids.reshape(-1, 3)
     if not isinstance(triples, np.ndarray):
         triples = list(triples)
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    triples = np.asarray(triples, dtype=np.int64)
+    return triples if triples.ndim == 2 and triples.shape[1] == 3 else triples.reshape(-1, 3)
+
+
+def in_range(triples: np.ndarray, num_nodes: int, num_relations: int) -> np.ndarray:
+    """Mask of the (a, r, b) rows with a, b in [0, num_nodes) and r in [0, num_relations)."""
+    lo, hi = np.zeros(3, dtype=np.int64), np.array([num_nodes, num_relations, num_nodes])
+    return ((triples >= lo) & (triples < hi)).all(axis=1)
+
+
+def sorted_triple_keys(triples, num_relations: int, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of the in-range rows of ``triples``, ascending, keyed (a, r, b) and (b, r, a).
+
+    Rows out of range are dropped, so that no key aliases the key of another
+    row.  The triples (a, r, *) are then the keys in [key(a, r, 0),
+    key(a, r, 0) + N) of the first array, one slice, and (*, r, b) those in
+    [key(b, r, 0), key(b, r, 0) + N) of the second.
+    """
+    rows = triple_array(triples)
+    rows = rows[in_range(rows, num_nodes, num_relations)]
+    return tuple(_sorted_set(triple_keys(x, num_relations, num_nodes)) for x in (rows, rows[:, ::-1]))
+
+
+def _sorted_set(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending: a sort and one neighbour compare."""
+    keys = np.sort(keys)
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
+class TripleSet(frozenset):
+    """A frozenset of (head, relation, tail) int tuples that keeps them as an array too.
+
+    Built from an (E, 3) id array, which it keeps read-only as ``array``
+    (a copy, unless the array is read-only and owns its data, as a graph's
+    ``triples`` does), with the node and relation counts of the graph the
+    ids belong to.  It is a frozenset in every other respect: it compares
+    and hashes like one, and set algebra on it returns plain frozensets,
+    which carry no array.
+    ``sorted_keys``, the :func:`sorted_triple_keys` of ``array`` under
+    those counts, is built on first use and kept; the set never changes, so
+    neither do its keys.
+    """
+
+    def __new__(cls, triples, num_nodes: int, num_relations: int) -> "TripleSet":
+        rows = triple_array(triples)
+        if rows.flags.writeable or rows.base is not None:  # a view's base may be writable
+            rows = rows.copy()
+            rows.flags.writeable = False
+        self = super().__new__(cls, map(tuple, rows.tolist()))
+        self.array, self.num_nodes, self.num_relations = rows, num_nodes, num_relations
+        return self
+
+    def __reduce__(self):
+        return TripleSet, (self.array, self.num_nodes, self.num_relations)
+
+    @cached_property
+    def sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return sorted_triple_keys(self.array, self.num_relations, self.num_nodes)
 
 
 class GraphIndex:
@@ -247,9 +310,9 @@ class HeteroGraph:
         return GraphIndex(self)
 
     @cached_property
-    def triple_set(self) -> frozenset[Triple]:
-        """The triples as a frozenset of int tuples, built on first use."""
-        return frozenset(map(tuple, self.triples.tolist()))
+    def triple_set(self) -> TripleSet:
+        """The triples as a frozenset of int tuples with their ranking keys, built on first use."""
+        return TripleSet(self.triples, self.num_nodes, self.num_relations)
 
     def check_node(self, i: int) -> None:
         if not 0 <= i < self.num_nodes:

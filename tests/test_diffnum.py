@@ -74,6 +74,16 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             dn.softmax(Tensor(np.zeros((2, 2))))
 
+    def test_relu_is_bit_equal_to_where(self):
+        # NaN, -inf, signed zeros and subnormals, compared as int64 bits; an
+        # output of +inf would be refused as non-finite.
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([np.nan, -np.nan, -np.inf, 0.0, -0.0, tiny, -tiny, 1.5, -2.5, 1e308])
+        rng = np.random.default_rng(0)
+        x = np.concatenate([x, rng.normal(size=200)])
+        got = dn.relu(Tensor(x)).data
+        assert np.array_equal(got.view(np.int64), np.where(x > 0, x, 0.0).view(np.int64))
+
     def test_leaky_relu_definition(self):
         assert dn.leaky_relu(Tensor(-2.0), 0.2).item() == pytest.approx(-0.4)
         assert dn.leaky_relu(Tensor(3.0), 0.2).item() == 3.0

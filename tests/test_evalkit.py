@@ -222,6 +222,94 @@ class TestRanking:
         assert any(res.filt_rank_tail < res.raw_rank_tail for res in results)
 
 
+class TestKnownPositiveIndex:
+    """rank_triples over a graph's ``triple_set``, keyed once per graph."""
+
+    @staticmethod
+    def _case(seed: int, n: int = 15, num_rel: int = 3, num_triples: int = 60):
+        # An integer-valued scorer with many ties, over more entities and
+        # relations than the graph has, for the fallbacks that name them.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, [n, num_rel, n], size=(num_triples, 3))
+        names = [f"r{k}" for k in range(num_rel)]
+        graph = hg.HeteroGraph.from_triples(rows, num_nodes=n, relation_names=names)
+        table = rng.integers(0, 3, size=(n + 3, num_rel + 1, n + 3)).astype(float)
+        return graph, lambda h, r, t: table[h, r, t]
+
+    @staticmethod
+    def _chunked(score_fn, tests, n, known, size):
+        """The ranks of ``tests``, one rank_triples call per ``size`` of them."""
+        calls = (rank_triples(score_fn, tests[k : k + size], n, known) for k in range(0, len(tests), size))
+        return [res for results, _ in calls for res in results]
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Replace ``hg.<name>`` by a wrapper; the returned list gets one entry per call, its rows."""
+        original, rows = getattr(hg, name), []
+
+        def counted(triples, *shape):
+            rows.append(len(hg.triple_array(triples)))
+            return original(triples, *shape)
+
+        monkeypatch.setattr(hg, name, counted)
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 7, None], ids=["1", "2", "7", "all"])
+    def test_index_ranks_as_every_other_form_and_the_oracle(self, seed, size):
+        graph, score_fn = self._case(seed)
+        n, tests = graph.num_nodes, graph.triples[::3]
+        known = graph.triple_set
+        want = self._chunked(score_fn, tests, n, known, size or len(tests))
+        for other in (set(known), list(known), graph.triples):
+            assert self._chunked(score_fn, tests, n, other, size or len(tests)) == want
+        for res in want:
+            raw = brute_force_ranks(score_fn, res.triple, n, known, False)
+            filtered = brute_force_ranks(score_fn, res.triple, n, known, True)
+            assert (res.raw_rank_head, res.raw_rank_tail) == raw
+            assert (res.filt_rank_head, res.filt_rank_tail) == filtered
+        assert any(res.filt_rank_tail < res.raw_rank_tail for res in want)
+
+    @pytest.mark.parametrize(
+        "fallback", ["more-entities", "fewer-entities", "unknown-relation", "union", "mutable"]
+    )
+    def test_each_fallback_ranks_as_the_plain_path(self, fallback, monkeypatch):
+        graph, score_fn = self._case(3)
+        n, tests = graph.num_nodes, [tuple(x) for x in graph.triples[::4].tolist()]
+        known = graph.triple_set
+        if fallback == "more-entities":
+            n += 3
+        elif fallback == "fewer-entities":
+            n -= 4
+            tests = [x for x in tests if max(x[0], x[2]) < n]
+        elif fallback == "unknown-relation":
+            tests += [(h, graph.num_relations, t) for h, _, t in tests[:3]]
+        elif fallback == "union":
+            known = known | {(0, 0, n + 1), (0, 0, -1), (1, graph.num_relations, 0), (2, 0, 2)}
+        else:
+            known = set(known)
+        want = rank_triples(score_fn, tests, n, list(known))
+        keyed = self._count_calls(monkeypatch, "sorted_triple_keys")
+        assert rank_triples(score_fn, tests, n, known) == want
+        assert keyed == [len(known)]  # keyed in the call, not taken from an index
+
+    def test_chunked_calls_key_the_graph_triples_once(self, monkeypatch):
+        graph, score_fn = self._case(5)
+        known, tests = graph.triple_set, graph.triples[:20]
+        keyed = self._count_calls(monkeypatch, "triple_keys")
+        for known_form, times in ((known, 1), (set(known), 10)):
+            keyed.clear()
+            assert len(self._chunked(score_fn, tests, graph.num_nodes, known_form, 2)) == 20
+            # Each call keys its 2 test triples twice, and each keying of the
+            # known rows keys them by head and by tail.
+            assert len(keyed) == 2 * 10 + 2 * times
+            if known_form is known:
+                assert keyed.count(graph.num_triples) == 2
+        first = known.sorted_keys
+        rank_triples(score_fn, tests[:2], graph.num_nodes, known)
+        assert all(a is b for a, b in zip(known.sorted_keys, first))
+
+
 class TestModelScorerRanking:
     """rank_triples over ``LinkPredictionModel.score_fn``, the 1-N path."""
 

@@ -197,6 +197,51 @@ class TestIndexInvariants:
         with pytest.raises(GraphError):
             hetgraph.triple_array(rows)
 
+    def test_triple_set_is_a_frozenset_of_the_triples(self):
+        g = HeteroGraph.from_triples([(2, 0, 1), (0, 1, 2), (1, 0, 0), (2, 0, 1)])
+        plain = frozenset({(2, 0, 1), (0, 1, 2), (1, 0, 0)})
+        ts = g.triple_set
+        assert isinstance(ts, hetgraph.TripleSet) and isinstance(ts, frozenset)
+        assert ts == plain and hash(ts) == hash(plain) and len(ts) == 3
+        assert (0, 1, 2) in ts and (0, 1, 1) not in ts
+        assert (ts.num_nodes, ts.num_relations) == (3, 2)
+        assert np.array_equal(ts.array, g.triples) and np.shares_memory(ts.array, g.triples)
+        assert hetgraph.triple_array(ts) is ts.array  # no walk over the tuples
+        # Set algebra returns plain frozensets, which carry no array or keys.
+        for derived in (ts | {(0, 0, 0)}, ts - {(1, 0, 0)}, ts & plain, ts ^ {(0, 0, 0)}):
+            assert type(derived) is frozenset
+        assert ts | {(0, 0, 0)} == plain | {(0, 0, 0)} and ts - {(1, 0, 0)} == plain - {(1, 0, 0)}
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_triple_set_copies_to_an_equal_set(self, how):
+        import copy
+        import pickle
+
+        g = HeteroGraph.from_triples([(2, 0, 1), (0, 1, 2), (1, 0, 0)], num_nodes=5)
+        ts = g.triple_set
+        ts.sorted_keys  # a built index is not what makes a copy
+        twin = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](ts)
+        assert twin == ts and hash(twin) == hash(ts) and type(twin) is hetgraph.TripleSet
+        assert (twin.num_nodes, twin.num_relations) == (5, 2)
+        assert np.array_equal(twin.array, g.triples) and not twin.array.flags.writeable
+        for got, want in zip(twin.sorted_keys, ts.sorted_keys):
+            assert np.array_equal(got, want)
+
+    def test_triple_set_keeps_no_writable_array(self):
+        rows = np.array([(0, 0, 1), (1, 0, 2)])
+        ts = hetgraph.TripleSet(rows, 3, 1)
+        rows[0, 0] = 2  # the caller's array is copied, not frozen
+        assert rows.flags.writeable and ts == {(0, 0, 1), (1, 0, 2)}
+        assert ts.array.tolist() == [[0, 0, 1], [1, 0, 2]] and not ts.array.flags.writeable
+        base = np.array([(0, 0, 1), (1, 0, 2)])
+        view = base.view()
+        view.flags.writeable = False
+        ts = hetgraph.TripleSet(view, 3, 1)
+        base[0, 0] = 2  # nor is a read-only view of a writable array kept
+        assert ts.array.tolist() == [[0, 0, 1], [1, 0, 2]] and ts == {(0, 0, 1), (1, 0, 2)}
+        assert ts.sorted_keys[0].tolist() == sorted(hetgraph.triple_keys(ts.array, 1, 3).tolist())
+
     def test_triples_are_read_only(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2)])
         assert g.triples.dtype == np.int64 and g.triples.shape == (2, 3)

@@ -145,6 +145,9 @@ class TestRefusals:
         m, w = Tensor(np.ones((4, 2))), Tensor(np.ones(4))
         with pytest.raises(DimensionError, match="segment_sum"):
             dn.segment_sum(m, three)
+        for values in (np.ones(3), np.ones((3, 2))):  # one column takes its own path
+            with pytest.raises(DimensionError, match="3 values for 4 entries"):
+                four.sum(values)
         with pytest.raises(DimensionError, match="segment_softmax"):
             dn.segment_softmax(Tensor(np.ones(3)), four)
         with pytest.raises(DimensionError, match="gather_sum"):  # src into 2 rows, x has 4

@@ -156,6 +156,15 @@ class TestNegativeSampling:
                 assert r == 0
                 assert (h, r, t) not in g.triple_set
 
+    def test_graph_triple_set_filters_as_a_plain_set_does(self):
+        g = self._graph()
+        for seed in range(5):
+            draws = [
+                negative_sample((0, 0, 1), g, np.random.default_rng(seed), omega=20, known=known)
+                for known in (None, set(g.triple_set), frozenset(g.triple_set))
+            ]
+            assert draws[0] == draws[1] == draws[2]
+
     def test_exactly_one_slot_differs(self):
         g = self._graph()
         rng = np.random.default_rng(1)
