@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .decoders import KINDS as DECODERS
-from .evalkit import STRATEGIES as STRATEGY_NAMES
+from .evalkit import FRACTIONS, STRATEGIES as STRATEGY_NAMES
 from .training import Hyperparameters, TrainConfig, check, one_of, problems
 
 FORMATS = ("tsv", "ntriples")
@@ -63,7 +63,7 @@ class ExperimentConfig(Hyperparameters):
         metadata=check(lambda v: [f"unknown strategy {s!r}" for s in v if s not in STRATEGY_NAMES]),
     )
     ablation_fractions: tuple[float, ...] = field(
-        default=tuple(k / 10 for k in range(1, 11)),
+        default=FRACTIONS,
         metadata=check(lambda v: [f"fraction {f} outside (0, 1]" for f in v if not 0.0 < f <= 1.0]),
     )
 

@@ -3,7 +3,8 @@
 Every primitive funnels through :func:`record_op`, which checks the result
 for NaN/Inf and, when a tape is active and some input carries a gradient,
 appends a record to that tape.  ``Tape.backward`` walks the records once,
-in reverse order, accumulating gradients additively at fan-out points.
+in reverse order, accumulating gradients additively at fan-out points, and
+sets ``grad`` on leaves only.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ class NumericError(DiffnumError):
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
-    ``grad`` is populated by ``Tape.backward`` and accumulates across
-    backward calls until reset (see :func:`zero_grad`).  Tensor buffers are
-    treated as immutable by all ops; only the optimizer mutates parameter
-    data in place.
+    ``grad`` is populated on leaves by ``Tape.backward`` and accumulates
+    across backward calls until reset (see :func:`zero_grad`).  Tensor
+    buffers are treated as immutable by all ops; only the optimizer mutates
+    parameter data in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name")
@@ -102,32 +103,31 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every recorded tensor reachable from ``loss``."""
+        """Add the gradient of ``loss`` to ``grad`` on every leaf it reaches.
+
+        A leaf is a tensor that no record of this tape produced: a parameter,
+        or ``loss`` itself when nothing recorded it.  An intermediate's
+        gradient is passed on to its record's inputs when the walk reaches
+        that record and is then dropped, so its ``grad`` stays None.
+        """
         if loss.data.ndim != 0:
             raise DimensionError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
-        pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        finished: dict[int, tuple[Tensor, np.ndarray]] = {}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones((), dtype=np.float64))}
         for out, inputs, backward_fn in reversed(self._records):
-            g = pending.pop(id(out), None)
-            if g is None:
+            if id(out) not in pending:
                 continue
-            finished[id(out)] = (out, g)
-            partials = backward_fn(g)
+            partials = backward_fn(pending.pop(id(out))[1])
             for inp, part in zip(inputs, partials):
                 if part is None or not inp.requires_grad:
                     continue
                 key = id(inp)
                 if key in pending:
-                    pending[key] = pending[key] + part
+                    pending[key] = (inp, pending[key][1] + part)
                 else:
-                    pending[key] = part
-                    holders[key] = inp
-        for key, g in pending.items():  # leaves (parameters and the loss itself)
-            finished[key] = (holders[key], g)
-        for t, g in finished.values():
+                    pending[key] = (inp, part)
+        for t, g in pending.values():  # what is left are the leaves
             t.grad = g if t.grad is None else t.grad + g
 
 
@@ -246,36 +246,18 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 2D@2D, 2D@1D and 1D@2D operands."""
+    """Matrix product of two 2-D operands."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise DimensionError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def backward(g):
-            return _partial(a, lambda: g @ bd.T), _partial(b, lambda: ad.T @ g)
-
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise DimensionError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def backward(g):
-            return _partial(a, lambda: g[:, None] * bd), _partial(b, lambda: ad.T @ g)
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise DimensionError(f"matmul: {ad.shape} @ {bd.shape}")
-        out = ad @ bd
-
-        def backward(g):
-            return _partial(a, lambda: bd @ g), _partial(b, lambda: ad[:, None] * g)
-
-    else:
+    if ad.ndim != 2 or bd.ndim != 2:
         raise DimensionError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
-    return record_op("matmul", out, (a, b), backward)
+    if ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul: {ad.shape} @ {bd.shape}")
+
+    def backward(g):
+        return _partial(a, lambda: g @ bd.T), _partial(b, lambda: ad.T @ g)
+
+    return record_op("matmul", ad @ bd, (a, b), backward)
 
 
 def dot(a, b) -> Tensor:

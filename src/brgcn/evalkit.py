@@ -19,6 +19,7 @@ HITS_LEVELS = (1, 3, 10)
 SCORE_BLOCK_BYTES = 32 * 2**20  # cap on one ranking block's (B, N) float64 score matrix
 
 STRATEGIES = ("random", "top_attention", "bottom_attention")
+FRACTIONS = tuple(k / 10 for k in range(1, 11))  # the default retained fractions of ablate
 
 
 class EvalError(Exception):
@@ -242,7 +243,7 @@ def ablate(
     cfg: TrainConfig,
     *,
     strategies: Sequence[str] = STRATEGIES,
-    fractions: Sequence[float] = tuple(k / 10 for k in range(1, 11)),
+    fractions: Sequence[float] = FRACTIONS,
     seeds: Sequence[int] | None = None,
 ) -> AblationReport:
     """Score relations by learned attention, prune, retrain, and measure.

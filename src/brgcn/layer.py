@@ -204,9 +204,10 @@ class AttentionTrace:
     """Recorded attention weights from one forward pass, as the layer computed them.
 
     ``flat_gamma`` is a read-only copy of gamma, one weight per edge of
-    ``index``, None under ``rgcn_baseline``.  ``flat_psi`` is the relation
-    stage's read-only psi, one float per same-node pair in ``index.blocks``
-    order, None without relation attention.
+    ``index``; a variant without node attention records its uniform
+    1/|N_i^r|.  ``flat_psi`` is the relation stage's read-only psi, one
+    float per same-node pair in ``index.blocks`` order, None without
+    relation attention.
 
     ``gamma``, ``psi`` and ``rel_order`` are read-only mappings of read-only
     views, each split from the flat arrays in one pass on first access and
@@ -366,10 +367,8 @@ def layer_forward(
 
     if not collect_trace:
         return out, AttentionTrace()
-    flat_gamma = None
-    if mode != "rgcn_baseline":
-        flat_gamma = gamma.data.copy()  # detached from the tape
-        flat_gamma.flags.writeable = False
+    flat_gamma = gamma.data.copy()  # detached from the tape
+    flat_gamma.flags.writeable = False
     return out, AttentionTrace(idx, flat_gamma, psi)
 
 

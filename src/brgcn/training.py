@@ -106,21 +106,6 @@ class TrainConfig(Hyperparameters):
             raise ConfigurationError("; ".join(found))
 
 
-@dataclass(frozen=True)
-class TripleBatch:
-    """Scored triples with their positive/negative indicator."""
-
-    triples: tuple[tuple[int, int, int], ...]
-    y: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.triples) != len(self.y):
-            raise ConfigurationError("triples and y must have equal length")
-        y = np.asarray(self.y)
-        if y.ndim != 1 or not np.isin(y, (0, 1)).all():
-            raise ConfigurationError("y entries must be 0 or 1")
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -148,23 +133,25 @@ def nc_loss(probs: Tensor, labels: hg.NodeLabels) -> Tensor:
     return dn.neg(dn.tsum(dn.mul(Tensor(onehot), dn.log(dn.clip_min(picked, LOG_CLAMP)))))
 
 
-def lp_loss(batch: TripleBatch, scores: Tensor, e_prime_size: int, omega: int) -> Tensor:
+def lp_loss(y, scores: Tensor, e_prime_size: int, omega: int) -> Tensor:
     """Normalized binary cross-entropy over real and corrupted triples.
 
     L = c * sum_i [ y_i log l(a_i) + (1 - y_i) log(1 - l(a_i)) ] with
     l the logistic sigmoid and c = -1 / ((1 + omega) * |E'|); the negative
-    constant makes the loss non-negative.  Saturated sigmoids are clamped at
-    1e-12 inside the logs, with a warning.
+    constant makes the loss non-negative.  ``y`` holds the 0/1 label of
+    each scored triple: 1 for a real one, 0 for a corruption.  Saturated
+    sigmoids are clamped at 1e-12 inside the logs, with a warning.
     """
-    if scores.ndim != 1 or scores.shape[0] != len(batch.triples):
-        raise dn.DimensionError(
-            f"scores shape {scores.shape} does not match batch size {len(batch.triples)}"
-        )
+    y = np.asarray(y)
+    if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+        raise ConfigurationError("y entries must be 0 or 1")
+    if scores.ndim != 1 or scores.shape[0] != y.size:
+        raise dn.DimensionError(f"scores shape {scores.shape} does not match {y.size} labels")
     if e_prime_size <= 0:
         raise ConfigurationError("e_prime_size must be positive")
     c = -1.0 / ((1 + omega) * e_prime_size)
     probs = dn.sigmoid(scores)
-    y = np.asarray(batch.y, dtype=np.float64)
+    y = y.astype(np.float64, copy=False)
     hit = ((y == 1) & (probs.data < LOG_CLAMP)) | ((y == 0) & (probs.data > 1.0 - LOG_CLAMP))
     if hit.any():
         log.warning("saturated sigmoid clamped in lp_loss for %d triple(s)", int(hit.sum()))
@@ -298,31 +285,27 @@ def _kept_heap() -> Iterator[None]:
         libc.mallopt(M_TOP_PAD, GLIBC_TOP_PAD)
 
 
-@dataclass
-class OptimizeResult:
-    loss_curve: list[float] = field(default_factory=list)
-
-
 def optimize(
     params: Sequence[Tensor],
     loss_fn: Callable[[int], Tensor],
     config: TrainConfig,
     *,
     on_epoch: Callable[[int, float], None] | None = None,
-) -> OptimizeResult:
-    """Run Adam for up to ``config.epochs`` full-batch steps.
+) -> list[float]:
+    """Run Adam for up to ``config.epochs`` full-batch steps; the loss of each step.
 
     ``loss_fn(epoch)`` rebuilds the scalar loss; the l2 penalty (when
     configured) is added here as lambda * sum ||theta||^2 so it flows
     through the tape.  A non-finite loss aborts with the epoch number and
     the first offending parameter.  ``on_epoch`` may return a truthy value
     to stop training early (used for validation-based early stopping).
-    The epochs run in :func:`_kept_heap`, so each step reuses the heap the
-    first one grew.
+    Each step's tape and loss are released once its gradients are in, before
+    the Adam update and ``on_epoch`` run.  The epochs run in
+    :func:`_kept_heap`, so each step reuses the heap the first one grew.
     """
     config.validate()
     adam = Adam(params, lr=config.lr)
-    result = OptimizeResult()
+    loss_curve: list[float] = []
     with _kept_heap():
         for epoch in range(config.epochs):
             adam.zero_grad()
@@ -336,13 +319,14 @@ def optimize(
             except dn.NumericError as err:
                 raise TrainingAbort(f"epoch {epoch}: {err}; {_culprit(params)}") from err
             value = loss.item()
+            del tape, loss  # the step's activations, freed before Adam and on_epoch run
             if not np.isfinite(value):
                 raise TrainingAbort(f"epoch {epoch}: non-finite loss; {_culprit(params)}")
             adam.step()
-            result.loss_curve.append(value)
+            loss_curve.append(value)
             if on_epoch is not None and on_epoch(epoch, value):
                 break
-    return result
+    return loss_curve
 
 
 def _culprit(params: Sequence[Tensor]) -> str:
@@ -614,13 +598,13 @@ def train_node_classifier(
         metrics_rows.append((epoch, loss_value, train_acc, val))
         return stop
 
-    result = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
+    loss_curve = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
     probs, traces = model.forward(g, collect_trace=True)
     pred = probs.data.argmax(axis=1)
     return NCRun(
         model=model,
         graph=g,
-        loss_curve=result.loss_curve,
+        loss_curve=loss_curve,
         metrics_rows=metrics_rows,
         train_accuracy=evalkit.accuracy(pred, labels, split.train),
         valid_accuracy=evalkit.accuracy(pred, labels, split.valid) if split.valid else None,
@@ -660,7 +644,8 @@ def train_link_predictor(
             "early_stop_patience: link prediction records no validation metric to stop on; set it to 0"
         )
     rng = np.random.default_rng(cfg.seed)
-    train_triples = tuple(map(tuple, graph.triples[list(split.train)].tolist()))
+    train = graph.triples[list(split.train)]
+    train_triples = list(map(tuple, train.tolist()))
     if not train_triples:
         raise ConfigurationError("link prediction requires a non-empty training split")
     g_enc = run_graph(graph, cfg, split.train)
@@ -673,23 +658,17 @@ def train_link_predictor(
 
     def loss_fn(epoch: int) -> Tensor:
         emb = model.embeddings(g_enc, training=True, rng=rng)
-        negatives = []
-        for pos in train_triples:
-            negatives += negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
-        y = (1,) * len(train_triples) + (0,) * len(negatives)
-        batch = TripleBatch(train_triples + tuple(negatives), y)
-        scores = dec.score_triples(model.decoder, emb, batch.triples)
-        correct = int(np.count_nonzero((scores.data > 0) == np.asarray(y, dtype=bool)))
-        last_batch_acc[0] = 100.0 * correct / len(y)
-        return lp_loss(batch, scores, e_prime_size=len(train_triples), omega=cfg.omega)
+        negatives = [
+            n for pos in train_triples for n in negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
+        ]
+        batch = np.concatenate([train, np.array(negatives, dtype=np.int64).reshape(-1, 3)])  # (n, 3) ids
+        y = np.arange(len(batch)) < len(train)
+        scores = dec.score_triples(model.decoder, emb, batch)
+        last_batch_acc[0] = 100.0 * int(np.count_nonzero((scores.data > 0) == y)) / len(y)
+        return lp_loss(y, scores, e_prime_size=len(train), omega=cfg.omega)
 
     def on_epoch(epoch: int, loss_value: float) -> None:
         metrics_rows.append((epoch, loss_value, last_batch_acc[0], ""))
 
-    result = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
-    return LPRun(
-        model=model,
-        graph=g_enc,
-        loss_curve=result.loss_curve,
-        metrics_rows=metrics_rows,
-    )
+    loss_curve = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
+    return LPRun(model=model, graph=g_enc, loss_curve=loss_curve, metrics_rows=metrics_rows)

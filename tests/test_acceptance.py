@@ -22,7 +22,6 @@ from brgcn.training import (
     LinkPredictionModel,
     NodeClassificationModel,
     TrainConfig,
-    TripleBatch,
     lp_loss,
     nc_loss,
     negative_sample,
@@ -171,14 +170,14 @@ def test_criterion_03_gradient_correctness():
     rng = np.random.default_rng(2)
     positives = list(graph.triples)
     negatives = [negative_sample(p, graph, rng)[0] for p in positives]
-    batch = TripleBatch(tuple(positives + negatives), (1,) * len(positives) + (0,) * len(negatives))
+    y = (1,) * len(positives) + (0,) * len(negatives)
 
     def f_lp():
         from brgcn.decoders import score_triples
 
         emb = lp_model.embeddings(graph)
-        scores = score_triples(lp_model.decoder, emb, batch.triples)
-        return lp_loss(batch, scores, e_prime_size=len(positives), omega=1)
+        scores = score_triples(lp_model.decoder, emb, positives + negatives)
+        return lp_loss(y, scores, e_prime_size=len(positives), omega=1)
 
     lp_report = grad_check(f_lp, lp_model.params(), eps=1e-5, tol=1e-4)
     elapsed = time.monotonic() - start

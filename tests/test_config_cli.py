@@ -535,7 +535,9 @@ epochs = 5
         args += ["--set", f"output_dir={tmp_path / 'att'}"]
         assert main(["export-attention", "--config", str(cfg), *args]) == 0
         layers = json.loads((tmp_path / "att" / "attention.json").read_text())["layers"]
-        assert len(layers) == 1 and layers[0]["gamma"] == {} and layers[0]["psi"] == {}
+        assert len(layers) == 1 and layers[0]["gamma"] and layers[0]["psi"] == {}
+        # rgcn_baseline's gamma is the uniform 1/|N_i^r| it aggregates with
+        assert all(vec == [1 / len(vec)] * len(vec) for vec in layers[0]["gamma"].values())
 
 
 class TestCliTaskDecision:

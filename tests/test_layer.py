@@ -518,10 +518,9 @@ class TestRelationSlots:
             h, g.triples.tolist(), n, layer_rels, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
         )
         np.testing.assert_allclose(out.data, oracle, atol=1e-10)
-        if mode != "rgcn_baseline":
-            assert trace.gamma.keys() == gammas.keys()
-            for key, gam in gammas.items():
-                np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
+        assert trace.gamma.keys() == gammas.keys()
+        for key, gam in gammas.items():
+            np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
         if mode in ("full", "relation_only"):
             assert trace.psi.keys() == psis.keys()
             for i, psi in psis.items():

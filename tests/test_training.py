@@ -26,7 +26,6 @@ from brgcn.training import (
     SamplingExhaustedError,
     TrainConfig,
     TrainingAbort,
-    TripleBatch,
     lp_loss,
     nc_loss,
     negative_sample,
@@ -85,59 +84,53 @@ class TestLpLoss:
     def test_normalization_constant(self):
         # c = -1/((1+omega)|E'|): one positive at alpha=0 with omega=1,
         # |E'|=10 contributes log(1/2)/20
-        batch = TripleBatch(((0, 0, 1),), (1,))
-        loss = lp_loss(batch, Tensor(np.zeros(1)), e_prime_size=10, omega=1)
+        loss = lp_loss((1,), Tensor(np.zeros(1)), e_prime_size=10, omega=1)
         assert loss.item() == pytest.approx(math.log(2) / 20)
 
     def test_all_zero_scores_batch(self):
-        batch = TripleBatch(((0, 0, 1), (1, 0, 2), (0, 0, 2), (2, 0, 1)), (1, 1, 0, 0))
-        loss = lp_loss(batch, Tensor(np.zeros(4)), e_prime_size=2, omega=1)
+        loss = lp_loss((1, 1, 0, 0), Tensor(np.zeros(4)), e_prime_size=2, omega=1)
         assert loss.item() == pytest.approx(4 * math.log(2) / 4)
 
     def test_perfect_separation_limit(self):
-        batch = TripleBatch(((0, 0, 1), (0, 0, 2)), (1, 0))
-        loss = lp_loss(batch, Tensor(np.array([500.0, -500.0])), e_prime_size=1, omega=1)
+        loss = lp_loss((1, 0), Tensor(np.array([500.0, -500.0])), e_prime_size=1, omega=1)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_is_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             n = 6
-            batch = TripleBatch(
-                tuple((0, 0, k) for k in range(n)), tuple(int(rng.integers(2)) for _ in range(n))
-            )
-            loss = lp_loss(batch, Tensor(rng.normal(size=n) * 3), e_prime_size=3, omega=1)
+            y = tuple(int(rng.integers(2)) for _ in range(n))
+            loss = lp_loss(y, Tensor(rng.normal(size=n) * 3), e_prime_size=3, omega=1)
             assert loss.item() >= 0.0
 
     def test_monotone_in_scores(self):
         # dL/d(alpha_pos) < 0 and dL/d(alpha_neg) > 0
-        batch = TripleBatch(((0, 0, 1), (0, 0, 2)), (1, 0))
         scores = dn.param(np.array([0.3, -0.2]))
         with Tape() as tape:
-            tape.backward(lp_loss(batch, scores, e_prime_size=1, omega=1))
+            tape.backward(lp_loss((1, 0), scores, e_prime_size=1, omega=1))
         assert scores.grad[0] < 0.0
         assert scores.grad[1] > 0.0
 
     def test_saturation_warning(self, caplog):
-        batch = TripleBatch(((0, 0, 1),), (1,))
         with caplog.at_level(logging.WARNING):
-            lp_loss(batch, Tensor(np.array([-80.0])), e_prime_size=1, omega=1)
+            lp_loss((1,), Tensor(np.array([-80.0])), e_prime_size=1, omega=1)
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_batch_validation(self):
+        # labels of another length than the scores, or a label other than 0 and 1
+        with pytest.raises(dn.DimensionError, match="does not match 2 labels"):
+            lp_loss((1, 0), Tensor(np.zeros(1)), e_prime_size=1, omega=1)
         with pytest.raises(ConfigurationError):
-            TripleBatch(((0, 0, 1),), (1, 0))
-        with pytest.raises(ConfigurationError):
-            TripleBatch(((0, 0, 1),), (2,))
+            lp_loss((2,), Tensor(np.zeros(1)), e_prime_size=1, omega=1)
 
     @pytest.mark.parametrize("bad", [(-1,), (0.5,), ("a",), (None,), ([0],)])
     def test_batch_refuses_every_y_but_0_and_1(self, bad):
         with pytest.raises(ConfigurationError, match="y entries must be 0 or 1"):
-            TripleBatch(((0, 0, 1),), bad)
+            lp_loss(bad, Tensor(np.zeros(1)), e_prime_size=1, omega=1)
 
     @pytest.mark.parametrize("good", [(), (0, 1, 1), (True, False), (1.0, 0.0)])
     def test_batch_accepts_zeros_and_ones(self, good):
-        TripleBatch(((0, 0, 1),) * len(good), good)
+        lp_loss(good, Tensor(np.zeros(len(good))), e_prime_size=1, omega=1)
 
 
 class TestNegativeSampling:
@@ -209,12 +202,12 @@ class TestOptimize:
             rng = np.random.default_rng(42)
             theta = dn.param(rng.normal(size=4))
             cfg = TrainConfig(lr=0.05, epochs=50, dropout=0.0)
-            result = optimize(
+            curve = optimize(
                 [theta],
                 lambda epoch: dn.tsum(dn.mul(dn.sub(theta, rng.normal(size=4)), dn.sub(theta, 1.0))),
                 cfg,
             )
-            return result.loss_curve, theta.data.copy()
+            return curve, theta.data.copy()
 
         curve_a, theta_a = run()
         curve_b, theta_b = run()
@@ -224,8 +217,25 @@ class TestOptimize:
     def test_l2_penalty_added_to_objective(self):
         theta = dn.param(np.array([3.0]))
         cfg = TrainConfig(lr=1e-9, epochs=1, l2_penalty=0.5, dropout=0.0)
-        result = optimize([theta], lambda epoch: dn.tsum(theta), cfg)
-        assert result.loss_curve[0] == pytest.approx(3.0 + 0.5 * 9.0)
+        curve = optimize([theta], lambda epoch: dn.tsum(theta), cfg)
+        assert curve == [pytest.approx(3.0 + 0.5 * 9.0)]
+
+    def test_the_step_is_released_before_adam_and_on_epoch_run(self, monkeypatch):
+        # Each step tapes a 24 MB product; none of it is alive when Adam or on_epoch runs.
+        theta, wide = dn.param(np.ones((3, 1))), np.ones(1_000_000)
+        live = []
+
+        def measured(fn):
+            return lambda *args: (live.append(tracemalloc.get_traced_memory()[0]), fn(*args))[1]
+
+        monkeypatch.setattr(Adam, "step", measured(Adam.step))
+        tracemalloc.start()
+        try:
+            loss_fn = lambda epoch: dn.tsum(dn.mul(theta, wide))
+            optimize([theta], loss_fn, TrainConfig(epochs=2, dropout=0.0), on_epoch=measured(lambda e, v: None))
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 4 and max(live) < 1_000_000, live
 
     def test_nan_loss_aborts_with_epoch_and_parameter(self):
         theta = dn.param(np.array([30.0]), name="theta")
@@ -417,12 +427,11 @@ class TestTaskGradients:
         rng = np.random.default_rng(3)
         positives = list(graph.triples[:4])
         negatives = [negative_sample(p, graph, rng)[0] for p in positives]
-        batch = TripleBatch(tuple(positives + negatives), (1,) * 4 + (0,) * 4)
 
         def f():
             emb = model.embeddings(graph)
-            scores = score_triples(model.decoder, emb, batch.triples)
-            return lp_loss(batch, scores, e_prime_size=4, omega=1)
+            scores = score_triples(model.decoder, emb, positives + negatives)
+            return lp_loss((1,) * 4 + (0,) * 4, scores, e_prime_size=4, omega=1)
 
         report = grad_check(f, model.params(), eps=1e-5, tol=1e-4)
         assert report.passed, str(report)
@@ -447,11 +456,10 @@ class TestLpTapeLength:
             positives = list(map(tuple, graph.triples.tolist()))
             negatives = [n for p in positives for n in negative_sample(p, g, rng, known=set(positives))]
             y = (1,) * len(positives) + (0,) * len(negatives)
-            batch = TripleBatch(tuple(positives + negatives), y)
             with Tape() as tape:
                 emb = model.embeddings(g, training=True, rng=rng)
-                scores = score_triples(model.decoder, emb, batch.triples)
-                tape.backward(lp_loss(batch, scores, e_prime_size=len(positives), omega=1))
+                scores = score_triples(model.decoder, emb, positives + negatives)
+                tape.backward(lp_loss(y, scores, e_prime_size=len(positives), omega=1))
             assert all(p.grad is not None for p in model.params())
             lengths.append((graph.num_triples, len(tape)))
         assert [n for n, _ in lengths] == [40, 400]
