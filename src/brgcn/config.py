@@ -15,7 +15,7 @@ from typing import Any
 
 from .decoders import KINDS as DECODERS
 from .evalkit import FRACTIONS, STRATEGIES as STRATEGY_NAMES
-from .training import Hyperparameters, TrainConfig, check, one_of, problems
+from .training import Hyperparameters, TrainConfig, check, one_of, problems, rule
 
 FORMATS = ("tsv", "ntriples")
 
@@ -58,6 +58,8 @@ class ExperimentConfig(Hyperparameters):
     standalone_decoder: bool = False
     checkpoint: str | None = field(default=None, metadata=EXISTING_FILE)
     ensemble_checkpoint: str | None = field(default=None, metadata=EXISTING_FILE)
+    # the encoder's share of an ensemble score
+    beta: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
     ablation_strategies: tuple[str, ...] = field(
         default=STRATEGY_NAMES,
         metadata=check(lambda v: [f"unknown strategy {s!r}" for s in v if s not in STRATEGY_NAMES]),

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import diffnum as dn
 from .diffnum import DimensionError, Tensor
+from .hetgraph import triple_array
 from .layer import ConfigurationError
 
 KINDS = ("distmult", "transe", "hole", "complex")
@@ -186,8 +187,11 @@ def score(kind: str, h: Tensor, r: Tensor, t: Tensor) -> Tensor:
 
 
 def score_triples(decoder: DecoderParams, entity_emb: Tensor, triples) -> Tensor:
-    """Score a batch of (h, r, t) id triples against entity embeddings; returns (n,)."""
-    h, r, t = np.asarray(triples, dtype=np.intp).reshape(-1, 3).T
+    """Score a batch of (h, r, t) id triples against entity embeddings; returns (n,).
+
+    ``triples`` is read by :func:`~brgcn.hetgraph.triple_array`, which refuses other shapes.
+    """
+    h, r, t = triple_array(triples).T
     H, R, T = dn.take(entity_emb, h), dn.take(decoder.rel_emb, r), dn.take(entity_emb, t)
     return score_batch(decoder.kind, H, R, T)
 

@@ -27,10 +27,10 @@ class EvalError(Exception):
 
 
 def accuracy(predictions: np.ndarray, labels: hg.NodeLabels, split: Sequence[int]) -> float:
-    """Percentage of nodes in ``split`` whose argmax class matches the label."""
+    """Percentage of nodes in ``split`` whose predicted class id matches the label."""
     preds = np.asarray(predictions)
-    if preds.ndim == 2:
-        preds = preds.argmax(axis=1)
+    if preds.ndim != 1:
+        raise EvalError(f"predictions must be one class id per node, got shape {preds.shape}")
     ids = np.fromiter(split, dtype=np.int64)
     if not ids.size:
         raise EvalError("accuracy over an empty split is undefined")

@@ -18,10 +18,8 @@ for filtered ranking once.  Membership tests compare the int64 keys of
 from __future__ import annotations
 
 import logging
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -66,19 +64,24 @@ def triple_keys(triples, num_relations: int, num_nodes: int) -> np.ndarray:
 
 
 def triple_array(triples) -> np.ndarray:
-    """``triples``, an array or any iterable of id triples, as an (E, 3) int64 array."""
+    """``triples`` as an (E, 3) int64 array.
+
+    Accepts an (E, 3) array or any iterable of rows of three ids, a single
+    (3,) triple, and empty input; any other shape raises :class:`GraphError`.
+    """
     if isinstance(triples, TripleSet):
         return triples.array
-    if isinstance(triples, AbstractSet):
-        # A set's tuples are read once, as one run of ids, with no list of them.
-        if triples and set(map(len, triples)) != {3}:
-            raise GraphError("triples must be (head, relation, tail) tuples of three ids")
-        ids = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
-        return ids.reshape(-1, 3)
     if not isinstance(triples, np.ndarray):
         triples = list(triples)
-    triples = np.asarray(triples, dtype=np.int64)
-    return triples if triples.ndim == 2 and triples.shape[1] == 3 else triples.reshape(-1, 3)
+    try:
+        rows = np.asarray(triples, dtype=np.int64)
+    except ValueError as err:  # rows of unequal lengths
+        raise GraphError(f"triples must be rows of three ids: {err}") from err
+    if rows.shape in ((0,), (3,)):
+        return rows.reshape(-1, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise GraphError(f"triples must be rows of three ids, got an array of shape {rows.shape}")
+    return rows
 
 
 def in_range(triples: np.ndarray, num_nodes: int, num_relations: int) -> np.ndarray:
@@ -161,13 +164,14 @@ class GraphIndex:
     index is range-checked and scheduled once per graph: ``edges_by_group``
     (edges into their groups), ``edges_by_head`` (edges into their head
     nodes), ``groups_by_node`` (groups into their nodes), and
-    ``edges_by_head_slot(R)`` and ``edges_by_tail_slot(R)`` (edges into the
+    ``edges_by_head_slot`` and ``edges_by_tail_slot`` (edges into the
     (node, relation) slot rows ``heads * R + edge_rel`` or ``tails * R +
-    edge_rel`` of an (N*R, .) array, one schedule per end and R).
+    edge_rel`` of an (N*R, .) array, R the graph's relation count).
     """
 
     def __init__(self, graph: HeteroGraph):
         self.num_nodes = n = graph.num_nodes
+        self.num_relations = graph.num_relations
         t = graph.triples
         self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
         _, first, edge_group, size = np.unique(
@@ -189,7 +193,6 @@ class GraphIndex:
         self.node_first = np.zeros(n, dtype=np.int64)
         self.node_first[self.group_node[starts]] = starts
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
-        self._slots: dict[tuple[str, int], Segments] = {}
 
     @property
     def num_groups(self) -> int:
@@ -207,20 +210,15 @@ class GraphIndex:
     def groups_by_node(self) -> Segments:
         return Segments(self.group_node, self.num_nodes)
 
-    def edges_by_head_slot(self, num_relations: int) -> Segments:
-        """Edges into the slot rows ``heads * num_relations + edge_rel``, built once per count."""
-        return self._slot_schedule("head", num_relations)
+    @cached_property
+    def edges_by_head_slot(self) -> Segments:
+        r = self.num_relations
+        return Segments(self.heads * r + self.edge_rel, self.num_nodes * r)
 
-    def edges_by_tail_slot(self, num_relations: int) -> Segments:
-        """Edges into the slot rows ``tails * num_relations + edge_rel``, built once per count."""
-        return self._slot_schedule("tail", num_relations)
-
-    def _slot_schedule(self, end: str, num_relations: int) -> Segments:
-        key = (end, num_relations)
-        if key not in self._slots:
-            nodes = self.heads if end == "head" else self.tails
-            self._slots[key] = Segments(nodes * num_relations + self.edge_rel, self.num_nodes * num_relations)
-        return self._slots[key]
+    @cached_property
+    def edges_by_tail_slot(self) -> Segments:
+        r = self.num_relations
+        return Segments(self.tails * r + self.edge_rel, self.num_nodes * r)
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""
@@ -332,14 +330,6 @@ class HeteroGraph:
         """Sorted relation ids with at least one outgoing edge at node ``i``."""
         self.check_node(i)
         return self.index.relations_of(i)
-
-    def inverse_relation(self, r: int) -> int:
-        self.check_relation(r)
-        if r not in self.inverse_pairs:
-            raise GraphError(
-                f"relation {self.relation_names[r]!r} has no inverse; run augment(add_inverse=True)"
-            )
-        return self.inverse_pairs[r]
 
     @cached_property
     def _node_ids(self) -> dict[str, int]:
@@ -586,7 +576,6 @@ class NodeLabels:
     labeled_ids: tuple[int, ...]
     labels: dict[int, int]
     num_classes: int
-    class_names: tuple[str, ...] = ()
 
     def validate(self, graph: HeteroGraph) -> None:
         for i in self.labeled_ids:
@@ -597,7 +586,7 @@ class NodeLabels:
     def restrict(self, ids: Iterable[int]) -> "NodeLabels":
         keep = set(ids)
         ids = tuple(i for i in self.labeled_ids if i in keep)
-        return NodeLabels(ids, {i: self.labels[i] for i in ids}, self.num_classes, self.class_names)
+        return NodeLabels(ids, {i: self.labels[i] for i in ids}, self.num_classes)
 
 
 def load_labels(path, graph: HeteroGraph) -> NodeLabels:
@@ -620,7 +609,7 @@ def load_labels(path, graph: HeteroGraph) -> NodeLabels:
         order.append(node)
     if not labels:
         raise EmptyGraphError(f"no labels found in {path}")
-    return NodeLabels(tuple(order), labels, len(class_ids), tuple(class_ids))
+    return NodeLabels(tuple(order), labels, len(class_ids))
 
 
 @dataclass(frozen=True)

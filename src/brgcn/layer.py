@@ -57,8 +57,9 @@ column passes; only psi and the transients of one run's logits, one float
 per pair, grow with the pairs, and no pairs x d_out array is built.  So a
 step is linear in edges plus slots plus pairs.  A step frees its
 transients when it ends; ``training.optimize`` keeps glibc from trimming
-them, so the next step reuses that heap instead of faulting it back in.  A dense layer on a graph whose nodes carry few of many
-relations pays for its empty slots.
+them, so the next step reuses that heap instead of faulting it back in.
+A dense layer on a graph whose nodes carry few of many relations pays for
+its empty slots.
 """
 
 from __future__ import annotations
@@ -272,7 +273,6 @@ def layer_forward(
     graph: HeteroGraph,
     *,
     mode: str = "full",
-    training: bool = False,
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
 ) -> tuple[Tensor, AttentionTrace]:
@@ -283,10 +283,11 @@ def layer_forward(
     the same with learned gamma.
 
     The result depends only on the graph's edge set, not on triple storage
-    order or node iteration order.  During training, dropout (when
-    configured) is applied to the input features and to the post-softmax
-    neighbor weights with inverted scaling; evaluation passes are
-    deterministic.  ``h=None`` is the identity (one-hot features) without
+    order or node iteration order.  The layer's relation count must equal
+    the graph's.  Given an ``rng``, a layer with dropout draws its masks from
+    it and applies them to the input features and to the post-softmax
+    neighbor weights with inverted scaling; ``rng=None`` is a deterministic
+    evaluation pass.  ``h=None`` is the identity (one-hot features) without
     building it: h @ W is a lookup of W's rows.  Dropout on it is one
     Bernoulli(keep) / keep mask entry per node, which scales that node's
     rows: the per-unit dropout of Srivastava et al. (2014).
@@ -299,14 +300,10 @@ def layer_forward(
     d_in = n if h is None else h.shape[1]
     if d_in != params.d_in:
         raise ConfigurationError(f"layer expects d_in={params.d_in}, features have {d_in}")
-    if graph.num_relations > params.num_relations:
-        raise ConfigurationError(
-            f"layer sized for {params.num_relations} relations, graph has {graph.num_relations}"
-        )
+    if graph.num_relations != num_rel:
+        raise ConfigurationError(f"layer sized for {num_rel} relations, graph has {graph.num_relations}")
 
-    use_dropout = training and params.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ConfigurationError("training with dropout requires an rng")
+    use_dropout = rng is not None and params.dropout > 0.0
     keep = 1.0 - params.dropout
 
     def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry
@@ -327,7 +324,7 @@ def layer_forward(
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
     # Row of each edge's tail in an (N*R, .) array of (node, relation) slots.
-    tail_slot = idx.edges_by_tail_slot(num_rel)
+    tail_slot = idx.edges_by_tail_slot
 
     # Node-level attention: one segment softmax over the edges of every group.
     if mode in ("relation_only", "rgcn_baseline"):  # no node-level attention
@@ -336,7 +333,7 @@ def layer_forward(
         s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
         s_tail = project(dn.take(params.attention, np.arange(d_in, 2 * d_in)))
         logits = dn.add(
-            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.edges_by_head_slot(num_rel)),
+            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.edges_by_head_slot),
             dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
         )
         gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
@@ -378,7 +375,6 @@ def stack_forward(
     graph: HeteroGraph,
     *,
     mode: str = "full",
-    training: bool = False,
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
 ) -> tuple[Tensor, list[AttentionTrace]]:
@@ -386,7 +382,8 @@ def stack_forward(
 
     When ``x0`` is None the input is the identity matrix, giving every node
     a unique one-hot feature vector; it is never materialized (see
-    :func:`layer_forward`).
+    :func:`layer_forward`).  Every layer draws its dropout masks from
+    ``rng``, in turn; ``rng=None`` is an evaluation pass.
     """
     if not layers:
         raise ConfigurationError("stack_forward requires at least one layer")
@@ -398,8 +395,6 @@ def stack_forward(
     h = x0
     traces = []
     for lay in layers:
-        h, tr = layer_forward(
-            lay, h, graph, mode=mode, training=training, rng=rng, collect_trace=collect_trace
-        )
+        h, tr = layer_forward(lay, h, graph, mode=mode, rng=rng, collect_trace=collect_trace)
         traces.append(tr)
     return h, traces

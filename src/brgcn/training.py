@@ -85,7 +85,6 @@ class Hyperparameters:
     dropout: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"))
     leaky_slope: float = 0.2
     omega: int = field(default=1, metadata=rule(lambda v: v >= 1, "must be at least 1"))
-    beta: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
     num_layers: int = field(default=2, metadata=POSITIVE)
     encoder_layers: int = field(default=1, metadata=POSITIVE)
     add_inverse: bool = False
@@ -133,23 +132,24 @@ def nc_loss(probs: Tensor, labels: hg.NodeLabels) -> Tensor:
     return dn.neg(dn.tsum(dn.mul(Tensor(onehot), dn.log(dn.clip_min(picked, LOG_CLAMP)))))
 
 
-def lp_loss(y, scores: Tensor, e_prime_size: int, omega: int) -> Tensor:
+def lp_loss(y, scores: Tensor) -> Tensor:
     """Normalized binary cross-entropy over real and corrupted triples.
 
     L = c * sum_i [ y_i log l(a_i) + (1 - y_i) log(1 - l(a_i)) ] with
-    l the logistic sigmoid and c = -1 / ((1 + omega) * |E'|); the negative
-    constant makes the loss non-negative.  ``y`` holds the 0/1 label of
-    each scored triple: 1 for a real one, 0 for a corruption.  Saturated
-    sigmoids are clamped at 1e-12 inside the logs, with a warning.
+    l the logistic sigmoid and c = -1 / len(y); the negative constant makes
+    the loss non-negative.  ``y`` holds the 0/1 label of each scored
+    triple: 1 for a real one, 0 for a corruption.  A batch of |E'|
+    positives and omega corruptions of each has len(y) = (1 + omega) * |E'|.
+    Saturated sigmoids are clamped at 1e-12 inside the logs, with a warning.
     """
     y = np.asarray(y)
     if y.ndim != 1 or not np.isin(y, (0, 1)).all():
         raise ConfigurationError("y entries must be 0 or 1")
+    if not y.size:
+        raise ConfigurationError("lp_loss requires at least one scored triple")
     if scores.ndim != 1 or scores.shape[0] != y.size:
         raise dn.DimensionError(f"scores shape {scores.shape} does not match {y.size} labels")
-    if e_prime_size <= 0:
-        raise ConfigurationError("e_prime_size must be positive")
-    c = -1.0 / ((1 + omega) * e_prime_size)
+    c = -1.0 / y.size
     probs = dn.sigmoid(scores)
     y = y.astype(np.float64, copy=False)
     hit = ((y == 1) & (probs.data < LOG_CLAMP)) | ((y == 0) & (probs.data > 1.0 - LOG_CLAMP))
@@ -174,19 +174,19 @@ def negative_sample(
     rng: np.random.Generator,
     *,
     omega: int = 1,
-    known: set[tuple[int, int, int]] | None = None,
 ) -> list[tuple[int, int, int]]:
     """Draw ``omega`` corrupted triples for one observed positive.
 
     Each draw replaces the head or the tail (equal probability) with a
-    uniformly random entity; draws that reproduce a known positive are
-    rejected and resampled (filtered negatives).  Raises
-    :class:`SamplingExhaustedError` when NEGATIVE_MAX_RETRIES consecutive
-    draws for one negative all land on known positives.
+    uniformly random entity of ``graph``; draws that reproduce one of its
+    triples (``graph.triple_set``) are rejected and resampled (filtered
+    negatives).  Raises :class:`SamplingExhaustedError` when
+    NEGATIVE_MAX_RETRIES consecutive draws for one negative all land on
+    the graph's triples.
     """
     if graph.num_nodes == 0:
         raise SamplingExhaustedError("cannot sample negatives from an empty graph")
-    known_set = graph.triple_set if known is None else known
+    known = graph.triple_set
     h, r, t = positive
     out = []
     for _ in range(omega):
@@ -194,7 +194,7 @@ def negative_sample(
             corrupt_head = rng.random() < 0.5
             entity = int(rng.integers(graph.num_nodes))
             cand = (entity, r, t) if corrupt_head else (h, r, entity)
-            if cand not in known_set:
+            if cand not in known:
                 out.append(cand)
                 break
         else:
@@ -349,13 +349,15 @@ class _Model:
         self,
         graph: hg.HeteroGraph,
         *,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         collect_trace: bool = False,
     ) -> tuple[Tensor, list[AttentionTrace]]:
-        """The layer stack's output on one-hot input, with one trace per layer."""
+        """The layer stack's output on one-hot input, with one trace per layer.
+
+        Dropout masks are drawn from ``rng``; without one the pass is in eval mode.
+        """
         return stack_forward(
-            self.layers, None, graph, mode=self.variant, training=training, rng=rng, collect_trace=collect_trace
+            self.layers, None, graph, mode=self.variant, rng=rng, collect_trace=collect_trace
         )
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -579,7 +581,7 @@ def train_node_classifier(
     best_val = [-1.0, 0]  # best validation accuracy, epochs since improvement
 
     def loss_fn(epoch: int) -> Tensor:
-        probs, _ = model.forward(g, training=True, rng=rng)
+        probs, _ = model.forward(g, rng=rng)
         return nc_loss(probs, train_labels)
 
     def on_epoch(epoch: int, loss_value: float) -> bool:
@@ -648,24 +650,22 @@ def train_link_predictor(
     train_triples = list(map(tuple, train.tolist()))
     if not train_triples:
         raise ConfigurationError("link prediction requires a non-empty training split")
-    g_enc = run_graph(graph, cfg, split.train)
+    g_train = hg.with_triples(graph, train)  # the negatives' filter
+    g_enc = run_graph(g_train, cfg)
     model = LinkPredictionModel.build(
         rng, g_enc, graph.num_relations, cfg, decoder_kind, standalone=standalone
     )
-    known = set(train_triples)
     metrics_rows: list[tuple[int, float, float, str]] = []
     last_batch_acc = [0.0]
 
     def loss_fn(epoch: int) -> Tensor:
-        emb = model.embeddings(g_enc, training=True, rng=rng)
-        negatives = [
-            n for pos in train_triples for n in negative_sample(pos, g_enc, rng, omega=cfg.omega, known=known)
-        ]
+        emb = model.embeddings(g_enc, rng=rng)
+        negatives = [n for pos in train_triples for n in negative_sample(pos, g_train, rng, omega=cfg.omega)]
         batch = np.concatenate([train, np.array(negatives, dtype=np.int64).reshape(-1, 3)])  # (n, 3) ids
         y = np.arange(len(batch)) < len(train)
         scores = dec.score_triples(model.decoder, emb, batch)
         last_batch_acc[0] = 100.0 * int(np.count_nonzero((scores.data > 0) == y)) / len(y)
-        return lp_loss(y, scores, e_prime_size=len(train), omega=cfg.omega)
+        return lp_loss(y, scores)
 
     def on_epoch(epoch: int, loss_value: float) -> None:
         metrics_rows.append((epoch, loss_value, last_batch_acc[0], ""))

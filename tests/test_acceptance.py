@@ -177,7 +177,7 @@ def test_criterion_03_gradient_correctness():
 
         emb = lp_model.embeddings(graph)
         scores = score_triples(lp_model.decoder, emb, positives + negatives)
-        return lp_loss(y, scores, e_prime_size=len(positives), omega=1)
+        return lp_loss(y, scores)
 
     lp_report = grad_check(f_lp, lp_model.params(), eps=1e-5, tol=1e-4)
     elapsed = time.monotonic() - start

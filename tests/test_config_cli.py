@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import logging
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError) as err:
             TrainConfig(num_layers=0, l2_penalty=-1.0).validate()
         assert str(err.value) == "; ".join(errors)
+
+    def test_beta_is_a_config_key_and_not_a_training_setting(self, tmp_path):
+        cfg, errors = validate_config(_cfg_file(tmp_path, "beta = 0.7\n"))
+        assert errors == [] and cfg.beta == 0.7
+        bad = validate_config(_cfg_file(tmp_path, "beta = 1.5\n"))
+        assert bad == (None, ["beta: must lie in [0, 1], got 1.5"])
+        assert "beta" not in {f.name for f in fields(TrainConfig)}
+        assert cfg.to_train_config(0) == TrainConfig()
 
     def test_to_train_config_copies_the_shared_settings(self):
         assert ExperimentConfig().to_train_config(7) == TrainConfig(seed=7)

@@ -13,6 +13,7 @@ from brgcn.decoders import (
     score_triples,
 )
 from brgcn.diffnum import DimensionError, Tensor
+from brgcn.hetgraph import GraphError
 from brgcn.layer import ConfigurationError
 from gradcheck import grad_check
 
@@ -257,6 +258,12 @@ class TestDecoderParams:
                 "distmult", Tensor(emb.data[h]), Tensor(dec.rel_emb.data[r]), Tensor(emb.data[t])
             ).item()
             assert batch.data[k] == pytest.approx(single, abs=1e-15)
+
+    def test_score_triples_refuses_rows_that_are_not_triples(self):
+        rng = np.random.default_rng(8)
+        dec = DecoderParams.create(rng, "distmult", 3, 4)
+        with pytest.raises(GraphError):
+            score_triples(dec, Tensor(rng.normal(size=(5, 4))), [(0, 1), (2, 0), (1, 2)])
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(9)

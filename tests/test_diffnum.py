@@ -206,7 +206,7 @@ class TestBackwardSemantics:
         rng = np.random.default_rng(0)
         model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
         with Tape() as tape:
-            loss = nc_loss(model.forward(g, training=True, rng=rng)[0], labels)
+            loss = nc_loss(model.forward(g, rng=rng)[0], labels)
         every = _every_gradient(tape, loss)
         tape.backward(loss)
         for p in model.params():  # rgcn_baseline reads neither attention nor query and key

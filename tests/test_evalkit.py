@@ -33,7 +33,11 @@ class TestAccuracy:
 
     def test_probability_matrix_input(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
-        assert accuracy(probs, self._labels(), [0, 1, 2, 3]) == 100.0
+        assert accuracy(probs.argmax(axis=1), self._labels(), [0, 1, 2, 3]) == 100.0
+
+    def test_probability_matrix_refused(self):
+        with pytest.raises(EvalError, match=r"one class id per node, got shape \(2, 2\)"):
+            accuracy(np.array([[0.9, 0.1], [0.2, 0.8]]), self._labels(), [0, 1])
 
     def test_empty_split_rejected(self):
         with pytest.raises(EvalError):
@@ -44,7 +48,7 @@ class TestAccuracy:
             accuracy(np.zeros(8, dtype=int), self._labels(), [1, 7, 2])
 
     def test_probabilities_and_their_argmax_agree(self):
-        # 2-D input is argmaxed (a tie goes to the lower class); the labels
+        # Class ids from an argmax (a tie goes to the lower class); the labels
         # live in a dict in arbitrary order and the split repeats a node.
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -54,7 +58,6 @@ class TestAccuracy:
             labels = hg.NodeLabels(tuple(ids), {i: int(rng.integers(k)) for i in ids[::-1]}, k)
             split = ids + ids[:1]
             want = 100.0 * sum(probs[i].argmax() == labels.labels[i] for i in split) / len(split)
-            assert accuracy(probs, labels, split) == want
             assert accuracy(probs.argmax(axis=1), labels, split) == want
 
 

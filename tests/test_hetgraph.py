@@ -112,7 +112,7 @@ class TestAugment:
         aug = augment(g, add_inverse=True, add_self_loop=True)
         assert aug.num_relations == 3
         assert aug.num_triples == 4  # original, inverse, two self loops
-        assert aug.neighbors(1, aug.inverse_relation(0)) == (0,)
+        assert aug.neighbors(1, aug.inverse_pairs[0]) == (0,)
         assert aug.relation_names[aug.self_relation] == "SELF"
 
     def test_self_loops_on_isolated_nodes(self):
@@ -151,8 +151,8 @@ class TestAugment:
 
     def test_inverse_requires_augmentation(self):
         g = HeteroGraph.from_triples([(0, 0, 1)])
-        with pytest.raises(GraphError):
-            g.inverse_relation(0)
+        assert g.inverse_pairs == {}
+        assert augment(g, add_inverse=True).inverse_pairs == {0: 1, 1: 0}
 
 
 class TestIndexInvariants:
@@ -193,9 +193,24 @@ class TestIndexInvariants:
 
     @pytest.mark.parametrize("rows", [{(0, 1)}, {(0, 1, 2, 3)}, {(0, 1), (2, 3, 4, 5)}])
     def test_triple_array_rejects_set_tuples_of_other_lengths(self, rows):
-        # The ids of a set are read as one run, so row lengths are checked first.
         with pytest.raises(GraphError):
             hetgraph.triple_array(rows)
+
+    def test_graph_refuses_rows_that_are_not_triples(self):
+        with pytest.raises(GraphError, match=r"shape \(3, 2\)"):
+            HeteroGraph.from_triples([(0, 1), (2, 0), (1, 2)], num_nodes=3, relation_names=["a", "b", "c"])
+
+    @pytest.mark.parametrize(
+        "rows", [np.arange(6), np.zeros((2, 3, 1)), np.zeros((0, 2)), [[0, 1, 2], [0, 1]]]
+    )
+    def test_triple_array_refuses_other_shapes(self, rows):
+        with pytest.raises(GraphError):
+            hetgraph.triple_array(rows)
+
+    def test_triple_array_reads_one_triple_and_empty_input(self):
+        assert hetgraph.triple_array((2, 0, 1)).tolist() == [[2, 0, 1]]
+        for empty in ([], (), np.zeros((0, 3))):
+            assert hetgraph.triple_array(empty).shape == (0, 3)
 
     def test_triple_set_is_a_frozenset_of_the_triples(self):
         g = HeteroGraph.from_triples([(2, 0, 1), (0, 1, 2), (1, 0, 0), (2, 0, 1)])

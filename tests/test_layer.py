@@ -417,21 +417,45 @@ class TestDropout:
     def test_training_forward_differs_and_eval_is_clean(self):
         g, p, h = self._setup()
         eval_out, _ = layer_forward(p, h, g)
-        train_out, _ = layer_forward(p, h, g, training=True, rng=np.random.default_rng(1))
+        train_out, _ = layer_forward(p, h, g, rng=np.random.default_rng(1))
         assert np.abs(eval_out.data - train_out.data).max() > 1e-9
         eval_again, _ = layer_forward(p, h, g)
         np.testing.assert_array_equal(eval_out.data, eval_again.data)
 
     def test_trace_records_pre_dropout_weights(self):
         g, p, h = self._setup()
-        _, trace = layer_forward(p, h, g, training=True, rng=np.random.default_rng(2))
+        _, trace = layer_forward(p, h, g, rng=np.random.default_rng(2))
         for gamma in trace.gamma.values():
             assert abs(gamma.sum() - 1.0) <= 1e-9
 
-    def test_training_dropout_requires_rng(self):
+    @pytest.mark.parametrize("mode", VARIANTS)
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_rng_draws_masks_exactly_when_the_layer_has_dropout(self, mode, one_hot):
         g, p, h = self._setup()
-        with pytest.raises(ConfigurationError):
-            layer_forward(p, h, g, training=True)
+        if one_hot:
+            h = None
+            p = BrgcnLayerParams.create(np.random.default_rng(5), g.num_nodes, 3, g.num_relations)
+            p.dropout = 0.5
+        eval_out, _ = layer_forward(p, h, g, mode=mode)
+        rng = _CountingRng(9)
+        layer_forward(p, h, g, mode=mode, rng=rng)
+        assert rng.calls == (2 if mode in ("full", "node_only") else 1)  # features, then gamma
+        p.dropout = 0.0
+        rng = _CountingRng(9)
+        out, _ = layer_forward(p, h, g, mode=mode, rng=rng)
+        assert rng.calls == 0
+        np.testing.assert_array_equal(out.data, eval_out.data)
+
+
+class _CountingRng:
+    """A seeded generator that counts its ``random`` calls, one per dropout mask."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), 0
+
+    def random(self, shape):
+        self.calls += 1
+        return self._rng.random(shape)
 
 
 class TestBasisDecomposition:
@@ -490,32 +514,32 @@ def _oracle_weights(p):
 
 
 class TestRelationSlots:
-    """Relation ids that have no edges: inside the graph, or beyond it in a wider layer."""
+    """Relation ids that have no edges: between the used ones or after the last."""
 
     CASES = {
-        # (relations with edges, graph relation count, layer relation count)
-        "edgeless_middle_relation": ((0, 2), 3, 3),
-        "layer_wider_than_graph": ((0, 1), 2, 4),
+        # (relations with edges, relation count)
+        "edgeless_middle_relation": ((0, 2), 3),
+        "edgeless_trailing_relations": ((0, 1), 4),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("num_bases", [0, 2])
     @pytest.mark.parametrize("mode", VARIANTS)
     def test_matches_dense_oracle(self, case, num_bases, mode):
-        used, graph_rels, layer_rels = self.CASES[case]
+        used, num_rel = self.CASES[case]
         rng = np.random.default_rng(73)
         n, d = 9, 3
         triples = [(int(rng.integers(n)), int(rng.choice(used)), int(rng.integers(n))) for _ in range(24)]
         g = HeteroGraph.from_triples(
-            triples, num_nodes=n, relation_names=[f"r{k}" for k in range(graph_rels)]
+            triples, num_nodes=n, relation_names=[f"r{k}" for k in range(num_rel)]
         )
         assert sorted(set(g.index.group_rel.tolist())) == list(used)
-        p = BrgcnLayerParams.create(rng, d, d, layer_rels, num_bases=num_bases)
+        p = BrgcnLayerParams.create(rng, d, d, num_rel, num_bases=num_bases)
         h = rng.normal(size=(n, d))
         out, trace = layer_forward(p, Tensor(h), g, mode=mode)
         a, wq, wk, wv = _oracle_weights(p)
         oracle, gammas, psis = dense_layer_forward(
-            h, g.triples.tolist(), n, layer_rels, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
+            h, g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
         )
         np.testing.assert_allclose(out.data, oracle, atol=1e-10)
         assert trace.gamma.keys() == gammas.keys()
@@ -525,6 +549,13 @@ class TestRelationSlots:
             assert trace.psi.keys() == psis.keys()
             for i, psi in psis.items():
                 np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
+
+    @pytest.mark.parametrize("layer_rels", [2, 4])
+    def test_layer_of_another_relation_count_refused(self, layer_rels):
+        g = HeteroGraph.from_triples([(0, 0, 1), (1, 2, 0)], relation_names=["a", "b", "c"])
+        p = BrgcnLayerParams.create(np.random.default_rng(0), 2, 2, layer_rels)
+        with pytest.raises(ConfigurationError, match=f"sized for {layer_rels} relations, graph has 3"):
+            layer_forward(p, Tensor(np.ones((2, 2))), g)
 
 
 class _Replay:
@@ -556,7 +587,7 @@ class TestIdentityInput:
             np.random.default_rng(3), g.num_nodes, 5, g.num_relations, num_bases=num_bases, dropout=dropout
         )
         with dn.Tape() as tape:
-            out, _ = layer_forward(p, h, g, mode=mode, training=dropout > 0, rng=rng)
+            out, _ = layer_forward(p, h, g, mode=mode, rng=rng)
             tape.backward(dn.tsum(dn.mul(out, out)))
         return out.data, [t.grad for t in p.params()]
 
@@ -617,10 +648,10 @@ class TestIdentityInput:
         cfg = TrainConfig(hidden_units=16, dropout=0.4)
         if task == "nc":
             model = NodeClassificationModel.build(rng, g, 2, cfg)
-            loss = lambda: nc_loss(model.forward(g, training=True, rng=rng)[0], labels)  # noqa: E731
+            loss = lambda: nc_loss(model.forward(g, rng=rng)[0], labels)  # noqa: E731
         else:
             model = LinkPredictionModel.build(rng, g, g.num_relations, cfg, "distmult")
-            loss = lambda: dn.tsum(model.embeddings(g, training=True, rng=rng))  # noqa: E731
+            loss = lambda: dn.tsum(model.embeddings(g, rng=rng))  # noqa: E731
         g.index  # built once per graph, outside the step
         tracemalloc.start()
         try:
@@ -644,7 +675,7 @@ class TestIdentityInput:
         tracemalloc.start()
         try:
             with dn.Tape() as tape:
-                out, _ = layer_forward(p, None, g, mode="node_only", training=True, rng=rng)
+                out, _ = layer_forward(p, None, g, mode="node_only", rng=rng)
                 tape.backward(dn.tsum(dn.mul(out, out)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -801,7 +832,7 @@ class TestTapeLength:
             rng = np.random.default_rng(0)
             model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
             with dn.Tape() as tape:
-                probs, _ = model.forward(g, training=True, rng=rng)
+                probs, _ = model.forward(g, rng=rng)
                 tape.backward(nc_loss(probs, labels))
             assert all(p.grad is not None for p in model.params() if p.name.endswith(".a"))
             lengths.append((g.num_nodes, len(tape)))
@@ -822,7 +853,7 @@ class TestTapeLength:
             rng = np.random.default_rng(0)
             model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
             with dn.Tape() as tape:
-                probs, _ = model.forward(g, training=True, rng=rng)
+                probs, _ = model.forward(g, rng=rng)
                 tape.backward(nc_loss(probs, labels))
             assert np.unique(g.index.group_rel).size == g.num_relations
             lengths.append((g.num_relations, len(tape)))
@@ -840,7 +871,7 @@ class TestTapeLength:
             rng = np.random.default_rng(0)
             model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
             with dn.Tape() as tape:
-                probs, _ = model.forward(g, training=True, rng=rng)
+                probs, _ = model.forward(g, rng=rng)
                 tape.backward(nc_loss(probs, labels))
             return len(tape)
 
@@ -904,7 +935,7 @@ class TestStackedParameters:
         for name in ("stack", "concat", "transpose"):
             monkeypatch.setattr(dn, name, recording(name, getattr(dn, name)))
         with dn.Tape() as tape:
-            out, _ = layer_forward(p, h, g, mode=mode, training=True, rng=np.random.default_rng(3))
+            out, _ = layer_forward(p, h, g, mode=mode, rng=np.random.default_rng(3))
             tape.backward(dn.tsum(dn.mul(out, out)))
         assert calls == [("transpose", True)]
 

@@ -250,6 +250,6 @@ class TestSchedulesPerGraph:
             assert len(built) == self.USED[variant]
         index = run.graph.index
         assert index.edges_by_group is index.edges_by_group
-        assert index.edges_by_tail_slot(4) is index.edges_by_tail_slot(4)
-        assert index.edges_by_head_slot(4) is index.edges_by_head_slot(4)
-        assert index.edges_by_head_slot(4) is not index.edges_by_tail_slot(4)
+        assert index.edges_by_tail_slot is index.edges_by_tail_slot
+        assert index.edges_by_head_slot is index.edges_by_head_slot
+        assert index.edges_by_head_slot is not index.edges_by_tail_slot

@@ -16,6 +16,7 @@ import pytest
 import brgcn
 from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
+from brgcn import training
 from brgcn.diffnum import Tape, Tensor
 from brgcn.layer import BrgcnLayerParams, ConfigurationError
 from brgcn.training import (
@@ -35,6 +36,21 @@ from brgcn.training import (
 )
 from gradcheck import grad_check
 from synth import memorization_kg, planted_graph
+
+
+def _filtered_draws(positives, num_nodes, known, rng, omega):
+    """The negatives of ``positives`` as the sampler draws them, filtered against the plain set ``known``."""
+    out = []
+    for h, r, t in positives:
+        for _ in range(omega):
+            while True:
+                corrupt_head = rng.random() < 0.5
+                entity = int(rng.integers(num_nodes))
+                cand = (entity, r, t) if corrupt_head else (h, r, entity)
+                if cand not in known:
+                    out.append(cand)
+                    break
+    return out
 
 
 def _labels(ids, mapping, k):
@@ -82,17 +98,17 @@ class TestNcLoss:
 
 class TestLpLoss:
     def test_normalization_constant(self):
-        # c = -1/((1+omega)|E'|): one positive at alpha=0 with omega=1,
-        # |E'|=10 contributes log(1/2)/20
-        loss = lp_loss((1,), Tensor(np.zeros(1)), e_prime_size=10, omega=1)
+        # c = -1/len(y): one positive at alpha=0 among 20 labels contributes
+        # log(1/2)/20; 19 negatives at alpha=-500 contribute nothing
+        loss = lp_loss((1,) + (0,) * 19, Tensor(np.array([0.0] + [-500.0] * 19)))
         assert loss.item() == pytest.approx(math.log(2) / 20)
 
     def test_all_zero_scores_batch(self):
-        loss = lp_loss((1, 1, 0, 0), Tensor(np.zeros(4)), e_prime_size=2, omega=1)
+        loss = lp_loss((1, 1, 0, 0), Tensor(np.zeros(4)))
         assert loss.item() == pytest.approx(4 * math.log(2) / 4)
 
     def test_perfect_separation_limit(self):
-        loss = lp_loss((1, 0), Tensor(np.array([500.0, -500.0])), e_prime_size=1, omega=1)
+        loss = lp_loss((1, 0), Tensor(np.array([500.0, -500.0])))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_is_nonnegative(self):
@@ -100,37 +116,50 @@ class TestLpLoss:
         for _ in range(20):
             n = 6
             y = tuple(int(rng.integers(2)) for _ in range(n))
-            loss = lp_loss(y, Tensor(rng.normal(size=n) * 3), e_prime_size=3, omega=1)
+            loss = lp_loss(y, Tensor(rng.normal(size=n) * 3))
             assert loss.item() >= 0.0
 
     def test_monotone_in_scores(self):
         # dL/d(alpha_pos) < 0 and dL/d(alpha_neg) > 0
         scores = dn.param(np.array([0.3, -0.2]))
         with Tape() as tape:
-            tape.backward(lp_loss((1, 0), scores, e_prime_size=1, omega=1))
+            tape.backward(lp_loss((1, 0), scores))
         assert scores.grad[0] < 0.0
         assert scores.grad[1] > 0.0
 
     def test_saturation_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
-            lp_loss((1,), Tensor(np.array([-80.0])), e_prime_size=1, omega=1)
+            lp_loss((1,), Tensor(np.array([-80.0])))
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_batch_validation(self):
         # labels of another length than the scores, or a label other than 0 and 1
         with pytest.raises(dn.DimensionError, match="does not match 2 labels"):
-            lp_loss((1, 0), Tensor(np.zeros(1)), e_prime_size=1, omega=1)
+            lp_loss((1, 0), Tensor(np.zeros(1)))
         with pytest.raises(ConfigurationError):
-            lp_loss((2,), Tensor(np.zeros(1)), e_prime_size=1, omega=1)
+            lp_loss((2,), Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("bad", [(-1,), (0.5,), ("a",), (None,), ([0],)])
     def test_batch_refuses_every_y_but_0_and_1(self, bad):
         with pytest.raises(ConfigurationError, match="y entries must be 0 or 1"):
-            lp_loss(bad, Tensor(np.zeros(1)), e_prime_size=1, omega=1)
+            lp_loss(bad, Tensor(np.zeros(1)))
 
-    @pytest.mark.parametrize("good", [(), (0, 1, 1), (True, False), (1.0, 0.0)])
+    @pytest.mark.parametrize("good", [(1,), (0, 1, 1), (True, False), (1.0, 0.0)])
     def test_batch_accepts_zeros_and_ones(self, good):
-        lp_loss(good, Tensor(np.zeros(len(good))), e_prime_size=1, omega=1)
+        lp_loss(good, Tensor(np.zeros(len(good))))
+
+    def test_scale_is_one_over_the_label_count(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 40):
+            y = rng.integers(0, 2, size=n)
+            a = rng.normal(size=n) * 2
+            p = 1.0 / (1.0 + np.exp(-a))
+            loglik = np.sum(y * np.log(p) + (1 - y) * np.log(1 - p))
+            assert lp_loss(y, Tensor(a)).item() == pytest.approx(-loglik / n, rel=1e-12)
+
+    def test_empty_batch_refused(self):
+        with pytest.raises(ConfigurationError, match="at least one scored triple"):
+            lp_loss((), Tensor(np.zeros(0)))
 
 
 class TestNegativeSampling:
@@ -152,11 +181,9 @@ class TestNegativeSampling:
     def test_graph_triple_set_filters_as_a_plain_set_does(self):
         g = self._graph()
         for seed in range(5):
-            draws = [
-                negative_sample((0, 0, 1), g, np.random.default_rng(seed), omega=20, known=known)
-                for known in (None, set(g.triple_set), frozenset(g.triple_set))
-            ]
-            assert draws[0] == draws[1] == draws[2]
+            got = negative_sample((0, 0, 1), g, np.random.default_rng(seed), omega=20)
+            want = _filtered_draws([(0, 0, 1)], 5, set(g.triple_set), np.random.default_rng(seed), 20)
+            assert got == want
 
     def test_exactly_one_slot_differs(self):
         g = self._graph()
@@ -315,7 +342,7 @@ model = training.NodeClassificationModel.build(np.random.default_rng(0), graph, 
 faults = []
 
 def loss_fn(epoch):
-    return training.nc_loss(model.forward(graph, training=True, rng=rng)[0], labels)
+    return training.nc_loss(model.forward(graph, rng=rng)[0], labels)
 
 def on_epoch(epoch, value):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
@@ -431,7 +458,7 @@ class TestTaskGradients:
         def f():
             emb = model.embeddings(graph)
             scores = score_triples(model.decoder, emb, positives + negatives)
-            return lp_loss((1,) * 4 + (0,) * 4, scores, e_prime_size=4, omega=1)
+            return lp_loss((1,) * 4 + (0,) * 4, scores)
 
         report = grad_check(f, model.params(), eps=1e-5, tol=1e-4)
         assert report.passed, str(report)
@@ -454,12 +481,12 @@ class TestLpTapeLength:
             rng = np.random.default_rng(0)
             model = LinkPredictionModel.build(rng, g, graph.num_relations, cfg, kind)
             positives = list(map(tuple, graph.triples.tolist()))
-            negatives = [n for p in positives for n in negative_sample(p, g, rng, known=set(positives))]
+            negatives = [n for p in positives for n in negative_sample(p, graph, rng)]
             y = (1,) * len(positives) + (0,) * len(negatives)
             with Tape() as tape:
-                emb = model.embeddings(g, training=True, rng=rng)
+                emb = model.embeddings(g, rng=rng)
                 scores = score_triples(model.decoder, emb, positives + negatives)
-                tape.backward(lp_loss(y, scores, e_prime_size=len(positives), omega=1))
+                tape.backward(lp_loss(y, scores))
             assert all(p.grad is not None for p in model.params())
             lengths.append((graph.num_triples, len(tape)))
         assert [n for n, _ in lengths] == [40, 400]
@@ -583,6 +610,32 @@ class TestPipelines:
         assert run.loss_curve[-1] < run.loss_curve[0]
         # metrics.csv writes the batch accuracy with repr, so it must be a plain float
         assert all(type(row[2]) is float for row in run.metrics_rows)
+
+    def test_one_epoch_draws_the_negatives_a_plain_training_set_filter_draws(self, monkeypatch):
+        # The sampler filters against the training graph's triple set; the
+        # encoder graph has inverses and self loops besides.
+        graph = memorization_kg(num_entities=9, num_triples=24, seed=5)
+        split = hg.SplitSpec(tuple(range(0, graph.num_triples, 2)), (), tuple(range(1, graph.num_triples, 2)))
+        cfg = TrainConfig(task="link_prediction", epochs=1, hidden_units=4, dropout=0.4, omega=3,
+                          add_inverse=True, add_self_loop=True, seed=2)
+        train_triples = [tuple(t) for t in graph.triples[list(split.train)].tolist()]
+        filters, replay, drawn = [], np.random.default_rng(), []
+
+        def recording(positive, g, rng, **kwargs):
+            if not filters:  # the generator's state before the epoch's first draw
+                replay.bit_generator.state = rng.bit_generator.state
+            filters.append(g)
+            drawn.extend(negative_sample(positive, g, rng, **kwargs))
+            return drawn[-cfg.omega :]
+
+        monkeypatch.setattr(training, "negative_sample", recording)
+        run = train_link_predictor(graph, split, cfg, "distmult")
+        g_train = filters[0]
+        assert all(g is g_train for g in filters)
+        assert run.graph.num_relations == 2 * graph.num_relations + 1
+        assert g_train.triple_set == set(train_triples)
+        assert drawn == _filtered_draws(train_triples, graph.num_nodes, set(train_triples), replay, 3)
+        assert not set(drawn) & g_train.triple_set
 
     def test_standalone_decoder_mode(self):
         graph = memorization_kg(num_entities=6, num_triples=10, seed=7)
