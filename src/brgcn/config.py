@@ -15,9 +15,8 @@ from typing import Any
 
 from .decoders import KINDS as DECODERS
 from .evalkit import FRACTIONS, STRATEGIES as STRATEGY_NAMES
+from .hetgraph import TRIPLE_FORMATS
 from .training import Hyperparameters, TrainConfig, check, one_of, problems, rule
-
-FORMATS = ("tsv", "ntriples")
 
 # Per-dataset hyperparameter presets (bi-level model rows); link-prediction
 # and ablation experiments reuse the "am" values.
@@ -46,7 +45,7 @@ class ExperimentConfig(Hyperparameters):
     output_dir: str = "runs"
     seeds: tuple[int, ...] = field(default=(0,), metadata=check(_seed_problems))
     triples_path: str | None = field(default=None, metadata=EXISTING_FILE)
-    triples_format: str = field(default="tsv", metadata=one_of(FORMATS))
+    triples_format: str = field(default="tsv", metadata=one_of(tuple(TRIPLE_FORMATS)))
     labels_path: str | None = field(default=None, metadata=EXISTING_FILE)
     train_nodes_path: str | None = field(default=None, metadata=EXISTING_FILE)
     valid_nodes_path: str | None = field(default=None, metadata=EXISTING_FILE)

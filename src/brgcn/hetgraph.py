@@ -66,17 +66,20 @@ def triple_keys(triples, num_relations: int, num_nodes: int) -> np.ndarray:
 def triple_array(triples) -> np.ndarray:
     """``triples`` as an (E, 3) int64 array.
 
-    Accepts an (E, 3) array or any iterable of rows of three ids, a single
-    (3,) triple, and empty input; any other shape raises :class:`GraphError`.
+    Accepts an (E, 3) array or rows of three ids, a single (3,) triple, and
+    empty input; other shapes and non-integer ids raise :class:`GraphError`.
     """
     if isinstance(triples, TripleSet):
         return triples.array
     if not isinstance(triples, np.ndarray):
         triples = list(triples)
     try:
-        rows = np.asarray(triples, dtype=np.int64)
+        rows = np.asarray(triples)
     except ValueError as err:  # rows of unequal lengths
         raise GraphError(f"triples must be rows of three ids: {err}") from err
+    if rows.size and rows.dtype.kind not in "iu":
+        raise GraphError(f"triple ids must be integers, got {rows.dtype} ids")
+    rows = rows.astype(np.int64, copy=False)
     if rows.shape in ((0,), (3,)):
         return rows.reshape(-1, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -445,6 +448,9 @@ def _parse_ntriples_line(line: str, lineno: int) -> tuple[str, str, str]:
     return s, p, o
 
 
+TRIPLE_FORMATS = {"tsv": _parse_tsv_line, "ntriples": _parse_ntriples_line}  # format -> line parser
+
+
 def load_triples(path, format: str = "tsv") -> HeteroGraph:
     """Load a graph from a TSV or N-Triples file.
 
@@ -454,10 +460,10 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     Ids are assigned in first-seen order.  Duplicate triples are dropped and
     counted on the returned graph.
     """
-    if format not in ("tsv", "ntriples"):
+    if format not in TRIPLE_FORMATS:
         raise GraphError(f"unknown triple format {format!r}")
     path = Path(path)
-    parse = _parse_tsv_line if format == "tsv" else _parse_ntriples_line
+    parse = TRIPLE_FORMATS[format]
     node_ids: dict[str, int] = {}
     rel_ids: dict[str, int] = {}
     triples: list[Triple] = []

@@ -101,6 +101,11 @@ class BrgcnLayerParams:
     W_role_r = sum_b coeff[r, b] * basis[b].  a and w_self are never
     decomposed.  The read-only ``a``, ``w_query``, ``w_key`` and ``w_value``
     list R detached per-relation Tensors (a_r; W_role_r as d_out x d_in).
+
+    ``variant``, checked here, is the cell of the module docstring's grid
+    that every forward runs: ``rgcn_baseline`` is R-GCN's mean-aggregation
+    convolution, ``node_only`` the same with learned gamma.  The parameters
+    and their initial draws are the same for all four.
     """
 
     ROLES = ("query", "key", "value")
@@ -114,7 +119,10 @@ class BrgcnLayerParams:
         num_bases: int = 0,
         leaky_slope: float = 0.2,
         dropout: float = 0.0,
+        variant: str = "full",
     ):
+        if variant not in VARIANTS:
+            raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not 0.0 <= dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {dropout}")
         if num_bases < 0:
@@ -125,6 +133,7 @@ class BrgcnLayerParams:
         self.num_bases = num_bases
         self.leaky_slope = leaky_slope
         self.dropout = dropout
+        self.variant = variant
         self.attention: Tensor | None = None
         self.roles: dict[str, Tensor] = {}
         self.basis: Tensor | None = None
@@ -157,10 +166,12 @@ class BrgcnLayerParams:
         num_bases: int = 0,
         leaky_slope: float = 0.2,
         dropout: float = 0.0,
+        variant: str = "full",
         prefix: str = "layer",
     ) -> "BrgcnLayerParams":
         """Glorot-uniform initialization; a group's (R, ...) draw gives what R draws would."""
-        p = cls(d_in, d_out, num_relations, num_bases=num_bases, leaky_slope=leaky_slope, dropout=dropout)
+        p = cls(d_in, d_out, num_relations, num_bases=num_bases, leaky_slope=leaky_slope, dropout=dropout,
+                variant=variant)
 
         def glorot(fan_in, fan_out, shape):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -272,15 +283,10 @@ def layer_forward(
     h: Tensor | None,
     graph: HeteroGraph,
     *,
-    mode: str = "full",
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
 ) -> tuple[Tensor, AttentionTrace]:
-    """Apply one layer to every node; see the module docstring for the math.
-
-    ``mode`` selects the variant, a cell of the module docstring's grid:
-    ``rgcn_baseline`` is R-GCN's mean-aggregation convolution, ``node_only``
-    the same with learned gamma.
+    """Apply one layer to every node, as its ``variant``; see the module docstring for the math.
 
     The result depends only on the graph's edge set, not on triple storage
     order or node iteration order.  The layer's relation count must equal
@@ -292,8 +298,6 @@ def layer_forward(
     Bernoulli(keep) / keep mask entry per node, which scales that node's
     rows: the per-unit dropout of Srivastava et al. (2014).
     """
-    if mode not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {mode!r}; expected one of {VARIANTS}")
     n, num_rel = graph.num_nodes, params.num_relations
     if h is not None and (h.ndim != 2 or h.shape[0] != n):
         raise dn.DimensionError(f"feature matrix has shape {h.shape}, expected ({n}, d_in)")
@@ -327,7 +331,7 @@ def layer_forward(
     tail_slot = idx.edges_by_tail_slot
 
     # Node-level attention: one segment softmax over the edges of every group.
-    if mode in ("relation_only", "rgcn_baseline"):  # no node-level attention
+    if params.variant in ("relation_only", "rgcn_baseline"):  # no node-level attention
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
     else:
         s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
@@ -351,7 +355,7 @@ def layer_forward(
 
     self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
     psi = None
-    if mode in PSI_VARIANTS:
+    if params.variant in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.
         q, k, v = (messages(role, idx.edges_by_group) for role in params.ROLES)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
@@ -374,11 +378,10 @@ def stack_forward(
     x0: Tensor | None,
     graph: HeteroGraph,
     *,
-    mode: str = "full",
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
 ) -> tuple[Tensor, list[AttentionTrace]]:
-    """Sequential composition of layers; defaults to one-hot input features.
+    """Sequential composition of layers, each run as its variant; defaults to one-hot input.
 
     When ``x0`` is None the input is the identity matrix, giving every node
     a unique one-hot feature vector; it is never materialized (see
@@ -395,6 +398,6 @@ def stack_forward(
     h = x0
     traces = []
     for lay in layers:
-        h, tr = layer_forward(lay, h, graph, mode=mode, rng=rng, collect_trace=collect_trace)
+        h, tr = layer_forward(lay, h, graph, rng=rng, collect_trace=collect_trace)
         traces.append(tr)
     return h, traces

@@ -342,8 +342,8 @@ def _culprit(params: Sequence[Tensor]) -> str:
 
 
 class _Model:
-    """The subclass's layer stack ``layers``, run as its ``variant``, and checkpoint
-    I/O over its ``params()``, keyed by parameter name."""
+    """The subclass's layer stack ``layers`` and checkpoint I/O over its ``params()``,
+    keyed by parameter name."""
 
     def encode(
         self,
@@ -356,9 +356,7 @@ class _Model:
 
         Dropout masks are drawn from ``rng``; without one the pass is in eval mode.
         """
-        return stack_forward(
-            self.layers, None, graph, mode=self.variant, rng=rng, collect_trace=collect_trace
-        )
+        return stack_forward(self.layers, None, graph, rng=rng, collect_trace=collect_trace)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.params()}
@@ -436,6 +434,7 @@ def _layer_stack(
             num_bases=cfg.num_bases,
             leaky_slope=cfg.leaky_slope,
             dropout=cfg.dropout,
+            variant=cfg.variant,
             prefix=f"layer{k}",
         )
         for k in range(len(dims) - 1)
@@ -445,9 +444,8 @@ def _layer_stack(
 class NodeClassificationModel(_Model):
     """Stacked layers with a per-node softmax head."""
 
-    def __init__(self, layers: list[BrgcnLayerParams], variant: str):
+    def __init__(self, layers: list[BrgcnLayerParams]):
         self.layers = layers
-        self.variant = variant
 
     @classmethod
     def build(
@@ -458,7 +456,7 @@ class NodeClassificationModel(_Model):
         cfg: TrainConfig,
     ) -> "NodeClassificationModel":
         dims = [graph.num_nodes] + [cfg.hidden_units] * (cfg.num_layers - 1) + [num_classes]
-        return cls(_layer_stack(rng, dims, graph, cfg), cfg.variant)
+        return cls(_layer_stack(rng, dims, graph, cfg))
 
     def params(self) -> list[Tensor]:
         return [t for lay in self.layers for t in lay.params()]
@@ -481,10 +479,9 @@ class LinkPredictionModel(_Model):
     the decoder.
     """
 
-    def __init__(self, encoder: list[BrgcnLayerParams] | None, decoder: dec.DecoderParams, variant: str):
+    def __init__(self, encoder: list[BrgcnLayerParams] | None, decoder: dec.DecoderParams):
         self.encoder = encoder
         self.decoder = decoder
-        self.variant = variant
 
     layers = property(lambda self: self.encoder)  # the stack encode() runs
 
@@ -504,10 +501,10 @@ class LinkPredictionModel(_Model):
             decoder = dec.DecoderParams.create(
                 rng, decoder_kind, num_score_relations, width, num_entities=graph.num_nodes
             )
-            return cls(None, decoder, cfg.variant)
+            return cls(None, decoder)
         encoder = _layer_stack(rng, [graph.num_nodes] + [width] * cfg.encoder_layers, graph, cfg)
         decoder = dec.DecoderParams.create(rng, decoder_kind, num_score_relations, width)
-        return cls(encoder, decoder, cfg.variant)
+        return cls(encoder, decoder)
 
     def params(self) -> list[Tensor]:
         return [t for lay in self.encoder or () for t in lay.params()] + self.decoder.params()

@@ -140,23 +140,23 @@ class TestBitIdentity:
         want = _grads(lambda a, b: dn.gather_sum(a, b, by_col, by_row), [w, v], up)
         assert all(_same(x, y) for x, y in zip(got, want))
 
-    @pytest.mark.parametrize("mode", ["full", "relation_only"])
+    @pytest.mark.parametrize("variant", ["full", "relation_only"])
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("augmented", [False, True])
-    def test_layer_matches_the_flat_pair_path(self, monkeypatch, mode, seed, augmented):
+    def test_layer_matches_the_flat_pair_path(self, monkeypatch, variant, seed, augmented):
         # The whole layer, forward and every parameter gradient, with the
         # fused op and with the flat pair-list chain in its place.
         g = _skewed_graph(seed)
         if augmented:
             g = augment(g, add_inverse=True, add_self_loop=True)
-        p = BrgcnLayerParams.create(np.random.default_rng(seed), 6, 4, g.num_relations)
+        p = BrgcnLayerParams.create(np.random.default_rng(seed), 6, 4, g.num_relations, variant=variant)
         h = Tensor(np.random.default_rng(seed + 1).normal(size=(g.num_nodes, 6)))
         up = np.random.default_rng(seed + 2).normal(size=(g.num_nodes, 4))
 
         def run():
             dn.zero_grad(p.params())
             with Tape() as tape:
-                out, trace = layer_forward(p, h, g, mode=mode)
+                out, trace = layer_forward(p, h, g)
                 tape.backward(dn.tsum(dn.mul(out, Tensor(up))))
             return [out.data] + [t.grad for t in p.params()], trace
 

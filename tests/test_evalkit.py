@@ -415,10 +415,10 @@ class TestRelationAttentionScore:
         assert all(0.0 <= s <= 1.0 for s in scores)
         assert scores.sum() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("mode", ["full", "relation_only"])
+    @pytest.mark.parametrize("variant", ["full", "relation_only"])
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_the_per_node_walk(self, mode, num_layers, seed):
+    def test_matches_the_per_node_walk(self, variant, num_layers, seed):
         rng = np.random.default_rng(seed)
         n, base = 40, 5
         triples = np.stack([rng.integers(hi, size=150) for hi in (n, base, n)], axis=1)
@@ -426,20 +426,22 @@ class TestRelationAttentionScore:
         g = hg.augment(hg.HeteroGraph.from_triples(triples, num_nodes=n, relation_names=names),
                        add_inverse=True, add_self_loop=True)
         dims = [n, 6, 3][: num_layers + 1]
-        layers = [BrgcnLayerParams.create(rng, a, b, g.num_relations) for a, b in zip(dims, dims[1:])]
-        _, traces = stack_forward(layers, None, g, mode=mode)
+        layers = [
+            BrgcnLayerParams.create(rng, a, b, g.num_relations, variant=variant) for a, b in zip(dims, dims[1:])
+        ]
+        _, traces = stack_forward(layers, None, g)
         for num_relations in (base, g.num_relations, g.num_relations + 2):
             want = [_per_node_score(traces, r) for r in range(num_relations)]
             got = relation_attention_scores(traces, num_relations)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("mode", ["node_only", "rgcn_baseline"])
-    def test_variants_without_psi_score_zero(self, mode):
+    @pytest.mark.parametrize("variant", ["node_only", "rgcn_baseline"])
+    def test_variants_without_psi_score_zero(self, variant):
         rng = np.random.default_rng(3)
         g = hg.augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
-        layer = BrgcnLayerParams.create(rng, 4, 4, g.num_relations)
+        layer = BrgcnLayerParams.create(rng, 4, 4, g.num_relations, variant=variant)
         h = Tensor(rng.normal(size=(g.num_nodes, 4)))
-        _, traces = stack_forward([layer, layer], h, g, mode=mode)
+        _, traces = stack_forward([layer, layer], h, g)
         assert relation_attention_scores(traces, g.num_relations).tolist() == [0.0] * g.num_relations
 
 

@@ -207,6 +207,17 @@ class TestIndexInvariants:
         with pytest.raises(GraphError):
             hetgraph.triple_array(rows)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(0.5, 0, 1.9), (1, 0, 0)], np.array([[0.0, 0.0, 1.0]]), np.ones((2, 3), dtype=bool)],
+        ids=["float_rows", "float_array", "bool_array"],
+    )
+    def test_triple_ids_must_be_integers(self, rows):
+        for read in (hetgraph.triple_array, lambda x: HeteroGraph.from_triples(x, num_nodes=3),
+                     lambda x: hetgraph.TripleSet(x, 3, 1)):
+            with pytest.raises(GraphError, match="triple ids must be integers"):
+                read(rows)
+
     def test_triple_array_reads_one_triple_and_empty_input(self):
         assert hetgraph.triple_array((2, 0, 1)).tolist() == [[2, 0, 1]]
         for empty in ([], (), np.zeros((0, 3))):

@@ -5,9 +5,9 @@ Node-level and relation-level attention are observed through
 z_i^r through the node_only variant (see ``_gamma_and_z``).
 """
 
-import copy
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,9 +32,10 @@ from pair_oracle import attention_chain
 from synth import planted_graph
 
 
-def _params_from_instance(inst, slope=0.2):
+def _params_from_instance(inst, slope=0.2, variant="full"):
     return layer_with_weights(
-        inst["a_vecs"], inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], leaky_slope=slope
+        inst["a_vecs"], inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"],
+        leaky_slope=slope, variant=variant,
     )
 
 
@@ -63,10 +64,11 @@ def _gamma_and_z(p, h, g, i, r):
     """
 
     def node_only(sign):
-        q = copy.copy(p)
+        q = BrgcnLayerParams(p.d_in, p.d_out, p.num_relations, leaky_slope=p.leaky_slope, variant="node_only")
+        q.attention = p.attention
         q.w_self = dn.param(np.zeros_like(p.w_self.data))
         q.roles = {**p.roles, "value": dn.param(np.tile(sign * np.eye(p.d_in), p.num_relations))}
-        return layer_forward(q, h, restrict_relations(g, [r]), mode="node_only")
+        return layer_forward(q, h, restrict_relations(g, [r]))
 
     (pos, trace), (neg, _) = node_only(1.0), node_only(-1.0)
     return trace.gamma[(i, r)], pos.data[i] - neg.data[i]
@@ -245,11 +247,9 @@ class TestLayerForward:
         with pytest.raises(ConfigurationError):
             layer_forward(p, Tensor(np.zeros((2, 2))), g)
 
-    def test_unknown_mode(self):
-        g = HeteroGraph.from_triples([(0, 0, 1)], num_nodes=2)
-        p = BrgcnLayerParams.create(np.random.default_rng(0), 2, 2, 1)
-        with pytest.raises(ConfigurationError):
-            layer_forward(p, Tensor(np.zeros((2, 2))), g, mode="bogus")
+    def test_unknown_variant_refused_when_built(self):
+        with pytest.raises(ConfigurationError, match=re.escape(str(VARIANTS))):
+            BrgcnLayerParams.create(np.random.default_rng(0), 2, 2, 1, variant="bogus")
 
 
 class TestMaskingAndEquivariance:
@@ -333,10 +333,9 @@ class TestVariants:
         rng = np.random.default_rng(40)
         inst = random_instance(rng)
         g = _graph_from_instance(inst)
-        p = _params_from_instance(inst)
         h = Tensor(inst["h"])
-        a, _ = layer_forward(p, h, g)
-        b, _ = layer_forward(p, h, g, mode="full")
+        a, _ = layer_forward(_params_from_instance(inst), h, g)
+        b, _ = layer_forward(_params_from_instance(inst, variant="full"), h, g)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_relation_only_equals_full_on_singleton_neighborhoods(self):
@@ -344,25 +343,26 @@ class TestVariants:
         triples = [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)]
         g = HeteroGraph.from_triples(triples, num_nodes=3)
         rng = np.random.default_rng(41)
-        p = BrgcnLayerParams.create(rng, 3, 3, 2)
+        p = BrgcnLayerParams.create(rng, 3, 3, 2, variant="full")
         h = Tensor(rng.normal(size=(3, 3)))
-        full, _ = layer_forward(p, h, g, mode="full")
-        rel_only, _ = layer_forward(p, h, g, mode="relation_only")
+        q = BrgcnLayerParams.create(np.random.default_rng(41), 3, 3, 2, variant="relation_only")
+        full, _ = layer_forward(p, h, g)
+        rel_only, _ = layer_forward(q, h, g)
         np.testing.assert_allclose(full.data, rel_only.data, atol=1e-12)
 
     def test_relation_only_uses_uniform_weights(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (0, 0, 2), (0, 0, 3)], num_nodes=4)
         rng = np.random.default_rng(42)
-        p = BrgcnLayerParams.create(rng, 2, 2, 1)
-        _, trace = layer_forward(p, Tensor(rng.normal(size=(4, 2))), g, mode="relation_only")
+        p = BrgcnLayerParams.create(rng, 2, 2, 1, variant="relation_only")
+        _, trace = layer_forward(p, Tensor(rng.normal(size=(4, 2))), g)
         np.testing.assert_allclose(trace.gamma[(0, 0)], [1 / 3] * 3, atol=1e-15)
 
     def test_rgcn_baseline_matches_dense_hand_computation(self):
         rng = np.random.default_rng(43)
         inst = random_instance(rng, max_nodes=6, max_rels=3)
         g = _graph_from_instance(inst)
-        p = _params_from_instance(inst)
-        out, _ = layer_forward(p, Tensor(inst["h"]), g, mode="rgcn_baseline")
+        p = _params_from_instance(inst, variant="rgcn_baseline")
+        out, _ = layer_forward(p, Tensor(inst["h"]), g)
         expected = np.zeros((inst["n"], inst["d_out"]))
         for i in range(inst["n"]):
             rels = g.relations_of(i)
@@ -380,8 +380,8 @@ class TestVariants:
         rng = np.random.default_rng(44)
         inst = random_instance(rng, max_nodes=6, max_rels=2, d_in=3, d_out=4)
         g = _graph_from_instance(inst)
-        p = _params_from_instance(inst)
-        out, trace = layer_forward(p, Tensor(inst["h"]), g, mode="node_only")
+        p = _params_from_instance(inst, variant="node_only")
+        out, trace = layer_forward(p, Tensor(inst["h"]), g)
         expected, gammas, _ = dense_layer_forward(
             inst["h"], inst["triples"], inst["n"], inst["num_rels"], inst["a_vecs"],
             inst["w_query"], inst["w_key"], inst["w_value"], inst["w_self"], 0.2, mode="node_only",
@@ -397,20 +397,21 @@ class TestVariants:
         triples = [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)]
         g = HeteroGraph.from_triples(triples, num_nodes=4)
         rng = np.random.default_rng(45)
-        p = BrgcnLayerParams.create(rng, 3, 5, 2)
+        p = BrgcnLayerParams.create(rng, 3, 5, 2, variant="node_only")
         h = Tensor(rng.normal(size=(4, 3)))
-        node_only, _ = layer_forward(p, h, g, mode="node_only")
-        baseline, _ = layer_forward(p, h, g, mode="rgcn_baseline")
+        q = BrgcnLayerParams.create(np.random.default_rng(45), 3, 5, 2, variant="rgcn_baseline")
+        node_only, _ = layer_forward(p, h, g)
+        baseline, _ = layer_forward(q, h, g)
         np.testing.assert_array_equal(node_only.data, baseline.data)
         assert not node_only.data[3].any()  # no edges: zero despite the self term
 
 
 class TestDropout:
-    def _setup(self):
+    def _setup(self, variant="full"):
         rng = np.random.default_rng(50)
         inst = random_instance(rng, max_nodes=8, max_rels=2)
         g = _graph_from_instance(inst)
-        p = _params_from_instance(inst)
+        p = _params_from_instance(inst, variant=variant)
         p.dropout = 0.5
         return g, p, Tensor(inst["h"])
 
@@ -428,21 +429,21 @@ class TestDropout:
         for gamma in trace.gamma.values():
             assert abs(gamma.sum() - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("mode", VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("one_hot", [False, True])
-    def test_rng_draws_masks_exactly_when_the_layer_has_dropout(self, mode, one_hot):
-        g, p, h = self._setup()
+    def test_rng_draws_masks_exactly_when_the_layer_has_dropout(self, variant, one_hot):
+        g, p, h = self._setup(variant)
         if one_hot:
             h = None
-            p = BrgcnLayerParams.create(np.random.default_rng(5), g.num_nodes, 3, g.num_relations)
+            p = BrgcnLayerParams.create(np.random.default_rng(5), g.num_nodes, 3, g.num_relations, variant=variant)
             p.dropout = 0.5
-        eval_out, _ = layer_forward(p, h, g, mode=mode)
+        eval_out, _ = layer_forward(p, h, g)
         rng = _CountingRng(9)
-        layer_forward(p, h, g, mode=mode, rng=rng)
-        assert rng.calls == (2 if mode in ("full", "node_only") else 1)  # features, then gamma
+        layer_forward(p, h, g, rng=rng)
+        assert rng.calls == (2 if variant in ("full", "node_only") else 1)  # features, then gamma
         p.dropout = 0.0
         rng = _CountingRng(9)
-        out, _ = layer_forward(p, h, g, mode=mode, rng=rng)
+        out, _ = layer_forward(p, h, g, rng=rng)
         assert rng.calls == 0
         np.testing.assert_array_equal(out.data, eval_out.data)
 
@@ -524,8 +525,8 @@ class TestRelationSlots:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("num_bases", [0, 2])
-    @pytest.mark.parametrize("mode", VARIANTS)
-    def test_matches_dense_oracle(self, case, num_bases, mode):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_dense_oracle(self, case, num_bases, variant):
         used, num_rel = self.CASES[case]
         rng = np.random.default_rng(73)
         n, d = 9, 3
@@ -534,18 +535,18 @@ class TestRelationSlots:
             triples, num_nodes=n, relation_names=[f"r{k}" for k in range(num_rel)]
         )
         assert sorted(set(g.index.group_rel.tolist())) == list(used)
-        p = BrgcnLayerParams.create(rng, d, d, num_rel, num_bases=num_bases)
+        p = BrgcnLayerParams.create(rng, d, d, num_rel, num_bases=num_bases, variant=variant)
         h = rng.normal(size=(n, d))
-        out, trace = layer_forward(p, Tensor(h), g, mode=mode)
+        out, trace = layer_forward(p, Tensor(h), g)
         a, wq, wk, wv = _oracle_weights(p)
         oracle, gammas, psis = dense_layer_forward(
-            h, g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
+            h, g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=variant
         )
         np.testing.assert_allclose(out.data, oracle, atol=1e-10)
         assert trace.gamma.keys() == gammas.keys()
         for key, gam in gammas.items():
             np.testing.assert_allclose(trace.gamma[key], gam, atol=1e-12)
-        if mode in ("full", "relation_only"):
+        if variant in ("full", "relation_only"):
             assert trace.psi.keys() == psis.keys()
             for i, psi in psis.items():
                 np.testing.assert_allclose(trace.psi[i], psi, atol=1e-12)
@@ -582,16 +583,17 @@ class TestIdentityInput:
         return augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
 
     @staticmethod
-    def _step(g, h, rng, mode, num_bases, dropout):
+    def _step(g, h, rng, variant, num_bases, dropout):
         p = BrgcnLayerParams.create(
-            np.random.default_rng(3), g.num_nodes, 5, g.num_relations, num_bases=num_bases, dropout=dropout
+            np.random.default_rng(3), g.num_nodes, 5, g.num_relations,
+            num_bases=num_bases, dropout=dropout, variant=variant,
         )
         with dn.Tape() as tape:
-            out, _ = layer_forward(p, h, g, mode=mode, rng=rng)
+            out, _ = layer_forward(p, h, g, rng=rng)
             tape.backward(dn.tsum(dn.mul(out, out)))
         return out.data, [t.grad for t in p.params()]
 
-    def _explicit(self, g, replay, mode, num_bases, dropout):
+    def _explicit(self, g, replay, variant, num_bases, dropout):
         """The step on ``np.eye(n)`` whose masked input is ``np.diag(m)``, m drawn from ``replay``.
 
         Its dense (n, n) feature draw is replayed with the n node draws on the
@@ -599,30 +601,30 @@ class TestIdentityInput:
         """
         n = g.num_nodes
         draws = [np.where(np.eye(n, dtype=bool), replay.random(n)[:, None], 1.0)]
-        if mode in ("full", "node_only"):  # the variants that learn gamma drop edges too
+        if variant in ("full", "node_only"):  # the variants that learn gamma drop edges too
             draws.append(replay.random(g.index.heads.size))
-        return self._step(g, Tensor(np.eye(n)), _Replay(*draws), mode, num_bases, dropout)
+        return self._step(g, Tensor(np.eye(n)), _Replay(*draws), variant, num_bases, dropout)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     @pytest.mark.parametrize("num_bases", [0, 2])
-    @pytest.mark.parametrize("mode", VARIANTS)
-    def test_bit_equal_to_explicit_identity(self, mode, num_bases, dropout):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_equal_to_explicit_identity(self, variant, num_bases, dropout):
         g = self._graph()
-        out, grads = self._step(g, None, np.random.default_rng(11), mode, num_bases, dropout)
-        ref_out, ref_grads = self._explicit(g, np.random.default_rng(11), mode, num_bases, dropout)
+        out, grads = self._step(g, None, np.random.default_rng(11), variant, num_bases, dropout)
+        ref_out, ref_grads = self._explicit(g, np.random.default_rng(11), variant, num_bases, dropout)
         assert np.array_equal(out, ref_out)
         assert [grad is None for grad in grads] == [grad is None for grad in ref_grads]
         for grad, ref in zip(grads, ref_grads):
             assert grad is None or np.array_equal(grad, ref)
 
-    @pytest.mark.parametrize("mode", VARIANTS)
-    def test_training_forward_draws_n_feature_and_e_edge_numbers(self, mode):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_forward_draws_n_feature_and_e_edge_numbers(self, variant):
         g = self._graph()
         rng = np.random.default_rng(11)
-        self._step(g, None, rng, mode, 0, 0.4)
+        self._step(g, None, rng, variant, 0, 0.4)
         replay = np.random.default_rng(11)
         replay.random(g.num_nodes)
-        if mode in ("full", "node_only"):
+        if variant in ("full", "node_only"):
             replay.random(g.index.heads.size)
         assert rng.bit_generator.state == replay.bit_generator.state
 
@@ -670,12 +672,12 @@ class TestIdentityInput:
             [rng.integers(0, n, 2 * n), rng.integers(0, 3, 2 * n), rng.integers(0, n, 2 * n)]
         )
         g = augment(HeteroGraph.from_triples(triples, num_nodes=n), add_self_loop=True)
-        p = BrgcnLayerParams.create(rng, n, 16, g.num_relations, dropout=0.4)
+        p = BrgcnLayerParams.create(rng, n, 16, g.num_relations, dropout=0.4, variant="node_only")
         g.index  # built once per graph, outside the step
         tracemalloc.start()
         try:
             with dn.Tape() as tape:
-                out, _ = layer_forward(p, None, g, mode="node_only", rng=rng)
+                out, _ = layer_forward(p, None, g, rng=rng)
                 tape.backward(dn.tsum(dn.mul(out, out)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -688,19 +690,19 @@ class TestFlatTrace:
     """The trace mappings against brute-force dicts built per (node, relation)."""
 
     @staticmethod
-    def _graph_and_params():
+    def _graph_and_params(variant="full"):
         g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
-        p = BrgcnLayerParams.create(np.random.default_rng(8), g.num_nodes, 4, g.num_relations)
+        p = BrgcnLayerParams.create(np.random.default_rng(8), g.num_nodes, 4, g.num_relations, variant=variant)
         return g, p
 
-    @pytest.mark.parametrize("mode", ["full", "relation_only"])
-    def test_keys_order_and_values_match_brute_force(self, mode):
-        g, p = self._graph_and_params()
+    @pytest.mark.parametrize("variant", ["full", "relation_only"])
+    def test_keys_order_and_values_match_brute_force(self, variant):
+        g, p = self._graph_and_params(variant)
         n, num_rel = g.num_nodes, g.num_relations
-        _, trace = layer_forward(p, None, g, mode=mode)
+        _, trace = layer_forward(p, None, g)
         a, wq, wk, wv = _oracle_weights(p)
         _, gammas, psis = dense_layer_forward(
-            np.eye(n), g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=mode
+            np.eye(n), g.triples.tolist(), n, num_rel, a, wq, wk, wv, p.w_self.data, 0.2, mode=variant
         )
         groups = [(i, r) for r in range(num_rel) for i in range(n) if g.neighbors(i, r)]
         assert list(trace.gamma) == list(gammas) == groups
@@ -731,10 +733,10 @@ class TestFlatTrace:
                 assert key not in mapping
         assert (0, 0) not in layer_forward(p, None, g, collect_trace=False)[1].gamma
 
-    @pytest.mark.parametrize("mode", ["full", "relation_only"])
-    def test_mappings_and_values_are_built_once(self, mode):
-        g, p = self._graph_and_params()
-        _, trace = layer_forward(p, None, g, mode=mode)
+    @pytest.mark.parametrize("variant", ["full", "relation_only"])
+    def test_mappings_and_values_are_built_once(self, variant):
+        g, p = self._graph_and_params(variant)
+        _, trace = layer_forward(p, None, g)
         for name in ("gamma", "psi", "rel_order"):
             mapping = getattr(trace, name)
             assert getattr(trace, name) is mapping
@@ -774,10 +776,10 @@ class TestFlatTrace:
         flat = 8 * (idx.heads.size + (idx.node_count**2).sum())
         assert held < 20 * (flat + 8192)
 
-    @pytest.mark.parametrize("mode", ["full", "relation_only", "node_only", "rgcn_baseline"])
-    def test_gamma_lists_are_gamma_as_lists(self, mode):
-        g, p = self._graph_and_params()
-        _, trace = layer_forward(p, None, g, mode=mode)
+    @pytest.mark.parametrize("variant", ["full", "relation_only", "node_only", "rgcn_baseline"])
+    def test_gamma_lists_are_gamma_as_lists(self, variant):
+        g, p = self._graph_and_params(variant)
+        _, trace = layer_forward(p, None, g)
         items = list(trace.gamma_lists())
         assert "gamma" not in vars(trace)  # split without the mapping
         assert items == [(key, gamma.tolist()) for key, gamma in trace.gamma.items()]
@@ -882,6 +884,46 @@ class TestTapeLength:
         assert step() == fused + 2 * 2
 
 
+class TestVariantIsBuilt:
+    """A layer runs as the variant it was built with; no forward names one."""
+
+    @staticmethod
+    def _model(task, variant):
+        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+        cfg = TrainConfig(hidden_units=6, num_layers=2, encoder_layers=2, variant=variant)
+        rng = np.random.default_rng(4)
+        if task == "nc":
+            return g, NodeClassificationModel.build(rng, g, 2, cfg)
+        return g, LinkPredictionModel.build(rng, g, g.num_relations, cfg, "distmult")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_stack_forward_on_the_models_layers_is_encode(self, task, variant):
+        g, model = self._model(task, variant)
+        out, _ = stack_forward(model.layers, None, g)
+        want, _ = model.encode(g)
+        assert np.array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_every_built_layer_carries_the_configs_variant(self, task, variant):
+        _, model = self._model(task, variant)
+        assert len(model.layers) == 2 and all(lay.variant == variant for lay in model.layers)
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_init_draws_do_not_depend_on_the_variant(self, num_bases):
+        rngs = [np.random.default_rng(7) for _ in VARIANTS]
+        built = [
+            BrgcnLayerParams.create(rng, 5, 3, 4, num_bases=num_bases, variant=variant)
+            for rng, variant in zip(rngs, VARIANTS)
+        ]
+        first = built[0].params()
+        for p, rng in zip(built[1:], rngs[1:]):
+            assert [t.name for t in p.params()] == [t.name for t in first]
+            assert all(np.array_equal(t.data, u.data) for t, u in zip(p.params(), first))
+            assert rng.bit_generator.state == rngs[0].bit_generator.state
+
+
 class TestLayerParamsConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigurationError):
@@ -911,8 +953,8 @@ class TestStackedParameters:
 
     @pytest.mark.parametrize("num_relations", [3, 9])
     @pytest.mark.parametrize("one_hot", [True, False])
-    @pytest.mark.parametrize("mode", VARIANTS)
-    def test_forward_restacks_no_weights(self, monkeypatch, num_relations, one_hot, mode):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_restacks_no_weights(self, monkeypatch, num_relations, one_hot, variant):
         # The planted graph's 3 relations, each split in num_relations / 3 by the tail id.
         graph, _ = planted_graph()
         t = graph.triples
@@ -921,7 +963,9 @@ class TestStackedParameters:
         assert g.num_relations == num_relations
         n = g.num_nodes
         d_in = n if one_hot else 5
-        p = BrgcnLayerParams.create(np.random.default_rng(1), d_in, 4, num_relations, dropout=0.3)
+        p = BrgcnLayerParams.create(
+            np.random.default_rng(1), d_in, 4, num_relations, dropout=0.3, variant=variant
+        )
         h = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(n, d_in)))
         calls = []
 
@@ -935,7 +979,7 @@ class TestStackedParameters:
         for name in ("stack", "concat", "transpose"):
             monkeypatch.setattr(dn, name, recording(name, getattr(dn, name)))
         with dn.Tape() as tape:
-            out, _ = layer_forward(p, h, g, mode=mode, rng=np.random.default_rng(3))
+            out, _ = layer_forward(p, h, g, rng=np.random.default_rng(3))
             tape.backward(dn.tsum(dn.mul(out, out)))
         assert calls == [("transpose", True)]
 
