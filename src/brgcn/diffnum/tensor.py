@@ -10,7 +10,7 @@ sets ``grad`` on leaves only.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -632,7 +632,8 @@ class BlockLayout:
     descending, where rows lo:hi are (hi - lo) / m blocks of m rows.  The
     ordered row pairs of every block are listed node-major: each block's
     m x m pairs are row-major and consecutive, and the run's pairs are
-    entries p:p + (hi - lo) * m of a ``pairs``-long vector.
+    entries p:p + (hi - lo) * m of a ``pairs``-long vector, which
+    :meth:`pair_blocks` reads.
     """
 
     __slots__ = ("runs", "rows", "pairs")
@@ -650,6 +651,11 @@ class BlockLayout:
             runs.append((lo, hi, m, p))
             lo, p = hi, p + m * m * int(count)
         self.runs, self.rows, self.pairs = tuple(runs), lo, p
+
+    def pair_blocks(self, flat: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
+        """Each run's (lo, hi, m) with its pairs in the ``pairs``-long ``flat``, a (blocks, m, m) view."""
+        for lo, hi, m, p in self.runs:
+            yield lo, hi, m, flat[p : p + (hi - lo) * m].reshape(-1, m, m)
 
 
 def _row_max(s: np.ndarray) -> np.ndarray:
@@ -686,12 +692,11 @@ def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
     out = np.empty_like(vd, order="C")
     psi = np.empty(layout.pairs)
 
-    def views(lo, hi, m, p):  # the run's blocks of q, k, v and psi, (blocks, m, .)
-        s = psi[p : p + (hi - lo) * m].reshape(-1, m, m)
-        return s, qd[lo:hi].reshape(-1, m, d), kd[lo:hi].reshape(-1, m, d), vd[lo:hi].reshape(-1, m, dv)
+    def views(lo, hi, m):  # the run's blocks of q, k and v, (blocks, m, .)
+        return qd[lo:hi].reshape(-1, m, d), kd[lo:hi].reshape(-1, m, d), vd[lo:hi].reshape(-1, m, dv)
 
-    for lo, hi, m, p in layout.runs:
-        s, qb, kb, vb = views(lo, hi, m, p)
+    for lo, hi, m, s in layout.pair_blocks(psi):
+        qb, kb, vb = views(lo, hi, m)
         np.matmul(qb, kb.transpose(0, 2, 1), out=s)
         s -= _row_max(s)[..., None]
         np.exp(s, out=s)
@@ -701,8 +706,8 @@ def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
 
     def backward(g):
         gq, gk, gv = (np.empty_like(t.data, order="C") if t.requires_grad else None for t in (q, k, v))
-        for lo, hi, m, p in layout.runs:
-            s, qb, kb, vb = views(lo, hi, m, p)
+        for lo, hi, m, s in layout.pair_blocks(psi):
+            qb, kb, vb = views(lo, hi, m)
             gb = g[lo:hi].reshape(-1, m, dv)
             if gv is not None:
                 np.matmul(s.transpose(0, 2, 1), gb, out=gv[lo:hi].reshape(-1, m, dv))

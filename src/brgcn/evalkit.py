@@ -167,10 +167,8 @@ def relation_attention_scores(traces: Iterable[AttentionTrace], num_relations: i
     for trace in traces:
         if trace.flat_psi is None:
             continue
-        col_means = [  # one per group, in group order
-            trace.flat_psi[p : p + (hi - lo) * m].reshape(-1, m, m).mean(axis=1).ravel()
-            for lo, hi, m, p in trace.index.blocks.runs
-        ]
+        runs = trace.index.blocks.pair_blocks(trace.flat_psi)
+        col_means = [blocks.mean(axis=1).ravel() for *_, blocks in runs]  # one per group, in group order
         rel = trace.index.group_rel
         mass += np.bincount(rel, np.concatenate(col_means), minlength=num_relations)[:num_relations]
         count += np.bincount(rel, minlength=num_relations)[:num_relations]

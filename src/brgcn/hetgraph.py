@@ -1,10 +1,12 @@
 """Directed multi-relational graphs stored as one integer triple array.
 
-Graphs are immutable after construction.  Node and relation identifiers are
-dense integers assigned in first-seen file order; the loader keeps the
+Graphs are immutable after construction.  A graph is its node table, its
+relation table and its triples, nothing else.  Node and relation identifiers
+are dense integers assigned in first-seen file order; the loader keeps the
 original string names for label/split resolution and reporting.  Neighbor
 lists hold out-neighbors only; incoming information is modeled by inverse
-relations added through :func:`augment`.
+relations, added with the self loops by one :func:`augment` of the loaded
+graph.
 
 A graph holds its edges once, as an (E, 3) int64 array of (head, relation,
 tail) rows in first-seen order: the edge-list layout of R-GCN (Schlichtkrull
@@ -248,9 +250,6 @@ class HeteroGraph:
     node_names: tuple[str, ...]
     relation_names: tuple[str, ...]
     triples: np.ndarray
-    inverse_pairs: dict[int, int]
-    self_relation: int | None
-    duplicates_removed: int
 
     @classmethod
     def from_triples(
@@ -260,14 +259,12 @@ class HeteroGraph:
         num_nodes: int | None = None,
         node_names: Sequence[str] | None = None,
         relation_names: Sequence[str] | None = None,
-        inverse_pairs: dict[int, int] | None = None,
-        self_relation: int | None = None,
     ) -> "HeteroGraph":
         """Build a graph from integer triples (an array or an iterable), deduplicating repeats.
 
-        Duplicate triples are dropped (first occurrence kept) and counted in
-        ``duplicates_removed``.  Ids must be dense: every referenced node id
-        must be below ``num_nodes`` and relation id below the relation count.
+        Duplicate triples are dropped, the first occurrence kept.  Ids must be
+        dense: every referenced node id must be below ``num_nodes`` and
+        relation id below the relation count.
         """
         rows = triple_array(triples)
         max_node = max(rows[:, 0].max(initial=-1), rows[:, 2].max(initial=-1))
@@ -292,10 +289,7 @@ class HeteroGraph:
         _, first = np.unique(triple_keys(rows, len(relation_names), num_nodes), return_index=True)
         unique = rows[np.sort(first)]
         unique.flags.writeable = False
-        return cls(
-            num_nodes, tuple(node_names), tuple(relation_names), unique,
-            dict(inverse_pairs or {}), self_relation, len(rows) - len(first),
-        )
+        return cls(num_nodes, tuple(node_names), tuple(relation_names), unique)
 
     @property
     def num_relations(self) -> int:
@@ -457,8 +451,8 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     TSV rows are ``head<TAB>relation<TAB>tail`` (UTF-8); lines starting with
     ``#`` and blank lines are skipped.  N-Triples statements are
     ``subject predicate object .``; literal objects become ordinary nodes.
-    Ids are assigned in first-seen order.  Duplicate triples are dropped and
-    counted on the returned graph.
+    Ids are assigned in first-seen order.  Duplicate triples are dropped, and
+    their count is logged.
     """
     if format not in TRIPLE_FORMATS:
         raise GraphError(f"unknown triple format {format!r}")
@@ -481,12 +475,12 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
         node_names=list(node_ids),
         relation_names=list(rel_ids),
     )
-    if graph.duplicates_removed:
+    if len(triples) > graph.num_triples:
         log.info(
             "loaded %s: %d triples (%d duplicates removed)",
             path,
             graph.num_triples,
-            graph.duplicates_removed,
+            len(triples) - graph.num_triples,
         )
     return graph
 
@@ -499,50 +493,37 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
 def augment(
     graph: HeteroGraph, add_inverse: bool = False, add_self_loop: bool = False
 ) -> HeteroGraph:
-    """Add inverse relations and/or per-node self loops; idempotent.
+    """Add inverse relations and/or per-node self loops to a loaded graph.
 
-    ``add_inverse`` creates one new relation per base relation holding the
-    reversed triples.  ``add_self_loop`` adds a distinguished relation named
-    ``SELF`` with triple (i, SELF, i) for every node.  Relations created by a
-    previous augmentation are recognized and never augmented again.  Rows
-    come in the order: the graph's own triples, the inverses of each base
-    relation in turn, then the self loops.
+    ``add_inverse`` gives each relation r of the R relations an inverse,
+    relation R + r named ``<name>^inv``, holding the reversed triples.
+    ``add_self_loop`` then adds a last relation named ``SELF`` with triple
+    (i, SELF, i) for every node.  Rows come in the order: the graph's own
+    triples, the inverses of each relation in turn, then the self loops.
+    Augmentation is applied once: a new relation name that the graph already
+    has raises :class:`GraphError`, so augmenting an augmented graph again
+    is refused.
     """
-    rel_names = list(graph.relation_names)
-    parts = [graph.triples]
-    inverse_pairs = dict(graph.inverse_pairs)
-    self_rel = graph.self_relation
-
+    names, parts = list(graph.relation_names), [graph.triples]
     if add_inverse:
-        inverse_of = np.full(graph.num_relations, -1)
-        for r in range(graph.num_relations):
-            if r in inverse_pairs or r == self_rel:
-                continue
-            inv_name = graph.relation_names[r] + INVERSE_SUFFIX
-            if inv_name in rel_names:
-                raise GraphError(f"relation name collision creating inverse {inv_name!r}")
-            inv_id = inverse_of[r] = len(rel_names)
-            rel_names.append(inv_name)
-            inverse_pairs[r], inverse_pairs[inv_id] = inv_id, r
-        base = graph.triples[inverse_of[graph.triples[:, 1]] >= 0]
-        h, r, t = base[np.argsort(base[:, 1], kind="stable")].T
-        parts.append(np.stack((t, inverse_of[r], h), axis=1))
-
-    if add_self_loop and self_rel is None:
-        if SELF_RELATION_NAME in rel_names:
+        inverse = [name + INVERSE_SUFFIX for name in names]
+        taken = [name for name in inverse if name in names]
+        if taken:
+            raise GraphError(f"relation name collision creating inverse {taken[0]!r}")
+        h, r, t = graph.triples[np.argsort(graph.triples[:, 1], kind="stable")].T
+        parts.append(np.stack((t, r + len(names), h), axis=1))
+        names += inverse
+    if add_self_loop:
+        if SELF_RELATION_NAME in names:
             raise GraphError(f"relation name collision creating {SELF_RELATION_NAME!r}")
-        self_rel = len(rel_names)
-        rel_names.append(SELF_RELATION_NAME)
         nodes = np.arange(graph.num_nodes)
-        parts.append(np.stack((nodes, np.full_like(nodes, self_rel), nodes), axis=1))
-
+        parts.append(np.stack((nodes, np.full_like(nodes, len(names)), nodes), axis=1))
+        names.append(SELF_RELATION_NAME)
     return HeteroGraph.from_triples(
         np.concatenate(parts),
         num_nodes=graph.num_nodes,
         node_names=graph.node_names,
-        relation_names=rel_names,
-        inverse_pairs=inverse_pairs,
-        self_relation=self_rel,
+        relation_names=names,
     )
 
 
@@ -559,14 +540,12 @@ def restrict_relations(graph: HeteroGraph, keep: Iterable[int]) -> HeteroGraph:
 
 
 def with_triples(graph: HeteroGraph, triples: Iterable[Triple]) -> HeteroGraph:
-    """A graph over the same node/relation tables but a different edge set."""
+    """A graph over the same node/relation tables, augmented ones included, but a different edge set."""
     return HeteroGraph.from_triples(
         triples,
         num_nodes=graph.num_nodes,
         node_names=graph.node_names,
         relation_names=graph.relation_names,
-        inverse_pairs=graph.inverse_pairs,
-        self_relation=graph.self_relation,
     )
 
 

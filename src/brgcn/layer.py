@@ -102,10 +102,10 @@ class BrgcnLayerParams:
     decomposed.  The read-only ``a``, ``w_query``, ``w_key`` and ``w_value``
     list R detached per-relation Tensors (a_r; W_role_r as d_out x d_in).
 
-    ``variant``, checked here, is the cell of the module docstring's grid
-    that every forward runs: ``rgcn_baseline`` is R-GCN's mean-aggregation
-    convolution, ``node_only`` the same with learned gamma.  The parameters
-    and their initial draws are the same for all four.
+    ``variant``, checked here and read-only after, is the cell of the
+    module docstring's grid that every forward runs: ``rgcn_baseline`` is
+    R-GCN's mean-aggregation convolution, ``node_only`` the same with learned
+    gamma.  The parameters and their initial draws are the same for all four.
     """
 
     ROLES = ("query", "key", "value")
@@ -133,11 +133,16 @@ class BrgcnLayerParams:
         self.num_bases = num_bases
         self.leaky_slope = leaky_slope
         self.dropout = dropout
-        self.variant = variant
+        self._variant = variant
         self.attention: Tensor | None = None
         self.roles: dict[str, Tensor] = {}
         self.basis: Tensor | None = None
         self.w_self: Tensor | None = None
+
+    @property
+    def variant(self) -> str:
+        """The variant every forward runs; read-only, fixed when the layer is built."""
+        return self._variant
 
     @staticmethod
     def num_floats(d_in: int, d_out: int, num_relations: int, num_bases: int = 0) -> int:
@@ -258,21 +263,21 @@ class AttentionTrace:
 
     @cached_property
     def psi(self) -> Mapping[int, np.ndarray]:
-        return self._per_node(lambda lo, hi, m, p: self.flat_psi[p : p + (hi - lo) * m].reshape(-1, m, m))
+        return self._per_node(lambda lo, hi, m, blocks: blocks)
 
     @cached_property
     def rel_order(self) -> Mapping[int, tuple[int, ...]]:
         return self._per_node(
-            lambda lo, hi, m, p: map(tuple, self.index.group_rel[lo:hi].reshape(-1, m).tolist())
+            lambda lo, hi, m, _: map(tuple, self.index.group_rel[lo:hi].reshape(-1, m).tolist())
         )
 
     def _per_node(self, run_values: Callable) -> Mapping:
-        """Node i -> its value, from ``run_values(*run)``: one value per block of each run."""
+        """Node i -> its value, one per block, from ``run_values(*run)`` per run of ``pair_blocks``."""
         if self.flat_psi is None:
             return MappingProxyType({})
         idx = self.index
         out = dict.fromkeys(np.flatnonzero(idx.node_count).tolist())  # the key order
-        for run in idx.blocks.runs:
+        for run in idx.blocks.pair_blocks(self.flat_psi):
             lo, hi, m, _ = run
             out.update(zip(idx.group_node[lo:hi:m].tolist(), run_values(*run)))
         return MappingProxyType(out)

@@ -567,7 +567,9 @@ def train_node_classifier(
     ``split.train`` labels, and per-epoch metrics are recorded from an
     evaluation-mode forward pass (dropout off).  With a positive
     ``early_stop_patience`` and a non-empty validation split, training stops
-    once the validation accuracy has not improved for that many epochs.
+    once the validation accuracy has not improved for that many epochs.  The
+    run's accuracies and traces are those of the last epoch's evaluation
+    pass, which saw the final parameters.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -576,13 +578,17 @@ def train_node_classifier(
     train_labels = labels.restrict(split.train)
     metrics_rows: list[tuple[int, float, float, str]] = []
     best_val = [-1.0, 0]  # best validation accuracy, epochs since improvement
+    last = None  # the latest evaluation pass: predictions and traces
 
     def loss_fn(epoch: int) -> Tensor:
         probs, _ = model.forward(g, rng=rng)
         return nc_loss(probs, train_labels)
 
     def on_epoch(epoch: int, loss_value: float) -> bool:
-        pred = model.predict(g)
+        nonlocal last
+        probs, traces = model.forward(g, collect_trace=True)
+        pred = probs.data.argmax(axis=1)
+        last = pred, traces
         train_acc = evalkit.accuracy(pred, labels, split.train)
         val = ""
         stop = False
@@ -598,8 +604,7 @@ def train_node_classifier(
         return stop
 
     loss_curve = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
-    probs, traces = model.forward(g, collect_trace=True)
-    pred = probs.data.argmax(axis=1)
+    pred, traces = last
     return NCRun(
         model=model,
         graph=g,

@@ -268,6 +268,15 @@ class TestMemory:
 
 
 class TestLayoutChecks:
+    def test_pair_blocks_are_views_of_each_run_of_the_flat_vector(self):
+        blocks = dn.BlockLayout(np.array([3, 2, 2, 1]))
+        flat = np.arange(18.0)
+        runs = list(blocks.pair_blocks(flat))
+        assert [run[:3] for run in runs] == [(0, 3, 3), (3, 7, 2), (7, 8, 1)]
+        assert [view.shape for *_, view in runs] == [(1, 3, 3), (2, 2, 2), (1, 1, 1)]
+        assert all(view.base is flat for *_, view in runs)
+        np.testing.assert_array_equal(np.concatenate([view.ravel() for *_, view in runs]), flat)
+
     def test_bad_layouts_and_shapes_are_rejected(self):
         # growing blocks, an empty block, a negative size, float sizes, a matrix
         for sizes in ([1, 2], [2, 0], [2, -1], [2.0, 1.0], [[2, 1]]):

@@ -294,6 +294,37 @@ def _write_lp_dataset(tmp_path):
 
 
 class TestCliLinkPrediction:
+    def test_readme_quick_start_matches_golden_bytes(self, tmp_path):
+        # The README link-prediction quick start: the first 16 toy triples
+        # train, the last 4 test, with inverses and self loops.  Recorded with
+        # numpy 2.4 on x86-64; another BLAS or SIMD exp may move the last digits.
+        data = importlib.resources.files("brgcn.data")
+        lines = (data / "toy_nc_triples.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        train, test = tmp_path / "toy_lp_train.tsv", tmp_path / "toy_lp_test.tsv"
+        train.write_text("".join(lines[:16]), encoding="utf-8")
+        test.write_text("".join(lines[-4:]), encoding="utf-8")
+        cfg = _cfg_file(
+            tmp_path,
+            f"""task = link_prediction
+triples_path = {data / 'toy_nc_triples.tsv'}
+train_triples_path = {train}
+test_triples_path = {test}
+decoder = distmult
+add_inverse = true
+add_self_loop = true
+hidden_units = 8
+output_dir = {tmp_path / 'toy_lp'}
+""",
+        )
+        out = tmp_path / "toy_lp"
+        assert main(["train-lp", "--config", str(cfg)]) == 0
+        assert main(["eval", "--config", str(out / "config.resolved"),
+                     "--set", f"checkpoint={out / 'seed_0' / 'checkpoint.npz'}",
+                     "--set", f"output_dir={tmp_path / 'toy_lp_eval'}"]) == 0
+        assert (out / "seed_0" / "metrics.csv").read_bytes() == (GOLDEN / "toy_lp_metrics.csv").read_bytes()
+        results = (tmp_path / "toy_lp_eval" / "results.json").read_bytes()
+        assert results == (GOLDEN / "toy_lp_results.json").read_bytes()
+
     @pytest.mark.parametrize("decoder", ["distmult", "transe", "hole", "complex"])
     def test_train_eval_roundtrip(self, tmp_path, decoder):
         triples, train, test = _write_lp_dataset(tmp_path)

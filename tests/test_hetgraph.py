@@ -42,7 +42,18 @@ class TestTsvLoading:
         path = _write(tmp_path, "g.tsv", "a\tr\tb\nb\tr\tc\na\ts\tc\na\tr\tb\n")
         g = load_triples(path)
         assert g.num_triples == 3
-        assert g.duplicates_removed == 1
+        assert g.triples.tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 2]]
+
+    def test_duplicate_count_is_logged(self, tmp_path, caplog):
+        path = _write(tmp_path, "g.tsv", "a\tr\tb\na\tr\tb\nb\tr\tc\na\tr\tb\n")
+        with caplog.at_level("INFO", logger="brgcn.hetgraph"):
+            g = load_triples(path)
+        assert g.num_triples == 2
+        assert caplog.messages == [f"loaded {path}: 2 triples (2 duplicates removed)"]
+        caplog.clear()
+        with caplog.at_level("INFO", logger="brgcn.hetgraph"):
+            load_triples(_write(tmp_path, "clean.tsv", "a\tr\tb\nb\tr\tc\n"))
+        assert caplog.messages == []  # nothing dropped, nothing logged
 
     def test_two_field_line_is_parse_error(self, tmp_path):
         path = _write(tmp_path, "g.tsv", "a\tr\tb\na\tr\n")
@@ -112,21 +123,33 @@ class TestAugment:
         aug = augment(g, add_inverse=True, add_self_loop=True)
         assert aug.num_relations == 3
         assert aug.num_triples == 4  # original, inverse, two self loops
-        assert aug.neighbors(1, aug.inverse_pairs[0]) == (0,)
-        assert aug.relation_names[aug.self_relation] == "SELF"
+        assert aug.relation_names == ("r", "r^inv", "SELF")
+        assert aug.neighbors(1, aug.relation_id("r^inv")) == (0,)
 
     def test_self_loops_on_isolated_nodes(self):
         g = HeteroGraph.from_triples([], num_nodes=5, relation_names=[])
         aug = augment(g, add_self_loop=True)
         assert aug.num_triples == 5
         for i in range(5):
-            assert aug.relations_of(i) == (aug.self_relation,)
+            assert aug.relations_of(i) == (aug.relation_id("SELF"),)
 
-    def test_idempotent(self):
+    @pytest.mark.parametrize(
+        "flags, clash",
+        [((True, False), "inverse 'r0^inv'"), ((False, True), "'SELF'"), ((True, True), "inverse 'r0^inv'")],
+        ids=["inverse", "self_loop", "both"],
+    )
+    def test_second_augmentation_is_refused(self, flags, clash):
         g = HeteroGraph.from_triples([(0, 0, 1), (1, 1, 2)])
-        once = augment(g, add_inverse=True, add_self_loop=True)
-        twice = augment(once, add_inverse=True, add_self_loop=True)
-        assert once == twice
+        once = augment(g, *flags)
+        with pytest.raises(GraphError) as err:
+            augment(once, *flags)
+        assert str(err.value) == f"relation name collision creating {clash}"
+
+    def test_inverse_after_self_loops_inverts_self(self):
+        g = augment(HeteroGraph.from_triples([(0, 0, 1)], relation_names=["r"]), add_self_loop=True)
+        aug = augment(g, add_inverse=True)
+        assert aug.relation_names == ("r", "SELF", "r^inv", "SELF^inv")
+        assert aug.triples.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 1], [1, 2, 0], [0, 3, 0], [1, 3, 1]]
 
     def test_inverse_doubles_triples(self):
         rng = np.random.default_rng(0)
@@ -147,12 +170,12 @@ class TestAugment:
         aug = augment(g, add_inverse=True, add_self_loop=True)
         inverses = [(1, 2, 0), (2, 2, 2), (0, 3, 2), (2, 3, 1)]  # a^inv = 2, b^inv = 3
         assert aug.triples.tolist() == [list(t) for t in triples + inverses] + [[i, 4, i] for i in range(3)]
-        assert aug.inverse_pairs == {0: 2, 2: 0, 1: 3, 3: 1}
+        assert aug.relation_names == ("a", "b", "a^inv", "b^inv", "SELF")
 
     def test_inverse_requires_augmentation(self):
         g = HeteroGraph.from_triples([(0, 0, 1)])
-        assert g.inverse_pairs == {}
-        assert augment(g, add_inverse=True).inverse_pairs == {0: 1, 1: 0}
+        assert g.relation_names == ("r0",)
+        assert augment(g, add_inverse=True).relation_names == ("r0", "r0^inv")
 
 
 class TestIndexInvariants:
@@ -169,7 +192,6 @@ class TestIndexInvariants:
             g = HeteroGraph.from_triples(triples, num_nodes=n, relation_names=list("abcd")[:num_rel])
             unique = list(dict.fromkeys(map(tuple, triples)))
             assert g.triples.tolist() == [list(t) for t in unique]
-            assert g.duplicates_removed == len(triples) - len(unique)
             for i in range(n):
                 for r in range(num_rel):
                     assert g.neighbors(i, r) == tuple(sorted(b for a, s, b in unique if (a, s) == (i, r)))
@@ -178,7 +200,6 @@ class TestIndexInvariants:
                 g.triples, num_nodes=g.num_nodes, relation_names=g.relation_names
             )
             assert rebuilt == g
-            assert rebuilt.duplicates_removed == 0
 
     def test_triple_array_from_any_iterable(self):
         rows = [(2, 0, 1), (0, 1, 2), (1, 0, 0)]
@@ -278,7 +299,6 @@ class TestIndexInvariants:
         rows = np.array([(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 0, 0), (0, 1, 2)])
         g = HeteroGraph.from_triples(rows)
         assert g.triples.tolist() == [[2, 0, 1], [0, 1, 2], [1, 0, 0]]
-        assert g.duplicates_removed == 2
         assert rows.flags.writeable  # the caller's array is left alone
         assert [tuple(t) for t in g.triples] == [(2, 0, 1), (0, 1, 2), (1, 0, 0)]
         assert g.triple_set == {(2, 0, 1), (0, 1, 2), (1, 0, 0)}
@@ -415,7 +435,7 @@ class TestSharedLineReader:
         noisy = load(noisy_path, graph)
         assert noisy == clean
         if kind == "triples":
-            assert noisy.duplicates_removed == clean.duplicates_removed == 1
+            assert noisy.triples.tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 2]]
         with pytest.raises(GraphError) as err:
             load(tmp_path / "absent", graph)
         assert str(err.value) == f"{missing_text}: {tmp_path / 'absent'}"

@@ -191,7 +191,7 @@ class TestLayerForward:
         p = BrgcnLayerParams.create(rng, 4, 4, g.num_relations)
         h = rng.normal(size=(3, 4))
         out, trace = layer_forward(p, Tensor(h), g)
-        r = g.self_relation
+        r = g.relation_id("SELF")
         for i in range(3):
             np.testing.assert_allclose(trace.psi[i], [[1.0]])
             expected = np.maximum(p.w_value[r].data @ h[i] + p.w_self.data @ h[i], 0.0)
@@ -250,6 +250,19 @@ class TestLayerForward:
     def test_unknown_variant_refused_when_built(self):
         with pytest.raises(ConfigurationError, match=re.escape(str(VARIANTS))):
             BrgcnLayerParams.create(np.random.default_rng(0), 2, 2, 1, variant="bogus")
+
+    def test_variant_is_read_only_and_the_layer_runs_as_built(self):
+        g = HeteroGraph.from_triples([(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 0, 2)])
+        h = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+        p = BrgcnLayerParams.create(np.random.default_rng(0), 4, 3, 2)
+        want, _ = layer_forward(p, h, g)
+        for value in ("bogus", "node_only"):
+            with pytest.raises(AttributeError):
+                p.variant = value
+        assert p.variant == "full"
+        np.testing.assert_array_equal(layer_forward(p, h, g)[0].data, want.data)
+        node_only = BrgcnLayerParams.create(np.random.default_rng(0), 4, 3, 2, variant="node_only")
+        assert not np.array_equal(layer_forward(node_only, h, g)[0].data, want.data)
 
 
 class TestMaskingAndEquivariance:

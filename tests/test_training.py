@@ -16,7 +16,8 @@ import pytest
 import brgcn
 from brgcn import diffnum as dn
 from brgcn import hetgraph as hg
-from brgcn import training
+from brgcn import evalkit, training
+from brgcn import layer as layer_mod
 from brgcn.diffnum import Tape, Tensor
 from brgcn.layer import BrgcnLayerParams, ConfigurationError
 from brgcn.training import (
@@ -598,6 +599,45 @@ class TestPipelines:
         patient = replace(base, early_stop_patience=3)
         stopped = train_node_classifier(graph, labels, split, patient)
         assert len(stopped.metrics_rows) < 40
+
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_one_eval_forward_per_epoch_and_none_after(self, monkeypatch, patience):
+        graph, labels = planted_graph(num_labeled=12, num_distractors=3, seed=8)
+        ids = labels.labeled_ids
+        split = hg.SplitSpec(ids[:6], ids[6:9], ids[9:])
+        cfg = TrainConfig(lr=0.05, epochs=30, hidden_units=4, dropout=0.2, add_self_loop=True,
+                          early_stop_patience=patience)
+        calls, forward = [], layer_mod.layer_forward
+
+        def counting(params, h, g, *, rng=None, collect_trace=True):
+            calls.append(rng is None)
+            return forward(params, h, g, rng=rng, collect_trace=collect_trace)
+
+        monkeypatch.setattr(layer_mod, "layer_forward", counting)
+        run = train_node_classifier(graph, labels, split, cfg)
+        epochs = len(run.metrics_rows)
+        assert (epochs < 30) == (patience > 0)
+        # per epoch: the training forward (with dropout), then the eval forward, one call per layer
+        assert calls == ([False] * cfg.num_layers + [True] * cfg.num_layers) * epochs
+
+    def test_run_reports_a_fresh_eval_forward_bit_for_bit(self):
+        graph, labels = planted_graph(num_labeled=12, num_distractors=3, seed=8)
+        ids = labels.labeled_ids
+        split = hg.SplitSpec(ids[:6], ids[6:9], ids[9:])
+        cfg = TrainConfig(lr=0.05, epochs=6, hidden_units=4, dropout=0.3, add_inverse=True,
+                          add_self_loop=True)
+        run = train_node_classifier(graph, labels, split, cfg)
+        probs, traces = run.model.forward(run.graph, collect_trace=True)
+        pred = probs.data.argmax(axis=1)
+        assert run.train_accuracy == evalkit.accuracy(pred, labels, split.train)
+        assert run.valid_accuracy == evalkit.accuracy(pred, labels, split.valid)
+        assert run.test_accuracy == evalkit.accuracy(pred, labels, split.test)
+        assert run.metrics_rows[-1][2] == run.train_accuracy
+        assert len(run.traces) == len(traces) == cfg.num_layers
+        for got, want in zip(run.traces, traces):
+            assert got.index is want.index
+            np.testing.assert_array_equal(got.flat_gamma, want.flat_gamma)
+            np.testing.assert_array_equal(got.flat_psi, want.flat_psi)
 
     def test_link_predictor_trains_and_filters_negatives(self):
         graph = memorization_kg(num_entities=8, num_triples=14, seed=6)
