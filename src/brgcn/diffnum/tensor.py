@@ -194,32 +194,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _broadcast(op: str, ufunc: np.ufunc, a, b, da: Callable, db: Callable) -> Tensor:
+    """``ufunc(a, b)`` with numpy broadcasting; ``da(g, x, y)`` and ``db(g, x, y)``
+    are the partials for ``a`` and ``b`` before they are summed back to their shapes."""
     a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
     try:
-        out = a.data + b.data
+        out = ufunc(ad, bd)
     except ValueError:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    ash, bsh = a.data.shape, b.data.shape
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
     def backward(g):
-        return _partial(a, lambda: _unbroadcast(g, ash)), _partial(b, lambda: _unbroadcast(g, bsh))
+        return (
+            _partial(a, lambda: _unbroadcast(da(g, ad, bd), ad.shape)),
+            _partial(b, lambda: _unbroadcast(db(g, ad, bd), bd.shape)),
+        )
 
-    return record_op("add", out, (a, b), backward)
+    return record_op(op, out, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    return _broadcast("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    ash, bsh = a.data.shape, b.data.shape
-
-    def backward(g):
-        return _partial(a, lambda: _unbroadcast(g, ash)), _partial(b, lambda: _unbroadcast(-g, bsh))
-
-    return record_op("sub", out, (a, b), backward)
+    return _broadcast("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def neg(a) -> Tensor:
@@ -229,20 +228,7 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return (
-            _partial(a, lambda: _unbroadcast(g * bd, ad.shape)),
-            _partial(b, lambda: _unbroadcast(g * ad, bd.shape)),
-        )
-
-    return record_op("mul", out, (a, b), backward)
+    return _broadcast("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def matmul(a, b) -> Tensor:

@@ -3,7 +3,9 @@
 Graphs are immutable after construction.  A graph is its node table, its
 relation table and its triples, nothing else.  Node and relation identifiers
 are dense integers assigned in first-seen file order; the loader keeps the
-original string names for label/split resolution and reporting.  Neighbor
+original string names, each unique within its table, for label/split
+resolution and reporting.  N-Triples statements are read by one compiled term
+pattern, matched three times from where the previous term ended.  Neighbor
 lists hold out-neighbors only; incoming information is modeled by inverse
 relations, added with the self loops by one :func:`augment` of the loaded
 graph.
@@ -20,6 +22,8 @@ for filtered ranking once.  Membership tests compare the int64 keys of
 from __future__ import annotations
 
 import logging
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -264,7 +268,8 @@ class HeteroGraph:
 
         Duplicate triples are dropped, the first occurrence kept.  Ids must be
         dense: every referenced node id must be below ``num_nodes`` and
-        relation id below the relation count.
+        relation id below the relation count.  Node names and relation names
+        must each be unique.
         """
         rows = triple_array(triples)
         max_node = max(rows[:, 0].max(initial=-1), rows[:, 2].max(initial=-1))
@@ -283,6 +288,10 @@ class HeteroGraph:
             )
         if len(node_names) != num_nodes:
             raise GraphError("node_names length must equal num_nodes")
+        for kind, names in (("node", node_names), ("relation", relation_names)):
+            if len(set(names)) < len(names):
+                repeated = next(name for name, count in Counter(names).items() if count > 1)
+                raise GraphError(f"repeated {kind} name {repeated!r}")
         negative = (rows < 0).any(axis=1)
         if negative.any():
             raise BoundsError(f"negative id in triple {tuple(rows[negative][0].tolist())}")
@@ -397,49 +406,27 @@ def _parse_tsv_line(line: str, lineno: int) -> tuple[str, str, str]:
     return h, r, t
 
 
-def _parse_nt_term(text: str, lineno: int) -> tuple[str, str]:
-    """Parse one N-Triples term; returns (name, remainder)."""
-    text = text.lstrip()
-    if text.startswith("<"):
-        end = text.find(">")
-        if end < 0:
-            raise ParseError("unterminated IRI", lineno)
-        return text[1:end], text[end + 1 :]
-    if text.startswith("_:"):
-        end = 2
-        while end < len(text) and not text[end].isspace():
-            end += 1
-        return text[:end], text[end:]
-    if text.startswith('"'):
-        end = 1
-        while end < len(text):
-            if text[end] == "\\":
-                end += 2
-                continue
-            if text[end] == '"':
-                break
-            end += 1
-        if end >= len(text):
-            raise ParseError("unterminated literal", lineno)
-        end += 1
-        # keep any datatype/language suffix as part of the node name
-        while end < len(text) and not text[end].isspace():
-            end += 1
-        return text[:end], text[end:]
-    raise ParseError(f"cannot parse term starting at {text[:20]!r}", lineno)
+# Groups: an IRI's inside, a blank node, a literal; DOTALL lets an escape take any character.
+_NT_TERM = re.compile(r'\s*(?:<([^>]*)>|(_:\S*)|("[^"\\]*(?:\\.[^"\\]*)*"\S*))', re.DOTALL)
+_NT_UNTERMINATED = {"<": "unterminated IRI", '"': "unterminated literal"}
 
 
 def _parse_ntriples_line(line: str, lineno: int) -> tuple[str, str, str]:
     body = line.strip()
     if not body.endswith("."):
         raise ParseError("statement must end with '.'", lineno)
-    body = body[:-1].rstrip()
-    s, rest = _parse_nt_term(body, lineno)
-    p, rest = _parse_nt_term(rest, lineno)
-    o, rest = _parse_nt_term(rest, lineno)
-    if rest.strip():
-        raise ParseError(f"trailing content {rest.strip()!r}", lineno)
-    return s, p, o
+    body, at, names = body[:-1].rstrip(), 0, []
+    for _ in range(3):
+        term = _NT_TERM.match(body, at)
+        if term is None:
+            rest = body[at:].lstrip()
+            message = f"cannot parse term starting at {rest[:20]!r}"
+            raise ParseError(_NT_UNTERMINATED.get(rest[:1], message), lineno)
+        names.append(term.group(term.lastindex))
+        at = term.end()
+    if body[at:].strip():
+        raise ParseError(f"trailing content {body[at:].strip()!r}", lineno)
+    return tuple(names)
 
 
 TRIPLE_FORMATS = {"tsv": _parse_tsv_line, "ntriples": _parse_ntriples_line}  # format -> line parser
@@ -450,7 +437,9 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
 
     TSV rows are ``head<TAB>relation<TAB>tail`` (UTF-8); lines starting with
     ``#`` and blank lines are skipped.  N-Triples statements are
-    ``subject predicate object .``; literal objects become ordinary nodes.
+    ``subject predicate object .``, each term an ``<IRI>`` (named without its
+    brackets), a ``_:`` blank node or a quoted literal with its escapes and
+    any ``^^<type>`` or ``@lang`` suffix; literal objects become ordinary nodes.
     Ids are assigned in first-seen order.  Duplicate triples are dropped, and
     their count is logged.
     """
@@ -619,6 +608,8 @@ class SplitSpec:
         """Shuffle ``ids`` and cut into train/valid/test by the given fractions."""
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise GraphError("split fractions must sum to 1")
+        if min(fractions) < 0:
+            raise GraphError(f"split fractions must not be negative, got {tuple(fractions)}")
         perm = [ids[j] for j in rng.permutation(len(ids))]
         n_train = round(fractions[0] * len(ids))
         n_valid = round(fractions[1] * len(ids))

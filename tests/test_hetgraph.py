@@ -1,10 +1,14 @@
 """Graph loading, indexing, augmentation, labels, and splits."""
 
+import importlib.resources
+import random
+
 import numpy as np
 import pytest
 
 from brgcn import hetgraph
 from brgcn.hetgraph import (
+    TRIPLE_FORMATS,
     BoundsError,
     EmptyGraphError,
     GraphError,
@@ -20,6 +24,7 @@ from brgcn.hetgraph import (
     restrict_relations,
 )
 from brgcn.training import TrainConfig, train_node_classifier
+from nt_oracle import parse_ntriples_line
 
 
 def _write(tmp_path, name, text):
@@ -96,6 +101,77 @@ class TestNTriplesLoading:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(GraphError):
             load_triples(_write(tmp_path, "g.x", "a\tr\tb\n"), format="xml")
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("<a b> <r> <c> .", ("a b", "r", "c")),
+            ("_:x <r> _:y.", ("_:x", "r", "_:y")),
+            ('<a> <r> "say \\"hi\\"" .', ("a", "r", '"say \\"hi\\""')),
+            ('<a> <r> "back\\\\" .', ("a", "r", '"back\\\\"')),
+            ('<a> <r> "8.1"^^<t> .', ("a", "r", '"8.1"^^<t>')),
+            ('<a> <r> "chat"@en .', ("a", "r", '"chat"@en')),
+            ("<a><r><b>.", ("a", "r", "b")),
+            ("<a> <r> <b>", "statement must end with '.'"),
+            ("<a> <r <b .", "unterminated IRI"),
+            ('<a> <r> "open\\" .', "unterminated literal"),
+            ("<a> r <b> .", "cannot parse term starting at 'r <b>'"),
+            ("<a> <r> <b> <c> .", "trailing content '<c>'"),
+        ],
+        ids=[
+            "iri_with_space",
+            "blank_node_before_dot",
+            "escaped_quotes",
+            "escaped_backslash_before_quote",
+            "datatype",
+            "language",
+            "no_whitespace",
+            "no_terminator",
+            "unterminated_iri",
+            "unterminated_literal",
+            "bare_word",
+            "trailing_content",
+        ],
+    )
+    def test_statement_table(self, line, expected):
+        parse = TRIPLE_FORMATS["ntriples"]
+        if isinstance(expected, tuple):
+            assert parse(line, 7) == expected
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(line, 7)
+            assert str(err.value) == f"line 7: {expected}" and err.value.line == 7
+
+    def test_fuzzed_lines_read_like_the_character_reader(self):
+        # Seeded random statements, each read by the compiled term pattern and
+        # by the character-by-character reader of tests/nt_oracle.py: IRIs with
+        # and without their '>', blank nodes, literals with escaped quotes,
+        # backslashes and newlines or a trailing backslash, datatype and
+        # language suffixes, and stray characters, with tabs and spaces
+        # between terms and a missing, bare or padded terminator.
+        terms = ["<a>", "<b c>", "<>", "_:b1", "_:", '"lit"', '"a\\"b"', '"a\\\\"', '"n\\\n"']
+        terms += ['"x"^^<t>', '"y"@en']
+        stray = ["<x", ">", "_", '"tail\\', '"', "\\", "w", "@", "^^", ".", "#"]
+        rng = random.Random(25)
+
+        def outcome(parse, line):
+            try:
+                return parse(line, 3)
+            except ParseError as err:
+                return str(err), err.line
+
+        for _ in range(50_000):
+            count = rng.choice([1, 2, 3, 3, 3, 4])
+            words = [rng.choice(stray if rng.random() < 0.15 else terms) for _ in range(count)]
+            line = "".join(word + rng.choice(["", " ", " ", "\t", "  "]) for word in words)
+            line = rng.choice(["", " "]) + line + rng.choice(["", ".", " .", ". ", "\t.\t"])
+            assert outcome(TRIPLE_FORMATS["ntriples"], line) == outcome(parse_ntriples_line, line), line
+
+    def test_toy_graph_loads_equal_from_ntriples_and_tsv(self, tmp_path):
+        tsv = importlib.resources.files("brgcn.data") / "toy_nc_triples.tsv"
+        rows = [line.split("\t") for line in tsv.read_text(encoding="utf-8").splitlines()]
+        nt = _write(tmp_path, "toy.nt", "".join(f"<{h}> <{r}> <{t}> .\n" for h, r, t in rows))
+        assert load_triples(nt, format="ntriples") == load_triples(tsv)
 
 
 class TestNeighbors:
@@ -320,6 +396,21 @@ class TestIndexInvariants:
                 )
                 assert g.relations_of(i) == expected
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ({"relation_names": ["r", "s", "r"], "node_names": ["a", "b"]}, "repeated relation name 'r'"),
+            ({"relation_names": ["r", "s", "t"], "node_names": ["b", "a", "a", "b"]}, "repeated node name 'b'"),
+        ],
+        ids=["relation", "node"],
+    )
+    def test_repeated_names_are_refused(self, names, message):
+        # With a repeated name, node_id and relation_id would resolve to its
+        # last position, and the first could not be named.
+        with pytest.raises(GraphError) as err:
+            HeteroGraph.from_triples([(0, 0, 1), (1, 1, 0)], num_nodes=len(names["node_names"]), **names)
+        assert str(err.value) == message
+
     def test_out_of_range_triple_rejected(self):
         with pytest.raises(BoundsError):
             HeteroGraph.from_triples([(0, 0, 5)], num_nodes=2)
@@ -378,6 +469,14 @@ class TestLabelsAndSplits:
         split = SplitSpec.random(list(range(10)), (0.6, 0.2, 0.2), rng)
         split.validate(range(10))
         assert len(split.train) == 6
+
+    @pytest.mark.parametrize("fractions", [(0.5, 0.7, -0.2), (-0.1, 0.6, 0.5), (1.2, -0.2, 0.0)])
+    def test_random_split_refuses_negative_fractions(self, fractions):
+        # The cuts are rounded prefixes of one permutation, so a negative
+        # fraction would shrink another part: unchecked, (0.5, 0.7, -0.2) over
+        # 10 ids cuts 5 train, 5 valid and 0 test ids.
+        with pytest.raises(GraphError, match="must not be negative"):
+            SplitSpec.random(list(range(10)), fractions, np.random.default_rng(0))
 
     def test_node_and_triple_split_files(self, tmp_path):
         g = load_triples(_write(tmp_path, "g.tsv", "a\tr\tb\nb\tr\tc\na\ts\tc\n"))
