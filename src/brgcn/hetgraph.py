@@ -235,10 +235,6 @@ class GraphIndex:
         a, b = lo + np.searchsorted(self.heads[lo:hi], (i, i + 1))
         return slice(a, b)
 
-    def relations_of(self, i: int) -> tuple[int, ...]:
-        """Node i's relation ids, ascending."""
-        return tuple(self.group_rel[self.node_first[i] :][: self.node_count[i]].tolist())
-
 
 @dataclass(eq=False, repr=False)
 class HeteroGraph:
@@ -331,11 +327,6 @@ class HeteroGraph:
         self.check_node(i)
         self.check_relation(r)
         return tuple(self.index.tails[self.index.edges_of(i, r)].tolist())
-
-    def relations_of(self, i: int) -> tuple[int, ...]:
-        """Sorted relation ids with at least one outgoing edge at node ``i``."""
-        self.check_node(i)
-        return self.index.relations_of(i)
 
     @cached_property
     def _node_ids(self) -> dict[str, int]:
@@ -595,11 +586,10 @@ class SplitSpec:
     test: tuple[int, ...] = ()
 
     def validate(self, universe: Iterable[int]) -> None:
-        parts = [set(self.train), set(self.valid), set(self.test)]
-        total = sum(len(p) for p in parts)
-        union = parts[0] | parts[1] | parts[2]
-        if total != len(union):
-            raise GraphError("split partitions overlap")
+        """Refuse a split whose parts overlap, repeat an item or miss part of ``universe``."""
+        union = set(self.train) | set(self.valid) | set(self.test)
+        if len(self.train) + len(self.valid) + len(self.test) != len(union):
+            raise GraphError("split partitions overlap or repeat an item")
         if union != set(universe):
             raise GraphError("split union does not cover the full labeled/triple set")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import logging
 import os
 from dataclasses import dataclass, field, fields
@@ -177,23 +178,27 @@ def negative_sample(
 ) -> list[tuple[int, int, int]]:
     """Draw ``omega`` corrupted triples for one observed positive.
 
-    Each draw replaces the head or the tail (equal probability) with a
-    uniformly random entity of ``graph``; draws that reproduce one of its
-    triples (``graph.triple_set``) are rejected and resampled (filtered
-    negatives).  Raises :class:`SamplingExhaustedError` when
-    NEGATIVE_MAX_RETRIES consecutive draws for one negative all land on
-    the graph's triples.
+    Each candidate comes from one double ``u = rng.random()``: with
+    ``k = floor(u * 2N)`` over the N entities of ``graph``, ``k < N``
+    replaces the head with entity k and ``k >= N`` the tail with entity
+    ``k - N``, so the head or the tail is corrupted with equal probability
+    and to a uniform entity (u < 1 keeps k below 2N for N < 2**53).
+    Candidates that reproduce one of the graph's triples
+    (``graph.triple_set``) are rejected and redrawn (filtered negatives).
+    Raises :class:`SamplingExhaustedError` when NEGATIVE_MAX_RETRIES
+    consecutive draws for one negative all land on the graph's triples.
     """
-    if graph.num_nodes == 0:
+    n = graph.num_nodes
+    if n == 0:
         raise SamplingExhaustedError("cannot sample negatives from an empty graph")
     known = graph.triple_set
     h, r, t = positive
+    cells = 2 * n
     out = []
     for _ in range(omega):
         for attempt in range(NEGATIVE_MAX_RETRIES):
-            corrupt_head = rng.random() < 0.5
-            entity = int(rng.integers(graph.num_nodes))
-            cand = (entity, r, t) if corrupt_head else (h, r, entity)
+            k = int(rng.random() * cells)
+            cand = (k, r, t) if k < n else (h, r, k - n)
             if cand not in known:
                 out.append(cand)
                 break
@@ -637,10 +642,12 @@ def train_link_predictor(
 
     Message passing and negative filtering use only the training edges;
     scores for valid/test triples never leak into the encoder input.  Each
-    epoch draws ``omega`` fresh corruptions per positive.  The metrics
-    ``train_acc`` column reports the fraction of batch triples whose score
-    sign matches their label; the validation column is left empty, so a
-    positive ``early_stop_patience`` is refused.
+    epoch calls :func:`negative_sample` once per training positive for
+    ``omega`` fresh corruptions, each candidate drawn from one
+    ``rng.random()`` double, and packs them into the (n, 3) batch with
+    ``np.fromiter``.  The metrics ``train_acc`` column reports the fraction
+    of batch triples whose score sign matches their label; the validation
+    column is left empty, so a positive ``early_stop_patience`` is refused.
     """
     cfg.validate()
     if cfg.early_stop_patience:
@@ -662,8 +669,9 @@ def train_link_predictor(
 
     def loss_fn(epoch: int) -> Tensor:
         emb = model.embeddings(g_enc, rng=rng)
-        negatives = [n for pos in train_triples for n in negative_sample(pos, g_train, rng, omega=cfg.omega)]
-        batch = np.concatenate([train, np.array(negatives, dtype=np.int64).reshape(-1, 3)])  # (n, 3) ids
+        drawn = (n for pos in train_triples for n in negative_sample(pos, g_train, rng, omega=cfg.omega))
+        negatives = np.fromiter(itertools.chain.from_iterable(drawn), dtype=np.int64).reshape(-1, 3)
+        batch = np.concatenate([train, negatives])  # (n, 3) ids
         y = np.arange(len(batch)) < len(train)
         scores = dec.score_triples(model.decoder, emb, batch)
         last_batch_acc[0] = 100.0 * int(np.count_nonzero((scores.data > 0) == y)) / len(y)

@@ -4,7 +4,8 @@
 fully determined by the neighbors under relation 0 (two class-specific hub
 pairs), while relations 1 and 2 connect to shared distractor nodes and
 carry no class signal.  ``memorization_kg`` builds a small random KG for
-link-prediction training checks.
+link-prediction training checks.  ``relations_of`` reads a node's relation
+ids off the graph's index.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ import numpy as np
 from brgcn import hetgraph as hg
 
 SIGNAL_RELATION = 0
+
+
+def relations_of(graph: hg.HeteroGraph, i: int) -> tuple[int, ...]:
+    """Node ``i``'s relation ids with at least one outgoing edge, ascending: its groups in ``graph.index``."""
+    idx = graph.index
+    first = idx.node_first[i]
+    return tuple(idx.group_rel[first : first + idx.node_count[i]].tolist())
 
 
 def planted_graph(

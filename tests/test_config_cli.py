@@ -662,6 +662,16 @@ class TestRefusedRunsWriteNothing:
         assert "no_such_node" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_train_nc_with_a_repeated_test_node(self, toy_config, tmp_path, capsys):
+        # A node listed twice would count twice in the test accuracy.
+        data = importlib.resources.files("brgcn.data")
+        lines = (data / "toy_nc_test.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "test.txt").write_text("".join(lines + lines[:1]), encoding="utf-8")
+        args = ["--set", f"test_nodes_path={tmp_path / 'test.txt'}"]
+        assert main(["train-nc", "--config", str(toy_config), *args]) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("variant", ["node_only", "rgcn_baseline"])
     def test_ablate_with_a_variant_without_psi(self, toy_config, tmp_path, capsys, monkeypatch, variant):
         def train(*args, **kwargs):

@@ -25,6 +25,7 @@ from brgcn.hetgraph import (
 )
 from brgcn.training import TrainConfig, train_node_classifier
 from nt_oracle import parse_ntriples_line
+from synth import relations_of
 
 
 def _write(tmp_path, name, text):
@@ -207,7 +208,7 @@ class TestAugment:
         aug = augment(g, add_self_loop=True)
         assert aug.num_triples == 5
         for i in range(5):
-            assert aug.relations_of(i) == (aug.relation_id("SELF"),)
+            assert relations_of(aug, i) == (aug.relation_id("SELF"),)
 
     @pytest.mark.parametrize(
         "flags, clash",
@@ -271,7 +272,7 @@ class TestIndexInvariants:
             for i in range(n):
                 for r in range(num_rel):
                     assert g.neighbors(i, r) == tuple(sorted(b for a, s, b in unique if (a, s) == (i, r)))
-                assert g.relations_of(i) == tuple(sorted({s for a, s, _ in unique if a == i}))
+                assert relations_of(g, i) == tuple(sorted({s for a, s, _ in unique if a == i}))
             rebuilt = HeteroGraph.from_triples(
                 g.triples, num_nodes=g.num_nodes, relation_names=g.relation_names
             )
@@ -394,7 +395,7 @@ class TestIndexInvariants:
                 expected = tuple(
                     r for r in range(g.num_relations) if g.neighbors(i, r)
                 )
-                assert g.relations_of(i) == expected
+                assert relations_of(g, i) == expected
 
     @pytest.mark.parametrize(
         "names, message",
@@ -463,6 +464,8 @@ class TestLabelsAndSplits:
             SplitSpec((0, 1), (1,), (3,)).validate(range(4))  # overlap
         with pytest.raises(GraphError):
             SplitSpec((0,), (), (1,)).validate(range(3))  # union too small
+        with pytest.raises(GraphError, match="repeat"):
+            SplitSpec((1, 1, 2), (), (3,)).validate([1, 2, 3])  # one part repeats an item
 
     def test_random_split(self):
         rng = np.random.default_rng(0)

@@ -29,7 +29,7 @@ from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
 from layer_weights import layer_with_weights
 from pair_oracle import attention_chain
-from synth import planted_graph
+from synth import planted_graph, relations_of
 
 
 def _params_from_instance(inst, slope=0.2, variant="full"):
@@ -327,7 +327,7 @@ class TestStackForward:
         p = BrgcnLayerParams.create(rng, 4, 4, 2)
         h = Tensor(np.eye(4))
         for i in range(4):
-            for r in g.relations_of(i):
+            for r in relations_of(g, i):
                 _, z = _gamma_and_z(p, h, g, i, r)
                 assert z.min() >= 0.0
                 assert z.sum() == pytest.approx(1.0, abs=1e-12)
@@ -378,7 +378,7 @@ class TestVariants:
         out, _ = layer_forward(p, Tensor(inst["h"]), g)
         expected = np.zeros((inst["n"], inst["d_out"]))
         for i in range(inst["n"]):
-            rels = g.relations_of(i)
+            rels = relations_of(g, i)
             if not rels:
                 continue
             acc = inst["w_self"] @ inst["h"][i]
@@ -723,7 +723,7 @@ class TestFlatTrace:
         for (i, r), gamma in trace.gamma.items():
             assert gamma.shape == (len(g.neighbors(i, r)),)
             np.testing.assert_allclose(gamma, gammas[(i, r)], atol=1e-12)
-        nodes = [i for i in range(n) if g.relations_of(i)]
+        nodes = [i for i in range(n) if relations_of(g, i)]
         assert list(trace.psi) == list(trace.rel_order) == list(psis) == nodes
         assert len(trace.psi) == len(trace.rel_order) == len(nodes)
         for i, psi in trace.psi.items():

@@ -45,9 +45,8 @@ def _filtered_draws(positives, num_nodes, known, rng, omega):
     for h, r, t in positives:
         for _ in range(omega):
             while True:
-                corrupt_head = rng.random() < 0.5
-                entity = int(rng.integers(num_nodes))
-                cand = (entity, r, t) if corrupt_head else (h, r, entity)
+                k = math.floor(rng.random() * 2 * num_nodes)  # cells 0..N-1 corrupt the head, N..2N-1 the tail
+                cand = (k, r, t) if k < num_nodes else (h, r, k - num_nodes)
                 if cand not in known:
                     out.append(cand)
                     break
@@ -210,6 +209,49 @@ class TestNegativeSampling:
             heads += h != 1
         sigma = math.sqrt(n * 0.25)
         assert abs(heads - n / 2) <= 3 * sigma
+
+    def test_each_cell_of_one_positive_within_5_sigma(self):
+        # 7 nodes give 14 (end, entity) cells; the positive fills a head and
+        # a tail cell, and (3, 0, 2) and (1, 0, 5) one more of each.
+        n = 7
+        g = hg.HeteroGraph.from_triples([(i, 0, (i + 1) % n) for i in range(n)] + [(3, 0, 2), (1, 0, 5)])
+        counts = {}
+        for neg in negative_sample((1, 0, 2), g, np.random.default_rng(4), omega=14_000):
+            cell = ("head", neg[0]) if neg[0] != 1 else ("tail", neg[2])
+            counts[cell] = counts.get(cell, 0) + 1
+        free = [(end, e) for end in ("head", "tail") for e in range(n)
+                if ((e, 0, 2) if end == "head" else (1, 0, e)) not in g.triple_set]
+        assert len(free) == 10 and set(counts) <= set(free)
+        p = 1 / len(free)
+        sigma = math.sqrt(14_000 * p * (1 - p))
+        for cell in free:
+            assert abs(counts.get(cell, 0) - 14_000 * p) <= 5 * sigma, cell
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 500, 14541])
+    def test_the_lowest_uniform_corrupts_the_first_head_and_the_highest_the_last_tail(self, n):
+        class Uniforms:  # a generator stub that returns the given doubles in turn
+            def __init__(self, *values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        g = hg.HeteroGraph.from_triples(np.zeros((0, 3), dtype=np.int64), num_nodes=n)
+        positive = (n - 1, 0, 0)
+        assert negative_sample(positive, g, Uniforms(0.0)) == [(0, 0, 0)]
+        assert negative_sample(positive, g, Uniforms(np.nextafter(1.0, 0.0))) == [(n - 1, 0, n - 1)]
+
+    def test_an_unrejected_negative_consumes_one_double(self):
+        g = hg.HeteroGraph.from_triples(np.zeros((0, 3), dtype=np.int64), num_nodes=5)
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        assert len(negative_sample((0, 0, 1), g, rng)) == 1
+        replay.random()
+        assert rng.bit_generator.state == replay.bit_generator.state
+        # so omega unrejected negatives are the cells of one bulk draw of omega doubles
+        negs = negative_sample((0, 0, 1), g, rng, omega=6)
+        cells = (replay.random(6) * 10).astype(int).tolist()
+        assert negs == [(k, 0, 1) if k < 5 else (0, 0, k - 5) for k in cells]
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_fixed_seed_reproduces_samples(self):
         g = self._graph()
