@@ -145,9 +145,11 @@ def record_op(
     ``requires_grad`` flag mirrors that condition.
     """
     # NaN/Inf in any entry makes the sum non-finite; the elementwise check
-    # only reruns to rule out overflow of the sum itself.
-    if not np.isfinite(out_data.sum()) and not np.isfinite(out_data).all():
-        raise NumericError(f"non-finite values produced by op '{op}'")
+    # only reruns to rule out overflow of the sum itself.  The sum of finite
+    # entries may overflow, and inf + -inf is NaN: neither may warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(out_data.sum()) and not np.isfinite(out_data).all():
+            raise NumericError(f"non-finite values produced by op '{op}'")
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)

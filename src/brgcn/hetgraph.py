@@ -400,6 +400,7 @@ def _parse_tsv_line(line: str, lineno: int) -> tuple[str, str, str]:
 # Groups: an IRI's inside, a blank node, a literal; DOTALL lets an escape take any character.
 _NT_TERM = re.compile(r'\s*(?:<([^>]*)>|(_:\S*)|("[^"\\]*(?:\\.[^"\\]*)*"\S*))', re.DOTALL)
 _NT_UNTERMINATED = {"<": "unterminated IRI", '"': "unterminated literal"}
+_NT_NOT_IRI = ('"', "_:")  # an IRI's name may not start as a literal's or a blank node's does
 
 
 def _parse_ntriples_line(line: str, lineno: int) -> tuple[str, str, str]:
@@ -414,6 +415,8 @@ def _parse_ntriples_line(line: str, lineno: int) -> tuple[str, str, str]:
             message = f"cannot parse term starting at {rest[:20]!r}"
             raise ParseError(_NT_UNTERMINATED.get(rest[:1], message), lineno)
         names.append(term.group(term.lastindex))
+        if term.lastindex == 1 and names[-1].startswith(_NT_NOT_IRI):
+            raise ParseError(f"IRI <{names[-1]}> would alias a literal or blank node", lineno)
         at = term.end()
     if body[at:].strip():
         raise ParseError(f"trailing content {body[at:].strip()!r}", lineno)
@@ -431,6 +434,8 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     ``subject predicate object .``, each term an ``<IRI>`` (named without its
     brackets), a ``_:`` blank node or a quoted literal with its escapes and
     any ``^^<type>`` or ``@lang`` suffix; literal objects become ordinary nodes.
+    An IRI named like a literal or blank node (``<"x">``, ``<_:b>``) is
+    refused with ``ParseError``, as it would be that node.
     Ids are assigned in first-seen order.  Duplicate triples are dropped, and
     their count is logged.
     """

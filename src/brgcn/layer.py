@@ -37,29 +37,25 @@ batched matmul gives the logits, a row softmax gives psi and one batched
 matmul the psi-weighted values.  The tape's length depends on the number of
 layers only.
 
-Cost model: every role projects all N*R (node, relation) slots and gathers
-d_out-wide rows per edge.  Every scatter (the segment softmax over each
-group's edges, the gathers into groups or heads and their gradients into
-the tail slots, the sum of each node's groups) and every gradient of a
-gather by a graph-constant index (the head- and tail-slot attention logits,
-the self rows of each group) runs on a ``dn.Segments`` schedule that
-``graph.index`` builds once per graph and keeps: its index is range-checked
-once, and its sums are a few vectorized passes, one per rank of a segment's
-entries, bit-equal to one bincount.  Each role's weights are
-stored as one (d_in, R*d_out) array in slot layout, so a dense layer
-projects a role with one matmul and nothing is restacked per forward.  With
-identity (one-hot) input the slot matrix is the parameter itself, dropout
-draws one mask entry per node and no N x N array is built.  Under basis
-decomposition every forward multiplies out an (R, B, d_out, d_in) product
-and transposes it, per role.  The relation stage does d_out work per
-same-node pair and loops once per distinct |R_i|, its row maxima m - 1
-column passes; only psi and the transients of one run's logits, one float
-per pair, grow with the pairs, and no pairs x d_out array is built.  So a
-step is linear in edges plus slots plus pairs.  A step frees its
+Cost model: every row an edge gathers comes from one helper, ``_slot_rows``:
+the row of each (node, relation) slot under a slot-layout weight (d_in,
+R*width), relation r's columns at r*width, for each role's d_out-wide rows
+and the one-float rows of a_r's two halves.  One matmul projects all N*R
+slots (with one-hot input the weight is the rows), and a ``dn.Segments``
+schedule takes each edge to its head or tail slot.  Every scatter and every
+gradient of a gather by a graph-constant index runs on such a schedule,
+which ``graph.index`` builds and range-checks once per graph; its sums are a
+few vectorized passes, one per rank of a segment's entries, bit-equal to one
+bincount.  Nothing is restacked per forward, and one-hot dropout draws one
+mask entry per node, so no N x N array is built.  Under bases, every forward
+multiplies out each role's (R, B, d_out, d_in) product into its slot weight,
+which the per-relation views read too.  The relation stage does d_out work
+per same-node pair and loops once per distinct |R_i|, its row maxima m - 1
+column passes; only psi and one run's logits grow with the pairs.  So a step
+is linear in edges plus slots plus pairs, and a dense layer whose nodes
+carry few of many relations pays for its empty slots.  A step frees its
 transients when it ends; ``training.optimize`` keeps glibc from trimming
-them, so the next step reuses that heap instead of faulting it back in.
-A dense layer on a graph whose nodes carry few of many relations pays for
-its empty slots.
+them, so the next step reuses that heap.
 """
 
 from __future__ import annotations
@@ -82,25 +78,26 @@ class ConfigurationError(Exception):
 
 
 VARIANTS = ("full", "node_only", "relation_only", "rgcn_baseline")
+GAMMA_VARIANTS = ("full", "node_only")  # the variants that learn gamma
 PSI_VARIANTS = ("full", "relation_only")  # the variants that fuse through psi
 
 
 class BrgcnLayerParams:
-    """All learnable state of one layer, one parameter array per group.
+    """All learnable state of one layer, one parameter array per group, and its slot layout.
 
     ``attention`` (``<prefix>.a``, 2*d_in x R): column r is a_r.  ``roles``
     maps the query, key and value roles to ``<prefix>.w_<role>`` (d_in x
-    R*d_out) in slot layout: columns r*d_out:(r+1)*d_out hold W_role_r^T, so
-    one matmul projects every (node, relation) slot, and with one-hot input
-    the array is the slot matrix itself.  ``w_self`` (d_out x d_in) is
-    shared; the fused values are added to W_self h_i, so they too have d_out
-    entries.
+    R*d_out) in slot layout: columns r*d_out:(r+1)*d_out hold W_role_r^T.
+    With ``num_bases > 0``, it is the (R, B) ``<prefix>.coeff_<role>`` over
+    the shared ``basis`` (B x d_out x d_in): W_role_r = sum_b coeff[r, b] *
+    basis[b].  a and ``w_self`` (d_out x d_in, shared) are never decomposed.
 
-    With ``num_bases > 0``, ``roles[role]`` is the (R, B) coefficient matrix
-    ``<prefix>.coeff_<role>`` over the shared ``basis`` (B x d_out x d_in):
-    W_role_r = sum_b coeff[r, b] * basis[b].  a and w_self are never
-    decomposed.  The read-only ``a``, ``w_query``, ``w_key`` and ``w_value``
-    list R detached per-relation Tensors (a_r; W_role_r as d_out x d_in).
+    The class owns the slot layout both ways: ``stacked`` turns R
+    per-relation arrays into a stored group, and ``_slot_weight`` gives the
+    taped slot weight every forward projects.  The read-only ``a``,
+    ``w_query``, ``w_key`` and ``w_value`` list R detached per-relation
+    Tensors (a_r; W_role_r as d_out x d_in), the roles' reshaped from
+    ``_slot_weight`` on detached inputs: reading them records nothing.
 
     ``variant``, checked here and read-only after, is the cell of the
     module docstring's grid that every forward runs: ``rgcn_baseline`` is
@@ -206,12 +203,17 @@ class BrgcnLayerParams:
     def a(self) -> list[Tensor]:
         return [Tensor(col) for col in self.attention.data.T.copy()]
 
+    def _slot_weight(self, role: str, detached: bool = False) -> Tensor:
+        """``role``'s (d_in, R*d_out) slot weight, multiplied out under bases; taped unless ``detached``."""
+        w, basis = (t if t is None or not detached else Tensor(t.data) for t in (self.roles[role], self.basis))
+        if self.num_bases:  # w holds the (R, B) coefficients; mats is (R, d_out, d_in)
+            mats = dn.tsum(dn.mul(basis, dn.reshape(w, (self.num_relations, self.num_bases, 1, 1))), axis=1)
+            w = dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
+        return w
+
     def _per_relation(self, role: str) -> list[Tensor]:
-        w = self.roles[role].data
-        if self.num_bases:  # summed as the forward pass sums them
-            return [Tensor(m) for m in (self.basis.data * w[:, :, None, None]).sum(axis=1)]
-        mats = w.reshape(self.d_in, self.num_relations, self.d_out).transpose(1, 2, 0)
-        return [Tensor(m) for m in mats.copy()]
+        w = self._slot_weight(role, detached=True).data.reshape(self.d_in, self.num_relations, self.d_out)
+        return [Tensor(m) for m in w.transpose(1, 2, 0).copy()]
 
     w_query, w_key, w_value = (property(lambda self, r=role: self._per_relation(r)) for role in ROLES)
 
@@ -283,6 +285,23 @@ class AttentionTrace:
         return MappingProxyType(out)
 
 
+def _project(h: Tensor | None, feature_mask: Tensor | None, w: Tensor) -> Tensor:
+    """h @ w; one-hot h (None) reads w's rows, each scaled by its node's dropout mask entry."""
+    return (w if feature_mask is None else dn.mul(w, feature_mask)) if h is None else dn.matmul(h, w)
+
+
+def _slot_rows(params: BrgcnLayerParams, h: Tensor | None, feature_mask: Tensor | None, idx: GraphIndex,
+               w: Tensor, *, row: tuple = (), head: bool = False) -> tuple[Tensor, dn.Segments]:
+    """The row of h @ w at every (node, relation) slot, and the Segments of each edge's slot row.
+
+    ``w`` is (d_in, R*width) in slot layout, and the rows are (N*R, *row):
+    ``row`` is (width,), or () for a width-1 weight read as one float per
+    slot.  An edge reads its tail's slot row, or with ``head`` its head's.
+    """
+    slots = idx.edges_by_head_slot if head else idx.edges_by_tail_slot
+    return dn.reshape(_project(h, feature_mask, w), (idx.num_nodes * params.num_relations, *row)), slots
+
+
 def layer_forward(
     params: BrgcnLayerParams,
     h: Tensor | None,
@@ -312,53 +331,34 @@ def layer_forward(
     if graph.num_relations != num_rel:
         raise ConfigurationError(f"layer sized for {num_rel} relations, graph has {graph.num_relations}")
 
-    use_dropout = rng is not None and params.dropout > 0.0
-    keep = 1.0 - params.dropout
+    def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry, None without
+        keep = 1.0 - params.dropout
+        return Tensor((rng.random(shape) < keep) / keep) if rng is not None and params.dropout > 0.0 else None
 
-    def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry
-        return Tensor((rng.random(shape) < keep) / keep) if use_dropout else None
-
-    def scaled(x: Tensor, m: Tensor | None) -> Tensor:
-        return x if m is None else dn.mul(x, m)
-
-    # One-hot input drops whole nodes: node j's one mask entry scales its weight rows.
-    feature_mask = mask((n, 1) if h is None else h.shape)
-    if h is not None:
-        h = scaled(h, feature_mask)
-
-    def project(w: Tensor) -> Tensor:  # h @ w
-        return scaled(w, feature_mask) if h is None else dn.matmul(h, w)
+    feature_mask = mask((n, 1) if h is None else h.shape)  # one-hot input: one entry per node
+    if h is not None and feature_mask is not None:
+        h = dn.mul(h, feature_mask)
 
     idx = graph.index
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
-    # Row of each edge's tail in an (N*R, .) array of (node, relation) slots.
-    tail_slot = idx.edges_by_tail_slot
 
     # Node-level attention: one segment softmax over the edges of every group.
-    if params.variant in ("relation_only", "rgcn_baseline"):  # no node-level attention
-        gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
-    else:
-        s_head = project(dn.take(params.attention, np.arange(d_in)))  # (N, R)
-        s_tail = project(dn.take(params.attention, np.arange(d_in, 2 * d_in)))
-        logits = dn.add(
-            dn.take(dn.reshape(s_head, (n * num_rel,)), idx.edges_by_head_slot),
-            dn.take(dn.reshape(s_tail, (n * num_rel,)), tail_slot),
-        )
+    if params.variant in GAMMA_VARIANTS:  # a_r's halves are width-1 slot weights, read at head and tail
+        a_head, a_tail = (dn.take(params.attention, np.arange(lo, lo + d_in)) for lo in (0, d_in))
+        logits = dn.add(dn.take(*_slot_rows(params, h, feature_mask, idx, a_head, head=True)),
+                        dn.take(*_slot_rows(params, h, feature_mask, idx, a_tail)))
         gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
-        weights = scaled(gamma, mask(gamma.shape))
+        edge_mask = mask(gamma.shape)
+        weights = gamma if edge_mask is None else dn.mul(gamma, edge_mask)
+    else:
+        gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
 
-    def messages(role: str, dst: dn.Segments) -> Tensor:
-        # sum_j gamma_ij W_r h_j: every (node, relation) slot projected, then gathered.
-        w = params.roles[role]  # (d_in, R*d_out) in slot layout, or (R, B) coefficients
-        if params.num_bases:
-            coeff = dn.reshape(w, (num_rel, params.num_bases, 1, 1))
-            mats = dn.tsum(dn.mul(params.basis, coeff), axis=1)  # (R, d_out, d_in)
-            w = dn.transpose(dn.reshape(mats, (num_rel * params.d_out, params.d_in)))
-        rows = dn.reshape(project(w), (n * num_rel, params.d_out))  # project(w): (N, R*d_out)
-        return dn.gather_sum(weights, rows, tail_slot, dst)
+    def messages(role: str, dst: dn.Segments) -> Tensor:  # sum_j gamma_ij W_r h_j
+        rows, slots = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
+        return dn.gather_sum(weights, rows, slots, dst)
 
-    self_rows = project(dn.transpose(params.w_self))  # (N, d_out)
+    self_rows = _project(h, feature_mask, dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if params.variant in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.

@@ -31,7 +31,7 @@ LOG_CLAMP = 1e-12
 
 
 class TrainingAbort(Exception):
-    """Training hit a non-finite loss; message carries epoch and culprit."""
+    """Training hit a non-finite loss or value; message carries epoch and culprit."""
 
 
 class SamplingExhaustedError(Exception):
@@ -58,6 +58,12 @@ def one_of(choices: tuple) -> dict:
 
 POSITIVE = rule(lambda v: v > 0, "must be positive")
 NON_NEGATIVE = rule(lambda v: v >= 0, "must be non-negative")
+FINITE = rule(np.isfinite, "must be finite")
+
+
+def finite(then: dict) -> dict:
+    """``FINITE``, then for a finite value the check ``then``."""
+    return check(lambda v: FINITE["check"](v) or then["check"](v))
 
 
 def problems(cfg) -> Iterator[str]:
@@ -78,13 +84,13 @@ class Hyperparameters:
 
     task: str = field(default="node_classification", metadata=one_of(TASKS))
     variant: str = field(default="full", metadata=one_of(VARIANTS))
-    lr: float = field(default=0.05, metadata=POSITIVE)
-    l2_penalty: float = field(default=0.0, metadata=NON_NEGATIVE)
+    lr: float = field(default=0.05, metadata=finite(POSITIVE))
+    l2_penalty: float = field(default=0.0, metadata=finite(NON_NEGATIVE))
     epochs: int = field(default=85, metadata=POSITIVE)
     hidden_units: int = field(default=16, metadata=POSITIVE)
     num_bases: int = field(default=0, metadata=NON_NEGATIVE)
     dropout: float = field(default=0.4, metadata=rule(lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"))
-    leaky_slope: float = 0.2
+    leaky_slope: float = field(default=0.2, metadata=FINITE)
     omega: int = field(default=1, metadata=rule(lambda v: v >= 1, "must be at least 1"))
     num_layers: int = field(default=2, metadata=POSITIVE)
     encoder_layers: int = field(default=1, metadata=POSITIVE)
@@ -235,25 +241,28 @@ class Adam:
 
         Bit-equal to m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
         p = p - (lr*m_hat) / (sqrt(v_hat) + eps): the same operations in the same order.
+        An update that overflows leaves non-finite entries without a warning;
+        the next op that reads the parameter traps them.
         """
         self.t += 1
         c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            part = np.multiply(g, 1 - ADAM_BETA1)
-            m *= ADAM_BETA1
-            m += part
-            np.multiply(g, 1 - ADAM_BETA2, out=part)
-            part *= g
-            v *= ADAM_BETA2
-            v += part
-            den = np.divide(v, c2)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            np.divide(m, c1, out=part)
-            part *= self.lr
-            part /= den
-            p.data -= part
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, m, v in zip(self.params, self.m, self.v):
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                part = np.multiply(g, 1 - ADAM_BETA1)
+                m *= ADAM_BETA1
+                m += part
+                np.multiply(g, 1 - ADAM_BETA2, out=part)
+                part *= g
+                v *= ADAM_BETA2
+                v += part
+                den = np.divide(v, c2)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                np.divide(m, c1, out=part)
+                part *= self.lr
+                part /= den
+                p.data -= part
 
 
 # glibc's mallopt parameter M_TOP_PAD (malloc.h): how much free memory the top of the heap
@@ -302,8 +311,10 @@ def optimize(
     ``loss_fn(epoch)`` rebuilds the scalar loss; the l2 penalty (when
     configured) is added here as lambda * sum ||theta||^2 so it flows
     through the tape.  A non-finite loss aborts with the epoch number and
-    the first offending parameter.  ``on_epoch`` may return a truthy value
-    to stop training early (used for validation-based early stopping).
+    the first offending parameter, and so does a non-finite value in any op
+    of a step, its Adam update or ``on_epoch``, as a :class:`TrainingAbort`.
+    ``on_epoch`` may return a truthy value to stop training early (used for
+    validation-based early stopping).
     Each step's tape and loss are released once its gradients are in, before
     the Adam update and ``on_epoch`` run.  The epochs run in
     :func:`_kept_heap`, so each step reuses the heap the first one grew.
@@ -321,16 +332,19 @@ def optimize(
                         penalty = functools.reduce(dn.add, (dn.tsum(dn.mul(p, p)) for p in params))
                         loss = dn.add(loss, dn.mul(penalty, config.l2_penalty))
                     tape.backward(loss)
+                value = loss.item()
+                del tape, loss  # the step's activations, freed before Adam and on_epoch run
+                if not np.isfinite(value):
+                    raise TrainingAbort(f"epoch {epoch}: non-finite loss; {_culprit(params)}")
+                adam.step()
+                loss_curve.append(value)
+                stop = on_epoch is not None and on_epoch(epoch, value)
             except dn.NumericError as err:
                 raise TrainingAbort(f"epoch {epoch}: {err}; {_culprit(params)}") from err
-            value = loss.item()
-            del tape, loss  # the step's activations, freed before Adam and on_epoch run
-            if not np.isfinite(value):
-                raise TrainingAbort(f"epoch {epoch}: non-finite loss; {_culprit(params)}")
-            adam.step()
-            loss_curve.append(value)
-            if on_epoch is not None and on_epoch(epoch, value):
+            if stop:
                 break
+        if not all(np.isfinite(p.data).all() for p in params):  # the last update, which no op has read
+            raise TrainingAbort(f"epoch {epoch}: non-finite parameter after the update; {_culprit(params)}")
     return loss_curve
 
 

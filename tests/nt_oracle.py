@@ -3,7 +3,9 @@
 :func:`parse_ntriples_line` is the statement reader that ``hetgraph`` used
 before its one compiled term pattern: the fuzz test in
 ``tests/test_hetgraph.py`` compares the two line by line, result tuples and
-``ParseError`` texts alike.
+``ParseError`` texts alike.  One rule was added to both after the move: an
+IRI whose name starts with ``"`` or ``_:`` is refused, since a literal or a
+blank node keeps that prefix in its name and the two would be one node.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ def parse_nt_term(text: str, lineno: int) -> tuple[str, str]:
         end = text.find(">")
         if end < 0:
             raise ParseError("unterminated IRI", lineno)
+        if text[1:end].startswith(('"', "_:")):  # its name would be a literal's or a blank node's
+            raise ParseError(f"IRI {text[:end + 1]} would alias a literal or blank node", lineno)
         return text[1:end], text[end + 1 :]
     if text.startswith("_:"):
         end = 2

@@ -258,6 +258,13 @@ class TestCliNodeClassification:
         )
         assert code == 3
 
+    def test_overflowing_update_names_its_epoch_and_parameter(self, toy_config, tmp_path, capsys):
+        # Adam's first step at lr 1e308 overflows; the evaluation forward that reads it is trapped.
+        assert main(["train-nc", "--config", str(toy_config), "--set", "lr=1e308"]) == 3
+        err = capsys.readouterr().err
+        assert "epoch 0: non-finite values" in err and "offending parameter: layer0." in err
+        assert not (tmp_path / "out").exists()
+
     def test_ablate_writes_rows(self, toy_config, tmp_path):
         code = main(
             [
@@ -692,6 +699,13 @@ class TestRefusedRunsWriteNothing:
         cfg = _cfg_file(tmp_path, "".join(line for line in text if "_nodes_path" not in line))
         assert main(["ablate", "--config", str(cfg)]) == 2
         assert "no test nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", ["lr=inf", "l2_penalty=inf", "leaky_slope=nan", "leaky_slope=inf"])
+    def test_train_nc_with_a_non_finite_setting(self, toy_config, tmp_path, capsys, setting):
+        assert main(["train-nc", "--config", str(toy_config), "--set", setting]) == 2
+        key = setting.partition("=")[0]
+        assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["empty", "directory"])

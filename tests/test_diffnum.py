@@ -160,6 +160,16 @@ class TestForwardValues:
         with pytest.raises(NumericError, match="log"):
             dn.log(Tensor([-1.0]))
 
+    def test_finite_result_whose_sum_overflows_passes_without_a_warning(self):
+        # The finiteness check sums the entries first; 1e308 + 1e308 overflows that sum only.
+        out = dn.mul(Tensor([1e308, 1e308]), 1.0)
+        assert np.array_equal(out.data, [1e308, 1e308])
+
+    def test_opposite_infinities_raise_numeric_error_not_a_warning(self):
+        # [inf, -inf] sums to NaN, an invalid-value reduction, before the elementwise check.
+        with pytest.raises(NumericError, match="'add'"):
+            dn.add(Tensor([np.inf, 1.0]), Tensor([-1.0, -np.inf]))
+
 
 class TestBackwardSemantics:
     def test_fanout_accumulates(self):

@@ -118,6 +118,8 @@ class TestNTriplesLoading:
             ('<a> <r> "open\\" .', "unterminated literal"),
             ("<a> r <b> .", "cannot parse term starting at 'r <b>'"),
             ("<a> <r> <b> <c> .", "trailing content '<c>'"),
+            ('<a> <r> <"x"> .', 'IRI <"x"> would alias a literal or blank node'),
+            ("<_:b> <r> <a> .", "IRI <_:b> would alias a literal or blank node"),
         ],
         ids=[
             "iri_with_space",
@@ -132,6 +134,8 @@ class TestNTriplesLoading:
             "unterminated_literal",
             "bare_word",
             "trailing_content",
+            "iri_spelled_as_a_literal",
+            "iri_spelled_as_a_blank_node",
         ],
     )
     def test_statement_table(self, line, expected):
@@ -148,10 +152,11 @@ class TestNTriplesLoading:
         # by the character-by-character reader of tests/nt_oracle.py: IRIs with
         # and without their '>', blank nodes, literals with escaped quotes,
         # backslashes and newlines or a trailing backslash, datatype and
-        # language suffixes, and stray characters, with tabs and spaces
-        # between terms and a missing, bare or padded terminator.
+        # language suffixes, IRIs spelled like a literal or a blank node, and
+        # stray characters, with tabs and spaces between terms and a missing,
+        # bare or padded terminator.
         terms = ["<a>", "<b c>", "<>", "_:b1", "_:", '"lit"', '"a\\"b"', '"a\\\\"', '"n\\\n"']
-        terms += ['"x"^^<t>', '"y"@en']
+        terms += ['"x"^^<t>', '"y"@en', '<"x">', "<_:b>"]
         stray = ["<x", ">", "_", '"tail\\', '"', "\\", "w", "@", "^^", ".", "#"]
         rng = random.Random(25)
 

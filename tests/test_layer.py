@@ -21,6 +21,7 @@ from brgcn.layer import (
     VARIANTS,
     BrgcnLayerParams,
     ConfigurationError,
+    _slot_rows,
     layer_forward,
     stack_forward,
 )
@@ -875,6 +876,33 @@ class TestTapeLength:
         assert [r for r, _ in lengths] == [3, 9]
         assert lengths[0][1] == lengths[1][1]
 
+    @pytest.mark.parametrize(
+        "variant, records",
+        [
+            ("full", (55, 64, 85, 94)),
+            ("node_only", (41, 48, 51, 58)),
+            ("relation_only", (35, 40, 65, 70)),
+            ("rgcn_baseline", (21, 24, 31, 34)),
+        ],
+    )
+    def test_nc_step_records_per_variant_bases_and_dropout(self, variant, records):
+        # One 2-layer NC forward+backward with inverses and self loops, without
+        # bases and then with 2, each without and with dropout: the records of
+        # each variant's op sequence, pinned.
+        graph, labels = planted_graph()
+        g = augment(graph, add_inverse=True, add_self_loop=True)
+        lengths = []
+        for num_bases in (0, 2):
+            for dropout in (0.0, 0.4):
+                cfg = TrainConfig(hidden_units=8, dropout=dropout, num_bases=num_bases, variant=variant)
+                rng = np.random.default_rng(0)
+                model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
+                with dn.Tape() as tape:
+                    probs, _ = model.forward(g, rng=rng)
+                    tape.backward(nc_loss(probs, labels))
+                lengths.append(len(tape))
+        assert tuple(lengths) == records
+
     def test_relation_stage_records_one_entry_per_layer(self, monkeypatch):
         # A 2-layer full step records two fewer entries per layer with the
         # fused relation attention than with the three-op flat pair chain.
@@ -955,6 +983,29 @@ class TestLayerParamsConfig:
         ]
 
 
+class TestSlotRows:
+    """``_slot_rows``: the slot rows of h @ w, and the Segments taking each edge to its row."""
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    @pytest.mark.parametrize("head", [True, False])
+    @pytest.mark.parametrize("row", [(), (3,)])
+    def test_rows_are_h_times_w_by_slot_and_edges_read_their_slot(self, one_hot, head, row):
+        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True)
+        n, num_rel, idx = g.num_nodes, g.num_relations, g.index
+        rng = np.random.default_rng(12)
+        d_in = n if one_hot else 4
+        p = BrgcnLayerParams.create(rng, d_in, 3, num_rel)
+        x = rng.normal(size=(n, d_in))
+        mask = Tensor(rng.integers(0, 2, size=(n, 1)) / 0.5) if one_hot else None
+        w = Tensor(rng.normal(size=(d_in, num_rel * (row[0] if row else 1))))
+        rows, slots = _slot_rows(p, None if one_hot else Tensor(x), mask, idx, w, row=row, head=head)
+        want = w.data * mask.data if one_hot else x @ w.data
+        assert rows.shape == (n * num_rel, *row)
+        assert np.array_equal(rows.data, want.reshape(rows.shape))
+        assert np.array_equal(slots.ids, (idx.heads if head else idx.tails) * num_rel + idx.edge_rel)
+        assert slots is (idx.edges_by_head_slot if head else idx.edges_by_tail_slot)
+
+
 class TestStackedParameters:
     """One parameter array per group: the tensor count and the forward's ops do not grow with R."""
 
@@ -1023,6 +1074,14 @@ class TestStackedParameters:
         assert all(t.data.flags.c_contiguous for t in p.params())
 
     @pytest.mark.parametrize("num_bases", [0, 2])
+    def test_reading_the_views_in_a_tape_records_nothing(self, num_bases):
+        p = BrgcnLayerParams.create(np.random.default_rng(8), 3, 2, 4, num_bases=num_bases)
+        with dn.Tape() as tape:
+            views = [getattr(p, name) for name in ("a", "w_query", "w_key", "w_value")]
+        assert len(tape) == 0
+        assert all(not w.requires_grad for view in views for w in view)
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
     def test_per_relation_views_read_the_stacked_arrays(self, num_bases):
         num_rel, d_in, d_out = 5, 3, 2
         p = BrgcnLayerParams.create(np.random.default_rng(6), d_in, d_out, num_rel, num_bases=num_bases)
@@ -1032,16 +1091,17 @@ class TestStackedParameters:
         for role in p.ROLES:
             mats = getattr(p, f"w_{role}")
             assert len(mats) == num_rel and all(w.shape == (d_out, d_in) for w in mats)
+            slots = p._slot_weight(role).data  # the weight every forward projects
+            for r, w in enumerate(mats):
+                assert np.array_equal(w.data.T, slots[:, r * d_out : (r + 1) * d_out])
+            assert np.array_equal(p.stacked(f"w_{role}", [w.data for w in mats]), slots)
             if num_bases:
                 coeff = p.roles[role].data
                 for r, w in enumerate(mats):
                     manual = np.sum(coeff[r][:, None, None] * p.basis.data, axis=0)
                     assert np.array_equal(w.data, manual)
             else:
-                slots = p.roles[role].data
-                for r, w in enumerate(mats):
-                    assert np.array_equal(w.data.T, slots[:, r * d_out : (r + 1) * d_out])
-                assert np.array_equal(p.stacked(f"w_{role}", [w.data for w in mats]), slots)
+                assert slots is p.roles[role].data
         assert np.array_equal(p.stacked("a", [v.data for v in p.a]), p.attention.data)
         for name in ("a", "w_query", "w_key", "w_value"):
             with pytest.raises(AttributeError):

@@ -313,6 +313,22 @@ class TestOptimize:
         with pytest.raises(TrainingAbort, match="epoch"):
             optimize([theta], lambda epoch: dn.tsum(dn.exp(dn.mul(theta, theta))), cfg)
 
+    def test_overflowing_last_update_aborts_with_epoch_and_parameter(self):
+        # lr * m_hat = 1e308 * 10 overflows; no later op reads theta, so optimize checks it once.
+        theta = dn.param(np.array([1.0]), name="theta")
+        cfg = TrainConfig(lr=1e308, epochs=1, dropout=0.0)
+        with pytest.raises(TrainingAbort, match="^epoch 0: non-finite parameter .*offending parameter: theta$"):
+            optimize([theta], lambda epoch: dn.tsum(dn.mul(theta, 10.0)), cfg)
+
+    def test_numeric_failure_in_on_epoch_aborts_with_epoch_and_parameter(self):
+        theta = dn.param(np.array([1.0]), name="theta")
+
+        def on_epoch(epoch, value):
+            dn.exp(dn.mul(theta, 1e3))
+
+        with pytest.raises(TrainingAbort, match="^epoch 0: non-finite values produced by op 'exp'"):
+            optimize([theta], lambda epoch: dn.tsum(theta), TrainConfig(epochs=2, dropout=0.0), on_epoch=on_epoch)
+
     def test_adam_matches_reference_step(self):
         # one step from zero moments: update = lr * g / (sqrt(g^2) + eps)
         p = dn.param(np.array([1.0, -2.0]))
