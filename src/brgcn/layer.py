@@ -48,8 +48,8 @@ which ``graph.index`` builds and range-checks once per graph; its sums are a
 few vectorized passes, one per rank of a segment's entries, bit-equal to one
 bincount.  Nothing is restacked per forward, and one-hot dropout draws one
 mask entry per node, so no N x N array is built.  Under bases, every forward
-multiplies out each role's (R, B, d_out, d_in) product into its slot weight,
-which the per-relation views read too.  The relation stage does d_out work
+forms each role's slot weight as one (R, B) @ (B, d_out*d_in) matmul, which
+the per-relation views read too.  The relation stage does d_out work
 per same-node pair and loops once per distinct |R_i|, its row maxima m - 1
 column passes; only psi and one run's logits grow with the pairs.  So a step
 is linear in edges plus slots plus pairs, and a dense layer whose nodes
@@ -204,10 +204,10 @@ class BrgcnLayerParams:
         return [Tensor(col) for col in self.attention.data.T.copy()]
 
     def _slot_weight(self, role: str, detached: bool = False) -> Tensor:
-        """``role``'s (d_in, R*d_out) slot weight, multiplied out under bases; taped unless ``detached``."""
+        """``role``'s (d_in, R*d_out) slot weight, under bases one matmul; taped unless ``detached``."""
         w, basis = (t if t is None or not detached else Tensor(t.data) for t in (self.roles[role], self.basis))
-        if self.num_bases:  # w holds the (R, B) coefficients; mats is (R, d_out, d_in)
-            mats = dn.tsum(dn.mul(basis, dn.reshape(w, (self.num_relations, self.num_bases, 1, 1))), axis=1)
+        if self.num_bases:  # (R, B) coefficients @ (B, d_out*d_in) basis: row r is W_role_r
+            mats = dn.matmul(w, dn.reshape(basis, (self.num_bases, self.d_out * self.d_in)))
             w = dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
         return w
 

@@ -322,7 +322,7 @@ def optimize(
     config.validate()
     adam = Adam(params, lr=config.lr)
     loss_curve: list[float] = []
-    with _kept_heap():
+    with _kept_heap(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # record_op traps overflows unwarned
         for epoch in range(config.epochs):
             adam.zero_grad()
             try:

@@ -251,7 +251,6 @@ class TestCliNodeClassification:
     def test_missing_config_file_exits_2(self):
         assert main(["train-nc", "--config", "/does/not/exist.cfg"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_numeric_failure_exits_3(self, toy_config):
         code = main(
             ["train-nc", "--config", str(toy_config), "--set", "l2_penalty=1e308"]

@@ -320,6 +320,14 @@ class TestOptimize:
         with pytest.raises(TrainingAbort, match="^epoch 0: non-finite parameter .*offending parameter: theta$"):
             optimize([theta], lambda epoch: dn.tsum(dn.mul(theta, 10.0)), cfg)
 
+    def test_overflow_in_a_training_step_aborts_instead_of_warning(self):
+        # lambda * sum ||theta||^2 overflows in a finite mul; under the suite's
+        # error::RuntimeWarning numpy's overflow warning must not escape first.
+        graph, labels = planted_graph(num_labeled=10, num_distractors=3, seed=5)
+        cfg = TrainConfig(epochs=2, hidden_units=4, l2_penalty=1e308)
+        with pytest.raises(TrainingAbort, match="^epoch 0: non-finite values produced by op"):
+            train_node_classifier(graph, labels, hg.SplitSpec(tuple(labels.labeled_ids)), cfg)
+
     def test_numeric_failure_in_on_epoch_aborts_with_epoch_and_parameter(self):
         theta = dn.param(np.array([1.0]), name="theta")
 
@@ -501,6 +509,23 @@ class TestTaskGradients:
         report = grad_check(f, model.params(), eps=1e-5, tol=1e-4)
         assert report.passed, str(report)
 
+    def test_classification_loss_gradients_with_bases(self):
+        # Every parameter of a 2-layer model under bases, coefficients and basis
+        # included, against central differences.
+        graph, labels = planted_graph(num_labeled=4, num_distractors=2, seed=1)
+        g = hg.augment(graph, add_inverse=True, add_self_loop=True)
+        cfg = TrainConfig(hidden_units=3, dropout=0.0, num_layers=2, num_bases=2)
+        model = NodeClassificationModel.build(np.random.default_rng(0), g, 2, cfg)
+
+        def f():
+            probs, _ = model.forward(g)
+            return nc_loss(probs, labels)
+
+        report = grad_check(f, model.params(), eps=1e-5, tol=1e-4)
+        assert report.passed, str(report)
+        names = set(report.per_param)
+        assert {f"layer{k}.{group}" for k in (0, 1) for group in ("basis", "coeff_query", "coeff_value")} <= names
+
     def test_link_prediction_loss_gradients(self):
         graph = memorization_kg(num_entities=5, num_triples=8, seed=2)
         from brgcn.training import LinkPredictionModel
@@ -624,8 +649,9 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 * n  # below one attention vector, the smallest layer-0 parameter
-        # Bases multiply out an (R, B, d_out, d_in) product per role in every
-        # forward, so num_bases is no way under the limit.
+        # The estimate counts parameters only, while a basis layer still builds
+        # each role's (d_in, R*d_out) slot weight in every forward: naming
+        # num_bases would promise a saving the estimate cannot see.
         assert "hidden_units" in str(refusal.value) and "num_bases" not in str(refusal.value)
 
     @pytest.mark.parametrize("num_bases", [0, 1, 3])
