@@ -30,8 +30,8 @@ KINDS = ("distmult", "transe", "hole", "complex")
 class DecoderParams:
     """Learned relation embeddings (plus entity embeddings in standalone mode).
 
-    Real-valued decoders store one length-``dim`` vector per relation;
-    ``complex`` stores 2*dim values per row, the real half followed by the
+    Real-valued decoders store one length-d vector per relation;
+    ``complex`` stores 2*d values per row, the real half followed by the
     imaginary half.  Entity embeddings are present only in standalone mode
     and use the matching width; in auto-encoder mode they come from the
     encoder and must have the decoder's width.  :meth:`create` names them
@@ -44,7 +44,7 @@ class DecoderParams:
         self.rel_emb = rel_emb
         self.entity_emb = entity_emb
         width = rel_emb.shape[1]
-        self.dim = self.dim_of(kind, width)
+        self.dim_of(kind, width)  # refuses an unknown kind or an odd complex width
         if entity_emb is not None and entity_emb.shape[1] != width:
             raise ConfigurationError(
                 f"entity embedding width {entity_emb.shape[1]} != relation width {width}"

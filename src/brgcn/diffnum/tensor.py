@@ -1,10 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every primitive funnels through :func:`record_op`, which checks the result
-for NaN/Inf and, when a tape is active and some input carries a gradient,
-appends a record to that tape.  ``Tape.backward`` walks the records once,
-in reverse order, accumulating gradients additively at fan-out points, and
-sets ``grad`` on leaves only.
+for NaN/Inf with one elementwise test and, when a tape is active and some
+input carries a gradient, appends a record to that tape.  ``Tape.backward``
+walks the records once, in reverse order, accumulating gradients additively
+at fan-out points, and sets ``grad`` on leaves only.
 """
 
 from __future__ import annotations
@@ -139,17 +139,15 @@ def record_op(
 ) -> Tensor:
     """Finalize a primitive: trap non-finite results and register on the tape.
 
+    The trap is one ``np.isfinite`` test over the entries, which raises no
+    floating-point warning of its own, so it needs no ``np.errstate``.
     ``backward_fn(g)`` must return one partial per input (``None`` allowed
     for inputs that do not need gradients).  Recording happens only when a
     tape is active and at least one input requires a gradient; the output's
     ``requires_grad`` flag mirrors that condition.
     """
-    # NaN/Inf in any entry makes the sum non-finite; the elementwise check
-    # only reruns to rule out overflow of the sum itself.  The sum of finite
-    # entries may overflow, and inf + -inf is NaN: neither may warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(out_data.sum()) and not np.isfinite(out_data).all():
-            raise NumericError(f"non-finite values produced by op '{op}'")
+    if not np.isfinite(out_data).all():
+        raise NumericError(f"non-finite values produced by op '{op}'")
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
@@ -458,7 +456,7 @@ PASS_MIN_SEGMENTS = 64
 
 
 class Segments:
-    """An index of segment ids in [0, n), one per entry, checked once, with its reduction schedule.
+    """An index of segment ids in [0, n), one per entry, checked once, with its sum schedule.
 
     ``ids`` is a read-only copy.  ``sum(values)`` returns
     ``_scatter_add(ids, values, n)`` bit for bit: every segment adds its
@@ -474,7 +472,7 @@ class Segments:
     ``order`` lists the entries as the schedule reads them: the deep
     segments' entries, then pass after pass.  They are gathered once into a
     work array with one spare row, and the partial sums are kept in place of
-    each segment's first entry read, so a reduction allocates the work array
+    each segment's first entry read, so a sum allocates the work array
     and its result only.  The schedule holds O(entries + n) integers and
     nothing that depends on the values' width.
     """
@@ -537,18 +535,14 @@ class Segments:
         bincount, with no bins to expand, is faster than the passes."""
         if np.ndim(values) == 1:
             return _scatter_add(self.ids, self._checked(values), self.n)
-        return self._reduce(self._entries(values), np.add)
+        return self._reduce(self._entries(values))
 
     def sum_products(self, w: np.ndarray, x: np.ndarray, rows: "Segments") -> np.ndarray:
         """:meth:`sum` of ``w[:, None] * x[rows.ids]``, the products made in the work array."""
         _check_segments(rows, self.size, "Segments.sum_products", x.shape[0])
         if w.shape != (self.size,):
             raise DimensionError(f"Segments.sum_products: {w.shape} weights for {self.size} entries")
-        return self._reduce(self._entries(x, rows.ids, w), np.add)
-
-    def max(self, values: np.ndarray) -> np.ndarray:
-        """Per-segment maxima of ``values``, -inf for a segment without entries."""
-        return self._reduce(self._entries(values), np.maximum)
+        return self._reduce(self._entries(x, rows.ids, w))
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         """``values`` as float64, one row per entry."""
@@ -569,23 +563,17 @@ class Segments:
             v[: self.size] *= w[self.order].reshape((-1,) + (1,) * (x.ndim - 1))
         return v
 
-    def _reduce(self, v: np.ndarray, ufunc) -> np.ndarray:
-        """Reduce the entries of ``_entries``; consumes the work array."""
-        deep, num_deep, add = self._deep, self._num_deep, ufunc is np.add
-        if add:
-            head = _scatter_add(self._deep_rows, v[:deep], num_deep)
-        else:
-            head = np.full((num_deep,) + v.shape[1:], -np.inf)
-            ufunc.at(head, self._deep_rows, v[:deep])
-        v[:num_deep] = head
-        v[-1] = 0.0 if add else -np.inf
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        """Sum the entries of ``_entries``; consumes the work array."""
+        deep, num_deep = self._deep, self._num_deep
+        v[:num_deep] = _scatter_add(self._deep_rows, v[:deep], num_deep)
+        v[-1] = 0.0
         if self._widths:
             acc = v[deep : deep + self._widths[0]]  # the first entry read of every shallow segment
-            if add:
-                acc += 0.0  # a sum from 0: -0.0 becomes 0.0, as in bincount
+            acc += 0.0  # a sum from 0: -0.0 becomes 0.0, as in bincount
             lo = deep + self._widths[0]
             for m in self._widths[1:]:  # rank k: the k-th entries of the first m segments
-                ufunc(acc[:m], v[lo : lo + m], out=acc[:m])
+                np.add(acc[:m], v[lo : lo + m], out=acc[:m])
                 lo += m
         return np.take(v, self._slot, axis=0)
 
@@ -748,15 +736,19 @@ def segment_softmax(a, segments: Segments) -> Tensor:
     """Independent stable softmax over each segment of a vector.
 
     Every segment must have at least one entry so each distribution is well
-    defined.  The maxima and sums run on the schedule of ``segments``.
+    defined; a segment whose maximum stays -inf, one with no entries or only
+    -inf logits, is refused as empty.  A NaN or +inf logit reaches
+    :func:`record_op`, which raises :class:`NumericError`.  The maxima are one
+    ``np.maximum.at``; the sums run on the schedule of ``segments``.
     """
     a = _as_tensor(a)
     if a.ndim != 1:
         raise DimensionError(f"segment_softmax: expected a vector, got shape {a.shape}")
     _check_segments(segments, a.data.shape[0], "segment_softmax")
     ids = segments.ids
-    mx = segments.max(a.data)
-    if not np.isfinite(mx).all():
+    mx = np.full(segments.n, -np.inf)
+    np.maximum.at(mx, ids, a.data)
+    if np.isneginf(mx).any():
         raise DimensionError("segment_softmax: every segment needs at least one entry")
     e = np.exp(a.data - mx[ids])
     out = e / segments.sum(e)[ids]

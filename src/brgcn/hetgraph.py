@@ -160,9 +160,9 @@ class GraphIndex:
     edges ``edge_start[r]:edge_start[r+1]``.
 
     Groups are in block order: by their node's relation count |R_i|
-    descending, then by node, then by relation.  Node i's groups are the
-    block ``node_first[i]:node_first[i] + node_count[i]``, relations
-    ascending, and ``blocks`` is that layout as the relation stage's
+    descending, then by node, then by relation.  Node i's ``node_count[i]``
+    groups are one contiguous block, relations ascending, and ``blocks`` is
+    that layout as the relation stage's
     :func:`~brgcn.diffnum.block_attention` takes it: the nodes with |R_i| = m
     are one run of groups, and the ordered pairs (g, g') of groups at the
     same node are listed node-major, one |R_i| x |R_i| row-major block per
@@ -199,8 +199,6 @@ class GraphIndex:
         self.edge_start = np.searchsorted(self.edge_rel, np.arange(graph.num_relations + 1))
 
         starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
-        self.node_first = np.zeros(n, dtype=np.int64)
-        self.node_first[self.group_node[starts]] = starts
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
 
     @property

@@ -241,28 +241,28 @@ class Adam:
 
         Bit-equal to m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
         p = p - (lr*m_hat) / (sqrt(v_hat) + eps): the same operations in the same order.
-        An update that overflows leaves non-finite entries without a warning;
-        the next op that reads the parameter traps them.
+        An update that overflows leaves non-finite entries, silently under
+        :func:`optimize`'s ``np.errstate``; the next op that reads the
+        parameter traps them.
         """
         self.t += 1
         c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p, m, v in zip(self.params, self.m, self.v):
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
-                part = np.multiply(g, 1 - ADAM_BETA1)
-                m *= ADAM_BETA1
-                m += part
-                np.multiply(g, 1 - ADAM_BETA2, out=part)
-                part *= g
-                v *= ADAM_BETA2
-                v += part
-                den = np.divide(v, c2)
-                np.sqrt(den, out=den)
-                den += ADAM_EPS
-                np.divide(m, c1, out=part)
-                part *= self.lr
-                part /= den
-                p.data -= part
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            part = np.multiply(g, 1 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += part
+            np.multiply(g, 1 - ADAM_BETA2, out=part)
+            part *= g
+            v *= ADAM_BETA2
+            v += part
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, c1, out=part)
+            part *= self.lr
+            part /= den
+            p.data -= part
 
 
 # glibc's mallopt parameter M_TOP_PAD (malloc.h): how much free memory the top of the heap

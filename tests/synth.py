@@ -20,8 +20,7 @@ SIGNAL_RELATION = 0
 def relations_of(graph: hg.HeteroGraph, i: int) -> tuple[int, ...]:
     """Node ``i``'s relation ids with at least one outgoing edge, ascending: its groups in ``graph.index``."""
     idx = graph.index
-    first = idx.node_first[i]
-    return tuple(idx.group_rel[first : first + idx.node_count[i]].tolist())
+    return tuple(idx.group_rel[idx.group_node == i].tolist())
 
 
 def planted_graph(

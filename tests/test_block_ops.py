@@ -94,11 +94,12 @@ class TestIndexLayout:
         assert sizes == sorted(set(idx.node_count[idx.node_count > 0].tolist()), reverse=True)
         assert [lo for lo, _, _, _ in lay.runs] == [0] + [hi for _, hi, _, _ in lay.runs[:-1]]
         for i in range(g.num_nodes):
-            first, m = idx.node_first[i], idx.node_count[i]
+            m = idx.node_count[i]
             heads = g.triples[:, 0] == i
             assert relations_of(g, i) == tuple(np.unique(g.triples[heads, 1]).tolist())
             if not m:
                 continue
+            first = int(np.argmax(idx.group_node == i))  # the node's first group
             assert (idx.group_node[first : first + m] == i).all()
             lo, hi, _, p = next(run for run in lay.runs if run[2] == m)
             assert lo <= first < hi and (first - lo) % m == 0

@@ -241,7 +241,7 @@ class TestDecoderParams:
     def test_complex_width_is_double(self):
         dec = DecoderParams.create(np.random.default_rng(7), "complex", 2, 10)
         assert dec.rel_emb.shape == (2, 10)
-        assert dec.dim == 5
+        assert DecoderParams.dim_of("complex", 10) == 5
 
     def test_odd_complex_width_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -112,6 +112,16 @@ class TestForwardValues:
         with pytest.raises(DimensionError):
             dn.segment_softmax(Tensor([1.0, 2.0]), dn.Segments([0, 2], 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_segment_softmax_traps_a_non_finite_logit_as_numeric(self, bad):
+        # Under optimize's errstate a NaN or +inf logit is a numeric fault, not an empty segment.
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="'segment_softmax'"):
+            dn.segment_softmax(Tensor([bad, 1.0, 2.0]), dn.Segments([0, 0, 1], 2))
+
+    def test_segment_softmax_refuses_a_segment_of_negative_infinities_as_empty(self):
+        with pytest.raises(DimensionError, match="at least one entry"):
+            dn.segment_softmax(Tensor([-np.inf, 1.0, 2.0]), dn.Segments([0, 1, 1], 2))
+
     def test_segment_sum_buckets(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
         out = dn.segment_sum(x, dn.Segments([0, 0, 1, 1], 2))
@@ -161,14 +171,19 @@ class TestForwardValues:
             dn.log(Tensor([-1.0]))
 
     def test_finite_result_whose_sum_overflows_passes_without_a_warning(self):
-        # The finiteness check sums the entries first; 1e308 + 1e308 overflows that sum only.
+        # The finiteness check tests each entry; 1e308 + 1e308 would overflow a sum of them.
         out = dn.mul(Tensor([1e308, 1e308]), 1.0)
         assert np.array_equal(out.data, [1e308, 1e308])
 
     def test_opposite_infinities_raise_numeric_error_not_a_warning(self):
-        # [inf, -inf] sums to NaN, an invalid-value reduction, before the elementwise check.
+        # [inf, -inf] would sum to NaN, an invalid-value reduction; the elementwise check raises no warning.
         with pytest.raises(NumericError, match="'add'"):
             dn.add(Tensor([np.inf, 1.0]), Tensor([-1.0, -np.inf]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_lone_non_finite_entry_raises_numeric_error_not_a_warning(self, bad):
+        with pytest.raises(NumericError, match="'add'"):
+            dn.add(Tensor([bad, 1.0]), Tensor([-1.0, 1.0]))
 
 
 class TestBackwardSemantics:

@@ -1,4 +1,4 @@
-"""Reduction schedules: ``dn.Segments`` and the ops that take one.
+"""Sum schedules: ``dn.Segments`` and the ops that take one.
 
 Every sum is compared bit for bit (as int64 views) with ``_scatter_add`` and
 with the raw-array oracles of ``scatter_oracle``, on index shapes that take
@@ -88,14 +88,6 @@ class TestSchedule:
         ids, n = _index(kind, np.random.default_rng(1))
         out = dn.Segments(ids, n).sum(np.full(ids.size, -0.0))
         assert _same(out, np.zeros(n))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("tail", [(), (3,)])
-    def test_max_is_bit_equal_to_maximum_at(self, kind, tail):
-        rng = np.random.default_rng(2)
-        ids, n = _index(kind, rng)
-        values = _values(rng, ids.size, tail)
-        assert _same(dn.Segments(ids, n).max(values), oracle.max_at(ids, values, n))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", [1, 16])
