@@ -5,7 +5,7 @@ Subcommands: ``train-nc``, ``train-lp``, ``eval``, ``ablate``,
 ``--set key=value`` overrides.  The config's ``task`` chooses the pipeline;
 ``train-nc`` and ``ablate`` refuse any task but ``node_classification``,
 ``train-lp`` any but ``link_prediction``.  Exit codes: 0 success, 2
-configuration or input problems, 3 numeric failure during training.
+configuration or input problems, 3 numeric failure in training or eval.
 
 Artifacts land under ``output_dir``: a ``config.resolved`` snapshot at the
 root, and per seed a ``metrics.csv`` (``epoch,loss,train_acc,val_metric``)
@@ -89,7 +89,6 @@ def _load_data(cfg: ExperimentConfig):
     labels, kind, load = None, "triples", hg.load_triple_split
     if nc:
         labels = hg.load_labels(cfg.labels_path, graph)
-        labels.validate(graph)
         kind, load = "nodes", hg.load_node_split
     parts = {}
     for part in ("train", "valid", "test"):

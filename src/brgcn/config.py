@@ -1,10 +1,11 @@
 """Flat key=value experiment configuration with presets and validation.
 
 A config file holds ``key = value`` lines (``#`` comments and blank lines
-ignored).  Resolution order: built-in defaults, then the named preset's
-values, then explicit file keys, then command-line overrides.  Validation
-reports every problem, not just the first.  ``snapshot`` renders a resolved
-config back to text; re-validating a snapshot is a fixed point.
+ignored), read by ``hetgraph.read_lines`` like the data files.  Resolution
+order: built-in defaults, then the named preset's values, then explicit file
+keys, then command-line overrides.  Validation reports every problem, not
+just the first.  ``snapshot`` renders a resolved config back to text;
+re-validating a snapshot is a fixed point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 from .decoders import KINDS as DECODERS
 from .evalkit import FRACTIONS, STRATEGIES as STRATEGY_NAMES
-from .hetgraph import TRIPLE_FORMATS
+from .hetgraph import TRIPLE_FORMATS, GraphError, read_lines
 from .training import Hyperparameters, TrainConfig, check, one_of, problems, rule
 
 # Per-dataset hyperparameter presets (bi-level model rows); link-prediction
@@ -93,8 +94,11 @@ _PARSER = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, errors: list[str]):
+    parse = _PARSER.get(key)
+    if parse is None:
+        errors.append(f"unknown key: {key}")
+        return None
     raw = raw.strip()
-    parse = _PARSER[key]
     try:
         return parse(raw)
     except ValueError as err:
@@ -102,30 +106,6 @@ def _parse_value(key: str, raw: str, errors: list[str]):
         # messages do not read as config errors.
         errors.append(f"{key}: {err}" if parse is _parse_bool else f"{key}: cannot parse value {raw!r}")
         return None
-
-
-def parse_config_text(text: str, errors: list[str]) -> dict[str, Any]:
-    """Parse key=value lines into raw field values, recording problems."""
-    out: dict[str, Any] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected key = value, got {line!r}")
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _PARSER:
-            errors.append(f"unknown key: {key}")
-            continue
-        if key in out:
-            errors.append(f"duplicate key: {key}")
-            continue
-        parsed = _parse_value(key, value, errors)
-        if parsed is not None:
-            out[key] = parsed
-    return out
 
 
 def validate_config(
@@ -137,16 +117,21 @@ def validate_config(
     ``None`` and every collected error message on failure.
     """
     errors: list[str] = []
-    path = Path(path)
-    if not path.is_file():
-        return None, [f"config file not found: {path}"]
-    raw = parse_config_text(path.read_text(encoding="utf-8"), errors)
+    raw: dict[str, Any] = {}
+    try:
+        for lineno, line in read_lines(path, "config"):
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                errors.append(f"line {lineno}: expected key = value, got {line.strip()!r}")
+            elif key in raw:
+                errors.append(f"duplicate key: {key}")
+            elif (parsed := _parse_value(key, value, errors)) is not None:
+                raw[key] = parsed
+    except GraphError as err:
+        return None, [str(err)]
     for key, value in (overrides or {}).items():
-        if key not in _PARSER:
-            errors.append(f"unknown key: {key}")
-            continue
-        parsed = _parse_value(key, value, errors)
-        if parsed is not None:
+        if (parsed := _parse_value(key, value, errors)) is not None:
             raw[key] = parsed
     if errors:
         return None, errors

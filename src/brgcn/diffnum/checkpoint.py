@@ -8,6 +8,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 from typing import Mapping
 
@@ -33,13 +34,19 @@ def save_checkpoint(path, arrays: Mapping[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The arrays saved at ``path``; ``CheckpointError`` naming it if it holds no checkpoint."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with np.load(path) as npz:
-        if _VERSION_KEY not in npz:
-            raise CheckpointError(f"{path} is not a recognized checkpoint (missing version)")
-        version = int(npz[_VERSION_KEY])
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        return {k: npz[k] for k in npz.files if k != _VERSION_KEY}
+    if not zipfile.is_zipfile(path):
+        raise CheckpointError(f"{path} is not a recognized checkpoint (not an .npz archive)")
+    try:
+        with np.load(path) as npz:
+            if _VERSION_KEY not in npz:
+                raise CheckpointError(f"{path} is not a recognized checkpoint (missing version)")
+            version = int(npz[_VERSION_KEY])
+            if version != FORMAT_VERSION:
+                raise CheckpointError(f"unsupported checkpoint version {version}")
+            return {k: npz[k] for k in npz.files if k != _VERSION_KEY}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"{path} is not a recognized checkpoint ({err})") from None

@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import hetgraph as hg
+from .diffnum import NumericError
 from .layer import PSI_VARIANTS, AttentionTrace, ConfigurationError
 
 if TYPE_CHECKING:  # training imports this module for accuracy
@@ -34,14 +35,11 @@ def accuracy(predictions: np.ndarray, labels: hg.NodeLabels, split: Sequence[int
     ids = np.fromiter(split, dtype=np.int64)
     if not ids.size:
         raise EvalError("accuracy over an empty split is undefined")
-    nodes = np.fromiter(labels.labels, dtype=np.int64, count=len(labels.labels))
-    unlabeled = ids[~np.isin(ids, nodes)]
-    if unlabeled.size:
-        raise EvalError(f"node {unlabeled[0]} in split has no label")
-    classes = np.fromiter(labels.labels.values(), dtype=np.int64, count=nodes.size)
-    order = np.argsort(nodes)
-    hits = preds[ids] == classes[order[np.searchsorted(nodes, ids, sorter=order)]]
-    return 100.0 * int(np.count_nonzero(hits)) / ids.size
+    try:
+        classes = np.array([labels.labels[i] for i in ids.tolist()], dtype=np.int64)
+    except KeyError as err:
+        raise EvalError(f"node {err.args[0]} in split has no label") from None
+    return 100.0 * int(np.count_nonzero(preds[ids] == classes)) / ids.size
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +67,12 @@ def rank_triples(
     """Rank each test triple against all entity corruptions of its head and tail.
 
     ``score_fn(h, r, t)`` must broadcast over numpy id arrays and return
-    finite float scores.  The test triples are ranked in blocks of B, with
-    one call per direction per block: ``score_fn(h[:, None], r[:, None],
-    ids)`` scores every entity as the tail of each block triple and
-    ``score_fn(ids, r[:, None], t[:, None])`` every entity as its head, each
-    a (B, num_entities) array; B keeps that array within SCORE_BLOCK_BYTES.
+    finite float scores; a non-finite score raises ``NumericError``.  The
+    test triples are ranked in blocks of B, with one call per direction per
+    block: ``score_fn(h[:, None], r[:, None], ids)`` scores every entity as
+    the tail of each block triple and ``score_fn(ids, r[:, None], t[:, None])``
+    every entity as its head, each a (B, num_entities) array; B keeps that
+    array within SCORE_BLOCK_BYTES.
     Ties break pessimistically: the true triple ranks after every candidate
     with an equal score.  The filtered rank drops candidates that are known
     positives (anything in ``known_positives`` other than the target, which
@@ -112,7 +111,7 @@ def rank_triples(
         finite = np.isfinite(scores)
         if not finite.all():
             bad = test[block][np.flatnonzero(~finite.all(axis=1))[0]]
-            raise EvalError(f"score_fn returned a non-finite score for test triple {tuple(bad.tolist())}")
+            raise NumericError(f"score_fn returned a non-finite score for test triple {tuple(bad.tolist())}")
         ahead = scores >= scores[rows, target][:, None]
         ahead[rows, target] = False
         raw = 1 + np.count_nonzero(ahead, axis=1)

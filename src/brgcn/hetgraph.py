@@ -368,21 +368,25 @@ class HeteroGraph:
 # ---------------------------------------------------------------------------
 
 
-def _lines(path, what: str) -> Iterator[tuple[int, str]]:
-    """The 1-based number and text of each content line of ``path``.
+def read_lines(path, what: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and text of each content line of a config, triple, label or split file.
 
-    Raises ``GraphError("<what> file not found: ...")`` for a missing file.
-    Line endings are stripped; blank lines and ``#`` comment lines (indented
-    or not) are skipped but still counted.
+    Raises ``GraphError("<what> file not found: ...")`` unless ``path`` is a
+    regular file, and a ``GraphError`` naming both for a byte that is not
+    UTF-8.  Endings (\\n, \\r\\n, \\r) are stripped; blank and ``#`` comment
+    lines (indented or not) are skipped but still counted.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise GraphError(f"{what} file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if line.strip() and not line.lstrip().startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as err:
+            raise GraphError(f"{what} file is not UTF-8 ({err.reason}): {path}") from None
 
 
 def _parse_tsv_line(line: str, lineno: int) -> tuple[str, str, str]:
@@ -444,7 +448,7 @@ def load_triples(path, format: str = "tsv") -> HeteroGraph:
     node_ids: dict[str, int] = {}
     rel_ids: dict[str, int] = {}
     triples: list[Triple] = []
-    for lineno, line in _lines(path, "triple"):
+    for lineno, line in read_lines(path, "triple"):
         h, r, t = parse(line, lineno)
         head = node_ids.setdefault(h, len(node_ids))
         rel = rel_ids.setdefault(r, len(rel_ids))
@@ -563,7 +567,7 @@ def load_labels(path, graph: HeteroGraph) -> NodeLabels:
     class_ids: dict[str, int] = {}
     labels: dict[int, int] = {}
     order: list[int] = []
-    for lineno, line in _lines(path, "label"):
+    for lineno, line in read_lines(path, "label"):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}", lineno)
@@ -615,13 +619,13 @@ class SplitSpec:
 
 def load_node_split(path, graph: HeteroGraph) -> tuple[int, ...]:
     """Read one node name per line into a tuple of node ids."""
-    return tuple(graph.node_id(line.strip()) for _, line in _lines(path, "split"))
+    return tuple(graph.node_id(line.strip()) for _, line in read_lines(path, "split"))
 
 
 def load_triple_split(path, graph: HeteroGraph) -> tuple[int, ...]:
     """Read one ``head<TAB>relation<TAB>tail`` per line into triple indices."""
     rows, lines = [], []
-    for lineno, line in _lines(path, "split"):
+    for lineno, line in read_lines(path, "split"):
         h, r, t = _parse_tsv_line(line, lineno)
         rows.append((graph.node_id(h), graph.relation_id(r), graph.node_id(t)))
         lines.append((lineno, line))

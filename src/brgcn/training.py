@@ -34,8 +34,8 @@ class TrainingAbort(Exception):
     """Training hit a non-finite loss or value; message carries epoch and culprit."""
 
 
-class SamplingExhaustedError(Exception):
-    """No valid negative triple could be drawn."""
+class SamplingExhaustedError(hg.GraphError):
+    """No valid negative triple could be drawn: a graph problem, so the CLI exits 2."""
 
 
 TASKS = ("node_classification", "link_prediction")
@@ -137,6 +137,11 @@ def nc_loss(probs: Tensor, labels: hg.NodeLabels) -> Tensor:
     onehot = np.zeros((ids.size, probs.shape[1]))
     onehot[np.arange(ids.size), classes] = 1.0
     return dn.neg(dn.tsum(dn.mul(Tensor(onehot), dn.log(dn.clip_min(picked, LOG_CLAMP)))))
+
+
+def predicted_classes(probs: Tensor) -> np.ndarray:
+    """The one classification rule: each row's argmax (a tie takes its lowest class)."""
+    return probs.data.argmax(axis=1)
 
 
 def lp_loss(y, scores: Tensor) -> Tensor:
@@ -487,7 +492,7 @@ class NodeClassificationModel(_Model):
 
     def predict(self, graph: hg.HeteroGraph) -> np.ndarray:
         probs, _ = self.forward(graph)
-        return probs.data.argmax(axis=1)
+        return predicted_classes(probs)
 
 
 class LinkPredictionModel(_Model):
@@ -597,7 +602,7 @@ def train_node_classifier(
     train_labels = labels.restrict(split.train)
     metrics_rows: list[tuple[int, float, float, str]] = []
     best_val = [-1.0, 0]  # best validation accuracy, epochs since improvement
-    last = None  # the latest evaluation pass: predictions and traces
+    last = None  # the latest evaluation pass: predictions, traces, train and valid accuracy
 
     def loss_fn(epoch: int) -> Tensor:
         probs, _ = model.forward(g, rng=rng)
@@ -606,10 +611,9 @@ def train_node_classifier(
     def on_epoch(epoch: int, loss_value: float) -> bool:
         nonlocal last
         probs, traces = model.forward(g, collect_trace=True)
-        pred = probs.data.argmax(axis=1)
-        last = pred, traces
+        pred = predicted_classes(probs)
         train_acc = evalkit.accuracy(pred, labels, split.train)
-        val = ""
+        val, val_acc = "", None
         stop = False
         if split.valid:
             val_acc = evalkit.accuracy(pred, labels, split.valid)
@@ -620,17 +624,18 @@ def train_node_classifier(
                 best_val[1] += 1
             stop = 0 < cfg.early_stop_patience <= best_val[1]
         metrics_rows.append((epoch, loss_value, train_acc, val))
+        last = pred, traces, train_acc, val_acc
         return stop
 
     loss_curve = optimize(model.params(), loss_fn, cfg, on_epoch=on_epoch)
-    pred, traces = last
+    pred, traces, train_acc, val_acc = last
     return NCRun(
         model=model,
         graph=g,
         loss_curve=loss_curve,
         metrics_rows=metrics_rows,
-        train_accuracy=evalkit.accuracy(pred, labels, split.train),
-        valid_accuracy=evalkit.accuracy(pred, labels, split.valid) if split.valid else None,
+        train_accuracy=train_acc,
+        valid_accuracy=val_acc,
         test_accuracy=evalkit.accuracy(pred, labels, split.test) if split.test else None,
         traces=traces,
     )

@@ -12,6 +12,7 @@ import pytest
 from brgcn import training
 from brgcn.cli import main
 from brgcn.config import ExperimentConfig, snapshot, validate_config
+from brgcn.diffnum import load_checkpoint, save_checkpoint
 from brgcn.layer import ConfigurationError
 from brgcn.training import TrainConfig
 from synth import memorization_kg
@@ -119,6 +120,17 @@ class TestValidateConfig:
     def test_empty_or_directory_config_path(self, tmp_path):
         for path in ("", tmp_path):
             assert validate_config(path) == (None, [f"config file not found: {Path(path)}"])
+
+    def test_a_byte_that_is_not_utf8_is_one_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"epochs = 3\n# caf\xff\n")
+        assert validate_config(path) == (None, [f"config file is not UTF-8 (invalid start byte): {path}"])
+
+    def test_lines_end_where_data_file_lines_end(self, tmp_path):
+        # \r\n and \r end a line, as in the data files; a form feed does not.
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"epochs = 3\r\nlr = 0.5\rseeds = 1\x0c2\n")
+        assert validate_config(path) == (None, ["seeds: cannot parse value '1\\x0c2'"])
 
     def test_snapshot_is_fixed_point(self, tmp_path):
         original, errors = validate_config(
@@ -705,6 +717,69 @@ class TestRefusedRunsWriteNothing:
         assert main(["train-nc", "--config", str(toy_config), "--set", setting]) == 2
         key = setting.partition("=")[0]
         assert f"config error: {key}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["config", "triples_path", "labels_path", "train_nodes_path"])
+    def test_train_nc_with_a_file_that_is_not_utf8(self, toy_config, tmp_path, capsys, key):
+        values = dict(line.split(" = ") for line in toy_config.read_text().splitlines())
+        original = toy_config if key == "config" else Path(values[key])
+        bad = tmp_path / "latin1"
+        bad.write_bytes(original.read_bytes() + b"# caf\xff\n")
+        args = ["--config", str(bad)] if key == "config" else ["--config", str(toy_config), "--set", f"{key}={bad}"]
+        assert main(["train-nc", *args]) == 2
+        what = {"config": "config error: config", "triples_path": "error: triple",
+                "labels_path": "error: label", "train_nodes_path": "error: split"}[key]
+        assert capsys.readouterr().err == f"{what} file is not UTF-8 (invalid start byte): {bad}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_train_lp_on_a_graph_without_valid_negatives(self, tmp_path, capsys):
+        # Every (head, tail) pair of r is a triple, so no corruption of a training triple is a negative.
+        _cfg_file(tmp_path, "a\tr\ta\na\tr\tb\nb\tr\ta\nb\tr\tb\n", "kg.tsv")
+        _cfg_file(tmp_path, "a\tr\ta\na\tr\tb\nb\tr\ta\n", "train.tsv")
+        _cfg_file(tmp_path, "b\tr\tb\n", "test.tsv")
+        cfg = _cfg_file(
+            tmp_path,
+            f"task = link_prediction\ntriples_path = {tmp_path / 'kg.tsv'}\n"
+            f"train_triples_path = {tmp_path / 'train.tsv'}\ntest_triples_path = {tmp_path / 'test.tsv'}\n"
+            f"epochs = 2\nhidden_units = 4\noutput_dir = {tmp_path / 'lp'}\n",
+        )
+        assert main(["train-lp", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no valid corruption of (0, 0, 0) found in 100 draws\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "lp").exists()
+
+    def test_eval_of_a_standalone_decoder_with_a_nan_embedding(self, tmp_path, capsys):
+        triples, train, test = _write_lp_dataset(tmp_path)
+        cfg = _cfg_file(
+            tmp_path,
+            f"task = link_prediction\ntriples_path = {triples}\ntrain_triples_path = {train}\n"
+            f"test_triples_path = {test}\nstandalone_decoder = true\nhidden_units = 4\nepochs = 2\n"
+            f"output_dir = {tmp_path / 'lp'}\n",
+        )
+        assert main(["train-lp", "--config", str(cfg)]) == 0
+        arrays = load_checkpoint(tmp_path / "lp" / "seed_0" / "checkpoint.npz")
+        arrays["decoder.distmult.entity"][0, 0] = np.nan
+        save_checkpoint(tmp_path / "nan.npz", arrays)
+        capsys.readouterr()
+        args = ["--set", f"checkpoint={tmp_path / 'nan.npz'}", "--set", f"output_dir={tmp_path / 'eval'}"]
+        assert main(["eval", "--config", str(cfg), *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: score_fn returned a non-finite score for test triple (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("kind", ["text", "npy"])
+    def test_eval_of_a_file_that_is_no_checkpoint(self, toy_config, tmp_path, capsys, kind):
+        ckpt = tmp_path / "ckpt.npz"
+        if kind == "text":
+            ckpt.write_text("not a checkpoint\n")
+        else:
+            with open(ckpt, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        assert main(["eval", "--config", str(toy_config), "--set", f"checkpoint={ckpt}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt} is not a recognized checkpoint (not an .npz archive)\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["empty", "directory"])

@@ -483,3 +483,39 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("kind", ["text", "npy", "empty", "truncated", "object_array"])
+    def test_a_file_that_is_no_checkpoint_is_refused_naming_it(self, tmp_path, kind):
+        from brgcn.diffnum import CheckpointError
+
+        path = tmp_path / "ckpt.npz"
+        if kind == "text":
+            path.write_text("layer0.w = 1\n")
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "truncated":
+            save_checkpoint(path, {"w": np.zeros((8, 8))})
+            path.write_bytes(path.read_bytes()[:300])
+        else:
+            with open(path, "wb") as fh:
+                np.savez(fh, w=np.array([{}], dtype=object), __format_version__=np.array(1))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path} is not a recognized checkpoint (")
+
+    def test_missing_or_unsupported_version_keeps_its_text(self, tmp_path):
+        from brgcn.diffnum import CheckpointError
+
+        path = tmp_path / "ckpt.npz"
+        for payload, text in [
+            ({"w": np.zeros(2)}, f"{path} is not a recognized checkpoint (missing version)"),
+            ({"__format_version__": np.array(2)}, "unsupported checkpoint version 2"),
+        ]:
+            with open(path, "wb") as fh:
+                np.savez(fh, **payload)
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == text

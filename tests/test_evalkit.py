@@ -6,7 +6,7 @@ import pytest
 from brgcn import evalkit, training
 from brgcn import hetgraph as hg
 from brgcn.decoders import score
-from brgcn.diffnum import Tape, Tensor
+from brgcn.diffnum import NumericError, Tape, Tensor
 from brgcn.evalkit import (
     AblationSplit,
     EvalError,
@@ -205,7 +205,7 @@ class TestRanking:
         def score_fn(h, r, t):
             return table[h, r, t]
 
-        with pytest.raises(EvalError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             rank_triples(score_fn, [(0, 0, 1)], 4, [(0, 0, 1)])
 
     def test_repeated_known_positives_count_once(self):

@@ -1,6 +1,7 @@
 """Graph loading, indexing, augmentation, labels, and splits."""
 
 import importlib.resources
+import os
 import random
 
 import numpy as np
@@ -556,6 +557,31 @@ class TestSharedLineReader:
         with pytest.raises(ParseError) as err:
             load(path, graph)
         assert err.value.line == text.split("\r\n").index(bad) + 1 == 4 * len(lines) + 4
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_a_byte_that_is_not_utf8_is_refused_naming_the_file(self, tmp_path, graph, kind):
+        load, lines, missing_text, _ = LOADERS[kind]
+        path = tmp_path / "latin1"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"# caf\xff\n")
+        with pytest.raises(GraphError) as err:
+            load(path, graph)
+        what = missing_text.removesuffix(" not found")
+        assert str(err.value) == f"{what} is not UTF-8 (invalid start byte): {path}"
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("special", ["directory", "fifo"])
+    def test_a_path_that_is_no_regular_file_is_not_found(self, tmp_path, graph, kind, special):
+        load, _, missing_text, _ = LOADERS[kind]
+        path = tmp_path / special
+        if special == "directory":
+            path.mkdir()
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(path)  # opening it would block until a writer came
+        else:
+            pytest.skip("no FIFOs on this platform")
+        with pytest.raises(GraphError) as err:
+            load(path, graph)
+        assert str(err.value) == f"{missing_text}: {path}"
 
 
 class TestIndexBuiltOnce:
