@@ -168,35 +168,35 @@ class GraphIndex:
     same node are listed node-major, one |R_i| x |R_i| row-major block per
     node.  No per-pair index is kept.
 
-    The layer's scatters run on :class:`~brgcn.diffnum.Segments` built from
-    these arrays on first use and kept for the graph's lifetime, so each
+    ``group_slot`` is each group's (node, relation) slot, ``group_node * R +
+    group_rel`` with R the graph's relation count: the row of an (N*R, .)
+    array that the layer reads once per group, for a_r's head half.
+
+    The layer's scatters run on three :class:`~brgcn.diffnum.Segments` built
+    from these arrays on first use and kept for the graph's lifetime, so each
     index is range-checked and scheduled once per graph: ``edges_by_group``
-    (edges into their groups), ``edges_by_head`` (edges into their head
-    nodes), ``groups_by_node`` (groups into their nodes), and
-    ``edges_by_head_slot`` and ``edges_by_tail_slot`` (edges into the
-    (node, relation) slot rows ``heads * R + edge_rel`` or ``tails * R +
-    edge_rel`` of an (N*R, .) array, R the graph's relation count).
+    (edges into their groups), ``groups_by_node`` (groups into their nodes)
+    and ``edges_by_tail_slot`` (edges into their tail slots ``tails * R +
+    edge_rel`` of an (N*R, .) array).  Every head-side sum reaches its node
+    through the group.
     """
 
     def __init__(self, graph: HeteroGraph):
         self.num_nodes = n = graph.num_nodes
-        self.num_relations = graph.num_relations
+        self.num_relations = r = graph.num_relations
         t = graph.triples
         self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
-        _, first, edge_group, size = np.unique(
-            self.edge_rel * n + self.heads,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
+        first = np.flatnonzero(np.diff(self.edge_rel * n + self.heads, prepend=-1))  # the keys are sorted
+        size = np.diff(first, append=self.heads.size)
         node, rel = self.heads[first], self.edge_rel[first]
         self.node_count = np.bincount(node, minlength=n)
         order = np.lexsort((rel, node, -self.node_count[node]))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        self.edge_group = rank[edge_group]
+        self.edge_group = np.repeat(rank, size)
         self.group_node, self.group_rel, self.group_size = node[order], rel[order], size[order]
-        self.edge_start = np.searchsorted(self.edge_rel, np.arange(graph.num_relations + 1))
+        self.group_slot = self.group_node * r + self.group_rel
+        self.edge_start = np.searchsorted(self.edge_rel, np.arange(r + 1))
 
         starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
@@ -210,17 +210,8 @@ class GraphIndex:
         return Segments(self.edge_group, self.num_groups)
 
     @cached_property
-    def edges_by_head(self) -> Segments:
-        return Segments(self.heads, self.num_nodes)
-
-    @cached_property
     def groups_by_node(self) -> Segments:
         return Segments(self.group_node, self.num_nodes)
-
-    @cached_property
-    def edges_by_head_slot(self) -> Segments:
-        r = self.num_relations
-        return Segments(self.heads * r + self.edge_rel, self.num_nodes * r)
 
     @cached_property
     def edges_by_tail_slot(self) -> Segments:
@@ -548,12 +539,6 @@ class NodeLabels:
     labeled_ids: tuple[int, ...]
     labels: dict[int, int]
     num_classes: int
-
-    def validate(self, graph: HeteroGraph) -> None:
-        for i in self.labeled_ids:
-            graph.check_node(i)
-            if not 0 <= self.labels[i] < self.num_classes:
-                raise GraphError(f"label {self.labels[i]} out of range for node {i}")
 
     def restrict(self, ids: Iterable[int]) -> "NodeLabels":
         keep = set(ids)

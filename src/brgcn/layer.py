@@ -41,12 +41,15 @@ Cost model: every row an edge gathers comes from one helper, ``_slot_rows``:
 the row of each (node, relation) slot under a slot-layout weight (d_in,
 R*width), relation r's columns at r*width, for each role's d_out-wide rows
 and the one-float rows of a_r's two halves.  One matmul projects all N*R
-slots (with one-hot input the weight is the rows), and a ``dn.Segments``
-schedule takes each edge to its head or tail slot.  Every scatter and every
-gradient of a gather by a graph-constant index runs on such a schedule,
-which ``graph.index`` builds and range-checks once per graph; its sums are a
-few vectorized passes, one per rank of a segment's entries, bit-equal to one
-bincount.  Nothing is restacked per forward, and one-hot dropout draws one
+slots (with one-hot input the weight is the rows).  Each edge reads its tail
+slot; every head-side quantity goes through the edge's group: a_r's head
+half is read once per group, then taken to the group's edges, and every sum
+into a node sums the node's groups.  So every variant runs on the same three
+``dn.Segments`` schedules, which ``graph.index`` builds and range-checks once
+per graph: edges into groups, groups into nodes and edges into tail slots.
+Every scatter and every gradient of a gather by a graph-constant index runs
+on one of them; its sums are a few vectorized passes, one per rank of a
+segment's entries, bit-equal to one bincount.  Nothing is restacked per forward, and one-hot dropout draws one
 mask entry per node, so no N x N array is built.  Under bases, every forward
 forms each role's slot weight as one (R, B) @ (B, d_out*d_in) matmul, which
 the per-relation views read too.  The relation stage does d_out work
@@ -291,15 +294,15 @@ def _project(h: Tensor | None, feature_mask: Tensor | None, w: Tensor) -> Tensor
 
 
 def _slot_rows(params: BrgcnLayerParams, h: Tensor | None, feature_mask: Tensor | None, idx: GraphIndex,
-               w: Tensor, *, row: tuple = (), head: bool = False) -> tuple[Tensor, dn.Segments]:
-    """The row of h @ w at every (node, relation) slot, and the Segments of each edge's slot row.
+               w: Tensor, *, row: tuple = ()) -> Tensor:
+    """The row of h @ w at every (node, relation) slot.
 
     ``w`` is (d_in, R*width) in slot layout, and the rows are (N*R, *row):
     ``row`` is (width,), or () for a width-1 weight read as one float per
-    slot.  An edge reads its tail's slot row, or with ``head`` its head's.
+    slot.  An edge reads its tail's slot row through ``idx.edges_by_tail_slot``;
+    a head's slot row is read once per group, at ``idx.group_slot``.
     """
-    slots = idx.edges_by_head_slot if head else idx.edges_by_tail_slot
-    return dn.reshape(_project(h, feature_mask, w), (idx.num_nodes * params.num_relations, *row)), slots
+    return dn.reshape(_project(h, feature_mask, w), (idx.num_nodes * params.num_relations, *row))
 
 
 def layer_forward(
@@ -346,30 +349,32 @@ def layer_forward(
     # Node-level attention: one segment softmax over the edges of every group.
     if params.variant in GAMMA_VARIANTS:  # a_r's halves are width-1 slot weights, read at head and tail
         a_head, a_tail = (dn.take(params.attention, np.arange(lo, lo + d_in)) for lo in (0, d_in))
-        logits = dn.add(dn.take(*_slot_rows(params, h, feature_mask, idx, a_head, head=True)),
-                        dn.take(*_slot_rows(params, h, feature_mask, idx, a_tail)))
+        head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
+        logits = dn.add(dn.take(dn.take(head, idx.group_slot), idx.edges_by_group),  # once per group
+                        dn.take(tail, idx.edges_by_tail_slot))
         gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
         edge_mask = mask(gamma.shape)
         weights = gamma if edge_mask is None else dn.mul(gamma, edge_mask)
     else:
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
 
-    def messages(role: str, dst: dn.Segments) -> Tensor:  # sum_j gamma_ij W_r h_j
-        rows, slots = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
-        return dn.gather_sum(weights, rows, slots, dst)
+    def messages(role: str) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
+        rows = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
+        return dn.gather_sum(weights, rows, idx.edges_by_tail_slot, idx.edges_by_group)
 
     self_rows = _project(h, feature_mask, dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if params.variant in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.
-        q, k, v = (messages(role, idx.edges_by_group) for role in params.ROLES)
+        q, k, v = (messages(role) for role in params.ROLES)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.groups_by_node)))
         out = dn.segment_sum(delta, idx.groups_by_node)
     else:
-        # R-GCN's sum; nodes without outgoing edges must stay zero despite the self term.
+        # R-GCN's sum, over each node's groups; nodes without outgoing edges stay zero despite the self term.
         has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
-        out = dn.mul(dn.relu(dn.add(messages("value", idx.edges_by_head), self_rows)), has_rel)
+        summed = dn.segment_sum(messages("value"), idx.groups_by_node)
+        out = dn.mul(dn.relu(dn.add(summed, self_rows)), has_rel)
 
     if not collect_trace:
         return out, AttentionTrace()

@@ -1,7 +1,7 @@
 """Raw-array oracles of the scheduled reductions.
 
-``segment_sum``, ``segment_softmax`` and ``gather_sum`` over plain index
-arrays, as taped ops: every sum is one ``np.add.at`` and every maximum one
+``take``, ``segment_sum``, ``segment_softmax`` and ``gather_sum`` over plain
+index arrays, as taped ops: every sum is one ``np.add.at`` and every maximum one
 ``np.maximum.at``, both in index order, and the products and row sums are
 written as the ops wrote them before they took a :class:`~brgcn.diffnum.Segments`.
 """
@@ -25,6 +25,11 @@ def max_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     out = np.full((n,) + values.shape[1:], -np.inf)
     np.maximum.at(out, index, values)
     return out
+
+
+def take(a, index: np.ndarray) -> Tensor:
+    a = _as_tensor(a)
+    return record_op("take", a.data[index], (a,), lambda g: (add_at(index, g, a.data.shape[0]),))
 
 
 def segment_sum(a, seg: np.ndarray, n: int) -> Tensor:

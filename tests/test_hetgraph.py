@@ -438,7 +438,6 @@ class TestLabelsAndSplits:
         g = load_triples(gpath)
         lpath = _write(tmp_path, "l.tsv", "a\tred\nb\tblue\nc\tred\n")
         labels = load_labels(lpath, g)
-        labels.validate(g)
         assert labels.num_classes == 2
         assert labels.labels[g.node_id("c")] == labels.labels[g.node_id("a")]
 

@@ -18,6 +18,7 @@ from brgcn.cli import _attention_payload
 from brgcn.diffnum import Tensor
 from brgcn.hetgraph import HeteroGraph, NodeLabels, augment, restrict_relations
 from brgcn.layer import (
+    GAMMA_VARIANTS,
     VARIANTS,
     BrgcnLayerParams,
     ConfigurationError,
@@ -30,6 +31,7 @@ from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
 from layer_weights import layer_with_weights
 from pair_oracle import attention_chain
+import scatter_oracle
 from synth import planted_graph, relations_of
 
 
@@ -905,10 +907,10 @@ class TestTapeLength:
     @pytest.mark.parametrize(
         "variant, records",
         [
-            ("full", (55, 64, 79, 88)),
-            ("node_only", (41, 48, 49, 56)),
+            ("full", (57, 66, 81, 90)),
+            ("node_only", (45, 52, 53, 60)),
             ("relation_only", (35, 40, 59, 64)),
-            ("rgcn_baseline", (21, 24, 29, 32)),
+            ("rgcn_baseline", (23, 26, 31, 34)),
         ],
     )
     def test_nc_step_records_per_variant_bases_and_dropout(self, variant, records):
@@ -1010,12 +1012,11 @@ class TestLayerParamsConfig:
 
 
 class TestSlotRows:
-    """``_slot_rows``: the slot rows of h @ w, and the Segments taking each edge to its row."""
+    """``_slot_rows``: the slot rows of h @ w, read by each edge at its tail slot and by each group at its head slot."""
 
     @pytest.mark.parametrize("one_hot", [True, False])
-    @pytest.mark.parametrize("head", [True, False])
     @pytest.mark.parametrize("row", [(), (3,)])
-    def test_rows_are_h_times_w_by_slot_and_edges_read_their_slot(self, one_hot, head, row):
+    def test_rows_are_h_times_w_by_slot_and_edges_read_their_slot(self, one_hot, row):
         g = augment(planted_graph(num_labeled=20)[0], add_inverse=True)
         n, num_rel, idx = g.num_nodes, g.num_relations, g.index
         rng = np.random.default_rng(12)
@@ -1024,12 +1025,56 @@ class TestSlotRows:
         x = rng.normal(size=(n, d_in))
         mask = Tensor(rng.integers(0, 2, size=(n, 1)) / 0.5) if one_hot else None
         w = Tensor(rng.normal(size=(d_in, num_rel * (row[0] if row else 1))))
-        rows, slots = _slot_rows(p, None if one_hot else Tensor(x), mask, idx, w, row=row, head=head)
+        rows = _slot_rows(p, None if one_hot else Tensor(x), mask, idx, w, row=row)
         want = w.data * mask.data if one_hot else x @ w.data
         assert rows.shape == (n * num_rel, *row)
         assert np.array_equal(rows.data, want.reshape(rows.shape))
-        assert np.array_equal(slots.ids, (idx.heads if head else idx.tails) * num_rel + idx.edge_rel)
-        assert slots is (idx.edges_by_head_slot if head else idx.edges_by_tail_slot)
+        assert np.array_equal(idx.edges_by_tail_slot.ids, idx.tails * num_rel + idx.edge_rel)
+        assert np.array_equal(idx.group_slot[idx.edge_group], idx.heads * num_rel + idx.edge_rel)
+
+
+class TestHeadReadThroughGroups:
+    """a_r's head half is read once per group, then taken to the group's edges."""
+
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    @pytest.mark.parametrize("one_hot", [True, False])
+    def test_gradients_equal_the_per_edge_head_slot_scatter(self, monkeypatch, variant, one_hot):
+        # The same training step twice, the second with the head read replaced
+        # by a per-edge take at the head slots heads * R + edge_rel, whose
+        # gradient is one np.add.at: every gradient is bit-equal.
+        g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
+        idx, num_rel = g.index, g.num_relations
+        assert idx.group_size.max() >= 5
+        d = g.num_nodes if one_hot else 6
+        x = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(g.num_nodes, d)))
+        up = np.random.default_rng(3).normal(size=(g.num_nodes, d))
+
+        def grads():
+            p = BrgcnLayerParams.create(np.random.default_rng(1), d, d, num_rel, dropout=0.4, variant=variant)
+            with dn.Tape() as tape:
+                out, _ = layer_forward(p, x, g, rng=np.random.default_rng(5))
+                tape.backward(dn.tsum(dn.mul(out, Tensor(up))))
+            return out.data, [t.grad for t in p.params()]
+
+        got = grads()
+        take, head_rows, routed = dn.take, [], []
+
+        def per_edge_head_take(a, indices):
+            if indices is idx.group_slot:  # hand the slot rows on to the edge read
+                head_rows.append(a)
+                return a
+            if indices is idx.edges_by_group and head_rows:
+                routed.append(indices)
+                return scatter_oracle.take(head_rows.pop(), idx.heads * num_rel + idx.edge_rel)
+            return take(a, indices)
+
+        monkeypatch.setattr(dn, "take", per_edge_head_take)
+        want = grads()
+        assert len(routed) == 1
+        assert np.array_equal(got[0], want[0])
+        assert np.any(got[1][0][:d])  # the head half has a gradient
+        for a, b in zip(got[1], want[1]):  # node_only leaves the query and key roles without one
+            assert a is b is None or np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestStackedParameters:

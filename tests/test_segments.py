@@ -13,6 +13,7 @@ from brgcn import diffnum as dn
 from brgcn import hetgraph
 from brgcn.diffnum import DimensionError, Tape, Tensor
 from brgcn.diffnum.tensor import PASS_MIN_SEGMENTS, _scatter_add
+from brgcn.layer import VARIANTS
 from brgcn.training import TrainConfig, train_node_classifier
 import scatter_oracle as oracle
 from synth import planted_graph, planted_split
@@ -216,12 +217,12 @@ class TestOpsAgainstTheRawOracle:
 
 
 class TestSchedulesPerGraph:
-    # The schedules each variant's layer reads: edges into groups, groups into
-    # nodes, edges into head nodes, edges into tail slots, and with node-level
-    # attention edges into head slots.
-    USED = {"full": 4, "relation_only": 3, "node_only": 4, "rgcn_baseline": 2}
+    # Every variant's layer reads the same three schedules: edges into
+    # groups, groups into nodes and edges into tail slots.  A head-side sum
+    # reaches its node through the group, so the index has no head-side one.
+    SCHEDULES = ("edges_by_group", "edges_by_tail_slot", "groups_by_node")
 
-    @pytest.mark.parametrize("variant", sorted(USED))
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):
         built = []
 
@@ -239,9 +240,8 @@ class TestSchedulesPerGraph:
             built.clear()
             cfg = TrainConfig(epochs=epochs, variant=variant, dropout=0.2, add_self_loop=True, seed=0)
             run = train_node_classifier(graph, labels, split, cfg)
-            assert len(built) == self.USED[variant]
+            assert len(built) == len(self.SCHEDULES)
         index = run.graph.index
-        assert index.edges_by_group is index.edges_by_group
-        assert index.edges_by_tail_slot is index.edges_by_tail_slot
-        assert index.edges_by_head_slot is index.edges_by_head_slot
-        assert index.edges_by_head_slot is not index.edges_by_tail_slot
+        assert sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments)) == list(self.SCHEDULES)
+        assert all(getattr(index, name) is getattr(index, name) for name in self.SCHEDULES)
+        assert not hasattr(index, "edges_by_head") and not hasattr(index, "edges_by_head_slot")
