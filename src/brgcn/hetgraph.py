@@ -172,13 +172,19 @@ class GraphIndex:
     group_rel`` with R the graph's relation count: the row of an (N*R, .)
     array that the layer reads once per group, for a_r's head half.
 
-    The layer's scatters run on three :class:`~brgcn.diffnum.Segments` built
-    from these arrays on first use and kept for the graph's lifetime, so each
+    The layer's scatters run on :class:`~brgcn.diffnum.Segments` built from
+    these arrays on first use and kept for the graph's lifetime, so each
     index is range-checked and scheduled once per graph: ``edges_by_group``
     (edges into their groups), ``groups_by_node`` (groups into their nodes)
-    and ``edges_by_tail_slot`` (edges into their tail slots ``tails * R +
-    edge_rel`` of an (N*R, .) array).  Every head-side sum reaches its node
-    through the group.
+    and, for a dense layer, ``edges_by_tail_slot`` (edges into their tail
+    slots ``tails * R + edge_rel`` of an (N*R, .) array).  Every head-side
+    sum reaches its node through the group.
+
+    A one-hot layer stores rows at the live slots only: ``live_slots``, the
+    distinct tail slots, ascending, one ``np.unique`` on first use.
+    ``edges_by_live_slot`` sends each edge to its slot's position there, a
+    Segments over the L live slots, and ``live_attention`` is how that
+    layer's a, one entry per group and then one per live slot, is read.
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -217,6 +223,29 @@ class GraphIndex:
     def edges_by_tail_slot(self) -> Segments:
         r = self.num_relations
         return Segments(self.tails * r + self.edge_rel, self.num_nodes * r)
+
+    @cached_property
+    def _live(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live slots and each edge's position among them."""
+        return np.unique(self.tails * self.num_relations + self.edge_rel, return_inverse=True)
+
+    @property
+    def live_slots(self) -> np.ndarray:
+        return self._live[0]
+
+    @cached_property
+    def edges_by_live_slot(self) -> Segments:
+        return Segments(self._live[1], self.live_slots.size)
+
+    @cached_property
+    def live_attention(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node of each entry of a one-hot layer's a, and each edge's tail entry.
+
+        a holds one entry per group, then one per live slot; an edge's head
+        entry is its group.
+        """
+        nodes = np.concatenate((self.group_node, self.live_slots // self.num_relations))
+        return nodes, self.num_groups + self._live[1]
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

@@ -37,25 +37,32 @@ batched matmul gives the logits, a row softmax gives psi and one batched
 matmul the psi-weighted values.  The tape's length depends on the number of
 layers only.
 
-Cost model: every row an edge gathers comes from one helper, ``_slot_rows``:
-the row of each (node, relation) slot under a slot-layout weight (d_in,
+Cost model: a dense layer's rows come from one helper, ``_slot_rows``: the
+row of each (node, relation) slot under a slot-layout weight (d_in,
 R*width), relation r's columns at r*width, for each role's d_out-wide rows
-and the one-float rows of a_r's two halves.  One matmul projects all N*R
-slots (with one-hot input the weight is the rows).  Each edge reads its tail
-slot; every head-side quantity goes through the edge's group: a_r's head
-half is read once per group, then taken to the group's edges, and every sum
-into a node sums the node's groups.  So every variant runs on the same three
-``dn.Segments`` schedules, which ``graph.index`` builds and range-checks once
-per graph: edges into groups, groups into nodes and edges into tail slots.
-Every scatter and every gradient of a gather by a graph-constant index runs
-on one of them; its sums are a few vectorized passes, one per rank of a
-segment's entries, bit-equal to one bincount.  Nothing is restacked per forward, and one-hot dropout draws one
-mask entry per node, so no N x N array is built.  Under bases, every forward
-forms each role's slot weight as one (R, B) @ (B, d_out*d_in) matmul, which
-the per-relation views read too.  The relation stage does d_out work
-per same-node pair and loops once per distinct |R_i|, its row maxima m - 1
+and the one-float rows of a_r's two halves; one matmul projects all N*R
+slots.  A one-hot layer built with ``live`` (layer 0 of both task models,
+without bases) stores only the rows an edge can read: each role over the
+graph's L live tail slots, and a as a_r's head half per group and its tail
+half per live slot.  Its forward reads them straight from the parameters,
+each scaled by its node's dropout mask entry, so its parameters, gradients
+and Adam moments are O(groups + live slots), and nothing is N*R.  Each edge
+reads its tail slot; every head-side quantity goes through the edge's group:
+a_r's head half is read once per group, then taken to the group's edges,
+and every sum into a node sums the node's groups.  So every variant runs on
+the same ``dn.Segments`` schedules, which ``graph.index`` builds and
+range-checks once per graph: edges into groups, groups into nodes and edges
+into tail slots, the N*R slots for a dense layer and the live ones for a
+one-hot layer.  Every scatter and every gradient of a gather by a
+graph-constant index runs on one of them; its sums are a few vectorized
+passes, one per rank of a segment's entries, bit-equal to one bincount.
+Nothing is restacked per forward, and one-hot dropout draws one mask entry
+per node, so no N x N array is built.  Under bases, every forward forms each
+role's slot weight as one (R, B) @ (B, d_out*d_in) matmul, which the
+per-relation views read too.  The relation stage does d_out work per
+same-node pair and loops once per distinct |R_i|, its row maxima m - 1
 column passes; only psi and one run's logits grow with the pairs.  So a step
-is linear in edges plus slots plus pairs, and a dense layer whose nodes
+is linear in edges plus live slots plus pairs, and a dense layer whose nodes
 carry few of many relations pays for its empty slots.  A step frees its
 transients when it ends; ``training.optimize`` keeps glibc from trimming
 them, so the next step reuses that heap.
@@ -63,6 +70,7 @@ them, so the next step reuses that heap.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,6 +110,17 @@ class BrgcnLayerParams:
     Tensors (a_r; W_role_r as d_out x d_in), the roles' reshaped from
     ``_slot_weight`` on detached inputs: reading them records nothing.
 
+    A layer built with ``live``, the :class:`GraphIndex` of the graph it
+    runs on, reads one-hot input (d_in = N, no bases) and stores only the
+    rows of that graph's G groups and L live tail slots
+    (``GraphIndex.live_slots``): ``<prefix>.a`` is (G + L,), a_r's head half
+    at each group's node, then its tail half at each live slot's node, and
+    ``<prefix>.w_<role>`` is (L, d_out), each slot's row of the slot layout.
+    The views and ``_slot_weight`` place the stored rows at their slots,
+    zeros elsewhere, so the layer runs on dense input too, and ``live_rows``
+    reduces a full-layout array to the stored rows.  A forward on a graph
+    with other live slots or groups is refused.
+
     ``variant``, checked here and read-only after, is the cell of the
     module docstring's grid that every forward runs: ``rgcn_baseline`` is
     R-GCN's mean-aggregation convolution, ``node_only`` the same with learned
@@ -120,6 +139,7 @@ class BrgcnLayerParams:
         leaky_slope: float = 0.2,
         dropout: float = 0.0,
         variant: str = "full",
+        live: GraphIndex | None = None,
     ):
         if variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -127,6 +147,12 @@ class BrgcnLayerParams:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {dropout}")
         if num_bases < 0:
             raise ConfigurationError(f"num_bases must be non-negative, got {num_bases}")
+        if live is not None and (num_bases or (d_in, num_relations) != (live.num_nodes, live.num_relations)):
+            raise ConfigurationError(
+                f"a live-slot layer reads its graph's one-hot input without bases: d_in={d_in}, "
+                f"{num_relations} relations and num_bases={num_bases} for a graph of {live.num_nodes} "
+                f"nodes and {live.num_relations} relations"
+            )
         self.d_in = d_in
         self.d_out = d_out
         self.num_relations = num_relations
@@ -134,6 +160,7 @@ class BrgcnLayerParams:
         self.leaky_slope = leaky_slope
         self.dropout = dropout
         self._variant = variant
+        self._live = live
         self.attention: Tensor | None = None
         self.roles: dict[str, Tensor] = {}
         self.basis: Tensor | None = None
@@ -144,9 +171,19 @@ class BrgcnLayerParams:
         """The variant every forward runs; read-only, fixed when the layer is built."""
         return self._variant
 
+    @property
+    def live(self) -> GraphIndex | None:
+        """The index whose live slots and groups the stored rows cover; None in the full slot layout."""
+        return self._live
+
     @staticmethod
-    def num_floats(d_in: int, d_out: int, num_relations: int, num_bases: int = 0) -> int:
+    def num_floats(
+        d_in: int, d_out: int, num_relations: int, num_bases: int = 0, live: GraphIndex | None = None
+    ) -> int:
         """How many parameter entries :meth:`create` allocates for these sizes."""
+        if live is not None:
+            slots = live.live_slots.size
+            return live.num_groups + slots + d_out * d_in + 3 * slots * d_out
         roles = 3 * num_relations * (num_bases if num_bases else d_out * d_in)
         return num_relations * 2 * d_in + (1 + num_bases) * d_out * d_in + roles
 
@@ -173,19 +210,37 @@ class BrgcnLayerParams:
         dropout: float = 0.0,
         variant: str = "full",
         prefix: str = "layer",
+        live: GraphIndex | None = None,
     ) -> "BrgcnLayerParams":
-        """Glorot-uniform initialization; a group's (R, ...) draw gives what R draws would."""
+        """Glorot-uniform initialization; a group's (R, ...) draw gives what R draws would.
+
+        With ``live``, each group is drawn one relation at a time and only the
+        numbers the full draw places at the live slots and groups are kept.
+        """
         p = cls(d_in, d_out, num_relations, num_bases=num_bases, leaky_slope=leaky_slope, dropout=dropout,
-                variant=variant)
+                variant=variant, live=live)
 
         def glorot(fan_in, fan_out, shape):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             return rng.uniform(-limit, limit, size=shape)
 
-        def param(group, values):  # a fresh array: no copy, unlike dn.param
-            return Tensor(cls.stacked(group, values), requires_grad=True, name=f"{prefix}.{group}")
+        def drawn(group, fan_in, fan_out, shape):  # glorot(fan_in, fan_out, (R, *shape)), stored
+            if live is None:
+                return cls.stacked(group, glorot(fan_in, fan_out, (num_relations, *shape)))
+            at, _ = p._full_layout(group)
+            rel, col = at % num_relations, at // num_relations
+            kept = np.empty((at.size, *shape[:-1]))
+            order = np.argsort(rel, kind="stable")
+            ends = np.cumsum(np.bincount(rel, minlength=num_relations))
+            for lo, hi in zip((0, *ends[:-1]), ends):  # relation r's entries, after one draw of shape
+                entries = order[lo:hi]
+                kept[entries] = glorot(fan_in, fan_out, shape)[..., col[entries]].T
+            return kept
 
-        p.attention = param("a", glorot(2 * d_in, 1, (num_relations, 2 * d_in)))
+        def param(group, values):  # a fresh array: no copy, unlike dn.param
+            return Tensor(values, requires_grad=True, name=f"{prefix}.{group}")
+
+        p.attention = param("a", drawn("a", 2 * d_in, 1, (2 * d_in,)))
         p.w_self = param("w_self", glorot(d_in, d_out, (d_out, d_in)))
         if num_bases:
             p.basis = param("basis", glorot(d_in, d_out, (num_bases, d_out, d_in)))
@@ -194,7 +249,7 @@ class BrgcnLayerParams:
                 coeff = rng.normal(0.0, 1.0 / np.sqrt(num_bases), size=(num_relations, num_bases))
                 p.roles[role] = param(f"coeff_{role}", coeff)
             else:
-                p.roles[role] = param(f"w_{role}", glorot(d_in, d_out, (num_relations, d_out, d_in)))
+                p.roles[role] = param(f"w_{role}", drawn(f"w_{role}", d_in, d_out, (d_out, d_in)))
         return p
 
     def params(self) -> list[Tensor]:
@@ -202,17 +257,58 @@ class BrgcnLayerParams:
         basis = [self.basis] if self.num_bases else []
         return [self.attention, *basis, *(self.roles[role] for role in self.ROLES), self.w_self]
 
+    def _full_layout(self, group: str) -> tuple[np.ndarray, tuple[int, int]]:
+        """A live layer's row of each stored entry of ``group`` in its full layout, and that layout's shape.
+
+        a's full layout, (2*d_in, R), is read as rows of one float: a group's
+        head half sits at its slot ``node * R + relation``, a live slot's tail
+        half at N*R plus the slot.  A role's, (d_in, R*d_out), is read as N*R
+        rows of d_out, a live slot's at the slot.  Row k holds the number that
+        the full (R, ..., 2*d_in or d_in) draw puts at relation k % R and last
+        index k // R.
+        """
+        idx, r = self._live, self.num_relations
+        if group == "a":
+            return np.concatenate((idx.group_slot, self.d_in * r + idx.live_slots)), (2 * self.d_in, r)
+        return idx.live_slots, (self.d_in, r * self.d_out)
+
+    def _full(self, group: str, stored: Tensor) -> Tensor:
+        """``group``'s full layout, taped: the stored entries at their rows, zeros elsewhere."""
+        if self._live is None:
+            return stored
+        at, shape = self._full_layout(group)
+        width = math.prod(stored.shape[1:])
+        where = np.full(math.prod(shape) // width, stored.shape[0])  # the zero row appended below
+        where[at] = np.arange(at.size)
+        padded = dn.concat([stored, np.zeros((1, *stored.shape[1:]))])
+        return dn.reshape(dn.take(padded, where), shape)
+
+    def live_rows(self, group: str, full: np.ndarray) -> np.ndarray:
+        """``full``, ``group``'s array in the full layout, reduced to this layer's stored rows.
+
+        Any other array, or any array of a layer without ``live``, is returned unchanged.
+        """
+        if self._live is None or group not in ("a", *(f"w_{role}" for role in self.ROLES)):
+            return full
+        at, shape = self._full_layout(group)
+        if full.shape != shape:
+            return full
+        return (full.reshape(-1) if group == "a" else full.reshape(-1, self.d_out))[at]
+
     @property
     def a(self) -> list[Tensor]:
-        return [Tensor(col) for col in self.attention.data.T.copy()]
+        return [Tensor(col) for col in self._full("a", Tensor(self.attention.data)).data.T.copy()]
 
     def _slot_weight(self, role: str, detached: bool = False) -> Tensor:
-        """``role``'s (d_in, R*d_out) slot weight, under bases one matmul; taped unless ``detached``."""
+        """``role``'s (d_in, R*d_out) slot weight, under bases one matmul; taped unless ``detached``.
+
+        A live layer's weight is its stored rows placed at their slots, zeros elsewhere.
+        """
         w, basis = (t if t is None or not detached else Tensor(t.data) for t in (self.roles[role], self.basis))
         if self.num_bases:  # (R, B) coefficients @ (B, d_out*d_in) basis: row r is W_role_r
             mats = dn.matmul(w, dn.reshape(basis, (self.num_bases, self.d_out * self.d_in)))
             w = dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
-        return w
+        return self._full(f"w_{role}", w)
 
     def _per_relation(self, role: str) -> list[Tensor]:
         w = self._slot_weight(role, detached=True).data.reshape(self.d_in, self.num_relations, self.d_out)
@@ -333,6 +429,11 @@ def layer_forward(
         raise ConfigurationError(f"layer expects d_in={params.d_in}, features have {d_in}")
     if graph.num_relations != num_rel:
         raise ConfigurationError(f"layer sized for {num_rel} relations, graph has {graph.num_relations}")
+    idx, built = graph.index, params.live
+    if built is not None and built is not idx and not (
+        np.array_equal(built.live_slots, idx.live_slots) and np.array_equal(built.group_slot, idx.group_slot)
+    ):
+        raise ConfigurationError("layer stores the rows of another graph's live slots and groups")
 
     def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry, None without
         keep = 1.0 - params.dropout
@@ -342,16 +443,27 @@ def layer_forward(
     if h is not None and feature_mask is not None:
         h = dn.mul(h, feature_mask)
 
-    idx = graph.index
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
+    # A live layer on one-hot input reads its stored rows: a by group and live slot, the roles by live slot.
+    live = built is not None and h is None
+    if live:
+        a_node, tail_entry = idx.live_attention
+        row_mask = None if feature_mask is None else Tensor(feature_mask.data[a_node[idx.num_groups :]])
 
     # Node-level attention: one segment softmax over the edges of every group.
-    if params.variant in GAMMA_VARIANTS:  # a_r's halves are width-1 slot weights, read at head and tail
-        a_head, a_tail = (dn.take(params.attention, np.arange(lo, lo + d_in)) for lo in (0, d_in))
-        head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
-        logits = dn.add(dn.take(dn.take(head, idx.group_slot), idx.edges_by_group),  # once per group
-                        dn.take(tail, idx.edges_by_tail_slot))
+    if params.variant in GAMMA_VARIANTS:
+        if live:  # a holds a_r's head half per group, then its tail half per live slot
+            a = params.attention
+            if feature_mask is not None:
+                a = dn.mul(a, feature_mask.data[a_node, 0])
+            logits = dn.add(dn.take(a, idx.edge_group), dn.take(a, tail_entry))
+        else:  # a_r's halves are width-1 slot weights, read at head and tail
+            attention = params._full("a", params.attention)
+            a_head, a_tail = (dn.take(attention, np.arange(lo, lo + d_in)) for lo in (0, d_in))
+            head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
+            logits = dn.add(dn.take(dn.take(head, idx.group_slot), idx.edges_by_group),  # once per group
+                            dn.take(tail, idx.edges_by_tail_slot))
         gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
         edge_mask = mask(gamma.shape)
         weights = gamma if edge_mask is None else dn.mul(gamma, edge_mask)
@@ -359,8 +471,13 @@ def layer_forward(
         gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
 
     def messages(role: str) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
-        rows = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
-        return dn.gather_sum(weights, rows, idx.edges_by_tail_slot, idx.edges_by_group)
+        if live:
+            w = params.roles[role]
+            rows, tails = (w if row_mask is None else dn.mul(w, row_mask)), idx.edges_by_live_slot
+        else:
+            rows = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
+            tails = idx.edges_by_tail_slot
+        return dn.gather_sum(weights, rows, tails, idx.edges_by_group)
 
     self_rows = _project(h, feature_mask, dn.transpose(params.w_self))  # (N, d_out)
     psi = None

@@ -388,11 +388,23 @@ class _Model:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Load a checkpoint whose keys are exactly this model's parameter names.
 
-        A per-relation checkpoint is converted first (:func:`_from_per_relation`).
-        Every key and shape is checked before any parameter changes.
+        A per-relation checkpoint is converted first (:func:`_from_per_relation`),
+        and a live layer's arrays in the full slot layout are reduced to its
+        stored rows (:meth:`BrgcnLayerParams.live_rows`), with one warning for
+        either.  Every key and shape is checked before any parameter changes.
         """
         params = self.params()
-        arrays = _from_per_relation(arrays, [p.name for p in params])
+        stacked = _from_per_relation(arrays, [p.name for p in params])
+        reduced = dict(stacked)
+        for lay in self.layers or ():
+            for p in lay.params():
+                if p.name in reduced:
+                    reduced[p.name] = lay.live_rows(p.name.rpartition(".")[2], reduced[p.name])
+        if stacked.keys() != arrays.keys():
+            log.warning("checkpoint in the per-relation format: its arrays were stacked into one per group")
+        elif any(reduced[k] is not stacked[k] for k in reduced):
+            log.warning("checkpoint in the full slot layout: layer 0 keeps the rows of the graph's live slots")
+        arrays = reduced
         unexpected = sorted(set(arrays) - {p.name for p in params})
         if unexpected:
             raise ConfigurationError(f"checkpoint has parameters the model lacks: {unexpected}")
@@ -408,7 +420,7 @@ class _Model:
 
 
 def _from_per_relation(arrays: dict[str, np.ndarray], names: Sequence[str]) -> dict[str, np.ndarray]:
-    """``arrays`` with the per-relation format's keys moved to ``names``, with one warning.
+    """``arrays`` with the per-relation format's keys moved to ``names``.
 
     That format stored a layer group as ``<name>.0 .. <name>.{R-1}``, stacked
     here by :meth:`BrgcnLayerParams.stacked`, and the decoder's embeddings as
@@ -427,8 +439,6 @@ def _from_per_relation(arrays: dict[str, np.ndarray], names: Sequence[str]) -> d
                 out[name] = BrgcnLayerParams.stacked(group, rows)
             except ValueError as err:
                 raise ConfigurationError(f"checkpoint arrays {name}.<r> do not stack: {err}") from err
-    if out.keys() != arrays.keys():
-        log.warning("checkpoint in the per-relation format: its arrays were stacked into one per group")
     return out
 
 
@@ -446,9 +456,14 @@ def _check_memory(num_floats: int) -> None:
 def _layer_stack(
     rng: np.random.Generator, dims: Sequence[int], graph: hg.HeteroGraph, cfg: Hyperparameters
 ) -> list[BrgcnLayerParams]:
-    """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``."""
+    """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``.
+
+    Layer 0 reads one-hot input: without bases it stores only the rows of
+    ``graph``'s live slots and groups.
+    """
     r, b = graph.num_relations, cfg.num_bases
-    _check_memory(sum(BrgcnLayerParams.num_floats(i, o, r, b) for i, o in zip(dims, dims[1:])))
+    live = [None if b else graph.index] + [None] * (len(dims) - 2)
+    _check_memory(sum(BrgcnLayerParams.num_floats(i, o, r, b, at) for i, o, at in zip(dims, dims[1:], live)))
     return [
         BrgcnLayerParams.create(
             rng,
@@ -460,6 +475,7 @@ def _layer_stack(
             dropout=cfg.dropout,
             variant=cfg.variant,
             prefix=f"layer{k}",
+            live=live[k],
         )
         for k in range(len(dims) - 1)
     ]

@@ -229,10 +229,10 @@ class TestCliNodeClassification:
                     assert abs(sum(row) - 1.0) <= 1e-9
 
     def test_eval_refuses_checkpoint_with_extra_relations(self, toy_config, tmp_path, capsys):
-        # Trained with inverse relations, evaluated without them: each
-        # parameter group holds one column block per relation, so the first
-        # group, layer0.a, is wider than the smaller model's and the load
-        # must fail.
+        # Trained with inverse relations, evaluated without them: layer 0
+        # stores one entry of a per group and per live tail slot, and the
+        # inverses add both, so the first group, layer0.a, is longer than
+        # the smaller model's and the load must fail.
         args = ["--config", str(toy_config), "--set", "epochs=2"]
         assert main(["train-nc", *args, "--set", "add_inverse=true"]) == 0
         ckpt = tmp_path / "out" / "seed_0" / "checkpoint.npz"
@@ -242,7 +242,7 @@ class TestCliNodeClassification:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "checkpoint shape (24, 5) != expected (24, 3)" in err
+        assert "checkpoint shape (88,) != expected (56,)" in err
         assert "'layer0.a'" in err
 
     def test_eval_without_checkpoint_is_config_error(self, toy_config):
@@ -553,6 +553,26 @@ checkpoint = {GOLDEN / 'per_relation_lp_checkpoint.npz'}
         )
         results = self._eval(["--config", str(cfg)], tmp_path / "ev", caplog)
         assert results == (GOLDEN / "per_relation_lp_results.json").read_bytes()
+
+
+class TestFullSlotCheckpoints:
+    """The README quick start's checkpoint as written before layer 0 stored its
+    live slots only, each group in the full slot layout: it evaluates and
+    exports as it did then."""
+
+    def test_node_classification(self, toy_config, tmp_path, caplog):
+        args = ["--config", str(toy_config), "--set", f"checkpoint={GOLDEN / 'toy_checkpoint.npz'}"]
+        for command, name, golden in (
+            ("eval", "results.json", "toy_results.json"),
+            ("export-attention", "attention.json", "toy_attention.json"),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+                assert main([command, *args, "--set", f"output_dir={tmp_path / command}"]) == 0
+            assert [r.getMessage() for r in caplog.records] == [
+                "checkpoint in the full slot layout: layer 0 keeps the rows of the graph's live slots"
+            ]
+            assert (tmp_path / command / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class TestCliVariants:

@@ -907,16 +907,17 @@ class TestTapeLength:
     @pytest.mark.parametrize(
         "variant, records",
         [
-            ("full", (57, 66, 81, 90)),
-            ("node_only", (45, 52, 53, 60)),
-            ("relation_only", (35, 40, 59, 64)),
-            ("rgcn_baseline", (23, 26, 31, 34)),
+            ("full", (49, 57, 81, 90)),
+            ("node_only", (39, 45, 53, 60)),
+            ("relation_only", (32, 37, 59, 64)),
+            ("rgcn_baseline", (22, 25, 31, 34)),
         ],
     )
     def test_nc_step_records_per_variant_bases_and_dropout(self, variant, records):
         # One 2-layer NC forward+backward with inverses and self loops, without
         # bases and then with 2, each without and with dropout: the records of
-        # each variant's op sequence, pinned.
+        # each variant's op sequence, pinned.  Without bases layer 0 reads its
+        # stored live rows straight from the parameters.
         graph, labels = planted_graph()
         g = augment(graph, add_inverse=True, add_self_loop=True)
         lengths = []
@@ -1178,3 +1179,150 @@ class TestStackedParameters:
         for name in ("a", "w_query", "w_key", "w_value"):
             with pytest.raises(AttributeError):
                 setattr(p, name, [])
+
+
+class TestLiveSlots:
+    """A layer built with ``live`` stores layer 0's rows at the graph's live slots and groups only."""
+
+    @staticmethod
+    def _graph():
+        g = augment(planted_graph(num_labeled=30)[0], add_self_loop=True)
+        idx = g.index
+        assert idx.live_slots.size < g.num_nodes * g.num_relations and idx.live_slots.size != idx.num_groups
+        return g
+
+    @staticmethod
+    def _step(p, h, g, up, rng):
+        with dn.Tape() as tape:
+            out, trace = layer_forward(p, h, g, rng=rng)
+            tape.backward(dn.tsum(dn.mul(out, Tensor(up))))
+        return out.data, trace, [t.grad for t in p.params()]
+
+    @staticmethod
+    def _same_trace(a, b):
+        assert np.array_equal(a.flat_gamma, b.flat_gamma)
+        assert (a.flat_psi is None) == (b.flat_psi is None)
+        assert a.flat_psi is None or np.array_equal(a.flat_psi, b.flat_psi)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_live_layer_is_the_full_layer_at_its_live_slots(self, variant, dropout):
+        # The same init, the same masks: every output, trace and gradient is
+        # bit-equal, on one-hot input and on the identity matrix, and the live
+        # gradients are the full layer's gathered at the live slots.
+        g = self._graph()
+        n, num_rel = g.num_nodes, g.num_relations
+        up = np.random.default_rng(3).normal(size=(n, 4))
+        layers = [
+            BrgcnLayerParams.create(np.random.default_rng(1), n, 4, num_rel, dropout=dropout, variant=variant,
+                                    live=live)
+            for live in (None, g.index)
+        ]
+        full, live = layers
+        assert [t.name for t in full.params()] == [t.name for t in live.params()]
+        steps = {}
+        for h in (None, Tensor(np.eye(n))):
+            for rng in (None, 5):
+                masks = [None if rng is None else np.random.default_rng(rng) for _ in layers]
+                got = [self._step(p, h, g, up, r) for p, r in zip(layers, masks)]
+                (out, trace, grads), (live_out, live_trace, live_grads) = got
+                assert np.array_equal(out, live_out)
+                self._same_trace(trace, live_trace)
+                for t, grad, live_grad in zip(live.params(), grads, live_grads):
+                    assert (grad is None) == (live_grad is None)
+                    if grad is not None:
+                        assert np.array_equal(live.live_rows(t.name.split(".")[1], grad), live_grad)
+                for p in layers:
+                    dn.zero_grad(p.params())
+                steps[h is None, rng] = live_out, live_trace, live_grads
+        one_hot, eye = steps[True, None], steps[False, None]  # without dropout the two inputs agree
+        assert np.array_equal(one_hot[0], eye[0])
+        self._same_trace(one_hot[1], eye[1])
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(one_hot[2], eye[2]))
+
+    def test_stored_rows_and_views(self):
+        g = self._graph()
+        idx, n, num_rel = g.index, g.num_nodes, g.num_relations
+        p = BrgcnLayerParams.create(np.random.default_rng(2), n, 3, num_rel, live=idx)
+        slots = idx.live_slots
+        assert p.attention.shape == (idx.num_groups + slots.size,)
+        assert all(p.roles[role].shape == (slots.size, 3) for role in p.ROLES)
+        # The views and the slot weight place the stored rows at their slots, zeros elsewhere.
+        full_a = np.stack([v.data for v in p.a], axis=1)
+        assert np.array_equal(full_a[idx.group_node, idx.group_rel], p.attention.data[: idx.num_groups])
+        assert np.array_equal(full_a[n + slots // num_rel, slots % num_rel], p.attention.data[idx.num_groups :])
+        assert np.count_nonzero(full_a) == p.attention.data.size
+        for role in p.ROLES:
+            rows = p._slot_weight(role).data.reshape(n * num_rel, 3)
+            assert np.array_equal(rows[slots], p.roles[role].data)
+            assert np.count_nonzero(rows) == rows[slots].size
+            mats = getattr(p, f"w_{role}")
+            assert np.array_equal(p.stacked(f"w_{role}", [w.data for w in mats]), rows.reshape(n, -1))
+            assert np.array_equal(p.live_rows(f"w_{role}", rows.reshape(n, -1)), p.roles[role].data)
+        assert np.array_equal(p.live_rows("a", full_a), p.attention.data)
+
+    @pytest.mark.parametrize("d_out", [1, 4])
+    def test_chunked_init_keeps_the_full_draws_numbers_at_the_live_slots(self, d_out):
+        g = self._graph()
+        idx, n, num_rel = g.index, g.num_nodes, g.num_relations
+        rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+        live = BrgcnLayerParams.create(rngs[0], n, d_out, num_rel, live=idx)
+        limit_a, limit_w = np.sqrt(6.0 / (2 * n + 1)), np.sqrt(6.0 / (n + d_out))
+        a = rngs[1].uniform(-limit_a, limit_a, size=(num_rel, 2 * n))  # today's draws, in today's order
+        w_self = rngs[1].uniform(-limit_w, limit_w, size=(d_out, n))
+        roles = {role: rngs[1].uniform(-limit_w, limit_w, size=(num_rel, d_out, n)) for role in live.ROLES}
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        slot_node, slot_rel = idx.live_slots // num_rel, idx.live_slots % num_rel
+        kept = np.concatenate((a[idx.group_rel, idx.group_node], a[slot_rel, n + slot_node]))
+        assert np.array_equal(live.attention.data, kept)
+        assert np.array_equal(live.w_self.data, w_self)
+        for role, w in roles.items():
+            assert np.array_equal(live.roles[role].data, w[slot_rel, :, slot_node])
+        assert all(t.data.flags.c_contiguous for t in live.params())
+
+    def test_relations_no_edge_uses_add_no_parameter_or_gradient_bytes(self):
+        graph = self._graph()
+        wider = HeteroGraph.from_triples(
+            graph.triples, num_nodes=graph.num_nodes,
+            relation_names=[*graph.relation_names, *(f"unused{k}" for k in range(40))],
+        )
+        up = np.random.default_rng(3).normal(size=(graph.num_nodes, 8))
+        held = []
+        for g in (graph, wider):
+            layer_forward(BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 8, g.num_relations,
+                                                  live=g.index), None, g)  # the index's caches, built untraced
+            tracemalloc.start()
+            try:
+                p = BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 8, g.num_relations,
+                                            live=g.index)
+                self._step(p, None, g, up, np.random.default_rng(1))
+                kept = tracemalloc.get_traced_memory()[0]  # the layer's data and gradients, the step's freed
+            finally:
+                tracemalloc.stop()
+            stored = sum(t.data.nbytes + t.grad.nbytes for t in p.params())
+            assert stored <= kept < 2 * stored
+            held.append((stored, kept))
+        (stored, kept), (wider_stored, wider_kept) = held
+        assert wider_stored == stored
+        full = 40 * (2 * graph.num_nodes + 3 * graph.num_nodes * 8) * 8 * 2  # what 40 relations add in full
+        assert abs(wider_kept - kept) < full / 1000
+
+    def test_forward_on_a_graph_with_other_slots_is_refused(self):
+        g = self._graph()
+        p = BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 3, g.num_relations, live=g.index)
+        same = HeteroGraph.from_triples(g.triples[::-1], num_nodes=g.num_nodes, relation_names=g.relation_names)
+        assert np.array_equal(layer_forward(p, None, same)[0].data, layer_forward(p, None, g)[0].data)
+        t = g.triples
+        moved = t[t[:, 2] != t[0, 2]]  # one tail's slots leave
+        for triples in (moved, np.vstack([t, [[t[0, 0], t[0, 1], t[-1, 0]]]])):
+            other = HeteroGraph.from_triples(triples, num_nodes=g.num_nodes, relation_names=g.relation_names)
+            for h in (None, Tensor(np.eye(g.num_nodes))):
+                with pytest.raises(ConfigurationError, match="live slots"):
+                    layer_forward(p, h, other)
+
+    def test_a_live_layer_reads_one_hot_input_without_bases(self):
+        g = self._graph()
+        n, num_rel = g.num_nodes, g.num_relations
+        for d_in, rels, bases in ((n + 1, num_rel, 0), (n, num_rel + 1, 0), (n, num_rel, 2)):
+            with pytest.raises(ConfigurationError, match="live-slot layer"):
+                BrgcnLayerParams(d_in, 3, rels, num_bases=bases, live=g.index)

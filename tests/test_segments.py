@@ -217,10 +217,12 @@ class TestOpsAgainstTheRawOracle:
 
 
 class TestSchedulesPerGraph:
-    # Every variant's layer reads the same three schedules: edges into
-    # groups, groups into nodes and edges into tail slots.  A head-side sum
-    # reaches its node through the group, so the index has no head-side one.
-    SCHEDULES = ("edges_by_group", "edges_by_tail_slot", "groups_by_node")
+    # Every variant's layers read the same four schedules: edges into
+    # groups, groups into nodes, edges into the tail slots for the dense
+    # layer and edges into the live slots for the one-hot layer 0.  A
+    # head-side sum reaches its node through the group, so the index has no
+    # head-side one.
+    SCHEDULES = ("edges_by_group", "edges_by_live_slot", "edges_by_tail_slot", "groups_by_node")
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):

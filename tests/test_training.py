@@ -626,20 +626,55 @@ class TestCheckpointArrays:
             assert p.name == q.name and np.array_equal(p.data, q.data) and q.data.flags.c_contiguous
 
 
+    def test_full_slot_checkpoint_loads_into_the_live_rows(self, caplog):
+        # Layer 0's groups in the full slot layout, as the per-relation views
+        # place them: the live rows are gathered, with one warning.
+        graph, labels = planted_graph()
+        model = NodeClassificationModel.build(np.random.default_rng(0), graph, labels.num_classes, TrainConfig())
+        lay = model.layers[0]
+        arrays = model.state_arrays()
+        arrays["layer0.a"] = np.stack([v.data for v in lay.a], axis=1)
+        arrays.update((f"layer0.w_{role}", lay._slot_weight(role).data) for role in lay.ROLES)
+        assert arrays["layer0.a"].shape == (2 * graph.num_nodes, graph.num_relations)
+        other = NodeClassificationModel.build(np.random.default_rng(1), graph, labels.num_classes, TrainConfig())
+        with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+            other.load_arrays(arrays)
+        assert [r.getMessage() for r in caplog.records] == [
+            "checkpoint in the full slot layout: layer 0 keeps the rows of the graph's live slots"
+        ]
+        for p, q in zip(model.params(), other.params()):
+            assert p.name == q.name and np.array_equal(p.data, q.data) and q.data.flags.c_contiguous
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+            other.load_arrays(model.state_arrays())
+        assert not caplog.records
+
+
 class TestMemoryEstimate:
-    def test_paper_scale_model_without_bases_is_refused_before_allocating(self):
+    @staticmethod
+    def _bgs_size_graph():
         # BGS's sizes: 333,845 nodes and 207 relations (with inverses and self
-        # loops); a few triples suffice.  Layer 0's q/k/v alone are 26 GB.
+        # loops); a few triples suffice.
         n, num_rel = 333_845, 207
         graph = hg.HeteroGraph.from_triples(
             [(0, 0, 1), (1, 100, 2), (2, 206, 0)],
             num_nodes=n,
             relation_names=[f"r{k}" for k in range(num_rel)],
         )
-        cfg = TrainConfig()  # 2 layers, 16 hidden units, no bases
-        floats = BrgcnLayerParams.num_floats(n, 16, num_rel) + BrgcnLayerParams.num_floats(16, 3, num_rel)
+        return n, num_rel, graph
+
+    @staticmethod
+    def _memory() -> int:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    def test_paper_scale_model_without_bases_is_refused_before_allocating(self):
+        # At 4,096 hidden units layer 0's w_self alone is 11 GB.
+        n, num_rel, graph = self._bgs_size_graph()
+        cfg = TrainConfig(hidden_units=4096)  # 2 layers, no bases
+        floats = BrgcnLayerParams.num_floats(n, 4096, num_rel, live=graph.index)
+        floats += BrgcnLayerParams.num_floats(4096, 3, num_rel)
         need = 4 * 8 * floats  # parameters, gradients and two Adam moments
-        if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        if need <= self._memory():
             pytest.skip("this machine's memory would hold the model")
         tracemalloc.start()
         try:
@@ -648,16 +683,33 @@ class TestMemoryEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 * n  # below one attention vector, the smallest layer-0 parameter
+        assert peak < 8 * 2 * n  # the graph's index; w_self would be 8 * 4096 * n
         # The estimate counts parameters only, while a basis layer still builds
         # each role's (d_in, R*d_out) slot weight in every forward: naming
         # num_bases would promise a saving the estimate cannot see.
         assert "hidden_units" in str(refusal.value) and "num_bases" not in str(refusal.value)
 
-    @pytest.mark.parametrize("num_bases", [0, 1, 3])
-    def test_num_floats_counts_what_create_allocates(self, num_bases):
-        p = BrgcnLayerParams.create(np.random.default_rng(0), 7, 5, 4, num_bases=num_bases)
-        assert sum(t.data.size for t in p.params()) == BrgcnLayerParams.num_floats(7, 5, 4, num_bases)
+    def test_live_rows_that_fit_pass_although_the_full_slot_layout_would_not(self):
+        # At 16 hidden units the full slot layout's q/k/v alone are 26 GB; the
+        # three triples leave three live slots and three groups.
+        n, num_rel, graph = self._bgs_size_graph()
+        full = BrgcnLayerParams.num_floats(n, 16, num_rel) + BrgcnLayerParams.num_floats(16, 3, num_rel)
+        if 4 * 8 * full <= self._memory():
+            pytest.skip("this machine's memory would hold the full slot layout")
+        live = BrgcnLayerParams.num_floats(n, 16, num_rel, live=graph.index)
+        assert live == 3 + 3 + 16 * n + 3 * 3 * 16
+        training._check_memory(live + BrgcnLayerParams.num_floats(16, 3, num_rel))
+
+    @pytest.mark.parametrize("num_bases, live", [(0, False), (1, False), (3, False), (0, True)])
+    def test_num_floats_counts_what_create_allocates(self, num_bases, live):
+        graph = hg.augment(planted_graph(num_labeled=20)[0], add_inverse=True)
+        index = graph.index if live else None
+        d_in, num_rel = (graph.num_nodes, graph.num_relations) if live else (7, 4)
+        p = BrgcnLayerParams.create(np.random.default_rng(0), d_in, 5, num_rel, num_bases=num_bases, live=index)
+        floats = BrgcnLayerParams.num_floats(d_in, 5, num_rel, num_bases, index)
+        assert sum(t.data.size for t in p.params()) == floats
+        if live:
+            assert floats < BrgcnLayerParams.num_floats(d_in, 5, num_rel)
 
 
 class TestPipelines:
