@@ -458,10 +458,14 @@ PASS_MIN_SEGMENTS = 64
 class Segments:
     """An index of segment ids in [0, n), one per entry, checked once, with its sum schedule.
 
-    ``ids`` is a read-only copy.  ``sum(values)`` returns
+    ``ids`` is a read-only copy, range-checked when the index is built, so
+    an index built once per graph is checked once.  ``sum(values)`` returns
     ``_scatter_add(ids, values, n)`` bit for bit: every segment adds its
-    entries in index order, starting from 0.  The schedule is built once,
-    from the index's shape alone.  Segments are ranked by entry count,
+    entries in index order, starting from 0.  A sum of one column is that
+    one bincount and reads no schedule; the schedule is built on the first
+    sum of more columns, once, from the index's shape alone, so an index
+    only ever read by 1-D takes and sums holds its ids and nothing of size
+    n.  Segments are ranked by entry count,
     descending, so the segments with more than k entries are a prefix.
     While at least ``PASS_MIN_SEGMENTS`` segments have a k-th entry, rank k
     is one pass: one vectorized add of each such segment's k-th entry onto
@@ -478,6 +482,7 @@ class Segments:
     """
 
     __slots__ = ("ids", "n", "order", "_slot", "_deep", "_num_deep", "_deep_rows", "_widths")
+    _SCHEDULE = __slots__[2:]
 
     def __init__(self, ids, n: int):
         ids = np.array(ids, dtype=np.intp)
@@ -487,6 +492,15 @@ class Segments:
             raise DimensionError(f"Segments: segment ids out of range [0, {n})")
         ids.flags.writeable = False
         self.ids, self.n = ids, n
+
+    def __getattr__(self, name: str):  # a schedule slot read before the schedule is built
+        if name not in Segments._SCHEDULE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_schedule()
+        return object.__getattribute__(self, name)
+
+    def _build_schedule(self) -> None:
+        ids, n = self.ids, self.n
         counts = np.bincount(ids, minlength=n)
         reach = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # reach[k]: segments with > k entries
         short = reach < PASS_MIN_SEGMENTS
@@ -701,7 +715,7 @@ def block_attention(q, k, v, layout: BlockLayout) -> tuple[Tensor, np.ndarray]:
     return record_op("block_attention", out, (q, k, v), backward), psi
 
 
-def gather_sum(w, x, src: Segments, dst: Segments) -> Tensor:
+def gather_sum(w, x, src: Segments, dst: Segments, *, at: Segments | None = None, base=None) -> Tensor:
     """Weighted gather-scatter ``out[dst[e]] += w[e] * x[src[e]]``.
 
     A sparse-dense product: the (dst.n, len(x)) matrix with entries w at
@@ -709,21 +723,36 @@ def gather_sum(w, x, src: Segments, dst: Segments) -> Tensor:
     Each side's sums follow its own schedule: ``dst`` in forward, ``src`` for
     x's gradient.  The gathered (entries, d) rows are recomputed in backward
     instead of being kept alive on the tape.
+
+    With ``at``, a :class:`Segments` of entry positions in [0, dst.size),
+    only some weights are learned: ``w[k]`` is the weight of entry
+    ``at.ids[k]`` and every other entry e keeps the constant ``base[e]``.
+    ``out`` and x's gradient are bit-equal to the call with the full weight
+    vector, and w's gradient is that call's at the learned entries, computed
+    there only: its cost is O(len(at) * d), not O(entries * d).
     """
     w, x = _as_tensor(w), _as_tensor(x)
     if w.ndim != 1 or x.ndim != 2:
         raise DimensionError(f"gather_sum: need a weight vector and a matrix, got {w.shape}, {x.shape}")
-    _check_segments(src, w.shape[0], "gather_sum", x.shape[0])
-    _check_segments(dst, w.shape[0], "gather_sum")
-    wd, xd, src_ids, dst_ids = w.data, x.data, src.ids, dst.ids
+    wd = w.data
+    if at is not None:  # the full weight vector: base, with the learned weights at their entries
+        wd = np.array(base, dtype=np.float64)
+        if wd.ndim != 1:
+            raise DimensionError(f"gather_sum: base must be a vector, got shape {wd.shape}")
+        _check_segments(at, w.shape[0], "gather_sum", wd.shape[0])
+        np.put(wd, at.ids, w.data)
+    _check_segments(src, wd.shape[0], "gather_sum", x.shape[0])
+    _check_segments(dst, wd.shape[0], "gather_sum")
+    xd, src_ids, dst_ids = x.data, src.ids, dst.ids
     out = dst.sum_products(wd, xd, src)
 
     def backward(g):
         gw = gx = None
         if w.requires_grad:
             # summed like mul's broadcast gradient, so results match mul + segment_sum bit for bit
-            part = np.take(g, dst_ids, axis=0)
-            part *= np.take(xd, src_ids, axis=0)
+            rows, cols = (dst_ids, src_ids) if at is None else (np.take(i, at.ids) for i in (dst_ids, src_ids))
+            part = np.take(g, rows, axis=0)
+            part *= np.take(xd, cols, axis=0)
             gw = part.sum(axis=1)
         if x.requires_grad:
             gx = src.sum_products(wd, g, dst)

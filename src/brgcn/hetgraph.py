@@ -183,8 +183,18 @@ class GraphIndex:
     A one-hot layer stores rows at the live slots only: ``live_slots``, the
     distinct tail slots, ascending, one ``np.unique`` on first use.
     ``edges_by_live_slot`` sends each edge to its slot's position there, a
-    Segments over the L live slots, and ``live_attention`` is how that
-    layer's a, one entry per group and then one per live slot, is read.
+    Segments over the L live slots, and ``live_nodes`` is the node of each
+    entry of that layer's a, one entry per group and then one per live slot.
+
+    Node-level attention has a choice only in a group of two or more edges;
+    a lone edge's gamma is 1.  So the layer reads a_r at the E_m edges of
+    those groups only, ascending, each index a Segments built and
+    range-checked once: ``multi_edges`` (their positions among the edges),
+    ``multi_by_group`` (their groups, renumbered 0..G_m-1 in group order,
+    for the segment softmax) and each edge's head and tail read,
+    ``multi_slots`` for a dense layer's N*R slot rows and ``multi_live`` for
+    a one-hot layer's a.  None of these is summed over more than one column,
+    so none builds a sum schedule or holds anything of size N*R.
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -238,14 +248,33 @@ class GraphIndex:
         return Segments(self._live[1], self.live_slots.size)
 
     @cached_property
-    def live_attention(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node of each entry of a one-hot layer's a, and each edge's tail entry.
+    def live_nodes(self) -> np.ndarray:
+        """The node of each entry of a one-hot layer's a: one entry per group, then one per live slot."""
+        return np.concatenate((self.group_node, self.live_slots // self.num_relations))
 
-        a holds one entry per group, then one per live slot; an edge's head
-        entry is its group.
-        """
-        nodes = np.concatenate((self.group_node, self.live_slots // self.num_relations))
-        return nodes, self.num_groups + self._live[1]
+    @cached_property
+    def multi_edges(self) -> Segments:
+        return Segments(np.flatnonzero(self.group_size[self.edge_group] > 1), self.heads.size)
+
+    @cached_property
+    def multi_by_group(self) -> Segments:
+        multi = self.group_size > 1
+        renumbered = np.cumsum(multi) - 1
+        return Segments(renumbered[self.edge_group[self.multi_edges.ids]], int(multi.sum()))
+
+    @cached_property
+    def multi_slots(self) -> tuple[Segments, Segments]:
+        """Each multi edge's head slot and tail slot, ``node * R + edge_rel``, among N*R."""
+        e, r = self.multi_edges.ids, self.num_relations
+        rel = self.edge_rel[e]
+        return tuple(Segments(nodes[e] * r + rel, self.num_nodes * r) for nodes in (self.heads, self.tails))
+
+    @cached_property
+    def multi_live(self) -> tuple[Segments, Segments]:
+        """Each multi edge's head and tail entry in a one-hot layer's a: its group, and G plus its live slot."""
+        e, g = self.multi_edges.ids, self.num_groups
+        size = g + self.live_slots.size
+        return Segments(self.edge_group[e], size), Segments(g + self._live[1][e], size)
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

@@ -26,9 +26,11 @@ projections, h'_i = ReLU(sum_{r in R_i} W^V_r z_i^r + W_self h_i).
 Both stages run in one pass over the graph's sorted index arrays
 (``graph.index``, built once per graph), for all relations at once, in the
 edge-softmax / scatter formulation of GAT (Velickovic et al. 2018): one
-segment softmax over every edge gives gamma, and since sum_j gamma_ij W_r h_j
-= W_r z_i^r, each role is projected first, as R-GCN's per-relation messages
-are (Schlichtkrull et al. 2018), then gathered once.  The relation stage is
+segment softmax over the edges of the groups with two or more edges gives
+their gamma, and a lone edge's gamma is 1, a softmax over one entry, whose
+logit gradient is 0.  Since sum_j gamma_ij W_r h_j = W_r z_i^r, each role is
+projected first, as R-GCN's per-relation messages are (Schlichtkrull et al.
+2018), then gathered once.  The relation stage is
 Transformer-style attention (Vaswani et al. 2017) within per-node blocks, one
 op (``dn.block_attention``): the index numbers groups by their node's |R_i|,
 descending, so node i's groups form one block and the nodes with |R_i| = m
@@ -47,9 +49,8 @@ graph's L live tail slots, and a as a_r's head half per group and its tail
 half per live slot.  Its forward reads them straight from the parameters,
 each scaled by its node's dropout mask entry, so its parameters, gradients
 and Adam moments are O(groups + live slots), and nothing is N*R.  Each edge
-reads its tail slot; every head-side quantity goes through the edge's group:
-a_r's head half is read once per group, then taken to the group's edges,
-and every sum into a node sums the node's groups.  So every variant runs on
+reads its tail slot, and every sum into a node sums the node's groups; no
+sum runs over head slots.  So every variant runs on
 the same ``dn.Segments`` schedules, which ``graph.index`` builds and
 range-checks once per graph: edges into groups, groups into nodes and edges
 into tail slots, the N*R slots for a dense layer and the live ones for a
@@ -66,6 +67,19 @@ is linear in edges plus live slots plus pairs, and a dense layer whose nodes
 carry few of many relations pays for its empty slots.  A step frees its
 transients when it ends; ``training.optimize`` keeps glibc from trimming
 them, so the next step reuses that heap.
+
+Node attention runs over the E_m edges of multi-edge groups only: a_r's
+halves are read at their head and tail slots (``graph.index.multi_slots``
+for a dense layer, ``multi_live`` for a live one), and the logits, the
+LeakyReLU and the segment softmax are O(E_m).  Each of the stage's reads
+by a graph-constant index is a ``dn.Segments`` built once per graph (a's
+two halves, once per layer), so the stage range-checks no index and
+gathers by no fancy index per forward.  ``dn.gather_sum`` takes the E_m learned weights at
+``multi_edges`` and gives every lone edge the constant 1 times its
+edge-dropout entry, so the weight gradient, two row gathers and a product
+per entry and role, is O(E_m * d_out) too, not O(E * d_out); the x gradient
+still sums over every edge.  A graph of lone edges records no node-attention
+op, and its a takes no gradient.
 """
 
 from __future__ import annotations
@@ -310,6 +324,11 @@ class BrgcnLayerParams:
             w = dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
         return self._full(f"w_{role}", w)
 
+    @cached_property
+    def _halves(self) -> tuple[dn.Segments, dn.Segments]:
+        """The rows of a_r's head half and of its tail half in a's full layout, each checked once."""
+        return tuple(dn.Segments(np.arange(lo, lo + self.d_in), 2 * self.d_in) for lo in (0, self.d_in))
+
     def _per_relation(self, role: str) -> list[Tensor]:
         w = self._slot_weight(role, detached=True).data.reshape(self.d_in, self.num_relations, self.d_out)
         return [Tensor(m) for m in w.transpose(1, 2, 0).copy()]
@@ -322,10 +341,10 @@ class AttentionTrace:
     """Recorded attention weights from one forward pass, as the layer computed them.
 
     ``flat_gamma`` is a read-only copy of gamma, one weight per edge of
-    ``index``; a variant without node attention records its uniform
-    1/|N_i^r|.  ``flat_psi`` is the relation stage's read-only psi, one
-    float per same-node pair in ``index.blocks`` order, None without
-    relation attention.
+    ``index``, 1.0 at a lone edge; a variant without node attention records
+    its uniform 1/|N_i^r|.  ``flat_psi`` is the relation stage's read-only
+    psi, one float per same-node pair in ``index.blocks`` order, None
+    without relation attention.
 
     ``gamma``, ``psi`` and ``rel_order`` are read-only mappings of read-only
     views, each split from the flat arrays in one pass on first access and
@@ -396,7 +415,7 @@ def _slot_rows(params: BrgcnLayerParams, h: Tensor | None, feature_mask: Tensor 
     ``w`` is (d_in, R*width) in slot layout, and the rows are (N*R, *row):
     ``row`` is (width,), or () for a width-1 weight read as one float per
     slot.  An edge reads its tail's slot row through ``idx.edges_by_tail_slot``;
-    a head's slot row is read once per group, at ``idx.group_slot``.
+    a multi edge reads a_r's head and tail rows through ``idx.multi_slots``.
     """
     return dn.reshape(_project(h, feature_mask, w), (idx.num_nodes * params.num_relations, *row))
 
@@ -448,27 +467,33 @@ def layer_forward(
     # A live layer on one-hot input reads its stored rows: a by group and live slot, the roles by live slot.
     live = built is not None and h is None
     if live:
-        a_node, tail_entry = idx.live_attention
+        a_node = idx.live_nodes
         row_mask = None if feature_mask is None else Tensor(feature_mask.data[a_node[idx.num_groups :]])
 
-    # Node-level attention: one segment softmax over the edges of every group.
+    # Node-level attention where a group has a choice: one segment softmax over the edges of the
+    # groups with two or more.  A lone edge's gamma is 1, and its logit would take no gradient.
+    at = fixed = None
     if params.variant in GAMMA_VARIANTS:
-        if live:  # a holds a_r's head half per group, then its tail half per live slot
-            a = params.attention
-            if feature_mask is not None:
-                a = dn.mul(a, feature_mask.data[a_node, 0])
-            logits = dn.add(dn.take(a, idx.edge_group), dn.take(a, tail_entry))
-        else:  # a_r's halves are width-1 slot weights, read at head and tail
-            attention = params._full("a", params.attention)
-            a_head, a_tail = (dn.take(attention, np.arange(lo, lo + d_in)) for lo in (0, d_in))
-            head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
-            logits = dn.add(dn.take(dn.take(head, idx.group_slot), idx.edges_by_group),  # once per group
-                            dn.take(tail, idx.edges_by_tail_slot))
-        gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.edges_by_group)
-        edge_mask = mask(gamma.shape)
-        weights = gamma if edge_mask is None else dn.mul(gamma, edge_mask)
+        at, gamma = idx.multi_edges, Tensor(np.empty(0))
+        if at.size:
+            if live:  # a holds a_r's head half per group, then its tail half per live slot
+                a = params.attention
+                if feature_mask is not None:
+                    a = dn.mul(a, feature_mask.data[a_node, 0])
+                logits = dn.add(*(dn.take(a, read) for read in idx.multi_live))
+            else:  # a_r's halves are width-1 slot weights, read at head and tail
+                attention = params._full("a", params.attention)
+                a_head, a_tail = (dn.take(attention, half) for half in params._halves)
+                head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
+                logits = dn.add(*(dn.take(rows, read) for rows, read in zip((head, tail), idx.multi_slots)))
+            gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.multi_by_group)
+        edge_mask = mask(idx.edge_group.shape)  # one entry per edge, lone or not
+        if edge_mask is None:
+            weights, fixed = gamma, np.ones(idx.edge_group.size)
+        else:  # a lone edge's weight is its mask entry
+            weights, fixed = dn.mul(gamma, np.take(edge_mask.data, at.ids)), edge_mask.data
     else:
-        gamma = weights = Tensor(1.0 / idx.group_size[idx.edge_group])
+        weights = Tensor(1.0 / idx.group_size[idx.edge_group])
 
     def messages(role: str) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
         if live:
@@ -477,7 +502,7 @@ def layer_forward(
         else:
             rows = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
             tails = idx.edges_by_tail_slot
-        return dn.gather_sum(weights, rows, tails, idx.edges_by_group)
+        return dn.gather_sum(weights, rows, tails, idx.edges_by_group, at=at, base=fixed)
 
     self_rows = _project(h, feature_mask, dn.transpose(params.w_self))  # (N, d_out)
     psi = None
@@ -495,7 +520,11 @@ def layer_forward(
 
     if not collect_trace:
         return out, AttentionTrace()
-    flat_gamma = gamma.data.copy()  # detached from the tape
+    if at is None:
+        flat_gamma = weights.data.copy()  # detached from the tape
+    else:  # 1.0 at each lone edge
+        flat_gamma = np.ones(idx.edge_group.size)
+        np.put(flat_gamma, at.ids, gamma.data)
     flat_gamma.flags.writeable = False
     return out, AttentionTrace(idx, flat_gamma, psi)
 

@@ -159,6 +159,22 @@ class TestCliNodeClassification:
         metrics = (tmp_path / "out" / "seed_0" / "metrics.csv").read_bytes()
         assert metrics == (GOLDEN / golden).read_bytes()
 
+    def test_toy_multi_edge_groups_match_golden_bytes(self, toy_config, tmp_path):
+        # The README quick-start run with inverses and dropout 0.4: its graph
+        # has 2 groups of 5 edges among 44 groups, so node attention chooses
+        # there, unlike the toy graph without inverses, whose groups all hold
+        # one edge.  Its metrics.csv and export-attention's attention.json.
+        # Recorded with numpy 2.4 on x86-64; another BLAS or SIMD exp may move the last digits.
+        multi = ["--set", "add_inverse=true", "--set", "dropout=0.4"]
+        assert main(["train-nc", "--config", str(toy_config), *multi]) == 0
+        metrics = (tmp_path / "out" / "seed_0" / "metrics.csv").read_bytes()
+        assert metrics == (GOLDEN / "toy_multi_metrics.csv").read_bytes()
+        ckpt = f"checkpoint={tmp_path / 'out' / 'seed_0' / 'checkpoint.npz'}"
+        att = ["--set", ckpt, "--set", f"output_dir={tmp_path / 'att'}"]
+        assert main(["export-attention", "--config", str(toy_config), *multi, *att]) == 0
+        attention = (tmp_path / "att" / "attention.json").read_bytes()
+        assert attention == (GOLDEN / "toy_multi_attention.json").read_bytes()
+
     def test_toy_training_run(self, toy_config, tmp_path):
         assert main(["train-nc", "--config", str(toy_config)]) == 0
         out = tmp_path / "out"

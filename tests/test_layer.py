@@ -19,6 +19,7 @@ from brgcn.diffnum import Tensor
 from brgcn.hetgraph import HeteroGraph, NodeLabels, augment, restrict_relations
 from brgcn.layer import (
     GAMMA_VARIANTS,
+    PSI_VARIANTS,
     VARIANTS,
     BrgcnLayerParams,
     ConfigurationError,
@@ -27,6 +28,7 @@ from brgcn.layer import (
     stack_forward,
 )
 from brgcn.training import LinkPredictionModel, NodeClassificationModel, TrainConfig, nc_loss
+from all_edge_oracle import all_edge_layer_forward
 from dense_oracle import dense_layer_forward, random_instance
 from gradcheck import grad_check
 from layer_weights import layer_with_weights
@@ -907,8 +909,8 @@ class TestTapeLength:
     @pytest.mark.parametrize(
         "variant, records",
         [
-            ("full", (49, 57, 81, 90)),
-            ("node_only", (39, 45, 53, 60)),
+            ("full", (48, 56, 79, 88)),
+            ("node_only", (38, 44, 51, 58)),
             ("relation_only", (32, 37, 59, 64)),
             ("rgcn_baseline", (22, 25, 31, 34)),
         ],
@@ -917,7 +919,9 @@ class TestTapeLength:
         # One 2-layer NC forward+backward with inverses and self loops, without
         # bases and then with 2, each without and with dropout: the records of
         # each variant's op sequence, pinned.  Without bases layer 0 reads its
-        # stored live rows straight from the parameters.
+        # stored live rows straight from the parameters.  A dense layer reads
+        # a_r's head half once per multi edge, one take, not per group and
+        # then per edge.
         graph, labels = planted_graph()
         g = augment(graph, add_inverse=True, add_self_loop=True)
         lengths = []
@@ -1035,17 +1039,21 @@ class TestSlotRows:
 
 
 class TestHeadReadThroughGroups:
-    """a_r's head half is read once per group, then taken to the group's edges."""
+    """A dense layer reads a_r's head half once per multi edge, at its head slot, through an index checked once."""
 
     @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
     @pytest.mark.parametrize("one_hot", [True, False])
     def test_gradients_equal_the_per_edge_head_slot_scatter(self, monkeypatch, variant, one_hot):
         # The same training step twice, the second with the head read replaced
-        # by a per-edge take at the head slots heads * R + edge_rel, whose
-        # gradient is one np.add.at: every gradient is bit-equal.
+        # by a per-edge take at the head slots heads * R + edge_rel of every
+        # edge, then a take of the multi edges, each scattered by one
+        # np.add.at: every gradient is bit-equal.
         g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
         idx, num_rel = g.index, g.num_relations
-        assert idx.group_size.max() >= 5
+        assert idx.group_size.max() >= 5 and 0 < idx.multi_edges.size < idx.edge_group.size
+        head_read, multi = idx.multi_slots[0], idx.multi_edges.ids
+        assert np.array_equal(head_read.ids, (idx.heads * num_rel + idx.edge_rel)[multi])
+        assert np.array_equal(head_read.ids, idx.group_slot[idx.edge_group[multi]])
         d = g.num_nodes if one_hot else 6
         x = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(g.num_nodes, d)))
         up = np.random.default_rng(3).normal(size=(g.num_nodes, d))
@@ -1058,15 +1066,13 @@ class TestHeadReadThroughGroups:
             return out.data, [t.grad for t in p.params()]
 
         got = grads()
-        take, head_rows, routed = dn.take, [], []
+        take, routed = dn.take, []
 
         def per_edge_head_take(a, indices):
-            if indices is idx.group_slot:  # hand the slot rows on to the edge read
-                head_rows.append(a)
-                return a
-            if indices is idx.edges_by_group and head_rows:
+            if indices is head_read:
                 routed.append(indices)
-                return scatter_oracle.take(head_rows.pop(), idx.heads * num_rel + idx.edge_rel)
+                every = scatter_oracle.take(a, idx.heads * num_rel + idx.edge_rel)
+                return scatter_oracle.take(every, multi)
             return take(a, indices)
 
         monkeypatch.setattr(dn, "take", per_edge_head_take)
@@ -1326,3 +1332,102 @@ class TestLiveSlots:
         for d_in, rels, bases in ((n + 1, num_rel, 0), (n, num_rel + 1, 0), (n, num_rel, 2)):
             with pytest.raises(ConfigurationError, match="live-slot layer"):
                 BrgcnLayerParams(d_in, 3, rels, num_bases=bases, live=g.index)
+
+
+class TestMultiEdgeAttention:
+    """Node attention runs over the edges of multi-edge groups only, bit-equal to running it over every edge."""
+
+    @staticmethod
+    def _graph(kind: str) -> HeteroGraph:
+        """30 nodes, 4 relations: random groups of 1-3 edges, lone edges only, or groups of 2-3 only."""
+        rng = np.random.default_rng({"mixed": 0, "mixed2": 1, "single": 2, "multi": 3}[kind])
+        n, num_rel, triples = 30, 4, []
+        for head in range(n):
+            for rel in np.flatnonzero(rng.random(num_rel) < 0.6):
+                size = {"single": 1, "multi": int(rng.integers(2, 4))}.get(kind, int(rng.integers(1, 4)))
+                triples += [(head, int(rel), int(t)) for t in rng.choice(n, size, replace=False)]
+        g = HeteroGraph.from_triples(triples, num_nodes=n, relation_names=[f"r{k}" for k in range(num_rel)])
+        multi = g.index.multi_edges.size
+        assert {"single": multi == 0, "multi": multi == g.num_triples}.get(kind, 0 < multi < g.num_triples)
+        return g
+
+    @staticmethod
+    def _step(forward, g, variant, one_hot, dropout, num_bases):
+        n, num_rel = g.num_nodes, g.num_relations
+        d_in = n if one_hot else 5
+        live = g.index if one_hot and not num_bases else None
+        p = BrgcnLayerParams.create(np.random.default_rng(1), d_in, 4, num_rel, num_bases=num_bases,
+                                    dropout=dropout, variant=variant, live=live)
+        h = None if one_hot else dn.param(np.random.default_rng(2).normal(size=(n, d_in)))
+        up = Tensor(np.random.default_rng(3).normal(size=(n, 4)))
+        with dn.Tape() as tape:
+            out, trace = forward(p, h, g, rng=np.random.default_rng(5))
+            tape.backward(dn.tsum(dn.mul(out, up)))
+        grads = [t.grad for t in p.params()] + ([] if h is None else [h.grad])
+        return out.data, trace, grads
+
+    @staticmethod
+    def _bits(a: np.ndarray) -> np.ndarray:
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("num_bases", [0, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("one_hot", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("kind", ["mixed", "mixed2", "single", "multi"])
+    def test_step_is_bit_equal_to_the_all_edge_oracle(self, kind, variant, one_hot, dropout, num_bases):
+        # Outputs, gamma, psi and every gradient, the input's included.  On a
+        # graph of lone edges a is read by no forward, so it takes no gradient
+        # where the oracle gives it zeros.
+        g = self._graph(kind)
+        got, want = (self._step(f, g, variant, one_hot, dropout, num_bases)
+                     for f in (layer_forward, all_edge_layer_forward))
+        assert np.array_equal(self._bits(got[0]), self._bits(want[0]))
+        assert np.array_equal(self._bits(got[1].flat_gamma), self._bits(want[1].flat_gamma))
+        assert not got[1].flat_gamma.flags.writeable
+        assert (got[1].flat_psi is None) == (want[1].flat_psi is None) == (variant not in PSI_VARIANTS)
+        assert got[1].flat_psi is None or np.array_equal(self._bits(got[1].flat_psi), self._bits(want[1].flat_psi))
+        assert len(got[2]) == len(want[2])
+        for k, (a, b) in enumerate(zip(got[2], want[2])):
+            if a is None and b is not None:
+                assert k == 0 and kind == "single" and variant in GAMMA_VARIANTS and not b.any()
+            else:
+                assert a is b is None or np.array_equal(self._bits(a), self._bits(b))
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    @pytest.mark.parametrize("variant", GAMMA_VARIANTS)
+    def test_a_graph_of_lone_edges_records_no_softmax(self, monkeypatch, variant, one_hot):
+        calls = []
+        softmax = dn.segment_softmax
+        monkeypatch.setattr(dn, "segment_softmax", lambda a, seg: calls.append(seg) or softmax(a, seg))
+        for kind, count in (("single", 0), ("mixed", 1)):
+            calls.clear()
+            _, trace, _ = self._step(layer_forward, self._graph(kind), variant, one_hot, 0.4, 0)
+            assert len(calls) == count
+            assert calls == [] or calls[0] is trace.index.multi_by_group
+        assert np.all(trace.flat_gamma[trace.index.group_size[trace.index.edge_group] == 1] == 1.0)
+
+    def test_the_multi_edge_indices(self):
+        # Built once per graph: the multi edges ascending, their groups
+        # renumbered in group order, and their head and tail reads.
+        g = augment(self._graph("mixed"), add_self_loop=True)
+        idx, num_rel = g.index, g.num_relations
+        multi = idx.multi_edges
+        sizes = idx.group_size[idx.edge_group]
+        assert np.array_equal(multi.ids, np.flatnonzero(sizes > 1)) and multi.n == g.num_triples
+        groups = idx.edge_group[multi.ids]
+        assert multi.n > multi.size == np.sum(idx.group_size[idx.group_size > 1])
+        by_group = idx.multi_by_group
+        assert by_group.n == np.count_nonzero(idx.group_size > 1)
+        assert np.array_equal(np.unique(groups)[by_group.ids], groups)
+        head, tail = idx.multi_slots
+        assert np.array_equal(head.ids, (idx.heads * num_rel + idx.edge_rel)[multi.ids])
+        assert np.array_equal(tail.ids, (idx.tails * num_rel + idx.edge_rel)[multi.ids])
+        assert head.n == tail.n == g.num_nodes * num_rel
+        head, tail = idx.multi_live
+        slots = idx.live_slots[tail.ids - idx.num_groups]
+        assert np.array_equal(head.ids, groups)
+        assert np.array_equal(slots, (idx.tails * num_rel + idx.edge_rel)[multi.ids])
+        assert head.n == tail.n == idx.num_groups + idx.live_slots.size
+        assert all(getattr(idx, name) is getattr(idx, name)
+                   for name in ("multi_edges", "multi_by_group", "multi_slots", "multi_live"))

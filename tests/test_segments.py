@@ -106,6 +106,16 @@ class TestSchedule:
         values = np.arange(ids.size)
         assert _same(dn.Segments(ids, n).sum(values), _scatter_add(ids, values, n))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_schedule_is_built_on_the_first_sum_of_more_than_one_column(self, kind):
+        rng = np.random.default_rng(9)
+        ids, n = _index(kind, rng)
+        seg = dn.Segments(ids, n)
+        column = _values(rng, ids.size)
+        assert _same(seg.sum(column), _scatter_add(ids, column, n)) and not _scheduled(seg)
+        values = _values(rng, ids.size, (3,))
+        assert _same(seg.sum(values), _scatter_add(ids, values, n)) and _scheduled(seg)
+
     def test_ids_are_a_read_only_copy(self):
         ids = np.array([2, 0, 2, 1])
         seg = dn.Segments(ids, 3)
@@ -216,13 +226,65 @@ class TestOpsAgainstTheRawOracle:
         assert all(_same(g, o) for g, o in zip(got, want))
 
 
+def _scheduled(seg: dn.Segments) -> bool:
+    """Whether ``seg`` has built its sum schedule, read without building it."""
+    try:
+        object.__getattribute__(seg, "order")
+    except AttributeError:
+        return False
+    return True
+
+
+class TestLearnedEntries:
+    """``gather_sum`` with ``at`` and ``base``: some weights learned, every other entry constant."""
+
+    @pytest.mark.parametrize("learned", ["empty", "partial", "full"])
+    @pytest.mark.parametrize("dst_kind", ["hubs", "gaps"])
+    @pytest.mark.parametrize("src_kind", ["few", "hubs"])
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_against_the_call_that_learns_every_weight(self, learned, dst_kind, src_kind, d):
+        # out and x's gradient are bit-equal to the oracle's call with the full
+        # weight vector; w's gradient is that call's at the learned entries.
+        rng = np.random.default_rng(11)
+        dst_ids, n = _index(dst_kind, rng)
+        src_pool, m = _index(src_kind, rng)
+        src_ids = rng.permutation(np.resize(src_pool, dst_ids.size))
+        entries = dst_ids.size
+        at = {"empty": np.zeros(0, dtype=np.intp), "full": np.arange(entries),
+              "partial": np.flatnonzero(rng.random(entries) < 0.3)}[learned]
+        base, x, up = _values(rng, entries), _values(rng, m, (d,)), rng.normal(size=(n, d))
+        w = _values(rng, at.size)
+        full, kept = base.copy(), base.copy()
+        full[at] = w
+        src, dst, where = dn.Segments(src_ids, m), dn.Segments(dst_ids, n), dn.Segments(at, entries)
+        got = _grads(lambda a, b: dn.gather_sum(a, b, src, dst, at=where, base=base), [w, x], up)
+        want = _grads(lambda a, b: oracle.gather_sum(a, b, src_ids, dst_ids, n), [full, x], up)
+        assert _same(got[0], want[0]) and _same(got[2], want[2])
+        assert _same(got[1], want[1][at])
+        assert _same(base, kept)  # base is read, not written
+
+    def test_refusals(self):
+        seg, x = dn.Segments([0, 0, 1, 1], 2), Tensor(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="gather_sum"):  # 2 learned weights, at holds 1
+            dn.gather_sum(Tensor(np.ones(2)), x, seg, seg, at=dn.Segments([1], 4), base=np.ones(4))
+        with pytest.raises(DimensionError, match="gather_sum"):  # at is over 3 entries, base has 4
+            dn.gather_sum(Tensor(np.ones(1)), x, seg, seg, at=dn.Segments([1], 3), base=np.ones(4))
+        with pytest.raises(DimensionError, match="base must be a vector"):
+            dn.gather_sum(Tensor(np.ones(1)), x, seg, seg, at=dn.Segments([1], 4), base=np.ones((4, 1)))
+
+
 class TestSchedulesPerGraph:
     # Every variant's layers read the same four schedules: edges into
     # groups, groups into nodes, edges into the tail slots for the dense
     # layer and edges into the live slots for the one-hot layer 0.  A
     # head-side sum reaches its node through the group, so the index has no
-    # head-side one.
+    # head-side one.  The variants that learn gamma also read the indices of
+    # the multi edges: six Segments (their positions, their groups, and a
+    # head and a tail read for each kind of layer), only ever summed one
+    # column at a time, so none builds a schedule.
     SCHEDULES = ("edges_by_group", "edges_by_live_slot", "edges_by_tail_slot", "groups_by_node")
+    MULTI = ("multi_by_group", "multi_edges")
+    MULTI_READS = ("multi_live", "multi_slots")
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):
@@ -238,12 +300,20 @@ class TestSchedulesPerGraph:
         monkeypatch.setattr(hetgraph, "Segments", Counting)
         graph, labels = planted_graph()
         split = planted_split(labels)
+        gamma = variant in ("full", "node_only")
         for epochs in (1, 5):
             built.clear()
             cfg = TrainConfig(epochs=epochs, variant=variant, dropout=0.2, add_self_loop=True, seed=0)
             run = train_node_classifier(graph, labels, split, cfg)
-            assert len(built) == len(self.SCHEDULES)
+            assert len(built) == len(self.SCHEDULES) + (6 if gamma else 0)
         index = run.graph.index
-        assert sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments)) == list(self.SCHEDULES)
+        segments = sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments))
+        assert segments == sorted(self.SCHEDULES + (self.MULTI if gamma else ()))
+        reads = sorted(k for k, v in vars(index).items() if isinstance(v, tuple) and k.startswith("multi_"))
+        assert reads == (list(self.MULTI_READS) if gamma else [])
+        assert all(_scheduled(getattr(index, name)) for name in self.SCHEDULES)
+        multi = [getattr(index, name) for name in segments if name in self.MULTI]
+        multi += [seg for name in reads for seg in getattr(index, name)]
+        assert len(multi) == (6 if gamma else 0) and not any(_scheduled(seg) for seg in multi)
         assert all(getattr(index, name) is getattr(index, name) for name in self.SCHEDULES)
         assert not hasattr(index, "edges_by_head") and not hasattr(index, "edges_by_head_slot")
