@@ -112,6 +112,11 @@ def sorted_triple_keys(triples, num_relations: int, num_nodes: int) -> tuple[np.
     return tuple(_sorted_set(triple_keys(x, num_relations, num_nodes)) for x in (rows, rows[:, ::-1]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _sorted_set(keys: np.ndarray) -> np.ndarray:
     """The distinct ``keys``, ascending: a sort and one neighbour compare."""
     keys = np.sort(keys)
@@ -195,11 +200,19 @@ class GraphIndex:
     ``multi_slots`` for a dense layer's N*R slot rows and ``multi_live`` for
     a one-hot layer's a.  None of these is summed over more than one column,
     so none builds a sum schedule or holds anything of size N*R.
+    ``mean_weights`` (each edge's 1/|N_i^r|) and ``unit_weights`` (1.0 per
+    edge) are the graph-constant edge weights, built once.
+
+    :meth:`field` cuts the index of a node subset's edges from these arrays,
+    and :func:`receptive_fields` gives one per layer: a field has every
+    attribute above over its own edges and groups, its own schedules, and its
+    edges' positions in the whole graph (``edges``; None in a whole-graph
+    index, which is its own ``parent``).
     """
 
     def __init__(self, graph: HeteroGraph):
         self.num_nodes = n = graph.num_nodes
-        self.num_relations = r = graph.num_relations
+        self.num_relations = graph.num_relations
         t = graph.triples
         self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
         first = np.flatnonzero(np.diff(self.edge_rel * n + self.heads, prepend=-1))  # the keys are sorted
@@ -211,15 +224,70 @@ class GraphIndex:
         rank[order] = np.arange(order.size)
         self.edge_group = np.repeat(rank, size)
         self.group_node, self.group_rel, self.group_size = node[order], rel[order], size[order]
-        self.group_slot = self.group_node * r + self.group_rel
-        self.edge_start = np.searchsorted(self.edge_rel, np.arange(r + 1))
+        self._parent, self.edges = None, None
+        self._lay_out()
 
+    def _lay_out(self) -> None:
+        """The arrays derived from the sorted edges and groups: slots, relation starts and blocks."""
+        self.group_slot = self.group_node * self.num_relations + self.group_rel
+        self.edge_start = np.searchsorted(self.edge_rel, np.arange(self.num_relations + 1))
         starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
+
+    def field(self, nodes: np.ndarray) -> "GraphIndex":
+        """The index of the edges whose head is marked in ``nodes``, a boolean mask over the nodes.
+
+        It is cut from this whole-graph index's sorted arrays by one mask, so
+        nothing is re-sorted: a node's groups and block are kept whole, in
+        order, or dropped, and the groups are renumbered in order.  The
+        field's ``edges`` are its edges' positions here, and ``parent`` is this
+        index, whose numbering it keeps for the rows a live layer stores:
+        ``live_slots``, ``live_nodes`` and the entries of a that ``multi_live``
+        reads.  A mask that keeps every edge gives this index itself.
+        """
+        if self._parent is not None:
+            raise GraphError("a field is cut from a whole graph's index")
+        keep = nodes[self.heads]
+        if keep.all():
+            return self
+        sub = object.__new__(GraphIndex)
+        sub.num_nodes, sub.num_relations = self.num_nodes, self.num_relations
+        sub._parent, sub.edges = self, np.flatnonzero(keep)
+        sub.heads, sub.edge_rel, sub.tails = (x[keep] for x in (self.heads, self.edge_rel, self.tails))
+        kept = nodes[self.group_node]
+        sub.edge_group = (np.cumsum(kept) - 1)[self.edge_group[keep]]
+        sub.group_node, sub.group_rel, sub.group_size = (x[kept] for x in (self.group_node, self.group_rel,
+                                                                           self.group_size))
+        sub.node_count = np.where(nodes, self.node_count, 0)
+        sub._lay_out()
+        return sub
+
+    @property
+    def parent(self) -> "GraphIndex":
+        """The whole graph's index: this one, or the one this field was cut from."""
+        return self if self._parent is None else self._parent
+
+    def from_parent(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per edge of ``parent``, at this index's edges."""
+        return values if self.edges is None else values[self.edges]
 
     @property
     def num_groups(self) -> int:
         return self.group_node.size
+
+    @property
+    def num_edges(self) -> int:
+        return self.heads.size
+
+    @cached_property
+    def mean_weights(self) -> np.ndarray:
+        """Each edge's uniform weight 1/|N_i^r| in its group, read-only: the variants' gamma without node attention."""
+        return _read_only(1.0 / self.group_size[self.edge_group])
+
+    @cached_property
+    def unit_weights(self) -> np.ndarray:
+        """1.0 per edge, read-only: a lone edge's weight without edge dropout."""
+        return _read_only(np.ones(self.num_edges))
 
     @cached_property
     def edges_by_group(self) -> Segments:
@@ -236,7 +304,10 @@ class GraphIndex:
 
     @cached_property
     def _live(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live slots and each edge's position among them."""
+        """The live slots and each edge's position among them; a field's are its parent's."""
+        if self._parent is not None:
+            slots, at = self._parent._live
+            return slots, self.from_parent(at)
         return np.unique(self.tails * self.num_relations + self.edge_rel, return_inverse=True)
 
     @property
@@ -249,12 +320,17 @@ class GraphIndex:
 
     @cached_property
     def live_nodes(self) -> np.ndarray:
-        """The node of each entry of a one-hot layer's a: one entry per group, then one per live slot."""
+        """The node of each entry of a one-hot layer's a: one entry per group, then one per live slot.
+
+        A field's are its parent's: a live layer stores the whole graph's rows.
+        """
+        if self._parent is not None:
+            return self._parent.live_nodes
         return np.concatenate((self.group_node, self.live_slots // self.num_relations))
 
     @cached_property
     def multi_edges(self) -> Segments:
-        return Segments(np.flatnonzero(self.group_size[self.edge_group] > 1), self.heads.size)
+        return Segments(np.flatnonzero(self.group_size[self.edge_group] > 1), self.num_edges)
 
     @cached_property
     def multi_by_group(self) -> Segments:
@@ -271,16 +347,44 @@ class GraphIndex:
 
     @cached_property
     def multi_live(self) -> tuple[Segments, Segments]:
-        """Each multi edge's head and tail entry in a one-hot layer's a: its group, and G plus its live slot."""
-        e, g = self.multi_edges.ids, self.num_groups
+        """Each multi edge's head and tail entry in a one-hot layer's a: its group, and G plus its live slot.
+
+        Groups are numbered as in ``parent``, whose G groups a live layer stores.
+        """
+        e, g = self.multi_edges.ids, self.parent.num_groups
         size = g + self.live_slots.size
-        return Segments(self.edge_group[e], size), Segments(g + self._live[1][e], size)
+        return Segments(self.from_parent(self.parent.edge_group)[e], size), Segments(g + self._live[1][e], size)
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""
         lo, hi = self.edge_start[r], self.edge_start[r + 1]
         a, b = lo + np.searchsorted(self.heads[lo:hi], (i, i + 1))
         return slice(a, b)
+
+
+def receptive_fields(index: GraphIndex, targets, num_layers: int) -> list[GraphIndex]:
+    """One :meth:`GraphIndex.field` per layer of a ``num_layers`` stack whose output is read at ``targets``.
+
+    Listed first layer first.  The last layer's field holds the edges whose
+    head is a target, and each earlier layer's the edges whose head is a
+    head or a tail of the next layer's field.  A layer's output row depends
+    only on the edges whose head it is and on its input at their heads and
+    tails, so a stack run over these fields gives the whole graph's rows at
+    the targets, bit for bit, and rows that no later field reads.  This is
+    GraphSAGE's k-hop computation graph (Hamilton et al. 2017) and DGL's
+    message-flow blocks (Wang et al. 2019), with every neighbor kept.
+    """
+    nodes = np.zeros(index.num_nodes, dtype=bool)
+    ids = np.asarray(targets, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= index.num_nodes):
+        raise BoundsError(f"target node ids out of range [0, {index.num_nodes})")
+    nodes[ids] = True
+    fields = []
+    for _ in range(num_layers):
+        fields.append(index.field(nodes))
+        nodes = np.zeros_like(nodes)
+        nodes[fields[-1].heads] = nodes[fields[-1].tails] = True
+    return fields[::-1]
 
 
 @dataclass(eq=False, repr=False)

@@ -80,6 +80,21 @@ edge-dropout entry, so the weight gradient, two row gathers and a product
 per entry and role, is O(E_m * d_out) too, not O(E * d_out); the x gradient
 still sums over every edge.  A graph of lone edges records no node-attention
 op, and its a takes no gradient.
+
+A layer runs over one index: ``graph.index``, or a receptive field of it
+(``hetgraph.receptive_fields``), the edges whose head is in a node subset,
+cut from the whole index's sorted arrays, with their own schedules.  A
+node's row depends only on its own edges, which a field keeps whole, and on
+the layer's input at their heads and tails, so a field's rows equal the
+whole graph's bit for bit, and every other row comes out zero.  So every
+per-edge and per-group cost above is the field's: a classification step
+pays for the edges its loss reads.  What is per node or per stored row stays
+whole: a dense layer's N*R projections, the self term and a live layer's
+dropout-scaled stored rows, which the field reads at its own slots.  The
+dropout masks are drawn at the whole graph's shapes and the edge mask is
+read at the field's edges, so a field draws the same stream.  The uniform
+weights of the variants without node attention and a lone edge's weight
+without edge dropout are graph-constant, kept on each index.
 """
 
 from __future__ import annotations
@@ -427,16 +442,23 @@ def layer_forward(
     *,
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
+    index: GraphIndex | None = None,
 ) -> tuple[Tensor, AttentionTrace]:
-    """Apply one layer to every node, as its ``variant``; see the module docstring for the math.
+    """Apply one layer to the heads of ``index``'s edges, as its ``variant``; see the module docstring for the math.
 
-    The result depends only on the graph's edge set, not on triple storage
-    order or node iteration order.  The layer's relation count must equal
-    the graph's.  Given an ``rng``, a layer with dropout draws its masks from
+    ``index`` is ``graph.index`` (the default: every node) or one of its
+    fields (:func:`~brgcn.hetgraph.receptive_fields`).  A node's row depends
+    only on its own edges, which a field keeps whole, so a field's rows equal
+    the whole graph's bit for bit, and every other row is zero.  The result
+    depends only on the graph's edge set, not on triple storage order or
+    node iteration order.  The layer's relation count must equal the
+    graph's.  Given an ``rng``, a layer with dropout draws its masks from
     it and applies them to the input features and to the post-softmax
     neighbor weights with inverted scaling; ``rng=None`` is a deterministic
-    evaluation pass.  ``h=None`` is the identity (one-hot features) without
-    building it: h @ W is a lookup of W's rows.  Dropout on it is one
+    evaluation pass.  The masks are drawn at the whole graph's shapes, the
+    edge mask over all of its edges and read at the field's, so a field
+    draws the same stream.  ``h=None`` is the identity (one-hot features)
+    without building it: h @ W is a lookup of W's rows.  Dropout on it is one
     Bernoulli(keep) / keep mask entry per node, which scales that node's
     rows: the per-unit dropout of Srivastava et al. (2014).
     """
@@ -448,9 +470,12 @@ def layer_forward(
         raise ConfigurationError(f"layer expects d_in={params.d_in}, features have {d_in}")
     if graph.num_relations != num_rel:
         raise ConfigurationError(f"layer sized for {num_rel} relations, graph has {graph.num_relations}")
-    idx, built = graph.index, params.live
-    if built is not None and built is not idx and not (
-        np.array_equal(built.live_slots, idx.live_slots) and np.array_equal(built.group_slot, idx.group_slot)
+    idx, built = (graph.index if index is None else index), params.live
+    whole = idx.parent
+    if whole is not graph.index:
+        raise ConfigurationError("index is neither the graph's index nor one of its fields")
+    if built is not None and built is not whole and not (
+        np.array_equal(built.live_slots, whole.live_slots) and np.array_equal(built.group_slot, whole.group_slot)
     ):
         raise ConfigurationError("layer stores the rows of another graph's live slots and groups")
 
@@ -461,6 +486,8 @@ def layer_forward(
     feature_mask = mask((n, 1) if h is None else h.shape)  # one-hot input: one entry per node
     if h is not None and feature_mask is not None:
         h = dn.mul(h, feature_mask)
+    # One entry per edge of the whole graph, lone or not, drawn even where the field has no edge.
+    edge_mask = mask(whole.num_edges) if params.variant in GAMMA_VARIANTS else None
 
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
@@ -468,7 +495,7 @@ def layer_forward(
     live = built is not None and h is None
     if live:
         a_node = idx.live_nodes
-        row_mask = None if feature_mask is None else Tensor(feature_mask.data[a_node[idx.num_groups :]])
+        row_mask = None if feature_mask is None else Tensor(feature_mask.data[a_node[whole.num_groups :]])
 
     # Node-level attention where a group has a choice: one segment softmax over the edges of the
     # groups with two or more.  A lone edge's gamma is 1, and its logit would take no gradient.
@@ -487,13 +514,13 @@ def layer_forward(
                 head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
                 logits = dn.add(*(dn.take(rows, read) for rows, read in zip((head, tail), idx.multi_slots)))
             gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.multi_by_group)
-        edge_mask = mask(idx.edge_group.shape)  # one entry per edge, lone or not
         if edge_mask is None:
-            weights, fixed = gamma, np.ones(idx.edge_group.size)
+            weights, fixed = gamma, idx.unit_weights
         else:  # a lone edge's weight is its mask entry
-            weights, fixed = dn.mul(gamma, np.take(edge_mask.data, at.ids)), edge_mask.data
+            fixed = idx.from_parent(edge_mask.data)
+            weights = dn.mul(gamma, np.take(fixed, at.ids))
     else:
-        weights = Tensor(1.0 / idx.group_size[idx.edge_group])
+        weights = Tensor(idx.mean_weights)
 
     def messages(role: str) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
         if live:
@@ -523,7 +550,7 @@ def layer_forward(
     if at is None:
         flat_gamma = weights.data.copy()  # detached from the tape
     else:  # 1.0 at each lone edge
-        flat_gamma = np.ones(idx.edge_group.size)
+        flat_gamma = np.ones(idx.num_edges)
         np.put(flat_gamma, at.ids, gamma.data)
     flat_gamma.flags.writeable = False
     return out, AttentionTrace(idx, flat_gamma, psi)
@@ -536,16 +563,21 @@ def stack_forward(
     *,
     rng: np.random.Generator | None = None,
     collect_trace: bool = True,
+    fields: Sequence[GraphIndex] | None = None,
 ) -> tuple[Tensor, list[AttentionTrace]]:
     """Sequential composition of layers, each run as its variant; defaults to one-hot input.
 
     When ``x0`` is None the input is the identity matrix, giving every node
     a unique one-hot feature vector; it is never materialized (see
     :func:`layer_forward`).  Every layer draws its dropout masks from
-    ``rng``, in turn; ``rng=None`` is an evaluation pass.
+    ``rng``, in turn; ``rng=None`` is an evaluation pass.  ``fields``, one
+    index per layer (:func:`~brgcn.hetgraph.receptive_fields`), runs each
+    layer over its own; None runs every layer over ``graph.index``.
     """
     if not layers:
         raise ConfigurationError("stack_forward requires at least one layer")
+    if fields is not None and len(fields) != len(layers):
+        raise ConfigurationError(f"{len(fields)} field indexes for {len(layers)} layers")
     for a, b in zip(layers, layers[1:]):
         if a.d_out != b.d_in:
             raise ConfigurationError(
@@ -553,7 +585,7 @@ def stack_forward(
             )
     h = x0
     traces = []
-    for lay in layers:
-        h, tr = layer_forward(lay, h, graph, rng=rng, collect_trace=collect_trace)
+    for lay, index in zip(layers, fields or [None] * len(layers)):
+        h, tr = layer_forward(lay, h, graph, rng=rng, collect_trace=collect_trace, index=index)
         traces.append(tr)
     return h, traces

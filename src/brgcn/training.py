@@ -375,12 +375,15 @@ class _Model:
         *,
         rng: np.random.Generator | None = None,
         collect_trace: bool = False,
+        fields: Sequence[hg.GraphIndex] | None = None,
     ) -> tuple[Tensor, list[AttentionTrace]]:
         """The layer stack's output on one-hot input, with one trace per layer.
 
-        Dropout masks are drawn from ``rng``; without one the pass is in eval mode.
+        Dropout masks are drawn from ``rng``; without one the pass is in eval
+        mode.  ``fields`` runs each layer over its field index, as
+        :func:`~brgcn.layer.stack_forward` does.
         """
-        return stack_forward(self.layers, None, graph, rng=rng, collect_trace=collect_trace)
+        return stack_forward(self.layers, None, graph, rng=rng, collect_trace=collect_trace, fields=fields)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.params()}
@@ -610,23 +613,39 @@ def train_node_classifier(
     once the validation accuracy has not improved for that many epochs.  The
     run's accuracies and traces are those of the last epoch's evaluation
     pass, which saw the final parameters.
+
+    Each step runs its layers over the training nodes' receptive fields
+    (:func:`~brgcn.hetgraph.receptive_fields`), and each metrics forward over
+    those of the train and valid nodes, the rows the loss and the metrics
+    read, so both are bit-equal to whole-graph passes.  The fields are built
+    once, before the first step.  The metrics forward of an epoch that can
+    end the run, the last one, or every one when early stopping can stop it,
+    runs over the whole graph, since the run reports its predictions and
+    traces.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     g = run_graph(graph, cfg)
     model = NodeClassificationModel.build(rng, g, labels.num_classes, cfg)
     train_labels = labels.restrict(split.train)
+    depth = len(model.layers)
+    train_fields = hg.receptive_fields(g.index, split.train, depth)
+    stops_any_epoch = cfg.early_stop_patience > 0 and bool(split.valid)
+    metric_fields = None  # read by an epoch that cannot end the run
+    if cfg.epochs > 1 and not stops_any_epoch:
+        metric_fields = hg.receptive_fields(g.index, split.train + split.valid, depth) if split.valid else train_fields
     metrics_rows: list[tuple[int, float, float, str]] = []
     best_val = [-1.0, 0]  # best validation accuracy, epochs since improvement
     last = None  # the latest evaluation pass: predictions, traces, train and valid accuracy
 
     def loss_fn(epoch: int) -> Tensor:
-        probs, _ = model.forward(g, rng=rng)
+        probs, _ = model.forward(g, rng=rng, fields=train_fields)
         return nc_loss(probs, train_labels)
 
     def on_epoch(epoch: int, loss_value: float) -> bool:
         nonlocal last
-        probs, traces = model.forward(g, collect_trace=True)
+        whole = stops_any_epoch or epoch == cfg.epochs - 1
+        probs, traces = model.forward(g, collect_trace=whole, fields=None if whole else metric_fields)
         pred = predicted_classes(probs)
         train_acc = evalkit.accuracy(pred, labels, split.train)
         val, val_acc = "", None

@@ -175,6 +175,26 @@ class TestCliNodeClassification:
         attention = (tmp_path / "att" / "attention.json").read_bytes()
         assert attention == (GOLDEN / "toy_multi_attention.json").read_bytes()
 
+    @pytest.mark.parametrize("patience, golden", [(0, "toy_valid_metrics.csv"), (2, "toy_valid_stop_metrics.csv")])
+    def test_toy_valid_split_matches_golden_bytes(self, toy_config, tmp_path, patience, golden):
+        # The quick-start run with inverses, dropout 0.4 and lines 4 and 8 of
+        # the training split (one node of each class) as a validation split.
+        # Without early stopping every metrics forward but the last runs over
+        # the train and valid nodes' receptive fields; with patience 2 every
+        # one runs over the whole graph, and the run stops after 3 epochs.
+        # Recorded while every forward still ran over the whole graph, with
+        # numpy 2.4 on x86-64; another BLAS or SIMD exp may move the last digits.
+        lines = (importlib.resources.files("brgcn.data") / "toy_nc_train.txt").read_text().splitlines()
+        (tmp_path / "train.txt").write_text("".join(f"{x}\n" for k, x in enumerate(lines) if k not in (3, 7)))
+        (tmp_path / "valid.txt").write_text(f"{lines[3]}\n{lines[7]}\n")
+        split = ["--set", f"train_nodes_path={tmp_path / 'train.txt'}",
+                 "--set", f"valid_nodes_path={tmp_path / 'valid.txt'}"]
+        multi = ["--set", "add_inverse=true", "--set", "dropout=0.4", "--set", f"early_stop_patience={patience}"]
+        assert main(["train-nc", "--config", str(toy_config), *split, *multi]) == 0
+        metrics = (tmp_path / "out" / "seed_0" / "metrics.csv").read_bytes()
+        assert metrics == (GOLDEN / golden).read_bytes()
+        assert len(metrics.splitlines()) == (86 if patience == 0 else 4)
+
     def test_toy_training_run(self, toy_config, tmp_path):
         assert main(["train-nc", "--config", str(toy_config)]) == 0
         out = tmp_path / "out"

@@ -282,13 +282,30 @@ class TestSchedulesPerGraph:
     # the multi edges: six Segments (their positions, their groups, and a
     # head and a tail read for each kind of layer), only ever summed one
     # column at a time, so none builds a schedule.
+    #
+    # A run builds them on three indexes: the whole graph's, read by the
+    # last epoch's metrics forward, and the training nodes' two fields, one
+    # per layer, read by every step and, as the split has no valid nodes, by
+    # the other epochs' metrics forwards.  A field builds what its layer
+    # reads: layer 0's the live-slot schedule and reads, layer 1's the
+    # tail-slot ones.  The whole graph's index is read by forwards only, so
+    # its slot schedules, summed by a backward, are never built.
     SCHEDULES = ("edges_by_group", "edges_by_live_slot", "edges_by_tail_slot", "groups_by_node")
     MULTI = ("multi_by_group", "multi_edges")
     MULTI_READS = ("multi_live", "multi_slots")
+    FORWARD_SUMS = ("edges_by_group", "groups_by_node")
+    LAYER_ONLY = ({"edges_by_tail_slot", "multi_slots"}, {"edges_by_live_slot", "multi_live"})
+
+    @staticmethod
+    def _segments(index) -> tuple[list[str], list[str]]:
+        """The names of the Segments an index holds, and of its tuples of them."""
+        held = sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments))
+        reads = sorted(k for k, v in vars(index).items() if isinstance(v, tuple) and k.startswith("multi_"))
+        return held, reads
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):
-        built = []
+        built, fields = [], []
 
         class Counting(dn.Segments):
             __slots__ = ()
@@ -297,23 +314,33 @@ class TestSchedulesPerGraph:
                 built.append(n)
                 super().__init__(ids, n)
 
+        receptive_fields = hetgraph.receptive_fields
         monkeypatch.setattr(hetgraph, "Segments", Counting)
+        monkeypatch.setattr(hetgraph, "receptive_fields", lambda *a: fields.append(receptive_fields(*a)) or fields[-1])
         graph, labels = planted_graph()
         split = planted_split(labels)
         gamma = variant in ("full", "node_only")
         for epochs in (1, 5):
-            built.clear()
+            built.clear(), fields.clear()
             cfg = TrainConfig(epochs=epochs, variant=variant, dropout=0.2, add_self_loop=True, seed=0)
             run = train_node_classifier(graph, labels, split, cfg)
-            assert len(built) == len(self.SCHEDULES) + (6 if gamma else 0)
+            # the whole index: 4 + 6; each field: 3 + 4 (gamma) or 3
+            assert len(built) == (24 if gamma else 10)
+            assert len(fields) == 1 and len(fields[0]) == 2
         index = run.graph.index
-        segments = sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments))
+        segments, reads = self._segments(index)
         assert segments == sorted(self.SCHEDULES + (self.MULTI if gamma else ()))
-        reads = sorted(k for k, v in vars(index).items() if isinstance(v, tuple) and k.startswith("multi_"))
         assert reads == (list(self.MULTI_READS) if gamma else [])
-        assert all(_scheduled(getattr(index, name)) for name in self.SCHEDULES)
+        # no step runs on the whole graph: its schedules of a backward sum are never built
+        assert [name for name in self.SCHEDULES if _scheduled(getattr(index, name))] == list(self.FORWARD_SUMS)
         multi = [getattr(index, name) for name in segments if name in self.MULTI]
         multi += [seg for name in reads for seg in getattr(index, name)]
         assert len(multi) == (6 if gamma else 0) and not any(_scheduled(seg) for seg in multi)
         assert all(getattr(index, name) is getattr(index, name) for name in self.SCHEDULES)
         assert not hasattr(index, "edges_by_head") and not hasattr(index, "edges_by_head_slot")
+        for field, other in zip(fields[0], self.LAYER_ONLY):
+            assert field is not index and field.parent is index
+            segments, reads = self._segments(field)
+            want = {*self.SCHEDULES, *(self.MULTI + self.MULTI_READS if gamma else ())}
+            assert set(segments) | set(reads) == want - other
+            assert all(_scheduled(getattr(field, name)) for name in self.SCHEDULES if name in segments)

@@ -745,9 +745,9 @@ class TestPipelines:
                           early_stop_patience=patience)
         calls, forward = [], layer_mod.layer_forward
 
-        def counting(params, h, g, *, rng=None, collect_trace=True):
+        def counting(params, h, g, *, rng=None, collect_trace=True, index=None):
             calls.append(rng is None)
-            return forward(params, h, g, rng=rng, collect_trace=collect_trace)
+            return forward(params, h, g, rng=rng, collect_trace=collect_trace, index=index)
 
         monkeypatch.setattr(layer_mod, "layer_forward", counting)
         run = train_node_classifier(graph, labels, split, cfg)
