@@ -137,10 +137,8 @@ def rank_triples(
     results = [RankResult(tuple(x), *row) for x, row in zip(test.tolist(), table.tolist())]
 
     summary = {}
-    for setting, ranks in (
-        ("raw", [x for res in results for x in (res.raw_rank_head, res.raw_rank_tail)]),
-        ("filtered", [x for res in results for x in (res.filt_rank_head, res.filt_rank_tail)]),
-    ):
+    for setting, columns in (("raw", table[:, :2]), ("filtered", table[:, 2:])):
+        ranks = columns.ravel().tolist()  # head then tail, triple by triple
         summary[f"mrr_{setting}"] = sum(1.0 / x for x in ranks) / len(ranks) if ranks else math.nan
         for k in HITS_LEVELS:
             summary[f"hits@{k}_{setting}"] = sum(x <= k for x in ranks) / len(ranks) if ranks else math.nan

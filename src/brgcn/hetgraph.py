@@ -203,43 +203,45 @@ class GraphIndex:
     ``mean_weights`` (each edge's 1/|N_i^r|) and ``unit_weights`` (1.0 per
     edge) are the graph-constant edge weights, built once.
 
-    :meth:`field` cuts the index of a node subset's edges from these arrays,
-    and :func:`receptive_fields` gives one per layer: a field has every
-    attribute above over its own edges and groups, its own schedules, and its
-    edges' positions in the whole graph (``edges``; None in a whole-graph
-    index, which is its own ``parent``).
+    A whole graph's edges and a field's are grouped by one routine.
+    :meth:`field` builds the index of a node subset's edges from the whole
+    graph's sorted edges, which it reads once, and reads none of its group
+    arrays; :func:`receptive_fields` gives one field per layer.  A field has
+    every attribute above over its own edges and groups, its own schedules,
+    and its edges' positions in the whole graph (``edges``; None in a
+    whole-graph index, which is its own ``parent``).
     """
 
     def __init__(self, graph: HeteroGraph):
-        self.num_nodes = n = graph.num_nodes
-        self.num_relations = graph.num_relations
+        self.num_nodes, self.num_relations = graph.num_nodes, graph.num_relations
+        self._parent, self.edges = None, None
         t = graph.triples
-        self.heads, self.edge_rel, self.tails = t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T
-        first = np.flatnonzero(np.diff(self.edge_rel * n + self.heads, prepend=-1))  # the keys are sorted
-        size = np.diff(first, append=self.heads.size)
-        node, rel = self.heads[first], self.edge_rel[first]
+        self._group(*t[np.lexsort((t[:, 2], t[:, 0], t[:, 1]))].T)
+
+    def _group(self, heads: np.ndarray, edge_rel: np.ndarray, tails: np.ndarray) -> None:
+        """Every array of the index from its edges, sorted by (relation, head, tail): groups in block order."""
+        n, r = self.num_nodes, self.num_relations
+        self.heads, self.edge_rel, self.tails = heads, edge_rel, tails
+        first = np.flatnonzero(np.diff(edge_rel * n + heads, prepend=-1))  # the keys are sorted
+        size = np.diff(first, append=heads.size)
+        node, rel = heads[first], edge_rel[first]
         self.node_count = np.bincount(node, minlength=n)
         order = np.lexsort((rel, node, -self.node_count[node]))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         self.edge_group = np.repeat(rank, size)
         self.group_node, self.group_rel, self.group_size = node[order], rel[order], size[order]
-        self._parent, self.edges = None, None
-        self._lay_out()
-
-    def _lay_out(self) -> None:
-        """The arrays derived from the sorted edges and groups: slots, relation starts and blocks."""
-        self.group_slot = self.group_node * self.num_relations + self.group_rel
-        self.edge_start = np.searchsorted(self.edge_rel, np.arange(self.num_relations + 1))
+        self.group_slot = self.group_node * r + self.group_rel
+        self.edge_start = np.searchsorted(edge_rel, np.arange(r + 1))
         starts = np.flatnonzero(np.diff(self.group_node, prepend=-1))  # each block's first group
         self.blocks = BlockLayout(self.node_count[self.group_node[starts]])
 
     def field(self, nodes: np.ndarray) -> "GraphIndex":
         """The index of the edges whose head is marked in ``nodes``, a boolean mask over the nodes.
 
-        It is cut from this whole-graph index's sorted arrays by one mask, so
-        nothing is re-sorted: a node's groups and block are kept whole, in
-        order, or dropped, and the groups are renumbered in order.  The
+        Its edges are read from this whole-graph index's sorted edges by one
+        mask, so they stay sorted, and grouped as :meth:`__init__` groups a
+        whole graph's; none of this index's group arrays is read.  The
         field's ``edges`` are its edges' positions here, and ``parent`` is this
         index, whose numbering it keeps for the rows a live layer stores:
         ``live_slots``, ``live_nodes`` and the entries of a that ``multi_live``
@@ -253,18 +255,12 @@ class GraphIndex:
         sub = object.__new__(GraphIndex)
         sub.num_nodes, sub.num_relations = self.num_nodes, self.num_relations
         sub._parent, sub.edges = self, np.flatnonzero(keep)
-        sub.heads, sub.edge_rel, sub.tails = (x[keep] for x in (self.heads, self.edge_rel, self.tails))
-        kept = nodes[self.group_node]
-        sub.edge_group = (np.cumsum(kept) - 1)[self.edge_group[keep]]
-        sub.group_node, sub.group_rel, sub.group_size = (x[kept] for x in (self.group_node, self.group_rel,
-                                                                           self.group_size))
-        sub.node_count = np.where(nodes, self.node_count, 0)
-        sub._lay_out()
+        sub._group(*(x[sub.edges] for x in (self.heads, self.edge_rel, self.tails)))
         return sub
 
     @property
     def parent(self) -> "GraphIndex":
-        """The whole graph's index: this one, or the one this field was cut from."""
+        """The whole graph's index: this one, or the one this field was built from."""
         return self if self._parent is None else self._parent
 
     def from_parent(self, values: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ op, and its a takes no gradient.
 
 A layer runs over one index: ``graph.index``, or a receptive field of it
 (``hetgraph.receptive_fields``), the edges whose head is in a node subset,
-cut from the whole index's sorted arrays, with their own schedules.  A
+grouped as the whole graph's are, with their own schedules.  A
 node's row depends only on its own edges, which a field keeps whole, and on
 the layer's input at their heads and tails, so a field's rows equal the
 whole graph's bit for bit, and every other row comes out zero.  So every
@@ -205,16 +205,13 @@ class BrgcnLayerParams:
         """The index whose live slots and groups the stored rows cover; None in the full slot layout."""
         return self._live
 
-    @staticmethod
-    def num_floats(
-        d_in: int, d_out: int, num_relations: int, num_bases: int = 0, live: GraphIndex | None = None
-    ) -> int:
-        """How many parameter entries :meth:`create` allocates for these sizes."""
+    def num_floats(self) -> int:
+        """How many parameter entries :meth:`create` allocates for this layer's settings; none is allocated here."""
+        d_in, d_out, r, b, live = self.d_in, self.d_out, self.num_relations, self.num_bases, self._live
         if live is not None:
             slots = live.live_slots.size
             return live.num_groups + slots + d_out * d_in + 3 * slots * d_out
-        roles = 3 * num_relations * (num_bases if num_bases else d_out * d_in)
-        return num_relations * 2 * d_in + (1 + num_bases) * d_out * d_in + roles
+        return r * 2 * d_in + (1 + b) * d_out * d_in + 3 * r * (b if b else d_out * d_in)
 
     @classmethod
     def stacked(cls, group: str, per_relation) -> np.ndarray:
@@ -227,27 +224,16 @@ class BrgcnLayerParams:
         return np.ascontiguousarray(x)
 
     @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        d_in: int,
-        d_out: int,
-        num_relations: int,
-        *,
-        num_bases: int = 0,
-        leaky_slope: float = 0.2,
-        dropout: float = 0.0,
-        variant: str = "full",
-        prefix: str = "layer",
-        live: GraphIndex | None = None,
-    ) -> "BrgcnLayerParams":
-        """Glorot-uniform initialization; a group's (R, ...) draw gives what R draws would.
+    def create(cls, rng: np.random.Generator, *args, prefix: str = "layer", **kwargs) -> "BrgcnLayerParams":
+        """The layer ``cls(*args, **kwargs)`` with its groups drawn, each named ``<prefix>.<group>``.
 
-        With ``live``, each group is drawn one relation at a time and only the
-        numbers the full draw places at the live slots and groups are kept.
+        Glorot-uniform initialization; a group's (R, ...) draw gives what R
+        draws would.  With ``live``, each group is drawn one relation at a time
+        and only the numbers the full draw places at the live slots and groups
+        are kept.
         """
-        p = cls(d_in, d_out, num_relations, num_bases=num_bases, leaky_slope=leaky_slope, dropout=dropout,
-                variant=variant, live=live)
+        p = cls(*args, **kwargs)
+        d_in, d_out, num_relations, num_bases, live = p.d_in, p.d_out, p.num_relations, p.num_bases, p.live
 
         def glorot(fan_in, fan_out, shape):
             limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -286,6 +286,13 @@ def _kept_heap() -> Iterator[None]:
     Does nothing where libc is not glibc or where the user has set the pad
     (``MALLOC_TOP_PAD_``, or ``glibc.malloc.top_pad`` in ``GLIBC_TUNABLES``).
     Arrays above glibc's mmap threshold are mapped afresh either way.
+
+    Setting the pad through ``mallopt`` also turns off glibc's dynamic mmap
+    threshold for the rest of the process, and restoring the pad does not
+    turn it back on: an array that first appears above the threshold of
+    that moment is mapped, and faulted in, afresh on every later allocation.
+    It stays for its measured gain: as a no-op, ``bench/run.py``'s
+    ``epoch_s`` rose 10-18% on each of its three workloads.
     """
     libc, tunables = None, os.environ.get("GLIBC_TUNABLES", "")
     if "MALLOC_TOP_PAD_" not in os.environ and "glibc.malloc.top_pad" not in tunables:
@@ -462,26 +469,18 @@ def _layer_stack(
     """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``.
 
     Layer 0 reads one-hot input: without bases it stores only the rows of
-    ``graph``'s live slots and groups.
+    ``graph``'s live slots and groups.  Each layer's settings are stated
+    once: the pre-flight counts an unallocated layer built from them, before
+    any is drawn.
     """
-    r, b = graph.num_relations, cfg.num_bases
-    live = [None if b else graph.index] + [None] * (len(dims) - 2)
-    _check_memory(sum(BrgcnLayerParams.num_floats(i, o, r, b, at) for i, o, at in zip(dims, dims[1:], live)))
-    return [
-        BrgcnLayerParams.create(
-            rng,
-            dims[k],
-            dims[k + 1],
-            graph.num_relations,
-            num_bases=cfg.num_bases,
-            leaky_slope=cfg.leaky_slope,
-            dropout=cfg.dropout,
-            variant=cfg.variant,
-            prefix=f"layer{k}",
-            live=live[k],
-        )
-        for k in range(len(dims) - 1)
+    settings = [
+        dict(d_in=d_in, d_out=d_out, num_relations=graph.num_relations, num_bases=cfg.num_bases,
+             leaky_slope=cfg.leaky_slope, dropout=cfg.dropout, variant=cfg.variant,
+             live=None if k or cfg.num_bases else graph.index)
+        for k, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
     ]
+    _check_memory(sum(BrgcnLayerParams(**kw).num_floats() for kw in settings))
+    return [BrgcnLayerParams.create(rng, prefix=f"layer{k}", **kw) for k, kw in enumerate(settings)]
 
 
 class NodeClassificationModel(_Model):

@@ -4,6 +4,8 @@ The oracle is the whole-graph forward: on a field, the target rows, the loss,
 every gradient and the generator's state after the step equal it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestFieldStepEqualsWholeGraphStep:
 
 class TestReceptiveFields:
     def test_each_field_is_the_index_of_its_edges(self):
-        # Cut by a mask, without a sort: the same arrays as an index built from the field's triples.
+        # Grouped from the parent's sorted edges: the same arrays as an index built from the field's triples.
         g = augment(_graph(0), add_inverse=True, add_self_loop=True)
         idx = g.index
         heads = {3, 17, 33}
@@ -121,6 +123,26 @@ class TestReceptiveFields:
             assert np.array_equal(field.multi_edges.ids, want.multi_edges.ids)
             assert np.array_equal(field.multi_by_group.ids, want.multi_by_group.ids)
             heads = set(field.heads.tolist()) | set(field.tails.tolist())
+
+    def test_a_field_reads_none_of_the_parents_group_arrays(self):
+        # 500 nodes with 100 of 200 relations each, one edge per group: 50,000 groups.  A one-node
+        # field masks the parent's edges once and groups its own 100; nothing is over the groups.
+        rng = np.random.default_rng(0)
+        n, num_rel, per_node = 500, 200, 100
+        rels = np.argsort(rng.random((n, num_rel)), axis=1)[:, :per_node].ravel()
+        heads = np.repeat(np.arange(n), per_node)
+        triples = np.column_stack([heads, rels, rng.integers(n, size=heads.size)])
+        idx = HeteroGraph.from_triples(triples, num_nodes=n, relation_names=[f"r{k}" for k in range(num_rel)]).index
+        nodes = np.zeros(n, dtype=bool)
+        nodes[7] = True
+        tracemalloc.start()
+        try:
+            field = idx.field(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.num_groups == n * per_node and field.num_groups == per_node
+        assert peak < 4 * idx.num_groups
 
     def test_a_field_keeps_the_parents_live_numbering(self):
         g = augment(_graph(1), add_self_loop=True)

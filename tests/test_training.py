@@ -671,8 +671,8 @@ class TestMemoryEstimate:
         # At 4,096 hidden units layer 0's w_self alone is 11 GB.
         n, num_rel, graph = self._bgs_size_graph()
         cfg = TrainConfig(hidden_units=4096)  # 2 layers, no bases
-        floats = BrgcnLayerParams.num_floats(n, 4096, num_rel, live=graph.index)
-        floats += BrgcnLayerParams.num_floats(4096, 3, num_rel)
+        floats = BrgcnLayerParams(n, 4096, num_rel, live=graph.index).num_floats()
+        floats += BrgcnLayerParams(4096, 3, num_rel).num_floats()
         need = 4 * 8 * floats  # parameters, gradients and two Adam moments
         if need <= self._memory():
             pytest.skip("this machine's memory would hold the model")
@@ -693,12 +693,12 @@ class TestMemoryEstimate:
         # At 16 hidden units the full slot layout's q/k/v alone are 26 GB; the
         # three triples leave three live slots and three groups.
         n, num_rel, graph = self._bgs_size_graph()
-        full = BrgcnLayerParams.num_floats(n, 16, num_rel) + BrgcnLayerParams.num_floats(16, 3, num_rel)
+        full = BrgcnLayerParams(n, 16, num_rel).num_floats() + BrgcnLayerParams(16, 3, num_rel).num_floats()
         if 4 * 8 * full <= self._memory():
             pytest.skip("this machine's memory would hold the full slot layout")
-        live = BrgcnLayerParams.num_floats(n, 16, num_rel, live=graph.index)
+        live = BrgcnLayerParams(n, 16, num_rel, live=graph.index).num_floats()
         assert live == 3 + 3 + 16 * n + 3 * 3 * 16
-        training._check_memory(live + BrgcnLayerParams.num_floats(16, 3, num_rel))
+        training._check_memory(live + BrgcnLayerParams(16, 3, num_rel).num_floats())
 
     @pytest.mark.parametrize("num_bases, live", [(0, False), (1, False), (3, False), (0, True)])
     def test_num_floats_counts_what_create_allocates(self, num_bases, live):
@@ -706,10 +706,10 @@ class TestMemoryEstimate:
         index = graph.index if live else None
         d_in, num_rel = (graph.num_nodes, graph.num_relations) if live else (7, 4)
         p = BrgcnLayerParams.create(np.random.default_rng(0), d_in, 5, num_rel, num_bases=num_bases, live=index)
-        floats = BrgcnLayerParams.num_floats(d_in, 5, num_rel, num_bases, index)
+        floats = BrgcnLayerParams(d_in, 5, num_rel, num_bases=num_bases, live=index).num_floats()
         assert sum(t.data.size for t in p.params()) == floats
         if live:
-            assert floats < BrgcnLayerParams.num_floats(d_in, 5, num_rel)
+            assert floats < BrgcnLayerParams(d_in, 5, num_rel).num_floats()
 
 
 class TestPipelines:
