@@ -116,9 +116,10 @@ class Tape:
             )
         pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones((), dtype=np.float64))}
         for out, inputs, backward_fn in reversed(self._records):
-            if id(out) not in pending:
+            grads = [pending.pop(id(t))[1] if id(t) in pending else None for t in _outputs(out)]
+            if all(g is None for g in grads):
                 continue
-            partials = backward_fn(pending.pop(id(out))[1])
+            partials = backward_fn(*grads)
             for inp, part in zip(inputs, partials):
                 if part is None or not inp.requires_grad:
                     continue
@@ -144,16 +145,28 @@ def record_op(
     ``backward_fn(g)`` must return one partial per input (``None`` allowed
     for inputs that do not need gradients).  Recording happens only when a
     tape is active and at least one input requires a gradient; the output's
-    ``requires_grad`` flag mirrors that condition.
+    ``requires_grad`` flag mirrors that condition.  An op of several outputs
+    passes a tuple of arrays and gets a tuple of Tensors, recorded as one
+    entry; its ``backward_fn`` takes one gradient per output, None for an
+    output that no gradient reached.
     """
-    if not np.isfinite(out_data).all():
-        raise NumericError(f"non-finite values produced by op '{op}'")
+    for data in _outputs(out_data):
+        if not np.isfinite(data).all():
+            raise NumericError(f"non-finite values produced by op '{op}'")
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
+    if isinstance(out_data, tuple):
+        out = tuple(Tensor(d, requires_grad=track) for d in out_data)
+    else:
+        out = Tensor(out_data, requires_grad=track)
     if track:
         tape._records.append((out, tuple(inputs), backward_fn))
     return out
+
+
+def _outputs(out) -> tuple:
+    """A record's outputs: ``out`` itself, or the members of a tuple."""
+    return out if isinstance(out, tuple) else (out,)
 
 
 def _as_tensor(x) -> Tensor:
@@ -759,6 +772,90 @@ def gather_sum(w, x, src: Segments, dst: Segments, *, at: Segments | None = None
         return gw, gx
 
     return record_op("gather_sum", out, (w, x), backward)
+
+
+# The rows of one type are multiplied in chunks of this many, each chunk one BLAS product.
+CHUNK_ROWS = 64
+
+
+class TypedRows:
+    """Output rows that each read one row of x through the weight of their type, laid out in chunks once.
+
+    Built from each row's x row, in [0, n), its type, in [0, num_types),
+    and its ``rank`` among the rows of its type, by default its order among
+    them here.  A row's chunk is its type's (rank // CHUNK_ROWS)-th, and its
+    lane there rank % CHUNK_ROWS: ``chunk_type`` gives each chunk's type,
+    ``lanes`` each row's lane among all chunks', ``lane_row`` each lane's row
+    (the row count at a lane no row fills) and ``lane_x`` its x row (x's
+    first at an empty lane), and ``x_rows`` is a :class:`Segments` of the
+    rows' x rows.  Rows that keep their ranks in another set of rows sit in
+    the same lane of the same shape of product.
+    """
+
+    __slots__ = ("x_rows", "rank", "num_types", "chunk_type", "lanes", "lane_row", "lane_x")
+
+    def __init__(self, rows, types, n: int, num_types: int, rank=None):
+        rows, types = np.asarray(rows), np.asarray(types, dtype=np.intp)
+        if rows.shape != types.shape or types.ndim != 1 or types.size and (types.min() < 0 or types.max() >= num_types):
+            raise DimensionError(f"TypedRows: need one type in [0, {num_types}) per row")
+        if rank is None:  # the order of each type's rows here
+            order = np.argsort(types, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size) - np.searchsorted(types[order], types[order])
+        self.x_rows, self.rank, self.num_types = Segments(rows, n), np.asarray(rank, dtype=np.intp), num_types
+        per_type = self.rank.max(initial=0) // CHUNK_ROWS + 1
+        chunks, at = np.unique(types * per_type + self.rank // CHUNK_ROWS, return_inverse=True)
+        self.chunk_type, self.lanes = chunks // per_type, at * CHUNK_ROWS + self.rank % CHUNK_ROWS
+        self.lane_row = np.full(chunks.size * CHUNK_ROWS, rows.size)
+        self.lane_row[self.lanes] = np.arange(rows.size)
+        self.lane_x = np.append(self.x_rows.ids, 0)[self.lane_row]
+
+
+def segment_matmul(x, weights: Sequence, rows: TypedRows) -> tuple[Tensor, ...]:
+    """``x[row] @ W_t`` at every row of ``rows`` of type t, under each weight; one record.
+
+    Weight i is (d, T*w_i) in slot layout, type t's W_t in its columns
+    t*w_i:(t+1)*w_i, and output i is (rows, w_i) in the order ``rows`` was
+    built in.  The rows are gathered into their chunks once, and each weight
+    multiplies every chunk by its type's W_t in one stacked matmul: PyG's
+    segment matmul (Fey & Lenssen 2019) in fixed-size pieces.  BLAS gives a
+    row the same bits in the same lane of the same shape of product, so a
+    row's output and x gradient do not depend on the rows beside it.  The
+    backward is one stacked matmul for x and one for the weights, whose
+    chunk products are summed per type in chunk order, so rows of zero
+    gradient leave a weight's gradient unchanged; x's gradient sums through
+    ``rows.x_rows``, and the chunks are gathered again there instead of
+    being kept on the tape.
+    """
+    x, ws = _as_tensor(x), [_as_tensor(w) for w in weights]
+    num_types, seg, lanes = rows.num_types, rows.x_rows, rows.lanes
+    if x.ndim != 2 or seg.n != x.shape[0] or any(w.ndim != 2 or w.shape[0] != x.shape[1] or w.shape[1] % num_types
+                                                 for w in ws):
+        raise DimensionError(f"segment_matmul: {x.shape} rows for {seg}, weights {[w.shape for w in ws]}")
+    d, shape = x.shape[1], (rows.chunk_type.size, CHUNK_ROWS)
+    # Each chunk's W_t under each weight, (chunks, d, w_i); an empty lane reads x's first row, to no effect.
+    by_chunk = [w.data.reshape(d, num_types, -1).transpose(1, 0, 2)[rows.chunk_type] for w in ws]
+    xs = np.take(x.data, rows.lane_x, axis=0).reshape(*shape, d)
+    outs = tuple(np.take(np.matmul(xs, w).reshape(-1, w.shape[2]), lanes, axis=0) for w in by_chunk)
+
+    def backward(*grads):
+        # Every output's gradient side by side at the rows' lanes, zero at an empty one.
+        starts = np.cumsum([0, *(w.shape[2] for w in by_chunk)])
+        gy = np.zeros((len(lanes) + 1, starts[-1]))
+        for g, lo, hi in zip(grads, starts, starts[1:]):
+            if g is not None:
+                gy[:-1, lo:hi] = g
+        gy = np.take(gy, rows.lane_row, axis=0).reshape(*shape, -1)
+        gx = None
+        if x.requires_grad:
+            gx = np.matmul(gy, np.concatenate(by_chunk, axis=2).transpose(0, 2, 1)).reshape(-1, d)
+            gx = seg.sum(np.take(gx, lanes, axis=0))
+        xs = np.take(x.data, rows.lane_x, axis=0).reshape(*shape, d).transpose(0, 2, 1)
+        gw = _scatter_add(rows.chunk_type, np.matmul(xs, gy), num_types).transpose(1, 0, 2)  # (d, T, sum of w_i)
+        return gx, *(_partial(t, lambda lo=lo, hi=hi: gw[:, :, lo:hi].reshape(d, -1)) if g is not None else None
+                     for g, t, lo, hi in zip(grads, ws, starts, starts[1:]))
+
+    return record_op("segment_matmul", outs, (x, *ws), backward)
 
 
 def segment_softmax(a, segments: Segments) -> Tensor:

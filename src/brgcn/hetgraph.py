@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .diffnum import BlockLayout, Segments
+from .diffnum import BlockLayout, Segments, TypedRows
 
 log = logging.getLogger(__name__)
 
@@ -174,32 +174,30 @@ class GraphIndex:
     node.  No per-pair index is kept.
 
     ``group_slot`` is each group's (node, relation) slot, ``group_node * R +
-    group_rel`` with R the graph's relation count: the row of an (N*R, .)
-    array that the layer reads once per group, for a_r's head half.
+    group_rel`` with R the graph's relation count.  A layer reads its roles'
+    rows at the ``live_slots``, the distinct tail slots ``tails * R +
+    edge_rel``, ascending (one ``np.unique``), and a's rows where node
+    attention reads them (below); ``slot_rows`` and ``attention_rows`` type
+    their nodes by relation for a dense layer, a field's ranked as the whole
+    graph's.
 
     The layer's scatters run on :class:`~brgcn.diffnum.Segments` built from
     these arrays on first use and kept for the graph's lifetime, so each
     index is range-checked and scheduled once per graph: ``edges_by_group``
     (edges into their groups), ``groups_by_node`` (groups into their nodes)
-    and, for a dense layer, ``edges_by_tail_slot`` (edges into their tail
-    slots ``tails * R + edge_rel`` of an (N*R, .) array).  Every head-side
-    sum reaches its node through the group.
-
-    A one-hot layer stores rows at the live slots only: ``live_slots``, the
-    distinct tail slots, ascending, one ``np.unique`` on first use.
-    ``edges_by_live_slot`` sends each edge to its slot's position there, a
-    Segments over the L live slots, and ``live_nodes`` is the node of each
-    entry of that layer's a, one entry per group and then one per live slot.
+    and ``edges_by_live_slot`` (edges into their live slots).  Every
+    head-side sum reaches its node through the group.
 
     Node-level attention has a choice only in a group of two or more edges;
     a lone edge's gamma is 1.  So the layer reads a_r at the E_m edges of
     those groups only, ascending, each index a Segments built and
     range-checked once: ``multi_edges`` (their positions among the edges),
     ``multi_by_group`` (their groups, renumbered 0..G_m-1 in group order,
-    for the segment softmax) and each edge's head and tail read,
-    ``multi_slots`` for a dense layer's N*R slot rows and ``multi_live`` for
-    a one-hot layer's a.  None of these is summed over more than one column,
-    so none builds a sum schedule or holds anything of size N*R.
+    for the segment softmax) and ``multi_live``, each edge's head and tail
+    read among a's attention rows: a_r's head half at each of the G_m groups
+    and its tail half at each of the L_m live slots their edges read
+    (``multi_rows``).  None of these is summed over more than one column, so
+    none builds a sum schedule.  No Segments of an index has N*R segments.
     ``mean_weights`` (each edge's 1/|N_i^r|) and ``unit_weights`` (1.0 per
     edge) are the graph-constant edge weights, built once.
 
@@ -207,9 +205,11 @@ class GraphIndex:
     :meth:`field` builds the index of a node subset's edges from the whole
     graph's sorted edges, which it reads once, and reads none of its group
     arrays; :func:`receptive_fields` gives one field per layer.  A field has
-    every attribute above over its own edges and groups, its own schedules,
-    and its edges' positions in the whole graph (``edges``; None in a
-    whole-graph index, which is its own ``parent``).
+    every attribute above over its own edges, groups and live slots, its own
+    schedules, and its edges' positions in the whole graph (``edges``; None
+    in a whole-graph index, which is its own ``parent``).  ``parent_a_rows``
+    and ``parent_slots`` place its rows in the whole graph's numbering, in
+    which a live layer stores them.
     """
 
     def __init__(self, graph: HeteroGraph):
@@ -243,9 +243,8 @@ class GraphIndex:
         mask, so they stay sorted, and grouped as :meth:`__init__` groups a
         whole graph's; none of this index's group arrays is read.  The
         field's ``edges`` are its edges' positions here, and ``parent`` is this
-        index, whose numbering it keeps for the rows a live layer stores:
-        ``live_slots``, ``live_nodes`` and the entries of a that ``multi_live``
-        reads.  A mask that keeps every edge gives this index itself.
+        index, whose numbering a live layer stores its rows in.  A mask that
+        keeps every edge gives this index itself.
         """
         if self._parent is not None:
             raise GraphError("a field is cut from a whole graph's index")
@@ -294,17 +293,13 @@ class GraphIndex:
         return Segments(self.group_node, self.num_nodes)
 
     @cached_property
-    def edges_by_tail_slot(self) -> Segments:
-        r = self.num_relations
-        return Segments(self.tails * r + self.edge_rel, self.num_nodes * r)
-
-    @cached_property
-    def _live(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live slots and each edge's position among them; a field's are its parent's."""
-        if self._parent is not None:
-            slots, at = self._parent._live
-            return slots, self.from_parent(at)
-        return np.unique(self.tails * self.num_relations + self.edge_rel, return_inverse=True)
+    def _live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The live slots, each edge's position among them, and their positions among a parent's."""
+        if self._parent is None:
+            return (*np.unique(self.tails * self.num_relations + self.edge_rel, return_inverse=True), None)
+        slots, at, _ = self._parent._live
+        in_parent, at = np.unique(self.from_parent(at), return_inverse=True)
+        return slots[in_parent], at, in_parent
 
     @property
     def live_slots(self) -> np.ndarray:
@@ -315,14 +310,23 @@ class GraphIndex:
         return Segments(self._live[1], self.live_slots.size)
 
     @cached_property
-    def live_nodes(self) -> np.ndarray:
-        """The node of each entry of a one-hot layer's a: one entry per group, then one per live slot.
+    def slot_rows(self) -> TypedRows:
+        rank = None if self._parent is None else self._parent.slot_rows.rank[self._live[2]]
+        return TypedRows(*np.divmod(self.live_slots, self.num_relations), self.num_nodes, self.num_relations, rank)
 
-        A field's are its parent's: a live layer stores the whole graph's rows.
-        """
-        if self._parent is not None:
-            return self._parent.live_nodes
-        return np.concatenate((self.group_node, self.live_slots // self.num_relations))
+    @cached_property
+    def parent_a_rows(self) -> Segments:
+        """Where the whole graph's numbering, in which a live layer stores a, holds a's attention rows here."""
+        (groups, slots), parent = self.multi_rows, self.parent
+        group = np.empty(groups.size, dtype=np.intp)
+        group[self.multi_by_group.ids] = self.from_parent(parent.edge_group)[self.multi_edges.ids]
+        slot = slots if self._parent is None else self._live[2][slots]
+        return Segments(np.concatenate((group, parent.num_groups + slot)), parent.num_groups + parent.live_slots.size)
+
+    @cached_property
+    def parent_slots(self) -> Segments | None:
+        """Where the whole graph's numbering, in which a live layer stores the roles, holds the live slots here."""
+        return None if self._parent is None else Segments(self._live[2], self._parent.live_slots.size)
 
     @cached_property
     def multi_edges(self) -> Segments:
@@ -335,21 +339,27 @@ class GraphIndex:
         return Segments(renumbered[self.edge_group[self.multi_edges.ids]], int(multi.sum()))
 
     @cached_property
-    def multi_slots(self) -> tuple[Segments, Segments]:
-        """Each multi edge's head slot and tail slot, ``node * R + edge_rel``, among N*R."""
-        e, r = self.multi_edges.ids, self.num_relations
-        rel = self.edge_rel[e]
-        return tuple(Segments(nodes[e] * r + rel, self.num_nodes * r) for nodes in (self.heads, self.tails))
+    def multi_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The groups of two or more edges and the live slots their edges read: a's attention rows."""
+        return np.flatnonzero(self.group_size > 1), np.unique(self._live[1][self.multi_edges.ids])
 
     @cached_property
     def multi_live(self) -> tuple[Segments, Segments]:
-        """Each multi edge's head and tail entry in a one-hot layer's a: its group, and G plus its live slot.
+        """Each multi edge's head and tail row among a's attention rows: its group's, then G_m plus its slot's."""
+        groups, slots = self.multi_rows
+        size, tail = groups.size + slots.size, np.searchsorted(slots, self._live[1][self.multi_edges.ids])
+        return Segments(self.multi_by_group.ids, size), Segments(groups.size + tail, size)
 
-        Groups are numbered as in ``parent``, whose G groups a live layer stores.
-        """
-        e, g = self.multi_edges.ids, self.parent.num_groups
-        size = g + self.live_slots.size
-        return Segments(self.from_parent(self.parent.edge_group)[e], size), Segments(g + self._live[1][e], size)
+    @cached_property
+    def attention_rows(self) -> TypedRows:
+        """The nodes of a's attention rows, a head row typed by its relation and a tail row by R plus its relation."""
+        (groups, slots), r, rank = self.multi_rows, self.num_relations, None
+        node, rel = np.divmod(self.live_slots[slots], r)
+        if self._parent is not None:  # ranked as the whole graph's rows, whose own parent_a_rows ascend
+            whole = self._parent
+            rank = whole.attention_rows.rank[np.searchsorted(whole.parent_a_rows.ids, self.parent_a_rows.ids)]
+        return TypedRows(np.concatenate((self.group_node[groups], node)),
+                         np.concatenate((self.group_rel[groups], r + rel)), self.num_nodes, 2 * r, rank)
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

@@ -39,62 +39,56 @@ batched matmul gives the logits, a row softmax gives psi and one batched
 matmul the psi-weighted values.  The tape's length depends on the number of
 layers only.
 
-Cost model: a dense layer's rows come from one helper, ``_slot_rows``: the
-row of each (node, relation) slot under a slot-layout weight (d_in,
-R*width), relation r's columns at r*width, for each role's d_out-wide rows
-and the one-float rows of a_r's two halves; one matmul projects all N*R
-slots.  A one-hot layer built with ``live`` (layer 0 of both task models,
-without bases) stores only the rows an edge can read: each role over the
-graph's L live tail slots, and a as a_r's head half per group and its tail
-half per live slot.  Its forward reads them straight from the parameters,
-each scaled by its node's dropout mask entry, so its parameters, gradients
-and Adam moments are O(groups + live slots), and nothing is N*R.  Each edge
-reads its tail slot, and every sum into a node sums the node's groups; no
-sum runs over head slots.  So every variant runs on
-the same ``dn.Segments`` schedules, which ``graph.index`` builds and
-range-checks once per graph: edges into groups, groups into nodes and edges
-into tail slots, the N*R slots for a dense layer and the live ones for a
-one-hot layer.  Every scatter and every gradient of a gather by a
-graph-constant index runs on one of them; its sums are a few vectorized
-passes, one per rank of a segment's entries, bit-equal to one bincount.
-Nothing is restacked per forward, and one-hot dropout draws one mask entry
-per node, so no N x N array is built.  Under bases, every forward forms each
-role's slot weight as one (R, B) @ (B, d_out*d_in) matmul, which the
-per-relation views read too.  The relation stage does d_out work per
-same-node pair and loops once per distinct |R_i|, its row maxima m - 1
-column passes; only psi and one run's logits grow with the pairs.  So a step
-is linear in edges plus live slots plus pairs, and a dense layer whose nodes
-carry few of many relations pays for its empty slots.  A step frees its
-transients when it ends; ``training.optimize`` keeps glibc from trimming
-them, so the next step reuses that heap.
+Cost model: every layer reads one set of rows: each role's (L, d_out) rows
+at the index's L live slots, the distinct (tail, relation) slots its edges
+read, and a's attention rows, a_r's head half at each of the G_m groups of
+two or more edges, then its tail half at each of the L_m live slots their
+edges read.  Only their source differs.  A one-hot layer built with ``live``
+(layer 0 of both task models) stores them, a at every group and live slot,
+O(groups + live slots), each row scaled by its node's dropout mask entry;
+under bases it stores a and forms the row of slot (j, r) as sum_b coeff[r,
+b] * basis[b][:, j].  Dense input is projected at the rows alone, per
+relation (``dn.segment_matmul``): one call for the roles, one for a's
+attention rows.  No layer computes a row of all N*R slots.  Each edge reads
+its tail slot's rows, and every sum into a node sums the node's groups, so
+every variant runs on the same
+``dn.Segments`` schedules, built and range-checked once per index: edges
+into groups, groups into nodes and edges into live slots.  Every scatter and
+every gradient of a gather by a graph-constant index runs on one of them;
+its sums are a few vectorized passes, one per rank of a segment's entries,
+bit-equal to one bincount.  Nothing is restacked per forward, and one-hot
+dropout draws one mask entry per node, so no N x N array is built.  The
+relation stage does d_out work per same-node pair and loops once per
+distinct |R_i|, its row maxima m - 1 column passes; only psi and one run's
+logits grow with the pairs.  So a step is linear in edges plus live slots
+plus pairs, whatever the relation count.  A step frees its transients when
+it ends; ``training.optimize`` keeps glibc from trimming them, so the next
+step reuses that heap.
 
-Node attention runs over the E_m edges of multi-edge groups only: a_r's
-halves are read at their head and tail slots (``graph.index.multi_slots``
-for a dense layer, ``multi_live`` for a live one), and the logits, the
-LeakyReLU and the segment softmax are O(E_m).  Each of the stage's reads
-by a graph-constant index is a ``dn.Segments`` built once per graph (a's
-two halves, once per layer), so the stage range-checks no index and
-gathers by no fancy index per forward.  ``dn.gather_sum`` takes the E_m learned weights at
-``multi_edges`` and gives every lone edge the constant 1 times its
-edge-dropout entry, so the weight gradient, two row gathers and a product
-per entry and role, is O(E_m * d_out) too, not O(E * d_out); the x gradient
-still sums over every edge.  A graph of lone edges records no node-attention
-op, and its a takes no gradient.
+Node attention runs over the E_m edges of multi-edge groups only: each
+reads a's head row at its group and its tail row at its live slot
+(``multi_live``, Segments built once per index), and the logits, the
+LeakyReLU and the segment softmax are O(E_m).  ``dn.gather_sum`` takes the
+E_m learned weights at ``multi_edges`` and gives every lone edge the
+constant 1 times its edge-dropout entry, so the weight gradient, two row
+gathers and a product per entry and role, is O(E_m * d_out) too, not
+O(E * d_out); the x gradient still sums over every edge.  A graph of lone
+edges records no node-attention op, and its a takes no gradient.
 
 A layer runs over one index: ``graph.index``, or a receptive field of it
 (``hetgraph.receptive_fields``), the edges whose head is in a node subset,
-grouped as the whole graph's are, with their own schedules.  A
+grouped as the whole graph's are, with its own live slots and schedules.  A
 node's row depends only on its own edges, which a field keeps whole, and on
-the layer's input at their heads and tails, so a field's rows equal the
-whole graph's bit for bit, and every other row comes out zero.  So every
-per-edge and per-group cost above is the field's: a classification step
-pays for the edges its loss reads.  What is per node or per stored row stays
-whole: a dense layer's N*R projections, the self term and a live layer's
-dropout-scaled stored rows, which the field reads at its own slots.  The
-dropout masks are drawn at the whole graph's shapes and the edge mask is
-read at the field's edges, so a field draws the same stream.  The uniform
-weights of the variants without node attention and a lone edge's weight
-without edge dropout are graph-constant, kept on each index.
+the layer's input at their heads and tails, and a product gives a row the
+same bits wherever it keeps its whole-graph rank, so a field's rows equal
+the whole graph's bit for bit, and every other row comes out zero.  So every cost above is
+the field's: a classification step pays for the edges its loss reads.  The
+self term, the dense feature mask and a live layer's dropout-scaled stored
+rows stay whole; the field reads the latter at ``parent_slots``.  The masks
+are drawn at the whole graph's shapes and the edge mask is read at the
+field's edges, so a field draws the same stream.  The uniform weights of the
+variants without node attention and a lone edge's weight without edge
+dropout are graph-constant, kept on each index.
 """
 
 from __future__ import annotations
@@ -134,19 +128,19 @@ class BrgcnLayerParams:
 
     The class owns the slot layout both ways: ``stacked`` turns R
     per-relation arrays into a stored group, and ``_slot_weight`` gives the
-    taped slot weight every forward projects.  The read-only ``a``,
+    taped slot weight a dense forward projects per relation.  The read-only ``a``,
     ``w_query``, ``w_key`` and ``w_value`` list R detached per-relation
     Tensors (a_r; W_role_r as d_out x d_in), the roles' reshaped from
     ``_slot_weight`` on detached inputs: reading them records nothing.
 
     A layer built with ``live``, the :class:`GraphIndex` of the graph it
-    runs on, reads one-hot input (d_in = N, no bases) and stores only the
-    rows of that graph's G groups and L live tail slots
-    (``GraphIndex.live_slots``): ``<prefix>.a`` is (G + L,), a_r's head half
-    at each group's node, then its tail half at each live slot's node, and
-    ``<prefix>.w_<role>`` is (L, d_out), each slot's row of the slot layout.
-    The views and ``_slot_weight`` place the stored rows at their slots,
-    zeros elsewhere, so the layer runs on dense input too, and ``live_rows``
+    runs on, reads one-hot input (d_in = N) and stores only the rows of that
+    graph's G groups and L live tail slots (``GraphIndex.live_slots``):
+    ``<prefix>.a`` is (G + L,), a_r's head half at each group's node, then
+    its tail half at each live slot's node, and ``<prefix>.w_<role>``, if
+    not under bases, is (L, d_out), each slot's row of the slot layout.  The
+    views and ``_slot_weight`` place the stored rows at their slots, zeros
+    elsewhere, so the layer runs on dense input too, and ``live_rows``
     reduces a full-layout array to the stored rows.  A forward on a graph
     with other live slots or groups is refused.
 
@@ -176,11 +170,10 @@ class BrgcnLayerParams:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {dropout}")
         if num_bases < 0:
             raise ConfigurationError(f"num_bases must be non-negative, got {num_bases}")
-        if live is not None and (num_bases or (d_in, num_relations) != (live.num_nodes, live.num_relations)):
+        if live is not None and (d_in, num_relations) != (live.num_nodes, live.num_relations):
             raise ConfigurationError(
-                f"a live-slot layer reads its graph's one-hot input without bases: d_in={d_in}, "
-                f"{num_relations} relations and num_bases={num_bases} for a graph of {live.num_nodes} "
-                f"nodes and {live.num_relations} relations"
+                f"a live-slot layer reads its graph's one-hot input: d_in={d_in} and {num_relations} relations "
+                f"for a graph of {live.num_nodes} nodes and {live.num_relations} relations"
             )
         self.d_in = d_in
         self.d_out = d_out
@@ -208,10 +201,10 @@ class BrgcnLayerParams:
     def num_floats(self) -> int:
         """How many parameter entries :meth:`create` allocates for this layer's settings; none is allocated here."""
         d_in, d_out, r, b, live = self.d_in, self.d_out, self.num_relations, self.num_bases, self._live
-        if live is not None:
-            slots = live.live_slots.size
-            return live.num_groups + slots + d_out * d_in + 3 * slots * d_out
-        return r * 2 * d_in + (1 + b) * d_out * d_in + 3 * r * (b if b else d_out * d_in)
+        if live is None:
+            return r * 2 * d_in + (1 + b) * d_out * d_in + 3 * r * (b if b else d_out * d_in)
+        slots = live.live_slots.size
+        return live.num_groups + slots + (1 + b) * d_out * d_in + 3 * (r * b if b else slots * d_out)
 
     @classmethod
     def stacked(cls, group: str, per_relation) -> np.ndarray:
@@ -272,8 +265,8 @@ class BrgcnLayerParams:
         basis = [self.basis] if self.num_bases else []
         return [self.attention, *basis, *(self.roles[role] for role in self.ROLES), self.w_self]
 
-    def _full_layout(self, group: str) -> tuple[np.ndarray, tuple[int, int]]:
-        """A live layer's row of each stored entry of ``group`` in its full layout, and that layout's shape.
+    def _full_layout(self, group: str, idx: GraphIndex | None = None) -> tuple[np.ndarray, tuple[int, int]]:
+        """The full-layout row of each row ``idx`` (default: the live index) reads of ``group``, and the layout's shape.
 
         a's full layout, (2*d_in, R), is read as rows of one float: a group's
         head half sits at its slot ``node * R + relation``, a live slot's tail
@@ -282,10 +275,12 @@ class BrgcnLayerParams:
         the full (R, ..., 2*d_in or d_in) draw puts at relation k % R and last
         index k // R.
         """
-        idx, r = self._live, self.num_relations
-        if group == "a":
-            return np.concatenate((idx.group_slot, self.d_in * r + idx.live_slots)), (2 * self.d_in, r)
-        return idx.live_slots, (self.d_in, r * self.d_out)
+        stored, r = idx is None, self.num_relations
+        idx = self._live if stored else idx
+        if group != "a":
+            return idx.live_slots, (self.d_in, r * self.d_out)
+        groups, slots = (slice(None), slice(None)) if stored else idx.multi_rows  # else a's attention rows
+        return np.concatenate((idx.group_slot[groups], self.d_in * r + idx.live_slots[slots])), (2 * self.d_in, r)
 
     def _full(self, group: str, stored: Tensor) -> Tensor:
         """``group``'s full layout, taped: the stored entries at their rows, zeros elsewhere."""
@@ -320,15 +315,26 @@ class BrgcnLayerParams:
         A live layer's weight is its stored rows placed at their slots, zeros elsewhere.
         """
         w, basis = (t if t is None or not detached else Tensor(t.data) for t in (self.roles[role], self.basis))
-        if self.num_bases:  # (R, B) coefficients @ (B, d_out*d_in) basis: row r is W_role_r
-            mats = dn.matmul(w, dn.reshape(basis, (self.num_bases, self.d_out * self.d_in)))
-            w = dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
-        return self._full(f"w_{role}", w)
+        if not self.num_bases:
+            return self._full(f"w_{role}", w)
+        mats = dn.matmul(w, dn.reshape(basis, (self.num_bases, self.d_out * self.d_in)))  # row r is W_role_r
+        return dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
 
-    @cached_property
-    def _halves(self) -> tuple[dn.Segments, dn.Segments]:
-        """The rows of a_r's head half and of its tail half in a's full layout, each checked once."""
-        return tuple(dn.Segments(np.arange(lo, lo + self.d_in), 2 * self.d_in) for lo in (0, self.d_in))
+    def _stored_rows(self, group: str, idx: GraphIndex, mask: np.ndarray | None) -> Tensor:
+        """The rows of ``group``'s stored array that ``idx`` reads on one-hot input: a's attention rows, a role's slots.
+
+        Each stored row is scaled by its node's dropout ``mask`` entry, then read: a live layer's at
+        ``idx.parent_a_rows`` or ``parent_slots`` (a whole graph's in place), the full layout's at their rows there."""
+        t, live, a = (self.attention if group == "a" else self.roles[group[2:]]), self._live, group == "a"
+        if live is None:  # the full layout, read as rows of one float (a) or of d_out
+            t, (at, _) = dn.reshape(t, (-1,) if a else (-1, self.d_out)), self._full_layout(group, idx)
+        else:
+            at = idx.parent_a_rows if a else idx.parent_slots
+        if mask is not None:  # by each stored row's node, (k // R) % N at its full-layout row k
+            rows = np.arange(t.shape[0]) if live is None else self._full_layout(group)[0]
+            m = mask[rows // self.num_relations % self.d_in]
+            t = dn.mul(t, m[:, 0] if a else m)
+        return t if at is None else dn.take(t, at)
 
     def _per_relation(self, role: str) -> list[Tensor]:
         w = self._slot_weight(role, detached=True).data.reshape(self.d_in, self.num_relations, self.d_out)
@@ -409,16 +415,30 @@ def _project(h: Tensor | None, feature_mask: Tensor | None, w: Tensor) -> Tensor
     return (w if feature_mask is None else dn.mul(w, feature_mask)) if h is None else dn.matmul(h, w)
 
 
-def _slot_rows(params: BrgcnLayerParams, h: Tensor | None, feature_mask: Tensor | None, idx: GraphIndex,
-               w: Tensor, *, row: tuple = ()) -> Tensor:
-    """The row of h @ w at every (node, relation) slot.
-
-    ``w`` is (d_in, R*width) in slot layout, and the rows are (N*R, *row):
-    ``row`` is (width,), or () for a width-1 weight read as one float per
-    slot.  An edge reads its tail's slot row through ``idx.edges_by_tail_slot``;
-    a multi edge reads a_r's head and tail rows through ``idx.multi_slots``.
-    """
-    return dn.reshape(_project(h, feature_mask, w), (idx.num_nodes * params.num_relations, *row))
+def _rows(params: BrgcnLayerParams, h: Tensor | None, feature_mask: Tensor | None, idx: GraphIndex,
+          roles: Sequence[str], attend: bool) -> tuple[Tensor | None, list[Tensor]]:
+    """The rows ``idx`` reads, as the module docstring sets out: a's attention rows (G_m + L_m,), None
+    unless ``attend``, and each of ``roles``' (L, d_out)."""
+    if h is None:
+        mask = None if feature_mask is None else feature_mask.data
+        a = params._stored_rows("a", idx, mask) if attend else None
+        if not params.num_bases:
+            return a, [params._stored_rows(f"w_{role}", idx, mask) for role in roles]
+        # Slot (j, r)'s row is sum_b coeff[r, b] * basis[b][:, j]: node j's B*d_out basis entries times
+        # coeff_r (x) I, the (B*d_out, d_out) weight that sums them, one product for every role.
+        b, d, r = params.num_bases, params.d_out, params.num_relations
+        eye, columns = np.eye(d).reshape(1, d, 1, d), dn.transpose(dn.reshape(params.basis, (b * d, params.d_in)))
+        sums = [dn.reshape(dn.mul(dn.reshape(dn.transpose(params.roles[role]), (b, 1, r, 1)), eye), (b * d, r * d))
+                for role in roles]
+        rows = dn.segment_matmul(columns, sums, idx.slot_rows)
+        return a, list(rows) if mask is None else [dn.mul(w, mask[idx.live_slots // r]) for w in rows]
+    rows = list(dn.segment_matmul(h, [params._slot_weight(role) for role in roles], idx.slot_rows))
+    if not attend:
+        return None, rows
+    a = params._full("a", params.attention)
+    halves = dn.concat(  # (d_in, 2R): a_r's head halves, then their tail halves
+        [dn.take(a, np.arange(lo, lo + params.d_in)) for lo in (0, params.d_in)], axis=1)
+    return dn.reshape(dn.segment_matmul(h, [halves], idx.attention_rows)[0], (-1,)), rows
 
 
 def layer_forward(
@@ -477,28 +497,17 @@ def layer_forward(
 
     if not idx.num_groups:
         return Tensor(np.zeros((n, params.d_out))), AttentionTrace()
-    # A live layer on one-hot input reads its stored rows: a by group and live slot, the roles by live slot.
-    live = built is not None and h is None
-    if live:
-        a_node = idx.live_nodes
-        row_mask = None if feature_mask is None else Tensor(feature_mask.data[a_node[whole.num_groups :]])
+    roles = params.ROLES if params.variant in PSI_VARIANTS else ("value",)
+    attend = params.variant in GAMMA_VARIANTS and idx.multi_edges.size > 0
+    a, rows = _rows(params, h, feature_mask, idx, roles, attend)
 
     # Node-level attention where a group has a choice: one segment softmax over the edges of the
     # groups with two or more.  A lone edge's gamma is 1, and its logit would take no gradient.
     at = fixed = None
     if params.variant in GAMMA_VARIANTS:
         at, gamma = idx.multi_edges, Tensor(np.empty(0))
-        if at.size:
-            if live:  # a holds a_r's head half per group, then its tail half per live slot
-                a = params.attention
-                if feature_mask is not None:
-                    a = dn.mul(a, feature_mask.data[a_node, 0])
-                logits = dn.add(*(dn.take(a, read) for read in idx.multi_live))
-            else:  # a_r's halves are width-1 slot weights, read at head and tail
-                attention = params._full("a", params.attention)
-                a_head, a_tail = (dn.take(attention, half) for half in params._halves)
-                head, tail = (_slot_rows(params, h, feature_mask, idx, a) for a in (a_head, a_tail))
-                logits = dn.add(*(dn.take(rows, read) for rows, read in zip((head, tail), idx.multi_slots)))
+        if attend:  # each multi edge reads a's head row at its group and its tail row at its live slot
+            logits = dn.add(*(dn.take(a, read) for read in idx.multi_live))
             gamma = dn.segment_softmax(dn.leaky_relu(logits, params.leaky_slope), idx.multi_by_group)
         if edge_mask is None:
             weights, fixed = gamma, idx.unit_weights
@@ -508,27 +517,21 @@ def layer_forward(
     else:
         weights = Tensor(idx.mean_weights)
 
-    def messages(role: str) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
-        if live:
-            w = params.roles[role]
-            rows, tails = (w if row_mask is None else dn.mul(w, row_mask)), idx.edges_by_live_slot
-        else:
-            rows = _slot_rows(params, h, feature_mask, idx, params._slot_weight(role), row=(params.d_out,))
-            tails = idx.edges_by_tail_slot
-        return dn.gather_sum(weights, rows, tails, idx.edges_by_group, at=at, base=fixed)
+    def messages(w: Tensor) -> Tensor:  # per group, sum_j gamma_ij W_r h_j
+        return dn.gather_sum(weights, w, idx.edges_by_live_slot, idx.edges_by_group, at=at, base=fixed)
 
     self_rows = _project(h, feature_mask, dn.transpose(params.w_self))  # (N, d_out)
     psi = None
     if params.variant in PSI_VARIANTS:
         # Relation-level attention: one softmax over each node's block of groups.
-        q, k, v = (messages(role) for role in params.ROLES)
+        q, k, v = (messages(w) for w in rows)
         fused, psi = dn.block_attention(q, k, v, idx.blocks)
         delta = dn.relu(dn.add(fused, dn.take(self_rows, idx.groups_by_node)))
         out = dn.segment_sum(delta, idx.groups_by_node)
     else:
         # R-GCN's sum, over each node's groups; nodes without outgoing edges stay zero despite the self term.
         has_rel = Tensor((idx.node_count > 0).astype(np.float64)[:, None])
-        summed = dn.segment_sum(messages("value"), idx.groups_by_node)
+        summed = dn.segment_sum(messages(rows[0]), idx.groups_by_node)
         out = dn.mul(dn.relu(dn.add(summed, self_rows)), has_rel)
 
     if not collect_trace:

@@ -468,15 +468,14 @@ def _layer_stack(
 ) -> list[BrgcnLayerParams]:
     """Glorot-initialized layers ``layer{k}`` mapping width ``dims[k]`` to ``dims[k + 1]``.
 
-    Layer 0 reads one-hot input: without bases it stores only the rows of
-    ``graph``'s live slots and groups.  Each layer's settings are stated
-    once: the pre-flight counts an unallocated layer built from them, before
-    any is drawn.
+    Layer 0 reads one-hot input and stores only the rows of ``graph``'s live
+    slots and groups.  Each layer's settings are stated once: the pre-flight
+    counts an unallocated layer built from them, before any is drawn.
     """
     settings = [
         dict(d_in=d_in, d_out=d_out, num_relations=graph.num_relations, num_bases=cfg.num_bases,
              leaky_slope=cfg.leaky_slope, dropout=cfg.dropout, variant=cfg.variant,
-             live=None if k or cfg.num_bases else graph.index)
+             live=None if k else graph.index)
         for k, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
     ]
     _check_memory(sum(BrgcnLayerParams(**kw).num_floats() for kw in settings))

@@ -301,3 +301,95 @@ class TestLayoutChecks:
         empty = Tensor(np.zeros((0, 2)))
         out, psi = dn.block_attention(empty, empty, empty, dn.BlockLayout(np.zeros(0, int)))
         assert out.shape == (0, 2) and psi.shape == (0,)
+
+
+class TestSegmentMatmul:
+    """``dn.segment_matmul``: per-type products of gathered rows, several weights side by side, one record."""
+
+    @staticmethod
+    def _case(seed, rows=40, n=9, types=5, d=4, widths=(3, 1, 2)):
+        rng = np.random.default_rng(seed)
+        x_rows, row_types = rng.integers(0, n, rows), rng.integers(0, types, rows)
+        x = dn.param(rng.normal(size=(n, d)))
+        ws = [dn.param(rng.normal(size=(d, types * w))) for w in widths]
+        return dn.TypedRows(x_rows, row_types, n, types), x, ws, x_rows, row_types
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_and_gradients_match_one_product_per_row(self, seed):
+        layout, x, ws, rows, types = self._case(seed)
+        ups = [np.random.default_rng(seed + 10 + i).normal(size=(rows.size, w.shape[1] // 5)) for i, w in enumerate(ws)]
+        with Tape() as tape:
+            outs = dn.segment_matmul(x, ws, layout)
+            assert len(tape) == 1
+            tape.backward(dn.tsum(dn.add(*(dn.tsum(dn.mul(o, u)) for o, u in zip(outs[:2], ups)))))
+        gx, gws = np.zeros_like(x.data), [np.zeros_like(w.data) for w in ws]
+        for k, (j, t) in enumerate(zip(rows, types)):
+            for i, (w, out) in enumerate(zip(ws, outs)):
+                cols = slice(t * out.shape[1], (t + 1) * out.shape[1])
+                assert np.allclose(out.data[k], x.data[j] @ w.data[:, cols], rtol=0, atol=1e-14)
+                if i < 2:
+                    gws[i][:, cols] += np.outer(x.data[j], ups[i][k])
+                    gx[j] += w.data[:, cols] @ ups[i][k]
+        assert np.allclose(x.grad, gx, rtol=0, atol=1e-13)
+        for w, want in zip(ws[:2], gws):
+            assert np.allclose(w.grad, want, rtol=0, atol=1e-13)
+        assert ws[2].grad is None  # no gradient reached the third output
+
+    def test_partials_match_central_differences(self):
+        layout, x, ws, _, _ = self._case(2, rows=12, n=5, types=3, d=3, widths=(2, 1))
+
+        def f():
+            a, b = dn.segment_matmul(x, ws, layout)
+            return dn.add(dn.tsum(dn.mul(a, a)), dn.tsum(b))
+
+        assert grad_check(f, [x, *ws], eps=1e-6, tol=1e-6).passed
+
+    @pytest.mark.parametrize("d, width", [(2, 1), (5, 3), (16, 7), (16, 49)])
+    def test_a_subset_of_the_rows_gives_the_same_bits(self, d, width):
+        # Rows that keep their ranks among all rows: each one's output and x gradient do not
+        # depend on the rows beside it, and the weight gradient of rows whose gradient is zero
+        # outside the subset is the subset's.  The rows span several chunks of each type.
+        rng = np.random.default_rng(d * width)
+        n, types, rows = 50, 4, 700
+        x_rows, row_types = rng.integers(0, n, rows), rng.integers(0, types, rows)
+        x, w = Tensor(rng.normal(size=(n, d))), rng.normal(size=(d, types * width))
+        up = rng.normal(size=(rows, width))
+        keep = np.sort(rng.choice(rows, 37, replace=False))
+        rank = dn.TypedRows(x_rows, row_types, n, types).rank
+
+        def step(at, g):
+            xp, wp = dn.param(x.data), dn.param(w)
+            with Tape() as tape:
+                (out,) = dn.segment_matmul(xp, [wp], dn.TypedRows(x_rows[at], row_types[at], n, types, rank[at]))
+                tape.backward(dn.tsum(dn.mul(out, g)))
+            return out.data, xp.grad, wp.grad
+
+        every = np.zeros_like(up)
+        every[keep] = up[keep]
+        whole, sub = step(np.arange(rows), every), step(keep, up[keep])
+        assert rank.max() >= 2 * dn.CHUNK_ROWS
+        assert _same(whole[0][keep], sub[0])
+        assert _same(whole[1] + 0.0, sub[1] + 0.0) and _same(whole[2] + 0.0, sub[2] + 0.0)
+
+    def test_an_unread_output_passes_none_to_the_backward(self):
+        layout, x, ws, _, _ = self._case(3)
+        seen = []
+        with Tape() as tape:
+            a, b, c = dn.segment_matmul(x, ws, layout)
+            (_, _, backward), = tape._records
+            tape._records[0] = (tape._records[0][0], tape._records[0][1],
+                                lambda *g: seen.append([t is None for t in g]) or backward(*g))
+            tape.backward(dn.tsum(b))
+        assert seen == [[True, False, True]]
+        assert ws[1].grad.any() and ws[0].grad is ws[2].grad is None
+
+    def test_bad_shapes_and_types_are_rejected(self):
+        layout, x, ws, _, _ = self._case(4)
+        with pytest.raises(DimensionError, match="segment_matmul"):
+            dn.segment_matmul(Tensor(np.ones((8, 4))), ws, layout)  # 8 rows of x for 9
+        with pytest.raises(DimensionError, match="segment_matmul"):
+            dn.segment_matmul(x, [Tensor(np.ones((4, 7)))], layout)  # 7 columns for 5 types
+        with pytest.raises(DimensionError, match="TypedRows"):
+            dn.TypedRows([0, 1], [0, 5], 3, 5)
+        with pytest.raises(DimensionError, match="TypedRows"):
+            dn.TypedRows([0, 1], [0], 3, 5)

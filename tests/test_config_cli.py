@@ -610,6 +610,18 @@ class TestFullSlotCheckpoints:
             ]
             assert (tmp_path / command / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
+    def test_node_classification_under_bases(self, toy_config, tmp_path, caplog):
+        # The quick start with 2 bases and inverses, written while layer 0 under bases kept a in the
+        # full slot layout: its a is reduced to the live rows, and it evaluates as it did then.
+        args = ["--config", str(toy_config), "--set", "num_bases=2", "--set", "add_inverse=true",
+                "--set", f"checkpoint={GOLDEN / 'toy_bases_checkpoint.npz'}", "--set", f"output_dir={tmp_path}"]
+        with caplog.at_level(logging.WARNING, logger="brgcn.training"):
+            assert main(["eval", *args]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "checkpoint in the full slot layout: layer 0 keeps the rows of the graph's live slots"
+        ]
+        assert (tmp_path / "results.json").read_bytes() == (GOLDEN / "toy_bases_results.json").read_bytes()
+
 
 class TestCliVariants:
     """``variant`` is read from the config by both tasks and every subcommand."""

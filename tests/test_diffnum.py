@@ -238,7 +238,7 @@ class TestBackwardSemantics:
             want = every.get(id(p))
             assert (p.grad is None) == (want is None), p.name
             assert want is None or np.array_equal(p.grad.view(np.int64), want.view(np.int64)), p.name
-        assert all(out.grad is None for out, _, _ in tape._records)
+        assert all(t.grad is None for out, _, _ in tape._records for t in (out if isinstance(out, tuple) else (out,)))
 
     def test_backward_holds_a_few_gradients_not_one_per_op(self):
         # A chain of 30 negations of a 200 x 50 array: each gradient is freed
@@ -317,8 +317,9 @@ def _every_gradient(tape, loss) -> dict[int, np.ndarray]:
     tape that keeps each gradient until it ends.  Sets no ``grad``."""
     pending = {id(loss): np.ones(())}
     for out, inputs, backward_fn in reversed(tape._records):
-        if id(out) in pending:
-            for inp, part in zip(inputs, backward_fn(pending[id(out)])):
+        grads = [pending.get(id(t)) for t in (out if isinstance(out, tuple) else (out,))]
+        if any(g is not None for g in grads):
+            for inp, part in zip(inputs, backward_fn(*grads)):
                 if part is not None and inp.requires_grad:
                     pending[id(inp)] = pending[id(inp)] + part if id(inp) in pending else part
     return pending

@@ -54,7 +54,7 @@ def _step(g, targets, variant, dropout, num_bases, one_hot, num_layers, fields):
     layers = [
         BrgcnLayerParams.create(rng, dims[k], dims[k + 1], g.num_relations, num_bases=num_bases, dropout=dropout,
                                 variant=variant, prefix=f"layer{k}",
-                                live=g.index if k == 0 and one_hot and not num_bases else None)
+                                live=g.index if k == 0 and one_hot else None)
         for k in range(num_layers)
     ]
     x0 = None if one_hot else dn.param(rng.normal(size=(g.num_nodes, d_in)))
@@ -89,6 +89,23 @@ class TestFieldStepEqualsWholeGraphStep:
             assert got[3] == want[3], kind
             if kind == "edgeless":
                 assert all(f.num_edges == 0 for f in fields)
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_equal_over_many_chunks(self, variant, one_hot):
+        # 600 nodes, 4 relations with inverses and self loops: each relation's 470-600 live slots fill
+        # several chunks of the dense layer's products, and the field's rows keep their chunk lanes.
+        rng = np.random.default_rng(3)
+        t = np.column_stack([rng.integers(0, 600, 4000), rng.integers(0, 4, 4000), rng.integers(0, 600, 4000)])
+        g = augment(HeteroGraph.from_triples(t, num_nodes=600), add_inverse=True, add_self_loop=True)
+        assert np.bincount(g.index.live_slots % g.num_relations).min() > 7 * dn.CHUNK_ROWS
+        targets = tuple(range(40))
+        fields = receptive_fields(g.index, targets, 2)
+        got = _step(g, targets, variant, 0.4, 0, one_hot, 2, fields)
+        want = _step(g, targets, variant, 0.4, 0, one_hot, 2, None)
+        assert np.array_equal(_bits(got[0]), _bits(want[0])) and got[1] == want[1] and got[3] == want[3]
+        for a, b in zip(got[2], want[2]):
+            assert np.array_equal(_bits(a), _bits(b)) if a is not None else b is None or not b.any()
 
     def test_an_empty_field_draws_the_whole_graphs_edge_mask(self):
         g = _graph(0)
@@ -144,18 +161,33 @@ class TestReceptiveFields:
         assert idx.num_groups == n * per_node and field.num_groups == per_node
         assert peak < 4 * idx.num_groups
 
-    def test_a_field_keeps_the_parents_live_numbering(self):
+    def test_a_field_numbers_its_own_live_slots(self):
+        # The slots its edges read, in the parent's order, and where the parent's numbering, which a
+        # live layer stores, holds each of its a rows and slot rows.
         g = augment(_graph(1), add_self_loop=True)
         idx = g.index
         (field,) = receptive_fields(idx, [3, 17], 1)
-        assert field.live_slots is idx.live_slots and field.live_nodes is idx.live_nodes
-        assert np.array_equal(field.edges_by_live_slot.ids, idx.edges_by_live_slot.ids[field.edges])
-        assert field.edges_by_live_slot.n == idx.live_slots.size
+        slots = field.tails * g.num_relations + field.edge_rel
+        assert np.array_equal(field.live_slots, np.unique(slots))
+        assert np.array_equal(field.live_slots[field.edges_by_live_slot.ids], slots)
+        assert field.edges_by_live_slot.n == field.live_slots.size < idx.live_slots.size
+        a_rows, slot_rows = field.parent_a_rows, field.parent_slots
+        assert a_rows.n == idx.num_groups + idx.live_slots.size and slot_rows.n == idx.live_slots.size
+        assert np.array_equal(idx.live_slots[slot_rows.ids], field.live_slots)
+        groups, multi_slots = field.multi_rows  # a's attention rows: the multi groups, then their edges' slots
         head, tail = field.multi_live
-        assert head.n == tail.n == idx.num_groups + idx.live_slots.size
-        multi = field.edges[field.multi_edges.ids]
-        assert np.array_equal(head.ids, idx.edge_group[multi])
-        assert np.array_equal(tail.ids, idx.num_groups + idx.edges_by_live_slot.ids[multi])
+        multi = field.multi_edges.ids
+        assert head.n == tail.n == groups.size + multi_slots.size
+        assert np.array_equal(groups[head.ids], field.edge_group[multi])
+        assert np.array_equal(multi_slots[tail.ids - groups.size], field.edges_by_live_slot.ids[multi])
+        assert np.array_equal(idx.group_slot[a_rows.ids[: groups.size]], field.group_slot[groups])
+        assert np.array_equal(a_rows.ids[groups.size :], idx.num_groups + slot_rows.ids[multi_slots])
+        whole_groups, whole_slots = idx.multi_rows
+        assert np.array_equal(idx.parent_a_rows.ids, np.concatenate((whole_groups, idx.num_groups + whole_slots)))
+        assert idx.parent_slots is None
+        at = {slot: k for k, slot in enumerate(idx.group_slot[whole_groups].tolist())}  # ranked as the whole graph's
+        at = [at[slot] for slot in field.group_slot[groups].tolist()]
+        assert np.array_equal(field.attention_rows.rank[: groups.size], idx.attention_rows.rank[at])
 
     def test_the_whole_graph_is_the_field_of_every_node(self):
         g = _graph(0)

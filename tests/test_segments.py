@@ -274,34 +274,38 @@ class TestLearnedEntries:
 
 
 class TestSchedulesPerGraph:
-    # Every variant's layers read the same four schedules: edges into
-    # groups, groups into nodes, edges into the tail slots for the dense
-    # layer and edges into the live slots for the one-hot layer 0.  A
+    # Every variant's layers read the same three schedules: edges into
+    # groups, groups into nodes and edges into the index's live slots.  A
     # head-side sum reaches its node through the group, so the index has no
     # head-side one.  The variants that learn gamma also read the indices of
-    # the multi edges: six Segments (their positions, their groups, and a
-    # head and a tail read for each kind of layer), only ever summed one
-    # column at a time, so none builds a schedule.
+    # the multi edges: four Segments (their positions,
+    # their groups renumbered, and their head and tail reads among a's
+    # attention rows), only ever summed one column at a time, so none builds
+    # a schedule.
     #
     # A run builds them on three indexes: the whole graph's, read by the
     # last epoch's metrics forward, and the training nodes' two fields, one
     # per layer, read by every step and, as the split has no valid nodes, by
-    # the other epochs' metrics forwards.  A field builds what its layer
-    # reads: layer 0's the live-slot schedule and reads, layer 1's the
-    # tail-slot ones.  The whole graph's index is read by forwards only, so
-    # its slot schedules, summed by a backward, are never built.
-    SCHEDULES = ("edges_by_group", "edges_by_live_slot", "edges_by_tail_slot", "groups_by_node")
-    MULTI = ("multi_by_group", "multi_edges")
-    MULTI_READS = ("multi_live", "multi_slots")
+    # the other epochs' metrics forwards.  Layer 0 reads its stored rows in
+    # the whole graph's numbering: a's attention rows through
+    # ``parent_a_rows``, which also rank a field's attention rows, and, on its
+    # field, the roles' through ``parent_slots``.  The dense layer 1 projects its rows per relation
+    # through the ``TypedRows`` of its live slots and, if it learns gamma,
+    # of a's attention rows.  The whole graph's index is read by forwards
+    # only, so its slot schedule, summed by a backward, is never built.  No
+    # index holds a Segments of N*R segments.
+    SCHEDULES = ("edges_by_group", "edges_by_live_slot", "groups_by_node")
+    MULTI = ("multi_by_group", "multi_edges", "parent_a_rows")
+    MULTI_READS = ("multi_live",)
     FORWARD_SUMS = ("edges_by_group", "groups_by_node")
-    LAYER_ONLY = ({"edges_by_tail_slot", "multi_slots"}, {"edges_by_live_slot", "multi_live"})
 
     @staticmethod
-    def _segments(index) -> tuple[list[str], list[str]]:
-        """The names of the Segments an index holds, and of its tuples of them."""
+    def _segments(index) -> tuple[list[str], list[str], list[str]]:
+        """The names of the Segments an index holds, of its tuples of them, and of its TypedRows."""
         held = sorted(k for k, v in vars(index).items() if isinstance(v, dn.Segments))
-        reads = sorted(k for k, v in vars(index).items() if isinstance(v, tuple) and k.startswith("multi_"))
-        return held, reads
+        reads = sorted(k for k, v in vars(index).items() if isinstance(v, tuple) and isinstance(v[0], dn.Segments))
+        typed = sorted(k for k, v in vars(index).items() if isinstance(v, dn.TypedRows))
+        return held, reads, typed
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_builds_each_schedule_once(self, monkeypatch, variant):
@@ -324,23 +328,33 @@ class TestSchedulesPerGraph:
             built.clear(), fields.clear()
             cfg = TrainConfig(epochs=epochs, variant=variant, dropout=0.2, add_self_loop=True, seed=0)
             run = train_node_classifier(graph, labels, split, cfg)
-            # the whole index: 4 + 6; each field: 3 + 4 (gamma) or 3
-            assert len(built) == (24 if gamma else 10)
+            # the whole index: 3 + 5 (gamma); layer 0's field: 3 + 1 + 5 (gamma); layer 1's: 3 + 5 (gamma),
+            # the fifth a's attention rows in the whole graph's numbering, where layer 0 reads them and
+            # a dense layer's field ranks them
+            assert len(built) == (25 if gamma else 10)
             assert len(fields) == 1 and len(fields[0]) == 2
         index = run.graph.index
-        segments, reads = self._segments(index)
+        segments, reads, typed = self._segments(index)
         assert segments == sorted(self.SCHEDULES + (self.MULTI if gamma else ()))
         assert reads == (list(self.MULTI_READS) if gamma else [])
+        assert typed == (["attention_rows", "slot_rows"] if gamma else ["slot_rows"])
         # no step runs on the whole graph: its schedules of a backward sum are never built
         assert [name for name in self.SCHEDULES if _scheduled(getattr(index, name))] == list(self.FORWARD_SUMS)
         multi = [getattr(index, name) for name in segments if name in self.MULTI]
         multi += [seg for name in reads for seg in getattr(index, name)]
-        assert len(multi) == (6 if gamma else 0) and not any(_scheduled(seg) for seg in multi)
+        assert len(multi) == (5 if gamma else 0) and not any(_scheduled(seg) for seg in multi)
         assert all(getattr(index, name) is getattr(index, name) for name in self.SCHEDULES)
-        assert not hasattr(index, "edges_by_head") and not hasattr(index, "edges_by_head_slot")
-        for field, other in zip(fields[0], self.LAYER_ONLY):
+        for name in ("edges_by_head", "edges_by_head_slot", "edges_by_tail_slot", "multi_slots"):
+            assert not hasattr(index, name)
+        for k, field in enumerate(fields[0]):
             assert field is not index and field.parent is index
-            segments, reads = self._segments(field)
-            want = {*self.SCHEDULES, *(self.MULTI + self.MULTI_READS if gamma else ())}
-            assert set(segments) | set(reads) == want - other
+            segments, reads, typed = self._segments(field)
+            want = (*self.SCHEDULES, *(self.MULTI if gamma else ()), *(("parent_slots",) if k == 0 else ()))
+            assert segments == sorted(want) and reads == (list(self.MULTI_READS) if gamma else [])
+            assert typed == ([] if k == 0 else ["attention_rows", "slot_rows"] if gamma else ["slot_rows"])
             assert all(_scheduled(getattr(field, name)) for name in self.SCHEDULES if name in segments)
+        for idx in (index, *fields[0]):
+            held = [seg for _, v in vars(idx).items() for seg in (v if isinstance(v, tuple) else (v,))
+                    if isinstance(seg, dn.Segments)]
+            held += [v.x_rows for v in vars(idx).values() if isinstance(v, dn.TypedRows)]
+            assert all(seg.n != idx.num_nodes * idx.num_relations for seg in held)

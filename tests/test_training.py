@@ -684,9 +684,9 @@ class TestMemoryEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 * n  # the graph's index; w_self would be 8 * 4096 * n
-        # The estimate counts parameters only, while a basis layer still builds
-        # each role's (d_in, R*d_out) slot weight in every forward: naming
-        # num_bases would promise a saving the estimate cannot see.
+        # Layer 0 stores its rows at the live slots with or without bases, and
+        # its basis alone would be (B, 4096, N): bases would not bring it
+        # within memory, so the refusal does not name num_bases.
         assert "hidden_units" in str(refusal.value) and "num_bases" not in str(refusal.value)
 
     def test_live_rows_that_fit_pass_although_the_full_slot_layout_would_not(self):
@@ -700,7 +700,7 @@ class TestMemoryEstimate:
         assert live == 3 + 3 + 16 * n + 3 * 3 * 16
         training._check_memory(live + BrgcnLayerParams(16, 3, num_rel).num_floats())
 
-    @pytest.mark.parametrize("num_bases, live", [(0, False), (1, False), (3, False), (0, True)])
+    @pytest.mark.parametrize("num_bases, live", [(0, False), (1, False), (3, False), (0, True), (1, True), (3, True)])
     def test_num_floats_counts_what_create_allocates(self, num_bases, live):
         graph = hg.augment(planted_graph(num_labeled=20)[0], add_inverse=True)
         index = graph.index if live else None
@@ -709,7 +709,10 @@ class TestMemoryEstimate:
         floats = BrgcnLayerParams(d_in, 5, num_rel, num_bases=num_bases, live=index).num_floats()
         assert sum(t.data.size for t in p.params()) == floats
         if live:
-            assert floats < BrgcnLayerParams(d_in, 5, num_rel).num_floats()
+            assert floats < BrgcnLayerParams(d_in, 5, num_rel, num_bases=num_bases).num_floats()
+        if live and num_bases:  # groups + live slots, w_self, the basis and 3 (R, B) coefficient arrays
+            slots = graph.index.num_groups + graph.index.live_slots.size
+            assert floats == slots + 5 * d_in + num_bases * 5 * d_in + 3 * num_rel * num_bases
 
 
 class TestPipelines:
