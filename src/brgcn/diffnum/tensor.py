@@ -783,13 +783,13 @@ class TypedRows:
 
     Built from each row's x row, in [0, n), its type, in [0, num_types),
     and its ``rank`` among the rows of its type, by default its order among
-    them here.  A row's chunk is its type's (rank // CHUNK_ROWS)-th, and its
-    lane there rank % CHUNK_ROWS: ``chunk_type`` gives each chunk's type,
-    ``lanes`` each row's lane among all chunks', ``lane_row`` each lane's row
-    (the row count at a lane no row fills) and ``lane_x`` its x row (x's
-    first at an empty lane), and ``x_rows`` is a :class:`Segments` of the
-    rows' x rows.  Rows that keep their ranks in another set of rows sit in
-    the same lane of the same shape of product.
+    them here (:meth:`ranks`).  A row's chunk is its type's (rank //
+    CHUNK_ROWS)-th, and its lane there rank % CHUNK_ROWS: ``chunk_type``
+    gives each chunk's type, ``lanes`` each row's lane among all chunks',
+    ``lane_row`` each lane's row (the row count at a lane no row fills) and
+    ``lane_x`` its x row (x's first at an empty lane), and ``x_rows`` is a
+    :class:`Segments` of the rows' x rows.  Rows that keep their ranks in
+    another set of rows sit in the same lane of the same shape of product.
     """
 
     __slots__ = ("x_rows", "rank", "num_types", "chunk_type", "lanes", "lane_row", "lane_x")
@@ -798,10 +798,7 @@ class TypedRows:
         rows, types = np.asarray(rows), np.asarray(types, dtype=np.intp)
         if rows.shape != types.shape or types.ndim != 1 or types.size and (types.min() < 0 or types.max() >= num_types):
             raise DimensionError(f"TypedRows: need one type in [0, {num_types}) per row")
-        if rank is None:  # the order of each type's rows here
-            order = np.argsort(types, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size) - np.searchsorted(types[order], types[order])
+        rank = self.ranks(types) if rank is None else rank
         self.x_rows, self.rank, self.num_types = Segments(rows, n), np.asarray(rank, dtype=np.intp), num_types
         per_type = self.rank.max(initial=0) // CHUNK_ROWS + 1
         chunks, at = np.unique(types * per_type + self.rank // CHUNK_ROWS, return_inverse=True)
@@ -809,6 +806,16 @@ class TypedRows:
         self.lane_row = np.full(chunks.size * CHUNK_ROWS, rows.size)
         self.lane_row[self.lanes] = np.arange(rows.size)
         self.lane_x = np.append(self.x_rows.ids, 0)[self.lane_row]
+
+    @staticmethod
+    def ranks(types) -> np.ndarray:
+        """Each entry's order among the entries of its type in ``types``, non-negative ints."""
+        types, counts = np.asarray(types, dtype=np.intp), np.bincount(types)
+        # A stable sort of 16-bit keys is a radix sort, linear in the entries.
+        order = np.argsort(types.astype(np.uint16) if counts.size <= 1 << 16 else types, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return rank
 
 
 def segment_matmul(x, weights: Sequence, rows: TypedRows) -> tuple[Tensor, ...]:

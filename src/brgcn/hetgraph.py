@@ -178,8 +178,8 @@ class GraphIndex:
     rows at the ``live_slots``, the distinct tail slots ``tails * R +
     edge_rel``, ascending (one ``np.unique``), and a's rows where node
     attention reads them (below); ``slot_rows`` and ``attention_rows`` type
-    their nodes by relation for a dense layer, a field's ranked as the whole
-    graph's.
+    their nodes by relation for a dense layer, a field's at the whole graph's
+    ranks alone (one stable argsort each), not at its chunk layout.
 
     The layer's scatters run on :class:`~brgcn.diffnum.Segments` built from
     these arrays on first use and kept for the graph's lifetime, so each
@@ -310,8 +310,13 @@ class GraphIndex:
         return Segments(self._live[1], self.live_slots.size)
 
     @cached_property
+    def _slot_rank(self) -> np.ndarray:
+        """Each live slot's rank among the live slots of its relation."""
+        return TypedRows.ranks(self.live_slots % self.num_relations)
+
+    @cached_property
     def slot_rows(self) -> TypedRows:
-        rank = None if self._parent is None else self._parent.slot_rows.rank[self._live[2]]
+        rank = self._slot_rank if self._parent is None else self._parent._slot_rank[self._live[2]]
         return TypedRows(*np.divmod(self.live_slots, self.num_relations), self.num_nodes, self.num_relations, rank)
 
     @cached_property
@@ -351,15 +356,21 @@ class GraphIndex:
         return Segments(self.multi_by_group.ids, size), Segments(groups.size + tail, size)
 
     @cached_property
+    def _a_rank(self) -> np.ndarray:
+        """Each attention row's rank among those of its type, at its row of a's G + L rows (0 at the others)."""
+        (groups, slots), r = self.multi_rows, self.num_relations
+        rank = np.zeros(self.num_groups + self.live_slots.size, dtype=np.intp)
+        rank[np.concatenate((groups, self.num_groups + slots))] = TypedRows.ranks(
+            np.concatenate((self.group_rel[groups], r + self.live_slots[slots] % r)))
+        return rank
+
+    @cached_property
     def attention_rows(self) -> TypedRows:
         """The nodes of a's attention rows, a head row typed by its relation and a tail row by R plus its relation."""
-        (groups, slots), r, rank = self.multi_rows, self.num_relations, None
+        (groups, slots), r = self.multi_rows, self.num_relations
         node, rel = np.divmod(self.live_slots[slots], r)
-        if self._parent is not None:  # ranked as the whole graph's rows, whose own parent_a_rows ascend
-            whole = self._parent
-            rank = whole.attention_rows.rank[np.searchsorted(whole.parent_a_rows.ids, self.parent_a_rows.ids)]
-        return TypedRows(np.concatenate((self.group_node[groups], node)),
-                         np.concatenate((self.group_rel[groups], r + rel)), self.num_nodes, 2 * r, rank)
+        return TypedRows(np.concatenate((self.group_node[groups], node)), np.concatenate((self.group_rel[groups], r + rel)),
+                         self.num_nodes, 2 * r, self.parent._a_rank[self.parent_a_rows.ids])
 
     def edges_of(self, i: int, r: int) -> slice:
         """The sorted edges of node i under relation r, an empty slice when none exist."""

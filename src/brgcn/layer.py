@@ -47,12 +47,13 @@ edges read.  Only their source differs.  A one-hot layer built with ``live``
 (layer 0 of both task models) stores them, a at every group and live slot,
 O(groups + live slots), each row scaled by its node's dropout mask entry;
 under bases it stores a and forms the row of slot (j, r) as sum_b coeff[r,
-b] * basis[b][:, j].  Dense input is projected at the rows alone, per
-relation (``dn.segment_matmul``): one call for the roles, one for a's
-attention rows.  No layer computes a row of all N*R slots.  Each edge reads
-its tail slot's rows, and every sum into a node sums the node's groups, so
-every variant runs on the same
-``dn.Segments`` schedules, built and range-checked once per index: edges
+b] * basis[b][:, j].  A layer built without ``live`` refuses one-hot input.
+Dense input is projected at the rows alone, per relation
+(``dn.segment_matmul``): one call for the roles, one for a's attention
+rows.  No layer computes a row of all N*R slots.  Each edge reads its tail
+slot's rows, and every sum into a node sums the node's groups, so every
+variant runs on the same ``dn.Segments`` schedules, built and range-checked
+once per index: edges
 into groups, groups into nodes and edges into live slots.  Every scatter and
 every gradient of a gather by a graph-constant index runs on one of them;
 its sums are a few vectorized passes, one per rank of a segment's entries,
@@ -142,7 +143,8 @@ class BrgcnLayerParams:
     views and ``_slot_weight`` place the stored rows at their slots, zeros
     elsewhere, so the layer runs on dense input too, and ``live_rows``
     reduces a full-layout array to the stored rows.  A forward on a graph
-    with other live slots or groups is refused.
+    with other live slots or groups is refused, and so is one-hot input to
+    a layer built without ``live``.
 
     ``variant``, checked here and read-only after, is the cell of the
     module docstring's grid that every forward runs: ``rgcn_baseline`` is
@@ -265,8 +267,8 @@ class BrgcnLayerParams:
         basis = [self.basis] if self.num_bases else []
         return [self.attention, *basis, *(self.roles[role] for role in self.ROLES), self.w_self]
 
-    def _full_layout(self, group: str, idx: GraphIndex | None = None) -> tuple[np.ndarray, tuple[int, int]]:
-        """The full-layout row of each row ``idx`` (default: the live index) reads of ``group``, and the layout's shape.
+    def _full_layout(self, group: str) -> tuple[np.ndarray, tuple[int, int]]:
+        """The full-layout row of each stored row of ``group`` in a live layer, and the layout's shape.
 
         a's full layout, (2*d_in, R), is read as rows of one float: a group's
         head half sits at its slot ``node * R + relation``, a live slot's tail
@@ -275,12 +277,10 @@ class BrgcnLayerParams:
         the full (R, ..., 2*d_in or d_in) draw puts at relation k % R and last
         index k // R.
         """
-        stored, r = idx is None, self.num_relations
-        idx = self._live if stored else idx
+        live, r = self._live, self.num_relations
         if group != "a":
-            return idx.live_slots, (self.d_in, r * self.d_out)
-        groups, slots = (slice(None), slice(None)) if stored else idx.multi_rows  # else a's attention rows
-        return np.concatenate((idx.group_slot[groups], self.d_in * r + idx.live_slots[slots])), (2 * self.d_in, r)
+            return live.live_slots, (self.d_in, r * self.d_out)
+        return np.concatenate((live.group_slot, self.d_in * r + live.live_slots)), (2 * self.d_in, r)
 
     def _full(self, group: str, stored: Tensor) -> Tensor:
         """``group``'s full layout, taped: the stored entries at their rows, zeros elsewhere."""
@@ -321,18 +321,14 @@ class BrgcnLayerParams:
         return dn.transpose(dn.reshape(mats, (self.num_relations * self.d_out, self.d_in)))
 
     def _stored_rows(self, group: str, idx: GraphIndex, mask: np.ndarray | None) -> Tensor:
-        """The rows of ``group``'s stored array that ``idx`` reads on one-hot input: a's attention rows, a role's slots.
+        """The rows of a live layer's stored ``group`` that ``idx`` reads on one-hot input: a's attention rows, a role's slots.
 
-        Each stored row is scaled by its node's dropout ``mask`` entry, then read: a live layer's at
-        ``idx.parent_a_rows`` or ``parent_slots`` (a whole graph's in place), the full layout's at their rows there."""
-        t, live, a = (self.attention if group == "a" else self.roles[group[2:]]), self._live, group == "a"
-        if live is None:  # the full layout, read as rows of one float (a) or of d_out
-            t, (at, _) = dn.reshape(t, (-1,) if a else (-1, self.d_out)), self._full_layout(group, idx)
-        else:
-            at = idx.parent_a_rows if a else idx.parent_slots
+        Each stored row is scaled by its node's dropout ``mask`` entry, then read at ``idx.parent_a_rows``
+        or ``parent_slots`` (a whole graph's in place)."""
+        t, a = (self.attention if group == "a" else self.roles[group[2:]]), group == "a"
+        at = idx.parent_a_rows if a else idx.parent_slots
         if mask is not None:  # by each stored row's node, (k // R) % N at its full-layout row k
-            rows = np.arange(t.shape[0]) if live is None else self._full_layout(group)[0]
-            m = mask[rows // self.num_relations % self.d_in]
+            m = mask[self._full_layout(group)[0] // self.num_relations % self.d_in]
             t = dn.mul(t, m[:, 0] if a else m)
         return t if at is None else dn.take(t, at)
 
@@ -464,7 +460,8 @@ def layer_forward(
     evaluation pass.  The masks are drawn at the whole graph's shapes, the
     edge mask over all of its edges and read at the field's, so a field
     draws the same stream.  ``h=None`` is the identity (one-hot features)
-    without building it: h @ W is a lookup of W's rows.  Dropout on it is one
+    without building it: h @ W is a lookup of the rows a layer built with
+    ``live`` stores, and any other layer refuses it.  Dropout on it is one
     Bernoulli(keep) / keep mask entry per node, which scales that node's
     rows: the per-unit dropout of Srivastava et al. (2014).
     """
@@ -484,6 +481,8 @@ def layer_forward(
         np.array_equal(built.live_slots, whole.live_slots) and np.array_equal(built.group_slot, whole.group_slot)
     ):
         raise ConfigurationError("layer stores the rows of another graph's live slots and groups")
+    if h is None and built is None:
+        raise ConfigurationError("one-hot input reads a layer's stored rows: build it with live=graph.index")
 
     def mask(shape) -> Tensor | None:  # inverted dropout: Bernoulli(keep) / keep per entry, None without
         keep = 1.0 - params.dropout

@@ -355,7 +355,7 @@ class TestSegmentMatmul:
         x, w = Tensor(rng.normal(size=(n, d))), rng.normal(size=(d, types * width))
         up = rng.normal(size=(rows, width))
         keep = np.sort(rng.choice(rows, 37, replace=False))
-        rank = dn.TypedRows(x_rows, row_types, n, types).rank
+        rank = dn.TypedRows.ranks(row_types)
 
         def step(at, g):
             xp, wp = dn.param(x.data), dn.param(w)
@@ -368,6 +368,7 @@ class TestSegmentMatmul:
         every[keep] = up[keep]
         whole, sub = step(np.arange(rows), every), step(keep, up[keep])
         assert rank.max() >= 2 * dn.CHUNK_ROWS
+        assert np.array_equal(dn.TypedRows(x_rows, row_types, n, types).rank, rank)
         assert _same(whole[0][keep], sub[0])
         assert _same(whole[1] + 0.0, sub[1] + 0.0) and _same(whole[2] + 0.0, sub[2] + 0.0)
 

@@ -427,7 +427,8 @@ class TestRelationAttentionScore:
                        add_inverse=True, add_self_loop=True)
         dims = [n, 6, 3][: num_layers + 1]
         layers = [
-            BrgcnLayerParams.create(rng, a, b, g.num_relations, variant=variant) for a, b in zip(dims, dims[1:])
+            BrgcnLayerParams.create(rng, a, b, g.num_relations, variant=variant, live=None if k else g.index)
+            for k, (a, b) in enumerate(zip(dims, dims[1:]))
         ]
         _, traces = stack_forward(layers, None, g)
         for num_relations in (base, g.num_relations, g.num_relations + 2):

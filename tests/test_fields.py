@@ -185,9 +185,15 @@ class TestReceptiveFields:
         whole_groups, whole_slots = idx.multi_rows
         assert np.array_equal(idx.parent_a_rows.ids, np.concatenate((whole_groups, idx.num_groups + whole_slots)))
         assert idx.parent_slots is None
-        at = {slot: k for k, slot in enumerate(idx.group_slot[whole_groups].tolist())}  # ranked as the whole graph's
+        # A dense layer's rows on the field are ranked as the whole graph's, whose own chunk layout is not built.
+        rank, slot_rank = field.attention_rows.rank, field.slot_rows.rank
+        assert not any(isinstance(v, dn.TypedRows) for v in vars(idx).values())
+        at = {slot: k for k, slot in enumerate(idx.group_slot[whole_groups].tolist())}
         at = [at[slot] for slot in field.group_slot[groups].tolist()]
-        assert np.array_equal(field.attention_rows.rank[: groups.size], idx.attention_rows.rank[at])
+        assert np.array_equal(rank[: groups.size], idx.attention_rows.rank[at])
+        at = np.searchsorted(whole_slots, slot_rows.ids[multi_slots])
+        assert np.array_equal(rank[groups.size :], idx.attention_rows.rank[whole_groups.size + at])
+        assert np.array_equal(slot_rank, idx.slot_rows.rank[slot_rows.ids])
 
     def test_the_whole_graph_is_the_field_of_every_node(self):
         g = _graph(0)

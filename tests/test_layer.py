@@ -322,7 +322,7 @@ class TestStackForward:
     def test_two_layer_classification_shape(self):
         g = HeteroGraph.from_triples([(0, 0, 1), (1, 0, 2), (2, 1, 0)], num_nodes=3)
         rng = np.random.default_rng(31)
-        l1 = BrgcnLayerParams.create(rng, 3, 16, 2)
+        l1 = BrgcnLayerParams.create(rng, 3, 16, 2, live=g.index)
         l2 = BrgcnLayerParams.create(rng, 16, 4, 2)
         out, traces = stack_forward([l1, l2], None, g)
         assert out.shape == (3, 4)
@@ -455,7 +455,8 @@ class TestDropout:
         g, p, h = self._setup(variant)
         if one_hot:
             h = None
-            p = BrgcnLayerParams.create(np.random.default_rng(5), g.num_nodes, 3, g.num_relations, variant=variant)
+            p = BrgcnLayerParams.create(np.random.default_rng(5), g.num_nodes, 3, g.num_relations, variant=variant,
+                                        live=g.index)
             p.dropout = 0.5
         eval_out, _ = layer_forward(p, h, g)
         rng = _CountingRng(9)
@@ -522,21 +523,24 @@ class TestBasisDecomposition:
         assert grad_check(f, p.params(), eps=1e-5, tol=1e-4).passed
 
     def test_step_peak_grows_with_bases_by_the_basis_columns_at_the_slots(self):
-        # One 2-layer one-hot NC forward+backward, 300 nodes, 10 relations with
-        # inverses and self loops (21), hidden 8.  Layer 0 forms each role's
+        # One 2-layer one-hot NC forward+backward, 1000 nodes, 20 relations with
+        # inverses and self loops (41), hidden 8.  Layer 0 forms each role's
         # rows at its L live slots from the B*d_out basis entries of each slot's
-        # node, and layer 1's weights are one (R, B) @ (B, d_out*d_in) product:
-        # no (R, B, d_out, d_in) array is built or taped, and 8 bases add a few
-        # arrays of L + N rows of 7 * d_out floats to what 1 basis peaks at.
-        n = 300
+        # node, multiplied in chunks of CHUNK_ROWS slots per relation, and layer
+        # 1's weights are one (R, B) @ (B, d_out*d_in) product.  So 8 bases add
+        # to what 1 basis peaks at a few arrays of B*d_out floats per lane or
+        # node (at most L + R*CHUNK_ROWS lanes), about 1.5 of them here, bounded
+        # by 3; one (R, B, d_out, d_in) array, never built or taped, is larger
+        # than that bound on its own.
+        n, hidden, bases = 1000, 8, 8
         rng = np.random.default_rng(12)
-        triples = np.column_stack([rng.integers(0, n, 3 * n), rng.integers(0, 10, 3 * n), rng.integers(0, n, 3 * n)])
+        triples = np.column_stack([rng.integers(0, n, n), rng.integers(0, 20, n), rng.integers(0, n, n)])
         g = augment(HeteroGraph.from_triples(triples, num_nodes=n), add_inverse=True, add_self_loop=True)
         labels = NodeLabels(tuple(range(n)), {i: i % 2 for i in range(n)}, 2)
         g.index  # built once per graph, outside the step
         peaks = {}
-        for num_bases in (1, 8):
-            cfg = TrainConfig(hidden_units=8, dropout=0.0, num_bases=num_bases)
+        for num_bases in (1, bases):
+            cfg = TrainConfig(hidden_units=hidden, dropout=0.0, num_bases=num_bases)
             model = NodeClassificationModel.build(np.random.default_rng(0), g, 2, cfg)
             tracemalloc.start()
             try:
@@ -546,7 +550,11 @@ class TestBasisDecomposition:
             finally:
                 tracemalloc.stop()
             assert all(p.grad is not None for p in model.params() if ".coeff_" in p.name or ".basis" in p.name)
-        assert peaks[8] - peaks[1] <= 8 * 8 * (g.index.live_slots.size + n) * 7 * 8, peaks
+        lanes = g.index.live_slots.size + g.num_relations * dn.CHUNK_ROWS
+        bound = 3 * (lanes + n) * bases * hidden * 8
+        expanded = g.num_relations * bases * hidden * n * 8  # one (R, B, d_out, d_in) array's bytes
+        assert bound < expanded
+        assert peaks[bases] - peaks[1] <= bound, peaks
 
     def test_num_bases_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -634,7 +642,7 @@ class TestIdentityInput:
     def _step(g, h, rng, variant, num_bases, dropout):
         p = BrgcnLayerParams.create(
             np.random.default_rng(3), g.num_nodes, 5, g.num_relations,
-            num_bases=num_bases, dropout=dropout, variant=variant,
+            num_bases=num_bases, dropout=dropout, variant=variant, live=g.index,
         )
         with dn.Tape() as tape:
             out, _ = layer_forward(p, h, g, rng=rng)
@@ -728,7 +736,7 @@ class TestIdentityInput:
             [rng.integers(0, n, 2 * n), rng.integers(0, 3, 2 * n), rng.integers(0, n, 2 * n)]
         )
         g = augment(HeteroGraph.from_triples(triples, num_nodes=n), add_self_loop=True)
-        p = BrgcnLayerParams.create(rng, n, 16, g.num_relations, dropout=0.4, variant="node_only")
+        p = BrgcnLayerParams.create(rng, n, 16, g.num_relations, dropout=0.4, variant="node_only", live=g.index)
         g.index  # built once per graph, outside the step
         tracemalloc.start()
         try:
@@ -748,7 +756,8 @@ class TestFlatTrace:
     @staticmethod
     def _graph_and_params(variant="full"):
         g = augment(planted_graph(num_labeled=20)[0], add_inverse=True, add_self_loop=True)
-        p = BrgcnLayerParams.create(np.random.default_rng(8), g.num_nodes, 4, g.num_relations, variant=variant)
+        p = BrgcnLayerParams.create(np.random.default_rng(8), g.num_nodes, 4, g.num_relations, variant=variant,
+                                    live=g.index)
         return g, p
 
     @pytest.mark.parametrize("variant", ["full", "relation_only"])
@@ -1158,7 +1167,8 @@ class TestHeadReadThroughGroups:
         up = np.random.default_rng(3).normal(size=(g.num_nodes, d))
 
         def grads():
-            p = BrgcnLayerParams.create(np.random.default_rng(1), d, d, num_rel, dropout=0.4, variant=variant)
+            p = BrgcnLayerParams.create(np.random.default_rng(1), d, d, num_rel, dropout=0.4, variant=variant,
+                                        live=g.index if one_hot else None)
             with dn.Tape() as tape:
                 out, _ = layer_forward(p, x, g, rng=np.random.default_rng(5))
                 tape.backward(dn.tsum(dn.mul(out, Tensor(up))))
@@ -1204,7 +1214,8 @@ class TestStackedParameters:
         n = g.num_nodes
         d_in = n if one_hot else 5
         p = BrgcnLayerParams.create(
-            np.random.default_rng(1), d_in, 4, num_relations, dropout=0.3, variant=variant
+            np.random.default_rng(1), d_in, 4, num_relations, dropout=0.3, variant=variant,
+            live=g.index if one_hot else None,
         )
         h = None if one_hot else Tensor(np.random.default_rng(2).normal(size=(n, d_in)))
         calls = []
@@ -1314,9 +1325,10 @@ class TestLiveSlots:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     def test_live_layer_is_the_full_layer_at_its_live_slots(self, variant, dropout):
-        # The same init, the same masks: every output, trace and gradient is
-        # bit-equal, on one-hot input and on the identity matrix, and the live
-        # gradients are the full layer's gathered at the live slots.
+        # The same init, the same masks: on the identity matrix every output,
+        # trace and gradient is bit-equal, and the live gradients are the full
+        # layer's gathered at the live slots.  The full layer reads dense input
+        # only; the live layer's one-hot input agrees with it without dropout.
         g = self._graph()
         n, num_rel = g.num_nodes, g.num_relations
         up = np.random.default_rng(3).normal(size=(n, 4))
@@ -1331,14 +1343,15 @@ class TestLiveSlots:
         for h in (None, Tensor(np.eye(n))):
             for rng in (None, 5):
                 masks = [None if rng is None else np.random.default_rng(rng) for _ in layers]
-                got = [self._step(p, h, g, up, r) for p, r in zip(layers, masks)]
-                (out, trace, grads), (live_out, live_trace, live_grads) = got
-                assert np.array_equal(out, live_out)
-                self._same_trace(trace, live_trace)
-                for t, grad, live_grad in zip(live.params(), grads, live_grads):
-                    assert (grad is None) == (live_grad is None)
-                    if grad is not None:
-                        assert np.array_equal(live.live_rows(t.name.split(".")[1], grad), live_grad)
+                live_out, live_trace, live_grads = self._step(live, h, g, up, masks[1])
+                if h is not None:
+                    out, trace, grads = self._step(full, h, g, up, masks[0])
+                    assert np.array_equal(out, live_out)
+                    self._same_trace(trace, live_trace)
+                    for t, grad, live_grad in zip(live.params(), grads, live_grads):
+                        assert (grad is None) == (live_grad is None)
+                        if grad is not None:
+                            assert np.array_equal(live.live_rows(t.name.split(".")[1], grad), live_grad)
                 for p in layers:
                     dn.zero_grad(p.params())
                 steps[h is None, rng] = live_out, live_trace, live_grads
@@ -1396,8 +1409,9 @@ class TestLiveSlots:
         up = np.random.default_rng(3).normal(size=(graph.num_nodes, 8))
         held = []
         for g in (graph, wider):
-            layer_forward(BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 8, g.num_relations,
-                                                  live=g.index), None, g)  # the index's caches, built untraced
+            for _ in range(2):  # the index's caches and the interpreter's free lists, filled untraced
+                warm = BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 8, g.num_relations, live=g.index)
+                self._step(warm, None, g, up, np.random.default_rng(1))
             tracemalloc.start()
             try:
                 p = BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 8, g.num_relations,
@@ -1437,6 +1451,13 @@ class TestLiveSlots:
         assert p.attention.shape == (g.index.num_groups + g.index.live_slots.size,)
         assert [t.name for t in p.params()] == [
             "layer.a", "layer.basis", "layer.coeff_query", "layer.coeff_key", "layer.coeff_value", "layer.w_self"]
+
+    def test_one_hot_input_needs_stored_rows(self):
+        g = self._graph()
+        full = BrgcnLayerParams.create(np.random.default_rng(0), g.num_nodes, 3, g.num_relations)
+        with pytest.raises(ConfigurationError, match="live=graph.index"):
+            layer_forward(full, None, g)
+        assert layer_forward(full, Tensor(np.eye(g.num_nodes)), g)[0].shape == (g.num_nodes, 3)
 
 
 class TestMultiEdgeAttention:
